@@ -3,12 +3,11 @@
 Subcommands: gen, validate, constants, harmonics, decompose, certify,
 identities, study.  Exit codes: 0 success, 1 computational error,
 2 validation failure, 64 usage error.  All computations are
-deterministic; the --deterministic flag pins the worker count to one so
-repeated runs emit byte-identical reports.
+deterministic, so repeated runs emit byte-identical reports; the
+--deterministic flag is recorded in the report.
 """
 
 import argparse
-import os
 import sys
 
 import numpy as np
@@ -30,15 +29,6 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         sys.stderr.write(f"error: {message}\n")
         raise SystemExit(EXIT_USAGE)
-
-
-def max_threads():
-    """Worker cap from KORNLAB_THREADS (drivers are single-threaded)."""
-    raw = os.environ.get("KORNLAB_THREADS", "")
-    try:
-        return max(1, int(raw)) if raw else 1
-    except ValueError:
-        return 1
 
 
 def _add_mesh_source(p):
@@ -209,7 +199,6 @@ def _cmd_constants(args):
         deflation_tol=args.deflation_tol,
     )
     report["deterministic"] = bool(args.deterministic)
-    report["threads"] = 1 if args.deterministic else max_threads()
     reports.emit_report(report, args.out, args.format)
     print(f"wrote {args.out}")
     return EXIT_OK

@@ -73,7 +73,7 @@ def poincare_constant(mesh, tol=DEFAULT_EIG_TOL):
     A = assemble("grad", p1)
     B = assemble("mass", p1)
     deflation = None
-    if mesh.tagged_vertices(meshes.GAMMA_T).size == 0:
+    if not mesh.has_gamma_t:
         deflation = np.ones((p1.free_count, 1))  # pure Neumann: mean-zero
     eig = linalg.eig_smallest(A, B, k=1, deflation=deflation, tol=tol)
     return _record("c_p", eig, p1.free_count)
@@ -112,7 +112,7 @@ def korn_constant_standard(mesh, tol=DEFAULT_EIG_TOL):
     B = assemble("grad", pv)
     deflation = None
     note = None
-    if mesh.tagged_vertices(meshes.GAMMA_T).size == 0:
+    if not mesh.has_gamma_t:
         if pv.free_count <= 6:
             return _empty("c_k_s")
         deflation = np.column_stack([_translation_fields(pv), _rotation_fields(pv)])
@@ -130,7 +130,7 @@ def korn_constant_standard(mesh, tol=DEFAULT_EIG_TOL):
 
 def korn_constant_tangential(mesh, tol=DEFAULT_EIG_TOL):
     """Same pencil over fields constant per tag-1 boundary component."""
-    if mesh.tagged_vertices(meshes.GAMMA_T).size == 0:
+    if not mesh.has_gamma_t:
         raise ValueError("the tangential constant needs a nonempty tag-1 part")
     pv = build_space(mesh, "P1_vector", "gamma_t", component_constant=True)
     if pv.free_count <= 3:  # nothing beyond the quotiented translations
@@ -155,7 +155,7 @@ def _curlfree_basis(ops, harmonics):
     the per-row constant), then the harmonic fields per row.
     """
     G = ops.grad
-    pin = ops.edge_space.mesh.tagged_vertices(meshes.GAMMA_T).size == 0
+    pin = not ops.edge_space.mesh.has_gamma_t
     Gp = G[:, 1:] if pin else G
     blocks = sp.block_diag([Gp] * 3, format="csc")
     if harmonics.dim:
@@ -169,7 +169,7 @@ def _so3_reduced(ops, npot, nharm):
     """Reduced coordinates of the constant skew tensors in the basis above."""
     mesh = ops.edge_space.mesh
     verts = mesh.vertices
-    pin = mesh.tagged_vertices(meshes.GAMMA_T).size == 0
+    pin = not mesh.has_gamma_t
     cols = []
     for S in SO3_BASIS:
         vals = verts @ S.T  # potential of row m is (S x)_m
@@ -216,9 +216,8 @@ def korn_constant_irrotational(mesh, tol=DEFAULT_EIG_TOL, ops=None, harmonics=No
     (each slice is simply connected by assumption, matching the way the
     piecewise bound is assembled).
     """
-    has_gamma_t = mesh.tagged_vertices(meshes.GAMMA_T).size > 0
     nslices = len(np.unique(mesh.slice_ids))
-    if not has_gamma_t and nslices > 1:
+    if not mesh.has_gamma_t and nslices > 1:
         if coeff is not None:
             raise ValueError("the weighted constant needs a nonempty tag-1 part")
         recs = []
@@ -233,7 +232,7 @@ def korn_constant_irrotational(mesh, tol=DEFAULT_EIG_TOL, ops=None, harmonics=No
 
     ops = ops or hodge.edge_operators(mesh)
     harmonics = harmonics or hodge.harmonic_basis(mesh, ops)
-    if not has_gamma_t and harmonics.dim > 0:
+    if not mesh.has_gamma_t and harmonics.dim > 0:
         raise ValueError(
             "a domain with harmonic fields needs at least two slices when "
             "the tag-1 part is empty"
@@ -246,7 +245,7 @@ def korn_constant_irrotational(mesh, tol=DEFAULT_EIG_TOL, ops=None, harmonics=No
     B = (W.T @ (pencil.mass @ W)).toarray()
     deflation = None
     note = None
-    if not has_gamma_t:
+    if not mesh.has_gamma_t:
         deflation = _so3_reduced(ops, npot, harmonics.dim)
         note = "deflated: constant skew tensors"
     eig = linalg.eig_smallest(A, B, k=1, deflation=deflation, tol=tol)
@@ -273,7 +272,7 @@ def maxwell_constant(mesh, tol=DEFAULT_EIG_TOL, ops=None, harmonics=None):
         coex_rec = _empty("c_m_coexact")
     else:
         G = ops.grad
-        pin = mesh.tagged_vertices(meshes.GAMMA_T).size == 0
+        pin = not mesh.has_gamma_t
         Gp = G[:, 1:] if pin else G
         defl = [Gp] if Gp.shape[1] else []
         if harmonics.dim:
@@ -339,12 +338,11 @@ def direct_main_constant(mesh, tol=DEFAULT_EIG_TOL, ops=None, pencil=None,
     pencil = pencil or tensor_pencil(mesh, ops)
     A = (pencil.sym + pencil.curlcurl).tocsr()
     B = pencil.mass
-    has_gamma_t = mesh.tagged_vertices(meshes.GAMMA_T).size > 0
     nslices = len(np.unique(mesh.slice_ids))
     deflation = None
     constraints = None
     note = None
-    if not has_gamma_t and deflate:
+    if not mesh.has_gamma_t and deflate:
         if nslices == 1:
             deflation = np.column_stack(
                 [
@@ -408,7 +406,7 @@ class NonPositiveDeterminant(ValueError):
 
 def korn_constant_weighted(mesh, F, tol=DEFAULT_EIG_TOL, ops=None, harmonics=None):
     """Irrotational constant with the weighted strain sym(T F)."""
-    if mesh.tagged_vertices(meshes.GAMMA_T).size == 0:
+    if not mesh.has_gamma_t:
         raise ValueError("the weighted constant needs a nonempty tag-1 part")
     matrix_coefficient_norm(F, mesh)  # validates det F > 0
     return korn_constant_irrotational(
@@ -432,7 +430,7 @@ def certify_weighted_inequality(T, ws, weight, tol=DEFAULT_EIG_TOL):
     bound.
     """
     mesh = ws.mesh
-    if mesh.tagged_vertices(meshes.GAMMA_T).size == 0:
+    if not mesh.has_gamma_t:
         raise ValueError("the weighted chain needs a nonempty tag-1 part")
     c_F, _ = matrix_coefficient_norm(weight, mesh)
     pencil_F = tensor_pencil(mesh, ws.ops, weight)
@@ -550,7 +548,7 @@ class Workspace:
 
     @property
     def case(self):
-        if self.mesh.tagged_vertices(meshes.GAMMA_T).size > 0:
+        if self.mesh.has_gamma_t:
             return "tangential"
         return "simply_connected" if len(np.unique(self.mesh.slice_ids)) == 1 else "sliced"
 
@@ -691,12 +689,11 @@ def compute_report(mesh, tol=DEFAULT_EIG_TOL, slack=DEFAULT_SLACK,
                    deflation_tol=1e-8):
     """Compute every applicable constant and assemble the report dict."""
     ws = Workspace(mesh, tol, slack, quad_order, deflation_tol)
-    has_gamma_t = mesh.tagged_vertices(meshes.GAMMA_T).size > 0
 
     records = {}
     for name in ("c_p", "c_k_s"):
         records[name] = ws.constant(name)
-    if has_gamma_t:
+    if mesh.has_gamma_t:
         records["c_k_t"] = ws.constant("c_k_t")
     records["c_k_irrot"] = ws.constant("c_k_irrot")
     for name in ("c_m", "c_m_grad", "c_m_coexact"):
@@ -730,7 +727,7 @@ def compute_report(mesh, tol=DEFAULT_EIG_TOL, slack=DEFAULT_SLACK,
     report["norm_equivalence"] = ws._cache.get("norm_equivalence")
     bound = c_hat if ws.case != "sliced" else c_tilde
     report["tightness"] = records["c_direct"].value / bound
-    report["orderings"] = _orderings(records, c_hat, has_gamma_t)
+    report["orderings"] = _orderings(records, c_hat, mesh.has_gamma_t)
     report["orderings"]["direct_le_derived"] = bool(
         records["c_direct"].value <= bound * (1.0 + slack)
     )

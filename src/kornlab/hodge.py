@@ -11,9 +11,11 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from . import linalg, meshes
+from . import linalg
 from .assemble import assemble, geometry
 from .spaces import DofSpace, Field, TensorField, build_space
+
+HARMONIC_CAP = 32  # largest harmonic dimension the sparse search resolves
 
 SO3_BASIS = np.array(
     [
@@ -99,20 +101,26 @@ def harmonic_basis(mesh, ops=None, rel_tol=1e-8):
 def _harmonic_sparse(ops, rel_tol):
     """Near-kernel of the curl-curl pencil in the gradient complement.
 
-    Asks the Lanczos driver for a few smallest eigenvalues and keeps the
-    ones below the relative threshold, doubling the batch while all of
-    them land below it.
+    Asks eig_smallest (shift-invert ARPACK above the crossover, gradients
+    deflated) for the smallest eigenpairs and keeps those below the
+    relative threshold.  The batch doubles from 4 while every value lands
+    below it; a kernel that fills HARMONIC_CAP values raises SolverError
+    instead of returning a truncated basis.
     """
     A, M = ops.curlcurl, ops.mass
-    pin = ops.edge_space.mesh.tagged_vertices(meshes.GAMMA_T).size == 0
-    Gp = ops.grad[:, 1:] if pin else ops.grad
-    scale = A.diagonal().sum() / max(M.diagonal().sum(), 1e-300)
+    Gp = ops.grad if ops.edge_space.mesh.has_gamma_t else ops.grad[:, 1:]
+    threshold = rel_tol * max(A.diagonal().sum() / max(M.diagonal().sum(), 1e-300), 1e-300)
     k = 4
     while True:
         eig = linalg.eig_smallest(A, M, k=k, deflation=Gp)
-        below = eig.values <= rel_tol * max(scale, 1e-300)
-        if not np.all(below) or k >= 32:
+        below = eig.values <= threshold
+        if not np.all(below):
             return eig.vectors[:, below]
+        if k >= HARMONIC_CAP:
+            raise linalg.SolverError(
+                f"harmonic basis: all {k} computed eigenvalues are below the kernel "
+                f"threshold; the sparse search stops at HARMONIC_CAP = {HARMONIC_CAP}"
+            )
         k *= 2
 
 
@@ -129,7 +137,7 @@ def _poisson_solve(ops, weighted_rhs):
     """Solve (G^T M G) u = G^T (M v); constants pinned when unconstrained."""
     K = (ops.grad.T @ (ops.mass @ ops.grad)).tocsr()
     rhs = ops.grad.T @ weighted_rhs
-    if ops.p1_space.mesh.tagged_vertices(meshes.GAMMA_T).size == 0:
+    if not ops.p1_space.mesh.has_gamma_t:
         # pure Neumann: pin the first vertex, the gradient is unaffected
         n = K.shape[0]
         keep = np.arange(1, n)

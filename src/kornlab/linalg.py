@@ -1,12 +1,13 @@
 """Sparse symmetric solves, generalized eigenproblems and null spaces.
 
 Eigenproblems are pencils A x = lambda B x with A positive semidefinite
-and B positive definite on the admissible subspace.  Deflation restricts
-B-orthogonally to the complement of given vectors; raw linear constraints
-C x = 0 are also supported.  Below the dense crossover everything reduces
-to LAPACK; above it a shift-inverted Lanczos iteration with full
-reorthogonalization runs in the B-inner product, projecting every Krylov
-vector onto the admissible subspace.
+and B positive definite on the admissible subspace {C x = 0}.  The rows of
+C are raw linear constraints, B d for deflated vectors d (a B-orthogonal
+restriction) and d itself for deflated vectors in ker(B).  Below the dense
+crossover everything reduces to LAPACK on a basis of the admissible
+subspace.  Above it, shift-invert ARPACK runs in the B-inner product with
+OPinv the solve with the saddle-point matrix [[A - sigma B, C^T], [C, 0]],
+which is B-self-adjoint on the admissible subspace for any rows C.
 """
 
 from dataclasses import dataclass, field
@@ -17,7 +18,10 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 DENSE_CROSSOVER = 2000
-_LANCZOS_SEED = 20260314  # fixed start vectors keep reports reproducible
+_SEED = 20260314  # fixed start vectors keep reports reproducible
+_LOOSE_TOL = 1e-2  # first ARPACK pass: only locates the spectrum
+_CLUSTER_RATIO = 1.02  # re-shift when the first pass finds lambda_2 / lambda_1 below this
+_DENSE_ROW_SHARE = 0.05  # rows with more nonzeros than this share of n are dense
 
 
 class SolverError(RuntimeError):
@@ -99,7 +103,7 @@ def eig_smallest(A, B, k=1, deflation=None, constraints=None, tol=1e-10):
     n = A.shape[0]
     if n < DENSE_CROSSOVER:
         return _eig_dense(A, B, k, deflation, constraints, tol)
-    return _eig_lanczos(A, B, k, deflation, constraints, tol)
+    return _eig_sparse(A, B, k, deflation, constraints, tol)
 
 
 def _eig_dense(A, B, k, deflation, constraints, tol):
@@ -122,126 +126,117 @@ def _eig_dense(A, B, k, deflation, constraints, tol):
     k = min(k, len(w))
     vecs = U @ V[:, :k]
     vals = w[:k]
-    res = _residuals(A, B, vals, vecs)
+    res = _residuals(A, B, vals, vecs, constraints)
     return EigenResult(vals, vecs, res)
 
 
-def _residuals(A, B, vals, vecs):
+def _residuals(A, B, vals, vecs, constraints=None):
+    """B-scaled |A x - lambda B x| without the Lagrange term of raw constraints.
+
+    That term lies in span(C^T), so its least-squares fit is removed; the
+    deflation vectors span invariant subspaces and leave no such term.
+    """
+    if constraints is not None:
+        Ct = sp.csr_matrix(constraints).toarray().T
     out = np.empty(len(vals))
     for i, lam in enumerate(vals):
         x = vecs[:, i]
-        num = np.linalg.norm(A @ x - lam * (B @ x))
+        r = A @ x - lam * (B @ x)
+        if constraints is not None:
+            r = r - Ct @ np.linalg.lstsq(Ct, r, rcond=None)[0]
+        num = np.linalg.norm(r)
         den = np.sqrt(abs(x @ (B @ x)))
         out[i] = num / max(den, 1e-300)
     return out
 
 
-class _Projector:
-    """B-orthogonal projection onto the admissible subspace."""
-
-    def __init__(self, B, deflation, constraints, solve_B):
-        self.terms = []
-        if deflation is not None:
-            D = deflation.tocsc() if sp.issparse(deflation) else np.asarray(deflation, float)
-            if not sp.issparse(D) and D.ndim == 1:
-                D = D[:, None]
-            W = B @ D
-            W = W.toarray() if sp.issparse(W) else W
-            G = D.T @ W
-            G = G.toarray() if sp.issparse(G) else np.asarray(G)
-            G = 0.5 * (G + G.T)
-            self.terms.append(("defl", D, W, sla.cho_factor(G)))
-        if constraints is not None:
-            C = constraints.toarray() if sp.issparse(constraints) else np.asarray(constraints, float)
-            C = np.atleast_2d(C)
-            # admissible {x: Cx=0}; the B-orthogonal projector needs B^{-1} C^T
-            Y = np.column_stack([solve_B(c) for c in C])
-            G = C @ Y
-            G = 0.5 * (G + G.T)
-            self.terms.append(("constr", Y, C, sla.cho_factor(G)))
-
-    def __call__(self, x):
-        for kind, M1, M2, chol in self.terms:
-            if kind == "defl":
-                x = x - M1 @ sla.cho_solve(chol, M2.T @ x)
-            else:
-                x = x - M1 @ sla.cho_solve(chol, M2 @ x)
-        return np.asarray(x).ravel()
+def _saddle_rows(B, deflation, constraints, n):
+    """(bordered, dense): the rows of _constraint_rows, kept sparse."""
+    rows, nker = [], 0
+    if deflation is not None:
+        D = sp.csc_matrix(deflation)
+        if D.shape[0] != n:
+            D = D.T
+        BD = (B @ D).tocsc()
+        ker = spla.norm(BD, axis=0) <= 1e-12 * np.maximum(spla.norm(D, axis=0), 1.0)
+        rows, nker = [D[:, ker].T, BD[:, ~ker].T], ker.sum()
+    if constraints is not None:
+        rows.append(sp.csr_matrix(constraints))
+    if not rows:
+        return None, None
+    R = sp.vstack(rows, format="csr")
+    dense = np.diff(R.indptr) > _DENSE_ROW_SHARE * n
+    dense[:nker] = False  # A - sigma B is singular on a common kernel of A and B
+    return (R[~dense] if not dense.all() else None,
+            R[dense].toarray() if dense.any() else None)
 
 
-def _eig_lanczos(A, B, k, deflation, constraints, tol, maxiter=400):
-    """Shift-inverted Lanczos for the k smallest pencil eigenvalues.
+def _saddle_inverse(A, B, sigma, bordered, dense):
+    """x -> (A - sigma B)^{-1} x on {C x = 0}: the OPinv of shift-invert ARPACK.
 
-    Runs on Op = (A + sigma B)^{-1} B in the B-inner product with full
-    reorthogonalization; the largest Ritz values of Op map to the smallest
-    pencil eigenvalues via lambda = 1/mu - sigma.
+    Sparse rows of C border the factorized matrix [[A - sigma B, C^T], [C, 0]].
+    Dense rows D would fill that factorization, so they enter through the
+    rank-L Schur complement K - K D^T (D K D^T)^{-1} D K of its inverse K.
     """
     n = A.shape[0]
-    tr_a = A.diagonal().sum()
+    K = (A - sigma * B).tocsc()
+    if bordered is not None:
+        K = sp.bmat([[K, bordered.T], [bordered, None]], format="csc")
+    try:
+        lu = spla.splu(K)
+    except RuntimeError as exc:
+        raise SolverError(f"the shifted saddle-point matrix is singular: {exc}")
+
+    def solve(x):
+        return lu.solve(np.concatenate([np.ravel(x), np.zeros(K.shape[0] - n)]))[:n]
+
+    if dense is None:
+        return solve
+    Y = np.column_stack([solve(d) for d in dense])
+    S = sla.lu_factor(dense @ Y)
+
+    def schur_solve(x):
+        y = solve(x)
+        return y - Y @ sla.lu_solve(S, dense @ y)
+
+    return schur_solve
+
+
+def _arpack(A, B, k, sigma, op, v0, tol):
+    """k eigenpairs nearest sigma, ascending, from ARPACK mode 3 with OPinv = op."""
+    opinv = spla.LinearOperator(A.shape, matvec=op, dtype=float)
+    try:
+        vals, vecs = spla.eigsh(A, k=k, M=B, sigma=sigma, OPinv=opinv, v0=v0, tol=tol)
+    except spla.ArpackError as exc:
+        raise SolverError(f"ARPACK failed: {exc}")
+    order = np.argsort(vals)
+    return vals[order], vecs[:, order]
+
+
+def _eig_sparse(A, B, k, deflation, constraints, tol):
+    """Shift-invert ARPACK on the saddle-point operator, max(k, 2) pairs.
+
+    A loose first pass from a shift below the spectrum locates the two
+    smallest eigenvalues.  When their ratio is below _CLUSTER_RATIO the
+    shift moves 99% of the way to the smallest and the matrix is
+    refactored; otherwise the full-accuracy pass reuses the factorization.
+    """
+    n = A.shape[0]
     tr_b = B.diagonal().sum()
     if tr_b <= 0:
         raise SolverError("sparse path needs positive definite B")
-    sigma = max(abs(tr_a) / tr_b, 1e-30) * 1e-2
-    lu = spla.splu((A + sigma * B).tocsc())
-    B_lu = spla.splu(B.tocsc())
-    project = _Projector(B, deflation, constraints, B_lu.solve)
-
-    rng = np.random.default_rng(_LANCZOS_SEED)
-    v = project(rng.standard_normal(n))
-    nrm = np.sqrt(v @ (B @ v))
-    if nrm <= 0:
-        raise SolverError("projection annihilates the start vector")
-    v /= nrm
-
-    V = [v]
-    alphas, betas = [], []
-    m = min(maxiter, n)
-    mu = S = None
-    exhausted = False
-    for j in range(m):
-        w = project(lu.solve(B @ V[-1]))
-        a = w @ (B @ V[-1])
-        alphas.append(a)
-        w = w - a * V[-1]
-        if len(V) > 1:
-            w = w - betas[-1] * V[-2]
-        for u in V:  # full reorthogonalization in the B-inner product
-            w = w - (w @ (B @ u)) * u
-        b = np.sqrt(max(w @ (B @ w), 0.0))
-        Tj = np.diag(alphas) + np.diag(betas, 1) + np.diag(betas, -1)
-        mu, S = np.linalg.eigh(Tj)
-        order = np.argsort(mu)[::-1][:k]
-        if j + 1 >= k:
-            # standard Lanczos bound, mapped through lambda = 1/mu - sigma
-            err = b * np.abs(S[-1, order]) / np.maximum(mu[order] ** 2, 1e-300)
-            lam = 1.0 / mu[order] - sigma
-            if np.all(err <= tol * np.maximum(np.abs(lam), 1.0)) or b <= 1e-13:
-                exhausted = b <= 1e-13
-                break
-        if b <= 1e-13:
-            exhausted = True
-            break
-        betas.append(b)
-        V.append(w / b)
-    else:
-        raise SolverError("Lanczos did not converge within the iteration cap")
-    order = np.argsort(mu)[::-1][:k]
-    if len(order) < k and not exhausted:
-        raise SolverError("Lanczos produced fewer eigenpairs than requested")
-    Vm = np.column_stack(V)
-    vecs = Vm @ S[:, order]
-    vals = 1.0 / mu[order] - sigma
-    idx = np.argsort(vals)
-    vecs = _b_orthonormalize(vecs[:, idx], B)
-    vals = vals[idx]
-    res = _residuals(A, B, vals, vecs)
-    return EigenResult(vals, vecs, res)
-
-
-def _b_orthonormalize(V, B):
-    G = V.T @ (B @ V)
-    L = np.linalg.cholesky(0.5 * (G + G.T))
-    return V @ np.linalg.inv(L).T
+    rows = _saddle_rows(B, deflation, constraints, n)
+    sigma = -1e-3 * max(abs(A.diagonal().sum()) / tr_b, 1e-30)
+    op = _saddle_inverse(A, B, sigma, *rows)
+    kk = max(k, 2)
+    v0 = op(B @ np.random.default_rng(_SEED).standard_normal(n))
+    vals, vecs = _arpack(A, B, kk, sigma, op, v0, _LOOSE_TOL)
+    if vals[1] < _CLUSTER_RATIO * vals[0]:
+        sigma += 0.99 * (vals[0] - sigma)
+        op = _saddle_inverse(A, B, sigma, *rows)
+    vals, vecs = _arpack(A, B, kk, sigma, op, vecs.sum(axis=1), tol)
+    vals, vecs = vals[:k], vecs[:, :k]
+    return EigenResult(vals, vecs, _residuals(A, B, vals, vecs, constraints))
 
 
 def null_space(A, rel_tol=1e-8):

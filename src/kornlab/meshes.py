@@ -17,6 +17,7 @@ File format (``kornmesh 1``, ASCII, LF newlines)::
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -153,6 +154,11 @@ class Mesh:
     def tagged_vertices(self, tag):
         tris = self.faces[self.tagged_faces(tag)]
         return np.unique(tris)
+
+    @cached_property
+    def has_gamma_t(self):
+        """Whether the tag-1 (tangential) boundary part is nonempty."""
+        return bool(np.any(self.btri_tags == GAMMA_T))
 
     def retag(self, tags):
         """Copy of the mesh with boundary tags replaced (length K array or scalar)."""

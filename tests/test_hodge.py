@@ -287,3 +287,18 @@ def test_piecewise_skew_per_slice_values():
     labels, skews = hodge.piecewise_skew(field, mesh=mesh, degree=1)
     assert np.abs(skews[0] - J).max() <= 1e-12
     assert np.abs(skews[1] + J).max() <= 1e-12
+
+
+def test_harmonic_sparse_search_raises_at_cap(monkeypatch):
+    # a kernel filling every requested eigenvalue must not come back truncated
+    from kornlab import linalg
+
+    ops = hodge.edge_operators(generate_primitive("unit_cube", 2))
+    n = ops.edge_space.free_count
+
+    def all_below(A, B, k=1, **kwargs):
+        return linalg.EigenResult(np.zeros(k), np.zeros((n, k)))
+
+    monkeypatch.setattr(linalg, "eig_smallest", all_below)
+    with pytest.raises(linalg.SolverError, match="HARMONIC_CAP = 32"):
+        hodge._harmonic_sparse(ops, 1e-8)
