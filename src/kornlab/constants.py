@@ -117,7 +117,7 @@ def korn_constant_standard(mesh, tol=DEFAULT_EIG_TOL):
             return _empty("c_k_s")
         deflation = np.column_stack([_translation_fields(pv), _rotation_fields(pv)])
         note = "deflated: translations and rotations"
-        if pv.free_count < linalg.DENSE_CROSSOVER:
+        if pv.free_count < linalg.DENSE_MAX:
             # the kernel of the strain form should be the six rigid modes;
             # anything beyond six is worth surfacing
             kdim = linalg.null_space(A).shape[1]
@@ -241,8 +241,8 @@ def korn_constant_irrotational(mesh, tol=DEFAULT_EIG_TOL, ops=None, harmonics=No
     W, npot = _curlfree_basis(ops, harmonics)
     if W.shape[1] == 0:
         return _empty(name)
-    A = (W.T @ (pencil.sym @ W)).toarray()
-    B = (W.T @ (pencil.mass @ W)).toarray()
+    A = W.T @ (pencil.sym @ W)
+    B = W.T @ (pencil.mass @ W)
     deflation = None
     note = None
     if not mesh.has_gamma_t:
@@ -361,7 +361,7 @@ def direct_main_constant(mesh, tol=DEFAULT_EIG_TOL, ops=None, pencil=None,
     scale = A.diagonal().sum() / max(B.diagonal().sum(), 1e-300)
     if lam <= KERNEL_REL_TOL * max(scale, 1.0):
         detail = "constant skew tensors span the kernel"
-        if A.shape[0] < linalg.DENSE_CROSSOVER:
+        if A.shape[0] < linalg.DENSE_MAX:
             kdim = linalg.null_space(A).shape[1]
             detail = f"kernel dimension {kdim}; {detail}"
         raise KernelError(

@@ -3,11 +3,15 @@
 Eigenproblems are pencils A x = lambda B x with A positive semidefinite
 and B positive definite on the admissible subspace {C x = 0}.  The rows of
 C are raw linear constraints, B d for deflated vectors d (a B-orthogonal
-restriction) and d itself for deflated vectors in ker(B).  Below the dense
-crossover everything reduces to LAPACK on a basis of the admissible
-subspace.  Above it, shift-invert ARPACK runs in the B-inner product with
-OPinv the solve with the saddle-point matrix [[A - sigma B, C^T], [C, 0]],
-which is B-self-adjoint on the admissible subspace for any rows C.
+restriction) and d itself for deflated vectors in ker(B).  Two sizes route
+the work.  DENSE_CROSSOVER only routes eigenproblems: below it they reduce
+to LAPACK on a basis of the admissible subspace; above it shift-invert
+ARPACK runs in the B-inner product with OPinv the solve with the
+saddle-point matrix [[A - sigma B, C^T], [C, 0]], which is B-self-adjoint
+on the admissible subspace for any rows C.  DENSE_MAX is the largest size
+for which a dense O(n^3) factorization is affordable: solve_spd uses
+Cholesky below it and CG above, and callers gate optional dense kernel
+diagnostics on it.
 """
 
 from dataclasses import dataclass, field
@@ -17,7 +21,8 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-DENSE_CROSSOVER = 2000
+DENSE_CROSSOVER = 256  # eigenproblems: dense LAPACK below, shift-invert ARPACK above
+DENSE_MAX = 2000  # largest size for a dense O(n^3) factorization
 _SEED = 20260314  # fixed start vectors keep reports reproducible
 _LOOSE_TOL = 1e-2  # first ARPACK pass: only locates the spectrum
 _CLUSTER_RATIO = 1.02  # re-shift when the first pass finds lambda_2 / lambda_1 below this
@@ -49,13 +54,13 @@ def _as_csr(A):
 def solve_spd(A, rhs, tol=1e-12):
     """Solve A x = rhs for symmetric positive (semi)definite A.
 
-    Dense Cholesky below the crossover, Jacobi-preconditioned CG above.
+    Dense Cholesky below DENSE_MAX, Jacobi-preconditioned CG above.
     Raises SolverError (carrying the final residual) on non-convergence.
     """
     A = _as_csr(A)
     rhs = np.asarray(rhs, dtype=float)
     n = A.shape[0]
-    if n < DENSE_CROSSOVER:
+    if n < DENSE_MAX:
         try:
             c, low = sla.cho_factor(A.toarray())
             return sla.cho_solve((c, low), rhs)
@@ -70,26 +75,6 @@ def solve_spd(A, rhs, tol=1e-12):
         res = np.linalg.norm(A @ x - rhs) / max(np.linalg.norm(rhs), 1e-300)
         raise SolverError(f"CG did not converge (relative residual {res:.3e})", res)
     return x
-
-
-def _constraint_rows(B, deflation, constraints, n):
-    """Stack of rows whose kernel is the admissible subspace."""
-    rows = []
-    if deflation is not None:
-        D = deflation.toarray() if sp.issparse(deflation) else np.asarray(deflation, float)
-        if D.ndim == 1:
-            D = D[:, None]
-        for j in range(D.shape[1]):
-            d = D[:, j]
-            bd = B @ d
-            # vectors in ker(B) quotient in the plain sense
-            rows.append(d if np.linalg.norm(bd) <= 1e-12 * max(np.linalg.norm(d), 1.0) else bd)
-    if constraints is not None:
-        C = constraints.toarray() if sp.issparse(constraints) else np.asarray(constraints, float)
-        rows.extend(np.atleast_2d(C))
-    if not rows:
-        return None
-    return np.vstack(rows)
 
 
 def eig_smallest(A, B, k=1, deflation=None, constraints=None, tol=1e-10):
@@ -108,15 +93,17 @@ def eig_smallest(A, B, k=1, deflation=None, constraints=None, tol=1e-10):
 
 def _eig_dense(A, B, k, deflation, constraints, tol):
     n = A.shape[0]
-    C = _constraint_rows(B, deflation, constraints, n)
-    if C is not None:
-        U = sla.null_space(C)
+    rows = [R.toarray() if sp.issparse(R) else R
+            for R in _saddle_rows(B, deflation, constraints, n) if R is not None]
+    if rows:
+        U = sla.null_space(np.vstack(rows))
         if U.shape[1] == 0:
             raise SolverError("constraints eliminate the whole space")
+        Ar = U.T @ (A @ U)
+        Br = U.T @ (B @ U)
     else:
-        U = np.eye(n)
-    Ar = U.T @ (A @ U)
-    Br = U.T @ (B @ U)
+        U = None
+        Ar, Br = A.toarray(), B.toarray()
     Ar = 0.5 * (Ar + Ar.T)
     Br = 0.5 * (Br + Br.T)
     try:
@@ -124,7 +111,7 @@ def _eig_dense(A, B, k, deflation, constraints, tol):
     except (np.linalg.LinAlgError, sla.LinAlgError) as exc:
         raise SolverError(f"B is not positive definite on the admissible space: {exc}")
     k = min(k, len(w))
-    vecs = U @ V[:, :k]
+    vecs = V[:, :k] if U is None else U @ V[:, :k]
     vals = w[:k]
     res = _residuals(A, B, vals, vecs, constraints)
     return EigenResult(vals, vecs, res)
@@ -151,7 +138,12 @@ def _residuals(A, B, vals, vecs, constraints=None):
 
 
 def _saddle_rows(B, deflation, constraints, n):
-    """(bordered, dense): the rows of _constraint_rows, kept sparse."""
+    """Rows whose kernel is the admissible subspace, split as (bordered, dense).
+
+    Deflated vectors d give B d, or d itself when d lies in ker(B).  The
+    sparse path borders the first part and applies the rows with many
+    nonzeros through a Schur complement; the dense path stacks both.
+    """
     rows, nker = [], 0
     if deflation is not None:
         D = sp.csc_matrix(deflation)

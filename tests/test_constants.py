@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from kornlab import constants as cst
-from kornlab import hodge
+from kornlab import hodge, linalg
 from kornlab.assemble import MatrixCoefficient, identity_coefficient
 from kornlab.meshes import generate_primitive
 from kornlab.spaces import TensorField, build_space
@@ -69,6 +69,14 @@ def test_korn_standard_no_tags_deflation():
     m = generate_primitive("unit_cube", 2).retag(0)
     rec = cst.korn_constant_standard(m)
     assert np.isfinite(rec.value) and rec.value >= 1.0
+
+
+def test_korn_standard_strain_kernel_note_above_crossover():
+    # 375 dofs take the sparse eigen path; the dense kernel diagnostic is
+    # gated by the dense-factorization limit, not by the eigen crossover
+    rec = cst.korn_constant_standard(generate_primitive("unit_cube", 4).retag(0))
+    assert rec.dim > linalg.DENSE_CROSSOVER
+    assert rec.note.endswith("strain kernel dim 6")
 
 
 def test_korn_tangential_requires_tags():
@@ -177,13 +185,15 @@ def test_direct_constant_bounded_by_derived(cube3_ws, slab2_ws, tunnel_ws):
 
 def test_direct_constant_kernel_error_without_deflation():
     m = generate_primitive("unit_cube", 2).retag(0)
-    with pytest.raises(cst.KernelError):
+    # 294 dofs: sparse eigen path, dense kernel diagnostic below DENSE_MAX
+    with pytest.raises(cst.KernelError, match="kernel dimension 3;"):
         cst.direct_main_constant(m, deflate=False)
 
 
 def test_direct_constant_residual_is_projected():
     # the per-slice skew-moment constraints add a Lagrange term C^T mu to
-    # A x - lambda B x (8.8e-4 here); the reported residual leaves it out
+    # A x - lambda B x (8.8e-4 here on the dense path); the reported
+    # residual leaves it out
     rec, _ = cst.direct_main_constant(generate_primitive("cube_with_tunnel", 2))
     assert rec.note.startswith("deflated: per-slice skew moments")
     assert rec.residual <= 1e-10

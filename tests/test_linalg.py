@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from kornlab.linalg import (
     SolverError,
@@ -31,7 +32,7 @@ def test_solve_random_spd_residual():
 
 
 def test_solve_cg_path():
-    # above the dense crossover: Jacobi-preconditioned CG
+    # above DENSE_MAX: Jacobi-preconditioned CG
     n = 2100
     rng = np.random.default_rng(1)
     main = 4.0 + rng.random(n)
@@ -39,6 +40,21 @@ def test_solve_cg_path():
     b = rng.standard_normal(n)
     x = solve_spd(A, b)
     assert np.linalg.norm(A @ x - b) / np.linalg.norm(b) <= 1e-11
+
+
+def test_solve_cholesky_below_dense_max(monkeypatch):
+    # 800 unknowns, the P1 size of the Poisson solves that certify
+    # cube_with_tunnel n=4: far above the eigen crossover, still Cholesky
+    def no_cg(*args, **kwargs):
+        raise AssertionError("CG called below DENSE_MAX")
+
+    monkeypatch.setattr(spla, "cg", no_cg)
+    n = 800
+    rng = np.random.default_rng(2)
+    A = sp.diags([4.0 + rng.random(n), -np.ones(n - 1), -np.ones(n - 1)], [0, -1, 1]).tocsr()
+    b = rng.standard_normal(n)
+    x = solve_spd(A, b)
+    assert np.linalg.norm(A @ x - b) / np.linalg.norm(b) <= 1e-12
 
 
 def test_eig_trivial():
