@@ -301,8 +301,7 @@ def derived_bounds(c_k, c_m):
 def _slice_skew_constraints(space, mesh):
     """Rows c with c @ T_stacked = <T, S^l restricted to slice j>_M."""
     geom = geometry(mesh)
-    lam = np.full((1, 4), 0.25)
-    W = geom.edge_values(lam)[:, 0]  # (T,6,3)
+    W = geom.centroid_edge_values  # (T,6,3)
     rows = []
     nfree = space.free_count
     for s in np.unique(mesh.slice_ids):
@@ -557,6 +556,17 @@ class Workspace:
         return TensorField(self.pencil.space, rng.standard_normal((3, n)))
 
 
+def _piecewise_shifted_norm(norm, means, volumes, skews):
+    """Mass norm of X minus the skew skews[j] on slice j, from |X|_M.
+
+    The skews are constant per slice, so <X, S_j>_M over slice j is
+    volumes[j] (means[j] : S_j) with means[j] the slice average of X.
+    """
+    cross = float(np.einsum("j,jab,jab->", volumes, means, skews))
+    ssq = float(np.einsum("j,jab,jab->", volumes, skews, skews))
+    return float(np.sqrt(max(norm**2 - 2.0 * cross + ssq, 0.0)))
+
+
 def certify_main_inequality(T, ws):
     """Replicate the proof chain on one tensor field and report margins.
 
@@ -564,7 +574,6 @@ def certify_main_inequality(T, ws):
     estimate, (d) the Korn link on the curl-free part, (e) the assembled
     bound.  Margins are relative; the verdict demands all >= -slack.
     """
-    mesh = ws.mesh
     M, Asym, Kcc = ws.pencil.mass, ws.pencil.sym, ws.pencil.curlcurl
     slack = ws.slack
 
@@ -621,20 +630,9 @@ def certify_main_inequality(T, ws):
         shifted = r - hodge.constant_tensor_coeffs(T.space, shift).reshape(-1)
         lhs_d = mnorm(shifted, M)
     else:
-        labels, skews = hodge.piecewise_skew(R)
-        vols = geometry(mesh).vols
-        means = np.stack(
-            [hodge._edge_cell_means(T.space, R.rows[m]) for m in range(3)]
-        )
-        cross = 0.0
-        ssq = 0.0
-        for j, lab in enumerate(labels):
-            sel = mesh.slice_ids == lab
-            mean_j = np.einsum("t,mtd->md", vols[sel], means[:, sel])
-            cross += float(np.tensordot(mean_j, skews[j]))
-            ssq += float(vols[sel].sum() * np.tensordot(skews[j], skews[j]))
-        lhs_d = float(np.sqrt(max(nR**2 - 2.0 * cross + ssq, 0.0)))
-        shift = skews
+        _, means_R, slice_vols = hodge.slice_means(R)
+        shift = 0.5 * (means_R - np.swapaxes(means_R, 1, 2))
+        lhs_d = _piecewise_shifted_norm(nR, means_R, slice_vols, shift)
     ineq("korn_link", lhs_d, c_k * sym_R)
 
     # (e) assembled bound
@@ -654,18 +652,8 @@ def certify_main_inequality(T, ws):
         # piecewise shift loses the orthogonality, so the weaker combined
         # constant applies; the skew averages of T and R differ here since
         # the coexact part only has zero mean globally
-        labels, _ = hodge.piecewise_skew(TensorField(T.space, T.rows))
-        vols = geometry(mesh).vols
-        means = np.stack(
-            [hodge._edge_cell_means(T.space, T.rows[m]) for m in range(3)]
-        )
-        cross = ssq = 0.0
-        for j, lab in enumerate(labels):
-            sel = mesh.slice_ids == lab
-            mean_j = np.einsum("t,mtd->md", vols[sel], means[:, sel])
-            cross += float(np.tensordot(mean_j, shift[j]))
-            ssq += float(vols[sel].sum() * np.tensordot(shift[j], shift[j]))
-        lhs_e = float(np.sqrt(max(nT**2 - 2.0 * cross + ssq, 0.0)))
+        _, means_T, _ = hodge.slice_means(T)
+        lhs_e = _piecewise_shifted_norm(nT, means_T, slice_vols, shift)
         ineq("assembled_bound", lhs_e, c_tilde * seminorm)
 
     failed = [k for k, v in links.items() if v["margin"] < -slack]

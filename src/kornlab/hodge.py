@@ -3,10 +3,13 @@
 The harmonic space is the kernel of the curl-curl form inside the
 mass-orthogonal complement of the discrete gradients; its dimension is a
 topological quantity (a Betti number in the pure-tag cases).  Splits are
-computed per row for tensor fields.
+computed per row for tensor fields.  The gradient parts come from the
+Poisson matrix G^T M G, which each EdgeOperators assembles and factors
+once, on first use; every later split costs triangular solves.
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -39,6 +42,25 @@ class EdgeOperators:
     mass: sp.csr_matrix
     curlcurl: sp.csr_matrix
     grad: sp.csr_matrix  # P1 -> Edge0 incidence
+
+    @cached_property
+    def poisson(self):
+        """solve(rhs) for (G^T M G) u = rhs, factored once.
+
+        Without a tag-1 part the constants are pinned at vertex 0 (u[0] = 0);
+        the gradient is unaffected.
+        """
+        K = (self.grad.T @ (self.mass @ self.grad)).tocsr()
+        if self.p1_space.mesh.has_gamma_t:
+            return linalg.spd_solver(K)
+        solve = linalg.spd_solver(K[1:, 1:])
+
+        def pinned(rhs):
+            u = np.zeros(len(rhs))
+            u[1:] = solve(rhs[1:])
+            return u
+
+        return pinned
 
 
 def edge_operators(mesh, constrain_edges=True):
@@ -134,17 +156,8 @@ def _clean_harmonic(ops, d):
 
 
 def _poisson_solve(ops, weighted_rhs):
-    """Solve (G^T M G) u = G^T (M v); constants pinned when unconstrained."""
-    K = (ops.grad.T @ (ops.mass @ ops.grad)).tocsr()
-    rhs = ops.grad.T @ weighted_rhs
-    if not ops.p1_space.mesh.has_gamma_t:
-        # pure Neumann: pin the first vertex, the gradient is unaffected
-        n = K.shape[0]
-        keep = np.arange(1, n)
-        u = np.zeros(n)
-        u[1:] = linalg.solve_spd(K[keep][:, keep], rhs[keep])
-        return u
-    return linalg.solve_spd(K, rhs)
+    """Solve (G^T M G) u = G^T (M v) with the factorization cached on ops."""
+    return ops.poisson(ops.grad.T @ weighted_rhs)
 
 
 @dataclass
@@ -244,11 +257,9 @@ def helmholtz_split_tensor(T, harmonics=None, ops=None):
 def _edge_cell_means(space, coeffs):
     """Cell averages of an Edge0 field (exact: the basis is linear per cell)."""
     mesh = space.mesh
-    geom = geometry(mesh)
-    lam = np.full((1, 4), 0.25)
-    W = geom.edge_values(lam)[:, 0]  # (T,6,3) at the centroid
     full = space.full_from_free(coeffs)[0]
-    return np.einsum("te,ted->td", full[mesh.tet_edges], W)
+    return np.einsum("te,ted->td", full[mesh.tet_edges],
+                     geometry(mesh).centroid_edge_values)
 
 
 def tensor_mean(T):
@@ -330,8 +341,8 @@ def project_rigid(v, mesh=None, degree=2):
     return RigidProjection(spin, mean_val, offset, centroid, res_so3, res_r3)
 
 
-def piecewise_skew(T, slice_ids=None, mesh=None, degree=2):
-    """Per-slice skew averages: (labels, skews) with skews[j] for slice j.
+def slice_means(T, slice_ids=None, mesh=None, degree=2):
+    """Per-slice volume averages: (labels, means, volumes), means[j] (3,3).
 
     T is a TensorField or an analytic evaluator (n,3) -> (n,3,3); analytic
     inputs may be discontinuous across slices.
@@ -355,12 +366,19 @@ def piecewise_skew(T, slice_ids=None, mesh=None, degree=2):
     ids = mesh.slice_ids if slice_ids is None else np.asarray(slice_ids)
     vols = geometry(mesh).vols
     labels = np.unique(ids)
-    out = np.zeros((len(labels), 3, 3))
+    volumes = np.zeros(len(labels))
+    means = np.zeros((len(labels), 3, 3))
     for j, lab in enumerate(labels):
         sel = ids == lab
-        mean = np.einsum("t,tab->ab", vols[sel], cell_means[sel]) / vols[sel].sum()
-        out[j] = 0.5 * (mean - mean.T)
-    return labels, out
+        volumes[j] = vols[sel].sum()
+        means[j] = np.einsum("t,tab->ab", vols[sel], cell_means[sel]) / volumes[j]
+    return labels, means, volumes
+
+
+def piecewise_skew(T, slice_ids=None, mesh=None, degree=2):
+    """Per-slice skew averages: (labels, skews) with skews[j] for slice j."""
+    labels, means, _ = slice_means(T, slice_ids, mesh, degree)
+    return labels, 0.5 * (means - np.swapaxes(means, 1, 2))
 
 
 def constant_tensor_coeffs(space, mat):

@@ -9,9 +9,9 @@ to LAPACK on a basis of the admissible subspace; above it shift-invert
 ARPACK runs in the B-inner product with OPinv the solve with the
 saddle-point matrix [[A - sigma B, C^T], [C, 0]], which is B-self-adjoint
 on the admissible subspace for any rows C.  DENSE_MAX is the largest size
-for which a dense O(n^3) factorization is affordable: solve_spd uses
-Cholesky below it and CG above, and callers gate optional dense kernel
-diagnostics on it.
+for which a dense O(n^3) factorization is affordable: spd_solver (and
+solve_spd on top of it) factors once with Cholesky below it and runs CG
+above, and callers gate optional dense kernel diagnostics on it.
 """
 
 from dataclasses import dataclass, field
@@ -51,30 +51,42 @@ def _as_csr(A):
     return sp.csr_matrix(np.atleast_2d(np.asarray(A, dtype=float)))
 
 
-def solve_spd(A, rhs, tol=1e-12):
-    """Solve A x = rhs for symmetric positive (semi)definite A.
+def spd_solver(A, tol=1e-12):
+    """Prepare repeated solves with symmetric positive (semi)definite A.
 
-    Dense Cholesky below DENSE_MAX, Jacobi-preconditioned CG above.
-    Raises SolverError (carrying the final residual) on non-convergence.
+    Returns solve(rhs) -> x.  Below DENSE_MAX A is Cholesky-factored once
+    (a singular A falls back to least squares per solve); above it each
+    solve runs Jacobi-preconditioned CG and raises SolverError (carrying
+    the final residual) on non-convergence.
     """
     A = _as_csr(A)
-    rhs = np.asarray(rhs, dtype=float)
     n = A.shape[0]
     if n < DENSE_MAX:
+        dense = A.toarray()
         try:
-            c, low = sla.cho_factor(A.toarray())
-            return sla.cho_solve((c, low), rhs)
+            factor = sla.cho_factor(dense)
         except np.linalg.LinAlgError:
-            x, *_ = np.linalg.lstsq(A.toarray(), rhs, rcond=None)
-            return x
+            return lambda rhs: np.linalg.lstsq(dense, np.asarray(rhs, dtype=float),
+                                               rcond=None)[0]
+        return lambda rhs: sla.cho_solve(factor, np.asarray(rhs, dtype=float))
     d = A.diagonal()
     d = np.where(d > 0, d, 1.0)
     M = sp.diags(1.0 / d)
-    x, info = spla.cg(A, rhs, rtol=tol, atol=0.0, M=M, maxiter=20 * n)
-    if info != 0:
-        res = np.linalg.norm(A @ x - rhs) / max(np.linalg.norm(rhs), 1e-300)
-        raise SolverError(f"CG did not converge (relative residual {res:.3e})", res)
-    return x
+
+    def cg_solve(rhs):
+        rhs = np.asarray(rhs, dtype=float)
+        x, info = spla.cg(A, rhs, rtol=tol, atol=0.0, M=M, maxiter=20 * n)
+        if info != 0:
+            res = np.linalg.norm(A @ x - rhs) / max(np.linalg.norm(rhs), 1e-300)
+            raise SolverError(f"CG did not converge (relative residual {res:.3e})", res)
+        return x
+
+    return cg_solve
+
+
+def solve_spd(A, rhs, tol=1e-12):
+    """Solve A x = rhs once for symmetric positive (semi)definite A (see spd_solver)."""
+    return spd_solver(A, tol)(rhs)
 
 
 def eig_smallest(A, B, k=1, deflation=None, constraints=None, tol=1e-10):

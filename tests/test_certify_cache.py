@@ -1,0 +1,132 @@
+"""Certification reuses what depends only on the mesh.
+
+Each EdgeOperators factors its Poisson matrix G^T M G once; every later
+Helmholtz split is a pair of triangular solves.  The pinned margins were
+recorded before the factorization was cached and the piecewise-shift
+loop of certify_main_inequality was folded, and must not move.
+"""
+
+import numpy as np
+import pytest
+import scipy.linalg as sla
+
+from kornlab import constants as cst
+from kornlab import hodge, linalg
+from kornlab.assemble import assemble
+from kornlab.meshes import generate_primitive
+from kornlab.spaces import build_space
+
+CHAIN = ("c_m", "c_m_coexact", "c_k_irrot")  # the constants certification reads
+
+# certify_main_inequality margins for ws.random_tensor(default_rng(seed)),
+# seeds 0, 1, 2, computed with a fresh factorization per Poisson solve
+PINNED_MARGINS = {
+    "tunnel_sliced": [
+        {"orthogonality": -8.882866858411048e-18, "curl_transfer": -4.9488783219996924e-17,
+         "coexact_estimate": 0.7495844344155901, "coexact_estimate_cm": 0.917789231240522,
+         "korn_link": 0.7465920314586739, "assembled_bound": 0.9874849501201866},
+        {"orthogonality": -2.5234392719612473e-17, "curl_transfer": -4.064995986565172e-17,
+         "coexact_estimate": 0.7484296660527975, "coexact_estimate_cm": 0.9174101238371034,
+         "korn_link": 0.7416003173449244, "assembled_bound": 0.9873971284976342},
+        {"orthogonality": -3.389138473337637e-18, "curl_transfer": -3.763772054576118e-17,
+         "coexact_estimate": 0.7531504822279299, "coexact_estimate_cm": 0.9189599553183219,
+         "korn_link": 0.747097188025357, "assembled_bound": 0.9877718273016135},
+    ],
+    "cube_simply_connected": [
+        {"orthogonality": -3.6451155794277e-17, "curl_transfer": -2.6469732177226348e-17,
+         "coexact_estimate": 0.600240449232464, "coexact_estimate_cm": 0.7026620297383926,
+         "korn_link": 0.3683128964815651, "assembled_bound": 0.9541962084966681,
+         "skew_consistency": -5.719914737838407e-16},
+        {"orthogonality": -2.6102651190090584e-18, "curl_transfer": -2.7555487763694048e-17,
+         "coexact_estimate": 0.6180824635656955, "coexact_estimate_cm": 0.7159327779094765,
+         "korn_link": 0.37026048333493805, "assembled_bound": 0.9600606031530726,
+         "skew_consistency": -3.455959268445218e-15},
+        {"orthogonality": -3.895607780803165e-17, "curl_transfer": -2.332630487214274e-17,
+         "coexact_estimate": 0.5848424971759775, "coexact_estimate_cm": 0.6912091556247643,
+         "korn_link": 0.37042052093700895, "assembled_bound": 0.9573080877251937,
+         "skew_consistency": -1.124756583061458e-15},
+    ],
+    "slab_tangential": [
+        {"orthogonality": -2.3395623146031375e-17, "curl_transfer": -1.984899810353815e-17,
+         "coexact_estimate": 0.6607708161878612, "coexact_estimate_cm": 0.8424572251230149,
+         "korn_link": 0.5685708742416609, "assembled_bound": 0.9704798669843484},
+        {"orthogonality": -1.4098610258903016e-17, "curl_transfer": -2.2069360737039232e-17,
+         "coexact_estimate": 0.6903140312961583, "coexact_estimate_cm": 0.8561775071890954,
+         "korn_link": 0.5612042526277908, "assembled_bound": 0.973163596626824},
+        {"orthogonality": -2.3765460213110998e-17, "curl_transfer": -2.5152048691726722e-17,
+         "coexact_estimate": 0.694643064675266, "coexact_estimate_cm": 0.8581879708037394,
+         "korn_link": 0.5609150638933631, "assembled_bound": 0.9730160713938313},
+    ],
+}
+
+
+def _mesh(label):
+    if label == "tunnel_sliced":
+        return generate_primitive("cube_with_tunnel", 2)
+    if label == "cube_simply_connected":
+        return generate_primitive("unit_cube", 2).retag(0)
+    return generate_primitive("slab_mixed", 2)
+
+
+@pytest.fixture(scope="module")
+def workspaces():
+    return {label: cst.Workspace(_mesh(label)) for label in PINNED_MARGINS}
+
+
+@pytest.mark.parametrize("label", ["tunnel_sliced", "slab_tangential"])
+def test_certification_factors_poisson_once(workspaces, label, monkeypatch):
+    ws = workspaces[label]
+    for name in CHAIN:
+        ws.constant(name)
+    calls = []
+    real = sla.cho_factor
+
+    def counting(*args, **kwargs):
+        calls.append(args[0].shape)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(sla, "cho_factor", counting)
+    rng = np.random.default_rng(7)
+    # the first split factors unless the harmonic cleanup already did
+    assert cst.certify_main_inequality(ws.random_tensor(rng), ws).verdict
+    assert len(calls) <= 1
+    calls.clear()
+    for _ in range(5):
+        assert cst.certify_main_inequality(ws.random_tensor(rng), ws).verdict
+    assert calls == []
+
+
+@pytest.mark.parametrize("label", ["tunnel_sliced", "slab_tangential"])
+def test_cached_poisson_solve_matches_fresh_solve(workspaces, label):
+    ws = workspaces[label]
+    mesh = ws.mesh
+    e0 = build_space(mesh, "Edge0", "gamma_t")
+    p1 = build_space(mesh, "P1_scalar", "gamma_t")
+    G = assemble("mixed_grad", p1, e0)
+    M = assemble("mass", e0)
+    K = (G.T @ (M @ G)).tocsr()
+    pinned = not mesh.has_gamma_t
+    assert pinned == (label == "tunnel_sliced")
+    rng = np.random.default_rng(11)
+    for _ in range(2):  # the second solve runs against the cached factor
+        v = rng.standard_normal(e0.free_count)
+        cached = hodge._poisson_solve(ws.ops, ws.ops.mass @ v)
+        rhs = G.T @ (M @ v)
+        fresh = np.zeros(p1.free_count)
+        if pinned:
+            fresh[1:] = linalg.solve_spd(K[1:, 1:], rhs[1:])
+        else:
+            fresh = linalg.solve_spd(K, rhs)
+        assert np.linalg.norm(cached - fresh) <= 1e-13 * np.linalg.norm(fresh)
+
+
+@pytest.mark.parametrize("label", list(PINNED_MARGINS))
+def test_certification_margins_pinned(workspaces, label):
+    ws = workspaces[label]
+    for seed, expected in enumerate(PINNED_MARGINS[label]):
+        cert = cst.certify_main_inequality(ws.random_tensor(np.random.default_rng(seed)), ws)
+        assert cert.case == label.split("_", 1)[1]
+        margins = cert.margins()
+        assert margins.keys() == expected.keys()
+        for link, value in expected.items():
+            assert abs(margins[link] - value) <= 1e-12, (seed, link)
