@@ -191,30 +191,38 @@ class TensorPencil:
 
 
 def tensor_pencil(mesh, ops=None, coeff=None, quad_order=None):
+    """Row-blocked mass, (weighted) strain and curl-curl forms on Edge0^3.
+
+    The mass and curl-curl blocks reuse the edge matrices of ops (their
+    integrands have degree at most 2, so every quadrature order is
+    exact); only the strain form couples the rows and is assembled here,
+    at quad_order.
+    """
     ops = ops or hodge.edge_operators(mesh)
     e0 = ops.edge_space
     return TensorPencil(
         e0,
-        assemble("tensor_mass", e0, quad_order=quad_order),
+        sp.block_diag([ops.mass] * 3, format="csr"),
         assemble(
             "tensor_sym" if coeff is None else "tensor_symF",
             e0,
             coeff=coeff,
             quad_order=quad_order,
         ),
-        assemble("tensor_curlcurl", e0, quad_order=quad_order),
+        sp.block_diag([ops.curlcurl] * 3, format="csr"),
     )
 
 
 def korn_constant_irrotational(mesh, tol=DEFAULT_EIG_TOL, ops=None, harmonics=None,
-                               coeff=None, name="c_k_irrot"):
+                               coeff=None, name="c_k_irrot", pencil=None):
     """|T| <= c |sym T| over the curl-free constrained tensor fields.
 
     With a tag-1 part the pencil runs on the full curl-free subspace.
     Without one, a single slice restricts orthogonally to the constant
     skews; several slices take the maximum of the slice-local constants
     (each slice is simply connected by assumption, matching the way the
-    piecewise bound is assembled).
+    piecewise bound is assembled) and build their own pencils.  pencil,
+    when given, is tensor_pencil(mesh, ops, coeff) built already.
     """
     nslices = len(np.unique(mesh.slice_ids))
     if not mesh.has_gamma_t and nslices > 1:
@@ -237,7 +245,7 @@ def korn_constant_irrotational(mesh, tol=DEFAULT_EIG_TOL, ops=None, harmonics=No
             "a domain with harmonic fields needs at least two slices when "
             "the tag-1 part is empty"
         )
-    pencil = tensor_pencil(mesh, ops, coeff)
+    pencil = pencil or tensor_pencil(mesh, ops, coeff)
     W, npot = _curlfree_basis(ops, harmonics)
     if W.shape[1] == 0:
         return _empty(name)
@@ -253,16 +261,18 @@ def korn_constant_irrotational(mesh, tol=DEFAULT_EIG_TOL, ops=None, harmonics=No
     return rec
 
 
-def maxwell_constant(mesh, tol=DEFAULT_EIG_TOL, ops=None, harmonics=None):
+def maxwell_constant(mesh, tol=DEFAULT_EIG_TOL, ops=None, harmonics=None,
+                     grad_rec=None):
     """Maxwell constant as the max of its gradient and coexact blocks.
 
-    Gradient block: the scalar constant.  Coexact block: the curl-curl
-    pencil restricted mass-orthogonally to the curl-free fields
-    (gradients and harmonic fields deflated).
+    Gradient block: the scalar constant (grad_rec, the poincare_constant
+    record when already computed).  Coexact block: the curl-curl pencil
+    restricted mass-orthogonally to the curl-free fields (gradients and
+    harmonic fields deflated).
     """
     ops = ops or hodge.edge_operators(mesh)
     harmonics = harmonics or hodge.harmonic_basis(mesh, ops)
-    grad_rec = poincare_constant(mesh, tol)
+    grad_rec = grad_rec or poincare_constant(mesh, tol)
     grad_rec = ConstantRecord(
         "c_m_grad", grad_rec.value, grad_rec.eigenvalue, grad_rec.residual,
         grad_rec.dim, grad_rec.note,
@@ -403,13 +413,17 @@ class NonPositiveDeterminant(ValueError):
     pass
 
 
-def korn_constant_weighted(mesh, F, tol=DEFAULT_EIG_TOL, ops=None, harmonics=None):
-    """Irrotational constant with the weighted strain sym(T F)."""
+def korn_constant_weighted(mesh, F, tol=DEFAULT_EIG_TOL, ops=None, harmonics=None,
+                           pencil=None):
+    """Irrotational constant with the weighted strain sym(T F).
+
+    pencil, when given, is tensor_pencil(mesh, ops, F) built already.
+    """
     if not mesh.has_gamma_t:
         raise ValueError("the weighted constant needs a nonempty tag-1 part")
     matrix_coefficient_norm(F, mesh)  # validates det F > 0
     return korn_constant_irrotational(
-        mesh, tol, ops=ops, harmonics=harmonics, coeff=F, name="c_k_F"
+        mesh, tol, ops=ops, harmonics=harmonics, coeff=F, name="c_k_F", pencil=pencil
     )
 
 
@@ -433,7 +447,7 @@ def certify_weighted_inequality(T, ws, weight, tol=DEFAULT_EIG_TOL):
         raise ValueError("the weighted chain needs a nonempty tag-1 part")
     c_F, _ = matrix_coefficient_norm(weight, mesh)
     pencil_F = tensor_pencil(mesh, ws.ops, weight)
-    rec_kF = korn_constant_weighted(mesh, weight, tol, ws.ops, ws.harmonics)
+    rec_kF = korn_constant_weighted(mesh, weight, tol, ws.ops, ws.harmonics, pencil_F)
     c_m = ws.constant("c_m").value
     c_coex = ws.constant("c_m_coexact").value
     c_hat_F = derived_bound_weighted(rec_kF.value, c_m, c_F)
@@ -505,7 +519,15 @@ class CertificationRecord:
 
 
 class Workspace:
-    """Mesh-bound bundle of operators, harmonic basis and constants."""
+    """Mesh-bound bundle of operators, harmonic basis and constants.
+
+    Built once and handed down to every constant that needs them: the edge
+    operators (mass, curl-curl, gradient incidence and the cached Poisson
+    factorization), the harmonic basis, the tensor pencil (its mass and
+    curl-curl blocks reuse the edge matrices; the strain form is assembled
+    once, for c_k_irrot and c_direct) and the curl incidence.  Constants
+    are cached by name, and the Maxwell gradient block reuses c_p.
+    """
 
     def __init__(self, mesh, tol=DEFAULT_EIG_TOL, slack=DEFAULT_SLACK,
                  quad_order=None, deflation_tol=1e-8):
@@ -532,9 +554,13 @@ class Workspace:
         elif name == "c_k_t":
             rec = korn_constant_tangential(mesh, self.tol)
         elif name == "c_k_irrot":
-            rec = korn_constant_irrotational(mesh, self.tol, self.ops, self.harmonics)
+            rec = korn_constant_irrotational(
+                mesh, self.tol, self.ops, self.harmonics, pencil=self.pencil
+            )
         elif name in ("c_m", "c_m_grad", "c_m_coexact"):
-            cm, grad, coex = maxwell_constant(mesh, self.tol, self.ops, self.harmonics)
+            cm, grad, coex = maxwell_constant(
+                mesh, self.tol, self.ops, self.harmonics, self.constant("c_p")
+            )
             self._cache.update({"c_m": cm, "c_m_grad": grad, "c_m_coexact": coex})
             return self._cache[name]
         elif name == "c_direct":

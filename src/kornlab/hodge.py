@@ -166,10 +166,39 @@ class HelmholtzSplit:
     harmonic_part: Field
     coexact_part: Field
     potential: np.ndarray
-    residuals: dict
+    source: Field = field(repr=False)  # the field that was split
+    mass: sp.csr_matrix = field(repr=False)
 
     def parts(self):
         return self.grad_part, self.harmonic_part, self.coexact_part
+
+    @cached_property
+    def residuals(self):
+        """Relative mass-orthogonality defects of the three pairs of parts.
+
+        Computed on first read: certification only uses the parts.
+        """
+        M = self.mass
+
+        def mdot(a, b):
+            return float(a @ (M @ b))
+
+        grad, harm, coex = (p.coeffs for p in self.parts())
+        nrm = {p: np.sqrt(max(mdot(x, x), 0.0)) for p, x in
+               (("g", grad), ("h", harm), ("c", coex))}
+        # pairs with a vanishing factor are orthogonal by convention; measure
+        # against the input size so noise-level parts cannot inflate the ratio
+        coeffs = self.source.coeffs
+        floor = 1e-6 * max(np.sqrt(max(mdot(coeffs, coeffs), 0.0)), 1e-300)
+
+        def rel(a, b, na, nb):
+            return abs(mdot(a, b)) / max(max(na, floor) * max(nb, floor), 1e-300)
+
+        return {
+            "grad_harmonic": rel(grad, harm, nrm["g"], nrm["h"]),
+            "grad_coexact": rel(grad, coex, nrm["g"], nrm["c"]),
+            "harmonic_coexact": rel(harm, coex, nrm["h"], nrm["c"]),
+        }
 
 
 def helmholtz_split(v, harmonics=None, ops=None):
@@ -199,26 +228,8 @@ def helmholtz_split(v, harmonics=None, ops=None):
     else:
         harm = np.zeros_like(coeffs)
     coex = coeffs - grad - harm
-
-    def mdot(a, b):
-        return float(a @ (M @ b))
-
-    nrm = {p: np.sqrt(max(mdot(x, x), 0.0)) for p, x in
-           (("g", grad), ("h", harm), ("c", coex))}
-    # pairs with a vanishing factor are orthogonal by convention; measure
-    # against the input size so noise-level parts cannot inflate the ratio
-    floor = 1e-6 * max(np.sqrt(max(mdot(coeffs, coeffs), 0.0)), 1e-300)
-
-    def rel(a, b, na, nb):
-        return abs(mdot(a, b)) / max(max(na, floor) * max(nb, floor), 1e-300)
-
-    residuals = {
-        "grad_harmonic": rel(grad, harm, nrm["g"], nrm["h"]),
-        "grad_coexact": rel(grad, coex, nrm["g"], nrm["c"]),
-        "harmonic_coexact": rel(harm, coex, nrm["h"], nrm["c"]),
-    }
     return HelmholtzSplit(
-        Field(space, grad), Field(space, harm), Field(space, coex), u, residuals
+        Field(space, grad), Field(space, harm), Field(space, coex), u, v, M
     )
 
 

@@ -8,10 +8,16 @@ the work.  DENSE_CROSSOVER only routes eigenproblems: below it they reduce
 to LAPACK on a basis of the admissible subspace; above it shift-invert
 ARPACK runs in the B-inner product with OPinv the solve with the
 saddle-point matrix [[A - sigma B, C^T], [C, 0]], which is B-self-adjoint
-on the admissible subspace for any rows C.  DENSE_MAX is the largest size
-for which a dense O(n^3) factorization is affordable: spd_solver (and
-solve_spd on top of it) factors once with Cholesky below it and runs CG
-above, and callers gate optional dense kernel diagnostics on it.
+on the admissible subspace for any rows C.  That matrix is symmetric, so
+SuperLU factors it in symmetric mode (diagonal pivots, minimum-degree
+ordering of K^T + K), which fills less than the default COLAMD ordering
+with partial pivoting.  Threshold pivoting stays on (a diagonal pivot
+below 0.1 of its column is swapped out): deflated vectors in ker(B)
+border a zero diagonal block, and without pivoting those solves lose all
+accuracy.  DENSE_MAX is the largest size for which a dense O(n^3)
+factorization is affordable: spd_solver (and solve_spd on top of it)
+factors once with Cholesky below it and runs CG above, and callers gate
+optional dense kernel diagnostics on it.
 """
 
 from dataclasses import dataclass, field
@@ -27,6 +33,7 @@ _SEED = 20260314  # fixed start vectors keep reports reproducible
 _LOOSE_TOL = 1e-2  # first ARPACK pass: only locates the spectrum
 _CLUSTER_RATIO = 1.02  # re-shift when the first pass finds lambda_2 / lambda_1 below this
 _DENSE_ROW_SHARE = 0.05  # rows with more nonzeros than this share of n are dense
+_PIVOT_THRESH = 0.1  # symmetric-mode LU: a smaller diagonal pivot is swapped out
 
 
 class SolverError(RuntimeError):
@@ -68,7 +75,10 @@ def spd_solver(A, tol=1e-12):
         except np.linalg.LinAlgError:
             return lambda rhs: np.linalg.lstsq(dense, np.asarray(rhs, dtype=float),
                                                rcond=None)[0]
-        return lambda rhs: sla.cho_solve(factor, np.asarray(rhs, dtype=float))
+        # cho_factor checked the factor once; only the right-hand side is new
+        return lambda rhs: sla.cho_solve(
+            factor, np.asarray_chkfinite(rhs, dtype=float), check_finite=False
+        )
     d = A.diagonal()
     d = np.where(d > 0, d, 1.0)
     M = sp.diags(1.0 / d)
@@ -181,13 +191,16 @@ def _saddle_inverse(A, B, sigma, bordered, dense):
     Sparse rows of C border the factorized matrix [[A - sigma B, C^T], [C, 0]].
     Dense rows D would fill that factorization, so they enter through the
     rank-L Schur complement K - K D^T (D K D^T)^{-1} D K of its inverse K.
+    SuperLU factors in symmetric mode with threshold pivoting kept on (see
+    the module docstring).
     """
     n = A.shape[0]
     K = (A - sigma * B).tocsc()
     if bordered is not None:
         K = sp.bmat([[K, bordered.T], [bordered, None]], format="csc")
     try:
-        lu = spla.splu(K)
+        lu = spla.splu(K, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=_PIVOT_THRESH,
+                       options=dict(SymmetricMode=True))
     except RuntimeError as exc:
         raise SolverError(f"the shifted saddle-point matrix is singular: {exc}")
 

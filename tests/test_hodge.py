@@ -140,6 +140,32 @@ def test_split_properties_random():
                 assert abs(a @ (M @ b)) <= 1e-10 * na * nb
 
 
+# helmholtz_split(...).residuals on tunnel n=2 (harmonic dim 1) for the
+# field default_rng(3).standard_normal, recorded while the split still
+# computed them eagerly; they are rounding-level, so they move with any
+# change in the split's arithmetic
+PINNED_SPLIT_RESIDUALS = {
+    "grad_harmonic": 2.2552507038666444e-17,
+    "grad_coexact": 1.1712772848188233e-16,
+    "harmonic_coexact": 3.66078002221523e-17,
+}
+
+
+def test_split_residuals_lazy_and_pinned():
+    mesh = generate_primitive("cube_with_tunnel", 2)
+    ops = hodge.edge_operators(mesh)
+    basis = hodge.harmonic_basis(mesh, ops)
+    assert basis.dim == 1
+    v = Field(ops.edge_space, np.random.default_rng(3).standard_normal(ops.edge_space.free_count))
+    split = hodge.helmholtz_split(v, basis, ops)
+    assert "residuals" not in vars(split)  # not computed until read
+    residuals = split.residuals
+    assert residuals.keys() == PINNED_SPLIT_RESIDUALS.keys()
+    for pair, value in PINNED_SPLIT_RESIDUALS.items():
+        assert residuals[pair] == pytest.approx(value, rel=1e-6), pair
+    assert split.residuals is residuals
+
+
 def test_tensor_split_orthogonality_and_curl():
     mesh = generate_primitive("slab_mixed", 2)
     ops = hodge.edge_operators(mesh)

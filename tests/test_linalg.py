@@ -4,13 +4,19 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+from kornlab import linalg
+from kornlab.assemble import assemble
+from kornlab.constants import _translation_fields
 from kornlab.linalg import (
     SolverError,
     eig_smallest,
     null_space,
     null_space_gen,
     solve_spd,
+    spd_solver,
 )
+from kornlab.meshes import generate_primitive
+from kornlab.spaces import build_space
 
 
 def test_solve_identity():
@@ -55,6 +61,56 @@ def test_solve_cholesky_below_dense_max(monkeypatch):
     b = rng.standard_normal(n)
     x = solve_spd(A, b)
     assert np.linalg.norm(A @ x - b) / np.linalg.norm(b) <= 1e-12
+
+
+def test_cholesky_solver_rejects_nonfinite_rhs():
+    # the cached factor is not rescanned per solve; the right-hand side is
+    rng = np.random.default_rng(3)
+    X = rng.standard_normal((20, 20))
+    A = X @ X.T + 20 * np.eye(20)
+    solve = spd_solver(A)
+    b = rng.standard_normal(20)
+    assert np.linalg.norm(A @ solve(b) - b) <= 1e-12 * np.linalg.norm(b)
+    for bad in (np.nan, np.inf):
+        rhs = b.copy()
+        rhs[5] = bad
+        with pytest.raises(ValueError):
+            solve(rhs)
+        with pytest.raises(ValueError):
+            solve_spd(A, rhs)
+
+
+def test_saddle_inverse_accurate_with_zero_diagonal_block(monkeypatch):
+    # slab_mixed n=4 c_k_t: the three translations lie in ker(B), so they
+    # border [[A - sigma B, D^T], [D, 0]] with a zero diagonal block, which
+    # symmetric-mode LU only solves accurately with threshold pivoting on
+    mesh = generate_primitive("slab_mixed", 4)
+    pv = build_space(mesh, "P1_vector", "gamma_t", component_constant=True)
+    A, B = assemble("symgrad", pv), assemble("grad", pv)
+    n = A.shape[0]
+    assert n >= linalg.DENSE_CROSSOVER
+    bordered, dense = linalg._saddle_rows(B, _translation_fields(pv), None, n)
+    assert dense is None and bordered.shape[0] == 3
+    factored = []
+    real = spla.splu
+
+    def capture(K, *args, **kwargs):
+        factored.append((K, real(K, *args, **kwargs)))
+        return factored[-1][1]
+
+    monkeypatch.setattr(spla, "splu", capture)
+    sigma = -1e-3 * A.diagonal().sum() / B.diagonal().sum()
+    op = linalg._saddle_inverse(A, B, sigma, bordered, dense)
+    (K, lu), = factored
+    assert K.shape == (n + 3, n + 3)
+    rng = np.random.default_rng(5)
+    for _ in range(3):
+        rhs = rng.standard_normal(n + 3)
+        z = lu.solve(rhs)
+        assert np.linalg.norm(K @ z - rhs) <= 1e-12 * np.linalg.norm(rhs)
+        x = rng.standard_normal(n)
+        y = op(x)
+        assert np.linalg.norm(bordered @ y) <= 1e-12 * np.linalg.norm(y)
 
 
 def test_eig_trivial():
