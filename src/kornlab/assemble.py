@@ -61,8 +61,9 @@ def identity_coefficient(scale=1.0):
 
 
 class _Geometry:
+    # holds no reference to its mesh: the mesh caches it (geometry), and a
+    # back reference would leave a dropped mesh to the cyclic collector
     def __init__(self, mesh):
-        self.mesh = mesh
         p = mesh.vertices[mesh.tets]  # (T,4,3)
         ones = np.ones((len(p), 4, 1))
         A = np.concatenate([ones, p], axis=2)  # rows (1, x_i)
@@ -496,7 +497,7 @@ def evaluate_norms(obj, which, quad_order=None):
     degree = getattr(obj, "degree", None)
     pts, wts, lam = _quad(2 * degree if degree is not None else 2, quad_order)
     w_phys = 6.0 * np.einsum("t,q->tq", geom.vols, wts)
-    q = _pointwise(obj, geom, lam, pts)
+    q = _pointwise(obj, mesh, geom, lam, pts)
 
     out = {}
     for req in requested:
@@ -550,11 +551,10 @@ def evaluate_norms(obj, which, quad_order=None):
     return out
 
 
-def _pointwise(obj, geom, lam, pts):
+def _pointwise(obj, mesh, geom, lam, pts):
     """Pointwise quantities per cell and quadrature point."""
     Q = len(lam)
     if isinstance(obj, TensorField):
-        mesh = obj.space.mesh
         W = geom.edge_values(lam)
         full = np.stack(
             [obj.space.full_from_free(obj.rows[m])[0] for m in range(3)]
@@ -568,7 +568,6 @@ def _pointwise(obj, geom, lam, pts):
         return {"kind": "tensor", "value": vals, "curl": curl}
     if isinstance(obj, Field):
         space = obj.space
-        mesh = space.mesh
         full = space.full_from_free(obj.coeffs)
         fam = space.family
         if fam == "P1_scalar":
@@ -612,7 +611,7 @@ def _pointwise(obj, geom, lam, pts):
             }
         raise ValueError(fam)
     # analytic object
-    x = _cell_points(geom.mesh, pts)
+    x = _cell_points(mesh, pts)
     flat = x.reshape(-1, 3)
     vals = np.asarray(obj.value(flat), dtype=float)
     T = x.shape[0]

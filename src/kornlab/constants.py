@@ -65,9 +65,12 @@ def _empty(name):
 # --------------------------------------------------------------------------
 
 
-def poincare_constant(mesh, tol=DEFAULT_EIG_TOL):
-    """Optimal constant of |u| <= c |grad u| over the constrained scalars."""
-    p1 = build_space(mesh, "P1_scalar", "gamma_t")
+def poincare_constant(mesh, tol=DEFAULT_EIG_TOL, ops=None):
+    """Optimal constant of |u| <= c |grad u| over the constrained scalars.
+
+    ops, when given, supplies the scalar space (its p1_space).
+    """
+    p1 = ops.p1_space if ops is not None else build_space(mesh, "P1_scalar", "gamma_t")
     if p1.free_count == 0:
         return _empty("c_p")
     A = assemble("grad", p1)
@@ -268,11 +271,13 @@ def maxwell_constant(mesh, tol=DEFAULT_EIG_TOL, ops=None, harmonics=None,
     Gradient block: the scalar constant (grad_rec, the poincare_constant
     record when already computed).  Coexact block: the curl-curl pencil
     restricted mass-orthogonally to the curl-free fields (gradients and
-    harmonic fields deflated).
+    harmonic fields deflated).  Its eigenpair is the one the harmonic
+    search found above the kernel; it is solved for here only when the
+    basis carries none for this edge space.
     """
     ops = ops or hodge.edge_operators(mesh)
-    harmonics = harmonics or hodge.harmonic_basis(mesh, ops)
-    grad_rec = grad_rec or poincare_constant(mesh, tol)
+    harmonics = harmonics or hodge.harmonic_basis(mesh, ops, tol=tol)
+    grad_rec = grad_rec or poincare_constant(mesh, tol, ops)
     grad_rec = ConstantRecord(
         "c_m_grad", grad_rec.value, grad_rec.eigenvalue, grad_rec.residual,
         grad_rec.dim, grad_rec.note,
@@ -281,16 +286,18 @@ def maxwell_constant(mesh, tol=DEFAULT_EIG_TOL, ops=None, harmonics=None,
     if e0.free_count == 0:
         coex_rec = _empty("c_m_coexact")
     else:
-        G = ops.grad
-        pin = not mesh.has_gamma_t
-        Gp = G[:, 1:] if pin else G
-        defl = [Gp] if Gp.shape[1] else []
-        if harmonics.dim:
-            defl.append(sp.csc_matrix(harmonics.fields.T))
-        deflation = sp.hstack(defl, format="csc") if defl else None
-        eig = linalg.eig_smallest(
-            ops.curlcurl, ops.mass, k=1, deflation=deflation, tol=tol
-        )
+        eig = harmonics.coexact if harmonics.space is e0 else None
+        if eig is None:
+            G = ops.grad
+            pin = not mesh.has_gamma_t
+            Gp = G[:, 1:] if pin else G
+            defl = [Gp] if Gp.shape[1] else []
+            if harmonics.dim:
+                defl.append(sp.csc_matrix(harmonics.fields.T))
+            deflation = sp.hstack(defl, format="csc") if defl else None
+            eig = linalg.eig_smallest(
+                ops.curlcurl, ops.mass, k=1, deflation=deflation, tol=tol
+            )
         coex_rec = _record("c_m_coexact", eig, e0.free_count, "gradients deflated")
     cm = max(grad_rec.value, coex_rec.value)
     which = "gradient" if grad_rec.value >= coex_rec.value else "coexact"
@@ -522,11 +529,13 @@ class Workspace:
     """Mesh-bound bundle of operators, harmonic basis and constants.
 
     Built once and handed down to every constant that needs them: the edge
-    operators (mass, curl-curl, gradient incidence and the cached Poisson
-    factorization), the harmonic basis, the tensor pencil (its mass and
-    curl-curl blocks reuse the edge matrices; the strain form is assembled
-    once, for c_k_irrot and c_direct) and the curl incidence.  Constants
-    are cached by name, and the Maxwell gradient block reuses c_p.
+    operators (mass, curl-curl, gradient incidence, the scalar space of c_p
+    and the cached Poisson factorization), the harmonic basis, the tensor
+    pencil (its mass and curl-curl blocks reuse the edge matrices; the
+    strain form is assembled once, for c_k_irrot and c_direct) and the
+    curl incidence.  The harmonic search runs at tol and also yields the
+    coexact Maxwell pair, so c_m_coexact needs no eigensolve of its own.
+    Constants are cached by name, and the Maxwell gradient block reuses c_p.
     """
 
     def __init__(self, mesh, tol=DEFAULT_EIG_TOL, slack=DEFAULT_SLACK,
@@ -536,7 +545,7 @@ class Workspace:
         self.slack = slack
         self.quad_order = quad_order
         self.ops = hodge.edge_operators(mesh)
-        self.harmonics = hodge.harmonic_basis(mesh, self.ops, rel_tol=deflation_tol)
+        self.harmonics = hodge.harmonic_basis(mesh, self.ops, rel_tol=deflation_tol, tol=tol)
         self.pencil = tensor_pencil(mesh, self.ops, quad_order=quad_order)
         self.curl_incidence = assemble(
             "curl_map", self.ops.edge_space, build_space(mesh, "Face0")
@@ -548,7 +557,7 @@ class Workspace:
             return self._cache[name]
         mesh = self.mesh
         if name == "c_p":
-            rec = poincare_constant(mesh, self.tol)
+            rec = poincare_constant(mesh, self.tol, self.ops)
         elif name == "c_k_s":
             rec = korn_constant_standard(mesh, self.tol)
         elif name == "c_k_t":

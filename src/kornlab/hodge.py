@@ -18,7 +18,7 @@ from . import linalg
 from .assemble import assemble, geometry
 from .spaces import DofSpace, Field, TensorField, build_space
 
-HARMONIC_CAP = 32  # largest harmonic dimension the sparse search resolves
+HARMONIC_CAP = 32  # largest harmonic dimension the search resolves
 
 SO3_BASIS = np.array(
     [
@@ -84,6 +84,9 @@ class HarmonicBasis:
     space: DofSpace
     fields: np.ndarray  # (L, free) mass-orthonormal rows
     ops: EdgeOperators = field(repr=False, default=None)
+    # smallest pair of the same pencil above the kernel: the coexact
+    # Maxwell eigenpair (None when the basis was built without the search)
+    coexact: linalg.EigenResult = field(repr=False, default=None)
 
     @property
     def dim(self):
@@ -101,47 +104,55 @@ class HarmonicBasis:
         )
 
 
-def harmonic_basis(mesh, ops=None, rel_tol=1e-8):
-    """Mass-orthonormal basis of curl-free fields orthogonal to gradients."""
+def harmonic_basis(mesh, ops=None, rel_tol=1e-8, tol=1e-10):
+    """Mass-orthonormal basis of curl-free fields orthogonal to gradients.
+
+    The search also yields the smallest eigenpair above the kernel, which
+    is the coexact Maxwell pair; the basis carries it as .coexact.  tol is
+    the eigensolver tolerance of the search.
+    """
     ops = ops or edge_operators(mesh)
-    M, A, G = ops.mass, ops.curlcurl, ops.grad
-    if ops.edge_space.free_count >= linalg.DENSE_CROSSOVER:
-        raw = _harmonic_sparse(ops, rel_tol)
-    else:
-        constraints = G.T @ M  # rows: mass-orthogonality to every discrete gradient
-        raw = linalg.null_space_gen(A, M, rel_tol=rel_tol, constraints=constraints)
+    M = ops.mass
+    raw, coexact = _harmonic_search(ops, rel_tol, tol)
     if raw.shape[1] == 0:
-        return HarmonicBasis(ops.edge_space, np.zeros((0, ops.edge_space.free_count)), ops)
+        return HarmonicBasis(ops.edge_space, np.zeros((0, ops.edge_space.free_count)), ops,
+                             coexact)
     fields = np.column_stack([_clean_harmonic(ops, raw[:, j]) for j in range(raw.shape[1])])
     # mass re-orthonormalization after the cleanup
     gram = fields.T @ (M @ fields)
     L = np.linalg.cholesky(0.5 * (gram + gram.T))
     fields = fields @ np.linalg.inv(L).T
-    return HarmonicBasis(ops.edge_space, fields.T, ops)
+    return HarmonicBasis(ops.edge_space, fields.T, ops, coexact)
 
 
-def _harmonic_sparse(ops, rel_tol):
+def _harmonic_search(ops, rel_tol, tol):
     """Near-kernel of the curl-curl pencil in the gradient complement.
 
-    Asks eig_smallest (shift-invert ARPACK above the crossover, gradients
-    deflated) for the smallest eigenpairs and keeps those below the
-    relative threshold.  The batch doubles from 4 while every value lands
-    below it; a kernel that fills HARMONIC_CAP values raises SolverError
-    instead of returning a truncated basis.
+    Asks eig_smallest (dense LAPACK below the crossover, shift-invert
+    ARPACK above it; gradients deflated) for the smallest eigenpairs and
+    keeps those below the relative threshold.  The batch doubles from 4
+    while every value lands below it; a kernel that fills HARMONIC_CAP
+    values raises SolverError instead of returning a truncated basis.
+    Returns (kernel vectors, the first pair above the threshold).  That
+    pair is mass-orthogonal to the gradients and to the kernel vectors,
+    hence to the cleaned harmonic fields: it is the coexact Maxwell pair.
     """
     A, M = ops.curlcurl, ops.mass
     Gp = ops.grad if ops.edge_space.mesh.has_gamma_t else ops.grad[:, 1:]
     threshold = rel_tol * max(A.diagonal().sum() / max(M.diagonal().sum(), 1e-300), 1e-300)
     k = 4
     while True:
-        eig = linalg.eig_smallest(A, M, k=k, deflation=Gp)
-        below = eig.values <= threshold
-        if not np.all(below):
-            return eig.vectors[:, below]
+        eig = linalg.eig_smallest(A, M, k=k, deflation=Gp, tol=tol)
+        nker = int(np.sum(eig.values <= threshold))
+        if nker < len(eig.values):
+            pair = slice(nker, nker + 1)
+            return eig.vectors[:, :nker], linalg.EigenResult(
+                eig.values[pair], eig.vectors[:, pair], eig.residuals[pair]
+            )
         if k >= HARMONIC_CAP:
             raise linalg.SolverError(
                 f"harmonic basis: all {k} computed eigenvalues are below the kernel "
-                f"threshold; the sparse search stops at HARMONIC_CAP = {HARMONIC_CAP}"
+                f"threshold; the search stops at HARMONIC_CAP = {HARMONIC_CAP}"
             )
         k *= 2
 

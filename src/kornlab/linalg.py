@@ -14,10 +14,14 @@ ordering of K^T + K), which fills less than the default COLAMD ordering
 with partial pivoting.  Threshold pivoting stays on (a diagonal pivot
 below 0.1 of its column is swapped out): deflated vectors in ker(B)
 border a zero diagonal block, and without pivoting those solves lose all
-accuracy.  DENSE_MAX is the largest size for which a dense O(n^3)
-factorization is affordable: spd_solver (and solve_spd on top of it)
-factors once with Cholesky below it and runs CG above, and callers gate
-optional dense kernel diagnostics on it.
+accuracy.  Relaxed supernodes are off (relax=1): the default relaxation
+merges small subtrees of the elimination tree into supernodes, which on
+these finite-element matrices makes factorizations and solves above a few
+thousand rows slower and leaves the fill and the residuals as they are.
+DENSE_MAX is the largest size for which a dense O(n^3) factorization is
+affordable: spd_solver (and solve_spd on top of it) factors once with
+Cholesky below it and runs CG above, and callers gate optional dense
+kernel diagnostics on it.
 """
 
 from dataclasses import dataclass, field
@@ -34,6 +38,7 @@ _LOOSE_TOL = 1e-2  # first ARPACK pass: only locates the spectrum
 _CLUSTER_RATIO = 1.02  # re-shift when the first pass finds lambda_2 / lambda_1 below this
 _DENSE_ROW_SHARE = 0.05  # rows with more nonzeros than this share of n are dense
 _PIVOT_THRESH = 0.1  # symmetric-mode LU: a smaller diagonal pivot is swapped out
+_RELAX = 1  # SuperLU supernode relaxation: 1 turns it off
 
 
 class SolverError(RuntimeError):
@@ -191,8 +196,9 @@ def _saddle_inverse(A, B, sigma, bordered, dense):
     Sparse rows of C border the factorized matrix [[A - sigma B, C^T], [C, 0]].
     Dense rows D would fill that factorization, so they enter through the
     rank-L Schur complement K - K D^T (D K D^T)^{-1} D K of its inverse K.
-    SuperLU factors in symmetric mode with threshold pivoting kept on (see
-    the module docstring).
+    SuperLU factors in symmetric mode with threshold pivoting kept on and
+    relaxed supernodes off (see the module docstring).  A factorization
+    that does not fit in memory raises SolverError.
     """
     n = A.shape[0]
     K = (A - sigma * B).tocsc()
@@ -200,9 +206,14 @@ def _saddle_inverse(A, B, sigma, bordered, dense):
         K = sp.bmat([[K, bordered.T], [bordered, None]], format="csc")
     try:
         lu = spla.splu(K, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=_PIVOT_THRESH,
-                       options=dict(SymmetricMode=True))
+                       relax=_RELAX, options=dict(SymmetricMode=True))
     except RuntimeError as exc:
         raise SolverError(f"the shifted saddle-point matrix is singular: {exc}")
+    except MemoryError:
+        raise SolverError(
+            f"the LU factors of the {K.shape[0]}x{K.shape[0]} saddle-point matrix "
+            f"({K.nnz} nonzeros) do not fit in memory"
+        )
 
     def solve(x):
         return lu.solve(np.concatenate([np.ravel(x), np.zeros(K.shape[0] - n)]))[:n]
@@ -231,12 +242,14 @@ def _arpack(A, B, k, sigma, op, v0, tol):
 
 
 def _eig_sparse(A, B, k, deflation, constraints, tol):
-    """Shift-invert ARPACK on the saddle-point operator, max(k, 2) pairs.
+    """Shift-invert ARPACK on the saddle-point operator.
 
-    A loose first pass from a shift below the spectrum locates the two
-    smallest eigenvalues.  When their ratio is below _CLUSTER_RATIO the
-    shift moves 99% of the way to the smallest and the matrix is
-    refactored; otherwise the full-accuracy pass reuses the factorization.
+    A loose first pass from a shift below the spectrum locates the
+    max(k, 2) smallest eigenvalues.  When the ratio of the two smallest is
+    below _CLUSTER_RATIO the shift moves 99% of the way to the smallest and
+    the matrix is refactored; otherwise the full-accuracy pass reuses the
+    factorization.  That pass converges only the k pairs asked for: the
+    second one served the cluster test alone.
     """
     n = A.shape[0]
     tr_b = B.diagonal().sum()
@@ -245,14 +258,12 @@ def _eig_sparse(A, B, k, deflation, constraints, tol):
     rows = _saddle_rows(B, deflation, constraints, n)
     sigma = -1e-3 * max(abs(A.diagonal().sum()) / tr_b, 1e-30)
     op = _saddle_inverse(A, B, sigma, *rows)
-    kk = max(k, 2)
     v0 = op(B @ np.random.default_rng(_SEED).standard_normal(n))
-    vals, vecs = _arpack(A, B, kk, sigma, op, v0, _LOOSE_TOL)
+    vals, vecs = _arpack(A, B, max(k, 2), sigma, op, v0, _LOOSE_TOL)
     if vals[1] < _CLUSTER_RATIO * vals[0]:
         sigma += 0.99 * (vals[0] - sigma)
         op = _saddle_inverse(A, B, sigma, *rows)
-    vals, vecs = _arpack(A, B, kk, sigma, op, vecs.sum(axis=1), tol)
-    vals, vecs = vals[:k], vecs[:, :k]
+    vals, vecs = _arpack(A, B, k, sigma, op, vecs.sum(axis=1), tol)
     return EigenResult(vals, vecs, _residuals(A, B, vals, vecs, constraints))
 
 

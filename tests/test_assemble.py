@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -8,6 +11,7 @@ from kornlab.assemble import (
     export_matrix,
     identity_coefficient,
 )
+from kornlab.constants import Workspace
 from kornlab.meshes import generate_primitive
 from kornlab.polynomials import PolyField, Poly3
 from kornlab.spaces import Field, TensorField, build_space, interpolate
@@ -239,3 +243,18 @@ def test_export_matrix(cube2, tmp_path):
     export_matrix(M, path)
     text = path.read_text()
     assert text.startswith("%%MatrixMarket")
+
+
+def test_dropped_mesh_freed_without_cyclic_collector():
+    # the mesh caches its geometry, which must not point back at the mesh
+    gc.disable()
+    try:
+        mesh = generate_primitive("cube_with_tunnel", 1)
+        ws = Workspace(mesh)
+        ws.constant("c_m")
+        evaluate_norms(ws.random_tensor(np.random.default_rng(0)), ["sym", "curl"])
+        ref = weakref.ref(mesh)
+        del ws, mesh
+        assert ref() is None
+    finally:
+        gc.enable()

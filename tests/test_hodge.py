@@ -327,4 +327,4 @@ def test_harmonic_sparse_search_raises_at_cap(monkeypatch):
 
     monkeypatch.setattr(linalg, "eig_smallest", all_below)
     with pytest.raises(linalg.SolverError, match="HARMONIC_CAP = 32"):
-        hodge._harmonic_sparse(ops, 1e-8)
+        hodge._harmonic_search(ops, 1e-8, 1e-10)

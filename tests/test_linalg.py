@@ -113,6 +113,64 @@ def test_saddle_inverse_accurate_with_zero_diagonal_block(monkeypatch):
         assert np.linalg.norm(bordered @ y) <= 1e-12 * np.linalg.norm(y)
 
 
+def test_saddle_inverse_factor_options(monkeypatch):
+    # symmetric mode, minimum degree on K^T + K, threshold pivoting, and no
+    # relaxed supernodes
+    options = []
+    real = spla.splu
+
+    def capture(K, *args, **kwargs):
+        options.append(kwargs)
+        return real(K, *args, **kwargs)
+
+    monkeypatch.setattr(spla, "splu", capture)
+    n = 300
+    A = sp.diags(np.arange(1.0, n + 1)).tocsr()
+    op = linalg._saddle_inverse(A, sp.identity(n, format="csr"), -0.5, None, None)
+    assert np.allclose(op(np.ones(n)), 1.0 / (np.arange(1.0, n + 1) + 0.5))
+    (kwargs,) = options
+    assert kwargs["relax"] == 1
+    assert kwargs["permc_spec"] == "MMD_AT_PLUS_A"
+    assert kwargs["diag_pivot_thresh"] == linalg._PIVOT_THRESH > 0
+    assert kwargs["options"] == {"SymmetricMode": True}
+
+
+def test_saddle_inverse_out_of_memory_names_size(monkeypatch):
+    def no_memory(K, *args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(spla, "splu", no_memory)
+    n = 300
+    A = sp.diags(np.arange(1.0, n + 1)).tocsr()
+    bordered = sp.csr_matrix(np.ones((1, n)))
+    with pytest.raises(SolverError, match=r"301x301 saddle-point matrix .*memory"):
+        linalg._saddle_inverse(A, sp.identity(n, format="csr"), -0.5, bordered, None)
+    with pytest.raises(SolverError, match="memory"):
+        eig_smallest(A, sp.identity(n, format="csr"), k=1)
+
+
+@pytest.mark.parametrize("k", [1, 3])
+@pytest.mark.parametrize("gap", [1.0, 1e-3], ids=["separated", "clustered"])
+def test_final_arpack_pass_requests_k_pairs(k, gap, monkeypatch):
+    # the loose pass needs two pairs for the cluster test; the
+    # full-accuracy pass converges only the k that were asked for
+    requested = []
+    real = linalg._arpack
+
+    def spy(A, B, kk, *args):
+        requested.append(kk)
+        return real(A, B, kk, *args)
+
+    monkeypatch.setattr(linalg, "_arpack", spy)
+    n = 400
+    w = np.concatenate([[1.0, 1.0 + gap], 3.0 + np.arange(n - 2)])
+    eig = eig_smallest(sp.diags(w).tocsr(), sp.identity(n, format="csr"), k=k)
+    assert requested == [max(k, 2), k]
+    assert np.allclose(eig.values, w[:k], rtol=1e-10)
+    assert eig.vectors.shape == (n, k)
+    assert np.all(eig.residuals <= 1e-8)
+
+
 def test_eig_trivial():
     r = eig_smallest(np.eye(3), np.eye(3), k=1)
     assert r.values[0] == pytest.approx(1.0)

@@ -1,8 +1,9 @@
-"""A constants report builds each form once per Workspace.
+"""A constants report builds each form and each space once per Workspace.
 
 The Workspace holds the edge operators, the harmonic basis and the tensor
-pencil; every constant reads them instead of assembling its own copy, and
-the Maxwell gradient block reuses c_p.
+pencil; every constant reads them instead of assembling its own copy, the
+Maxwell gradient block reuses c_p, and the harmonic search also yields
+the coexact Maxwell pair.
 """
 
 import importlib
@@ -12,11 +13,12 @@ import numpy as np
 import pytest
 
 from kornlab import constants as cst
-from kornlab import hodge
+from kornlab import hodge, linalg
 from kornlab.assemble import MatrixCoefficient
 from kornlab.meshes import generate_primitive
 
 asm = importlib.import_module("kornlab.assemble")  # the package exports the function too
+spaces = importlib.import_module("kornlab.spaces")
 
 
 def _space_key(space):
@@ -56,6 +58,51 @@ def test_report_assembles_each_form_once(kind, n, monkeypatch):
     assert repeats == {}
     assert [form for form, _, _ in calls].count("tensor_sym") == 1
     assert len(poincare) == 1
+
+
+@pytest.mark.parametrize("kind, n", [("slab_mixed", 2), ("unit_cube", 4)])
+def test_report_builds_each_space_once(kind, n, monkeypatch):
+    calls = []
+    real = spaces.build_space
+
+    def spy(mesh, family, constrain=None, component_constant=False):
+        calls.append((id(mesh), family, constrain, component_constant))
+        return real(mesh, family, constrain, component_constant)
+
+    for module in (spaces, cst, hodge):
+        monkeypatch.setattr(module, "build_space", spy)
+    cst.compute_report(generate_primitive(kind, n))
+    assert "P1_scalar" in [family for _, family, _, _ in calls]
+    assert {key: count for key, count in Counter(calls).items() if count > 1} == {}
+
+
+@pytest.mark.parametrize("n, sparse", [(4, True), (2, False)], ids=["sparse", "dense"])
+def test_report_solves_curlcurl_pencil_once(n, sparse, monkeypatch):
+    # the harmonic search yields the coexact Maxwell pair as well
+    ops_built = []
+    real_ops = hodge.edge_operators
+
+    def spy_ops(*args, **kwargs):
+        ops_built.append(real_ops(*args, **kwargs))
+        return ops_built[-1]
+
+    solves = []
+    for name in ("eig_smallest", "null_space_gen"):
+        real = getattr(linalg, name)
+
+        def spy(A, *args, _real=real, _name=name, **kwargs):
+            solves.append((_name, A))
+            return _real(A, *args, **kwargs)
+
+        monkeypatch.setattr(linalg, name, spy)
+    monkeypatch.setattr(hodge, "edge_operators", spy_ops)
+    report = cst.compute_report(generate_primitive("slab_mixed", n))
+    (ops,) = ops_built
+    curlcurl = [name for name, A in solves if A is ops.curlcurl]
+    assert curlcurl == ["eig_smallest"]
+    assert (ops.edge_space.free_count >= linalg.DENSE_CROSSOVER) == sparse
+    assert report["c_m_coexact"]["note"] == "gradients deflated"
+    assert report["c_m_coexact"]["residual"] <= 1e-10
 
 
 def test_weighted_certification_assembles_weighted_strain_once(monkeypatch):

@@ -124,3 +124,31 @@ def test_mid_size_pencils_sparse_matches_forced_dense(kind, n, harmonic_dim, mon
         assert sparse[name].value == pytest.approx(dense[name].value, rel=REL_TOL), name
         for rec in (sparse[name], dense[name]):
             assert rec.residual is None or rec.residual <= 1e-10, name
+
+
+@pytest.mark.parametrize(
+    "kind, n, retag, harmonic_dim",
+    [("cube_with_tunnel", 3, None, 1), ("unit_cube", 4, 0, 0)],
+    ids=["tunnel3", "unit_cube4_untagged"],
+)
+def test_workspace_coexact_pair_matches_forced_dense_deflated_solve(
+        kind, n, retag, harmonic_dim, monkeypatch):
+    # the Workspace reads c_m_coexact off the harmonic search, whose vectors
+    # are orthogonal to the raw kernel vectors; the reference deflates the
+    # cleaned harmonic fields, on the dense path
+    mesh = generate_primitive(kind, n)
+    if retag is not None:
+        mesh = mesh.retag(retag)
+    ws = constants.Workspace(mesh)
+    assert ws.ops.edge_space.free_count >= linalg.DENSE_CROSSOVER
+    assert ws.harmonics.dim == harmonic_dim
+    coexact = ws.constant("c_m_coexact")
+
+    monkeypatch.setattr(linalg, "DENSE_CROSSOVER", FORCED_DENSE)
+    ops = hodge.edge_operators(mesh)
+    basis = hodge.harmonic_basis(mesh, ops)
+    assert basis.dim == harmonic_dim
+    basis.coexact = None  # forces the standalone deflated solve
+    _, _, dense = constants.maxwell_constant(mesh, ops=ops, harmonics=basis)
+    assert coexact.value == pytest.approx(dense.value, rel=1e-10)
+    assert coexact.residual <= 1e-10 and dense.residual <= 1e-10
