@@ -18,7 +18,7 @@ from . import linalg
 from .assemble import assemble, geometry
 from .spaces import DofSpace, Field, TensorField, build_space
 
-HARMONIC_CAP = 32  # largest harmonic dimension the search resolves
+HARMONIC_CAP = linalg.KERNEL_CAP  # largest harmonic dimension the search resolves
 
 SO3_BASIS = np.array(
     [
@@ -44,23 +44,29 @@ class EdgeOperators:
     grad: sp.csr_matrix  # P1 -> Edge0 incidence
 
     @cached_property
+    def pinned_grad(self):
+        """Gradient incidence on the potentials modulo constants.
+
+        Without a tag-1 part the potentials are unconstrained and the
+        constants lie in the kernel of grad; vertex 0 is pinned (its column
+        dropped).  With one, this is grad itself.
+        """
+        return self.grad if self.p1_space.mesh.has_gamma_t else self.grad[:, 1:]
+
+    def pinned_coords(self, p):
+        """Coordinates of a potential p in the columns of pinned_grad."""
+        return p if self.pinned_grad is self.grad else p[1:] - p[0]
+
+    @cached_property
     def poisson(self):
         """solve(rhs) for (G^T M G) u = rhs, factored once.
 
-        Without a tag-1 part the constants are pinned at vertex 0 (u[0] = 0);
-        the gradient is unaffected.
+        The system is factored on the columns of pinned_grad, so without a
+        tag-1 part u[0] = 0; the gradient is unaffected.
         """
-        K = (self.grad.T @ (self.mass @ self.grad)).tocsr()
-        if self.p1_space.mesh.has_gamma_t:
-            return linalg.spd_solver(K)
-        solve = linalg.spd_solver(K[1:, 1:])
-
-        def pinned(rhs):
-            u = np.zeros(len(rhs))
-            u[1:] = solve(rhs[1:])
-            return u
-
-        return pinned
+        Gp = self.pinned_grad
+        solve = linalg.spd_solver((Gp.T @ (self.mass @ Gp)).tocsr())
+        return solve if Gp is self.grad else lambda rhs: np.r_[0.0, solve(rhs[1:])]
 
 
 def edge_operators(mesh, constrain_edges=True):
@@ -128,33 +134,20 @@ def harmonic_basis(mesh, ops=None, rel_tol=1e-8, tol=1e-10):
 def _harmonic_search(ops, rel_tol, tol):
     """Near-kernel of the curl-curl pencil in the gradient complement.
 
-    Asks eig_smallest (dense LAPACK below the crossover, shift-invert
-    ARPACK above it; gradients deflated) for the smallest eigenpairs and
-    keeps those below the relative threshold.  The batch doubles from 4
-    while every value lands below it; a kernel that fills HARMONIC_CAP
-    values raises SolverError instead of returning a truncated basis.
+    linalg.count_kernel (gradients deflated, batches from 4 up to
+    HARMONIC_CAP) counts the eigenvalues below the relative threshold.
     Returns (kernel vectors, the first pair above the threshold).  That
     pair is mass-orthogonal to the gradients and to the kernel vectors,
     hence to the cleaned harmonic fields: it is the coexact Maxwell pair.
     """
     A, M = ops.curlcurl, ops.mass
-    Gp = ops.grad if ops.edge_space.mesh.has_gamma_t else ops.grad[:, 1:]
     threshold = rel_tol * max(A.diagonal().sum() / max(M.diagonal().sum(), 1e-300), 1e-300)
-    k = 4
-    while True:
-        eig = linalg.eig_smallest(A, M, k=k, deflation=Gp, tol=tol)
-        nker = int(np.sum(eig.values <= threshold))
-        if nker < len(eig.values):
-            pair = slice(nker, nker + 1)
-            return eig.vectors[:, :nker], linalg.EigenResult(
-                eig.values[pair], eig.vectors[:, pair], eig.residuals[pair]
-            )
-        if k >= HARMONIC_CAP:
-            raise linalg.SolverError(
-                f"harmonic basis: all {k} computed eigenvalues are below the kernel "
-                f"threshold; the search stops at HARMONIC_CAP = {HARMONIC_CAP}"
-            )
-        k *= 2
+    eig, nker = linalg.count_kernel(A, M, threshold, k0=4, cap_name="HARMONIC_CAP",
+                                    deflation=ops.pinned_grad, tol=tol)
+    pair = slice(nker, nker + 1)
+    return eig.vectors[:, :nker], linalg.EigenResult(
+        eig.values[pair], eig.vectors[:, pair], eig.residuals[pair]
+    )
 
 
 def _clean_harmonic(ops, d):

@@ -19,9 +19,10 @@ merges small subtrees of the elimination tree into supernodes, which on
 these finite-element matrices makes factorizations and solves above a few
 thousand rows slower and leaves the fill and the residuals as they are.
 DENSE_MAX is the largest size for which a dense O(n^3) factorization is
-affordable: spd_solver (and solve_spd on top of it) factors once with
-Cholesky below it and runs CG above, and callers gate optional dense
-kernel diagnostics on it.
+affordable; it gates only spd_solver (and solve_spd on top of it), which
+factors once with Cholesky below it and runs CG above.  Kernels are
+measured in one way, at every size: count_kernel asks eig_smallest for
+more eigenvalues until one lies above a threshold.
 """
 
 from dataclasses import dataclass, field
@@ -39,6 +40,7 @@ _CLUSTER_RATIO = 1.02  # re-shift when the first pass finds lambda_2 / lambda_1 
 _DENSE_ROW_SHARE = 0.05  # rows with more nonzeros than this share of n are dense
 _PIVOT_THRESH = 0.1  # symmetric-mode LU: a smaller diagonal pivot is swapped out
 _RELAX = 1  # SuperLU supernode relaxation: 1 turns it off
+KERNEL_CAP = 32  # count_kernel stops doubling its batch here
 
 
 class SolverError(RuntimeError):
@@ -116,6 +118,27 @@ def eig_smallest(A, B, k=1, deflation=None, constraints=None, tol=1e-10):
     if n < DENSE_CROSSOVER:
         return _eig_dense(A, B, k, deflation, constraints, tol)
     return _eig_sparse(A, B, k, deflation, constraints, tol)
+
+
+def count_kernel(A, B, threshold, k0=1, cap_name="KERNEL_CAP", **solve):
+    """(eig, number of eigenvalues <= threshold) of the pencil, at every size.
+
+    Asks eig_smallest (with the deflation, constraints and tol in solve)
+    for k = k0, 2 k0, ... pairs until one lies above the absolute
+    threshold, so a pencil without kernel costs one solve.  A kernel that
+    fills KERNEL_CAP pairs raises SolverError (naming the cap as cap_name)
+    instead of returning a count that may be short.
+    """
+    k = k0
+    while True:
+        eig = eig_smallest(A, B, k=k, **solve)
+        nker = int(np.sum(eig.values <= threshold))
+        if nker < len(eig.values):
+            return eig, nker
+        if k >= KERNEL_CAP:
+            raise SolverError(f"all {k} computed eigenvalues are below the kernel threshold "
+                              f"{threshold:.3e}; the count stops at {cap_name} = {KERNEL_CAP}")
+        k *= 2
 
 
 def _eig_dense(A, B, k, deflation, constraints, tol):

@@ -72,10 +72,17 @@ def test_korn_standard_no_tags_deflation():
 
 
 def test_korn_standard_strain_kernel_note_above_crossover():
-    # 375 dofs take the sparse eigen path; the dense kernel diagnostic is
-    # gated by the dense-factorization limit, not by the eigen crossover
+    # 375 dofs take the sparse eigen path; the kernel count comes from the
+    # eigensolve itself, at every size
     rec = cst.korn_constant_standard(generate_primitive("unit_cube", 4).retag(0))
     assert rec.dim > linalg.DENSE_CROSSOVER
+    assert rec.note.endswith("strain kernel dim 6")
+
+
+def test_korn_standard_strain_kernel_note_above_dense_max():
+    # 2187 dofs: the note keeps its shape above the dense-factorization limit
+    rec = cst.korn_constant_standard(generate_primitive("unit_cube", 8).retag(0))
+    assert rec.dim > linalg.DENSE_MAX
     assert rec.note.endswith("strain kernel dim 6")
 
 
@@ -185,7 +192,15 @@ def test_direct_constant_bounded_by_derived(cube3_ws, slab2_ws, tunnel_ws):
 
 def test_direct_constant_kernel_error_without_deflation():
     m = generate_primitive("unit_cube", 2).retag(0)
-    # 294 dofs: sparse eigen path, dense kernel diagnostic below DENSE_MAX
+    # 294 dofs: sparse eigen path; the kernel is counted by the eigensolve
+    with pytest.raises(cst.KernelError, match="kernel dimension 3;"):
+        cst.direct_main_constant(m, deflate=False)
+
+
+def test_direct_constant_kernel_error_above_dense_max():
+    # 3345 dofs: the error text keeps its kernel dimension above DENSE_MAX
+    m = generate_primitive("unit_cube", 5).retag(0)
+    assert 3 * build_space(m, "Edge0", "gamma_t").free_count > linalg.DENSE_MAX
     with pytest.raises(cst.KernelError, match="kernel dimension 3;"):
         cst.direct_main_constant(m, deflate=False)
 

@@ -237,6 +237,34 @@ def test_eig_lanczos_with_deflation():
     assert r.values[0] == pytest.approx(vals[2:].min(), rel=1e-9)
 
 
+@pytest.mark.parametrize("crossover", [linalg.DENSE_CROSSOVER, 16], ids=["dense", "sparse"])
+def test_count_kernel_diagonal_pencil(crossover, monkeypatch):
+    # a 3-dim kernel: batches k = 1, 2, 4, and the fourth value is the first
+    # above the threshold
+    monkeypatch.setattr(linalg, "DENSE_CROSSOVER", crossover)
+    requested = []
+    real = linalg.eig_smallest
+
+    def spy(A, B, k=1, **kwargs):
+        requested.append(k)
+        return real(A, B, k=k, **kwargs)
+
+    monkeypatch.setattr(linalg, "eig_smallest", spy)
+    n = 40
+    A = sp.diags(np.concatenate([[0.0, 0.0, 0.0], 1.0 + np.arange(n - 3)])).tocsr()
+    eig, nker = linalg.count_kernel(A, sp.identity(n, format="csr"), 1e-8)
+    assert nker == 3
+    assert requested == [1, 2, 4]
+    assert np.abs(eig.values[:3]).max() <= 1e-12
+    assert eig.values[3] == pytest.approx(1.0, rel=1e-10)
+
+
+def test_count_kernel_raises_at_cap():
+    # an all-kernel pencil must not come back as a short count
+    with pytest.raises(SolverError, match="KERNEL_CAP = 32"):
+        linalg.count_kernel(np.zeros((20, 20)), np.eye(20), 1e-8)
+
+
 def test_null_space_dims():
     assert null_space(np.diag([0.0, 0.0, 1.0])).shape[1] == 2
     rng = np.random.default_rng(4)

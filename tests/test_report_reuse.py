@@ -124,6 +124,44 @@ def test_weighted_certification_assembles_weighted_strain_once(monkeypatch):
     assert [form for form, _, _ in calls] == ["tensor_symF"]
 
 
+def test_report_measures_kernels_by_eigensolve(monkeypatch):
+    # the strain-kernel note comes from the c_k_s eigensolve: no dense kernel
+    # diagnostic and no extra solve (five, as before the diagnostic went)
+    calls = Counter()
+    for name in ("eig_smallest", "null_space"):
+        real = getattr(linalg, name)
+
+        def spy(*args, _real=real, _name=name, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(linalg, name, spy)
+    report = cst.compute_report(generate_primitive("unit_cube", 4).retag(0))
+    assert report["c_k_s"]["note"].endswith("strain kernel dim 6")
+    assert calls == {"eig_smallest": 5}
+
+
+def test_second_weighted_sample_reuses_weighted_work(monkeypatch):
+    ws = cst.Workspace(generate_primitive("slab_mixed", 2))
+    weight = MatrixCoefficient(lambda p: np.broadcast_to(2.0 * np.eye(3), (len(p), 3, 3)))
+    rng = np.random.default_rng(5)
+    first = cst.certify_weighted_inequality(ws.random_tensor(rng), ws, weight)
+    assert first.verdict, first.failed
+    solves = []
+    real = linalg.eig_smallest
+
+    def spy(*args, **kwargs):
+        solves.append(args[0].shape)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(linalg, "eig_smallest", spy)
+    calls = _spy_assemble(monkeypatch)
+    second = cst.certify_weighted_inequality(ws.random_tensor(rng), ws, weight)
+    assert second.verdict, second.failed
+    assert solves == [] and calls == []
+    assert ws.weighted(weight).record is ws.weighted(weight).record
+
+
 def test_workspace_pencil_matches_assembled_tensor_forms():
     # the mass and curl-curl blocks come from the edge operators; they must
     # equal the tensor forms assemble still offers

@@ -3,10 +3,11 @@
 linalg.DENSE_CROSSOVER routes eigenproblems only: pencils of at least that
 many dofs take shift-invert ARPACK on the saddle-point operator, smaller
 ones dense LAPACK.  linalg.DENSE_MAX, the limit for dense factorizations
-(Cholesky in solve_spd, the strain-kernel diagnostics), is never patched
-here.  Lowering the crossover sends the n=2 pencils of every geometry
-through the sparse path; raising it forces the dense path on the mid-size
-pencils that take the sparse path unpatched.  The dense path on the same
+(Cholesky in spd_solver, its only reader), is never patched here; kernel
+counts come from the eigensolves and follow the crossover.  Lowering the
+crossover sends the n=2 pencils of every geometry through the sparse
+path; raising it forces the dense path on the mid-size pencils that take
+the sparse path unpatched.  The dense path on the same
 pencils is the oracle.  Two tests run above the real crossover without
 patching.
 """
