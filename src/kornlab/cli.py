@@ -43,7 +43,11 @@ def _add_mesh_source(p):
 
 
 def _add_solver_opts(p):
-    p.add_argument("--quad-order", type=int, default=None)
+    p.add_argument(
+        "--quad-order", type=int, default=None,
+        help="quadrature order of the strain forms; harmonics and decompose assemble "
+             "only edge forms, which are exact at every order, so it does not change them",
+    )
     p.add_argument("--tol", type=float, default=consts.DEFAULT_EIG_TOL)
     p.add_argument("--deflation-tol", type=float, default=1e-8)
     p.add_argument("--deterministic", action="store_true")
@@ -207,7 +211,7 @@ def _cmd_constants(args):
 def _cmd_harmonics(args):
     mesh = _load_mesh(args)
     ops = hodge.edge_operators(mesh)
-    basis = hodge.harmonic_basis(mesh, ops, rel_tol=args.deflation_tol)
+    basis = hodge.harmonic_basis(mesh, ops, rel_tol=args.deflation_tol, tol=args.tol)
     M = ops.mass
     gram = basis.fields @ (M @ basis.fields.T) if basis.dim else np.zeros((0, 0))
     ortho = float(np.abs(gram - np.eye(basis.dim)).max()) if basis.dim else 0.0
@@ -226,7 +230,7 @@ def _cmd_harmonics(args):
 def _cmd_decompose(args):
     mesh = _load_mesh(args)
     ops = hodge.edge_operators(mesh)
-    basis = hodge.harmonic_basis(mesh, ops)
+    basis = hodge.harmonic_basis(mesh, ops, rel_tol=args.deflation_tol, tol=args.tol)
     rng = np.random.default_rng(args.seed)
     v = Field(ops.edge_space, rng.standard_normal(ops.edge_space.free_count))
     split = hodge.helmholtz_split(v, basis, ops)
@@ -320,7 +324,8 @@ def _cmd_study(args):
     for n in levels:
         mesh = meshes.generate_primitive(args.primitive, n)
         mesh = _apply_selector(mesh, args.gamma_t)
-        ws = consts.Workspace(mesh, tol=args.tol)
+        ws = consts.Workspace(mesh, tol=args.tol, quad_order=args.quad_order,
+                              deflation_tol=args.deflation_tol)
         rows.append(
             (
                 n,

@@ -241,7 +241,6 @@ def helmholtz_split(v, harmonics=None, ops=None):
 class TensorSplit:
     curl_free: TensorField  # gradient + harmonic rows
     coexact: TensorField
-    row_splits: list
 
     def parts(self):
         return self.curl_free, self.coexact
@@ -253,15 +252,13 @@ def helmholtz_split_tensor(T, harmonics=None, ops=None):
         ops = _operators_for(T.space)
     if harmonics is None:
         harmonics = harmonic_basis(T.space.mesh)
-    rows = []
     R = np.empty_like(T.rows)
     S = np.empty_like(T.rows)
     for m in range(3):
         split = helmholtz_split(Field(T.space, T.rows[m]), harmonics, ops)
-        rows.append(split)
         R[m] = split.grad_part.coeffs + split.harmonic_part.coeffs
         S[m] = split.coexact_part.coeffs
-    return TensorSplit(TensorField(T.space, R), TensorField(T.space, S), rows)
+    return TensorSplit(TensorField(T.space, R), TensorField(T.space, S))
 
 
 # --------------------------------------------------------------------------

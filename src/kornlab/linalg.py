@@ -1,28 +1,29 @@
 """Sparse symmetric solves, generalized eigenproblems and null spaces.
 
+Every sparse factorization is one call, _factor: SuperLU in symmetric mode
+(diagonal pivots, minimum-degree ordering of K^T + K), which on these
+symmetric matrices fills less than the default COLAMD ordering with
+partial pivoting.  Threshold pivoting stays on (a diagonal pivot below
+0.1 of its column is swapped out): deflated vectors in ker(B) border a
+zero diagonal block, and without pivoting those solves lose all
+accuracy.  Relaxed supernodes are off (relax=1): the default relaxation
+merges small subtrees of the elimination tree into supernodes, which on
+these finite-element matrices makes factorizations and solves above a
+few thousand rows slower and leaves the fill and the residuals as they
+are.  spd_solver factors a symmetric positive definite matrix (the
+Poisson matrix of the Helmholtz splits) with it, at every size.
+
 Eigenproblems are pencils A x = lambda B x with A positive semidefinite
 and B positive definite on the admissible subspace {C x = 0}.  The rows of
 C are raw linear constraints, B d for deflated vectors d (a B-orthogonal
-restriction) and d itself for deflated vectors in ker(B).  Two sizes route
-the work.  DENSE_CROSSOVER only routes eigenproblems: below it they reduce
-to LAPACK on a basis of the admissible subspace; above it shift-invert
-ARPACK runs in the B-inner product with OPinv the solve with the
-saddle-point matrix [[A - sigma B, C^T], [C, 0]], which is B-self-adjoint
-on the admissible subspace for any rows C.  That matrix is symmetric, so
-SuperLU factors it in symmetric mode (diagonal pivots, minimum-degree
-ordering of K^T + K), which fills less than the default COLAMD ordering
-with partial pivoting.  Threshold pivoting stays on (a diagonal pivot
-below 0.1 of its column is swapped out): deflated vectors in ker(B)
-border a zero diagonal block, and without pivoting those solves lose all
-accuracy.  Relaxed supernodes are off (relax=1): the default relaxation
-merges small subtrees of the elimination tree into supernodes, which on
-these finite-element matrices makes factorizations and solves above a few
-thousand rows slower and leaves the fill and the residuals as they are.
-DENSE_MAX is the largest size for which a dense O(n^3) factorization is
-affordable; it gates only spd_solver (and solve_spd on top of it), which
-factors once with Cholesky below it and runs CG above.  Kernels are
-measured in one way, at every size: count_kernel asks eig_smallest for
-more eigenvalues until one lies above a threshold.
+restriction) and d itself for deflated vectors in ker(B).  One size routes
+them: below DENSE_CROSSOVER they reduce to LAPACK on a basis of the
+admissible subspace; above it shift-invert ARPACK runs in the B-inner
+product with OPinv the solve with the saddle-point matrix
+[[A - sigma B, C^T], [C, 0]], which is symmetric and B-self-adjoint on
+the admissible subspace for any rows C.  Kernels are measured in one
+way, at every size: count_kernel asks eig_smallest for more eigenvalues
+until one lies above a threshold.
 """
 
 from dataclasses import dataclass, field
@@ -33,7 +34,6 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 DENSE_CROSSOVER = 256  # eigenproblems: dense LAPACK below, shift-invert ARPACK above
-DENSE_MAX = 2000  # largest size for a dense O(n^3) factorization
 _SEED = 20260314  # fixed start vectors keep reports reproducible
 _LOOSE_TOL = 1e-2  # first ARPACK pass: only locates the spectrum
 _CLUSTER_RATIO = 1.02  # re-shift when the first pass finds lambda_2 / lambda_1 below this
@@ -44,9 +44,7 @@ KERNEL_CAP = 32  # count_kernel stops doubling its batch here
 
 
 class SolverError(RuntimeError):
-    def __init__(self, message, residual=None):
-        super().__init__(message)
-        self.residual = residual
+    """A factorization or eigensolve that cannot give a trustworthy result."""
 
 
 @dataclass
@@ -55,9 +53,6 @@ class EigenResult:
     vectors: np.ndarray  # columns, B-orthonormal
     residuals: np.ndarray = field(default=None)
 
-    def __iter__(self):
-        return iter((self.values, self.vectors))
-
 
 def _as_csr(A):
     if sp.issparse(A):
@@ -65,45 +60,39 @@ def _as_csr(A):
     return sp.csr_matrix(np.atleast_2d(np.asarray(A, dtype=float)))
 
 
-def spd_solver(A, tol=1e-12):
-    """Prepare repeated solves with symmetric positive (semi)definite A.
+def _factor(K, what):
+    """SuperLU factors of the symmetric sparse matrix K (see the module docstring).
 
-    Returns solve(rhs) -> x.  Below DENSE_MAX A is Cholesky-factored once
-    (a singular A falls back to least squares per solve); above it each
-    solve runs Jacobi-preconditioned CG and raises SolverError (carrying
-    the final residual) on non-convergence.
+    A zero pivot (an exactly singular K), or factors that do not fit in
+    memory, raise SolverError; what names K in the message.
     """
-    A = _as_csr(A)
-    n = A.shape[0]
-    if n < DENSE_MAX:
-        dense = A.toarray()
-        try:
-            factor = sla.cho_factor(dense)
-        except np.linalg.LinAlgError:
-            return lambda rhs: np.linalg.lstsq(dense, np.asarray(rhs, dtype=float),
-                                               rcond=None)[0]
-        # cho_factor checked the factor once; only the right-hand side is new
-        return lambda rhs: sla.cho_solve(
-            factor, np.asarray_chkfinite(rhs, dtype=float), check_finite=False
+    K = K.tocsc()
+    try:
+        return spla.splu(K, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=_PIVOT_THRESH,
+                         relax=_RELAX, options=dict(SymmetricMode=True))
+    except RuntimeError as exc:
+        raise SolverError(f"the {what} is singular: {exc}")
+    except MemoryError:
+        raise SolverError(
+            f"the LU factors of the {K.shape[0]}x{K.shape[0]} {what} "
+            f"({K.nnz} nonzeros) do not fit in memory"
         )
-    d = A.diagonal()
-    d = np.where(d > 0, d, 1.0)
-    M = sp.diags(1.0 / d)
-
-    def cg_solve(rhs):
-        rhs = np.asarray(rhs, dtype=float)
-        x, info = spla.cg(A, rhs, rtol=tol, atol=0.0, M=M, maxiter=20 * n)
-        if info != 0:
-            res = np.linalg.norm(A @ x - rhs) / max(np.linalg.norm(rhs), 1e-300)
-            raise SolverError(f"CG did not converge (relative residual {res:.3e})", res)
-        return x
-
-    return cg_solve
 
 
-def solve_spd(A, rhs, tol=1e-12):
-    """Solve A x = rhs once for symmetric positive (semi)definite A (see spd_solver)."""
-    return spd_solver(A, tol)(rhs)
+def spd_solver(A):
+    """Prepare repeated solves with symmetric positive definite A.
+
+    Returns solve(rhs) -> x.  A is factored once, by _factor, at every
+    size; _factor's errors pass through.  Each solve checks only its
+    right-hand side for non-finite entries.
+    """
+    lu = _factor(_as_csr(A), "symmetric matrix")
+    return lambda rhs: lu.solve(np.asarray_chkfinite(rhs, dtype=float))
+
+
+def solve_spd(A, rhs):
+    """Solve A x = rhs once for symmetric positive definite A (see spd_solver)."""
+    return spd_solver(A)(rhs)
 
 
 def eig_smallest(A, B, k=1, deflation=None, constraints=None, tol=1e-10):
@@ -219,24 +208,13 @@ def _saddle_inverse(A, B, sigma, bordered, dense):
     Sparse rows of C border the factorized matrix [[A - sigma B, C^T], [C, 0]].
     Dense rows D would fill that factorization, so they enter through the
     rank-L Schur complement K - K D^T (D K D^T)^{-1} D K of its inverse K.
-    SuperLU factors in symmetric mode with threshold pivoting kept on and
-    relaxed supernodes off (see the module docstring).  A factorization
-    that does not fit in memory raises SolverError.
+    The matrix is factored by _factor.
     """
     n = A.shape[0]
-    K = (A - sigma * B).tocsc()
+    K = (A - sigma * B).tocsc()  # already CSC: _factor makes no second copy
     if bordered is not None:
         K = sp.bmat([[K, bordered.T], [bordered, None]], format="csc")
-    try:
-        lu = spla.splu(K, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=_PIVOT_THRESH,
-                       relax=_RELAX, options=dict(SymmetricMode=True))
-    except RuntimeError as exc:
-        raise SolverError(f"the shifted saddle-point matrix is singular: {exc}")
-    except MemoryError:
-        raise SolverError(
-            f"the LU factors of the {K.shape[0]}x{K.shape[0]} saddle-point matrix "
-            f"({K.nnz} nonzeros) do not fit in memory"
-        )
+    lu = _factor(K, "saddle-point matrix")
 
     def solve(x):
         return lu.solve(np.concatenate([np.ravel(x), np.zeros(K.shape[0] - n)]))[:n]

@@ -133,9 +133,6 @@ class Poly3:
     def is_zero(self, tol=0.0):
         return bool(np.all(np.abs(self.c) <= tol))
 
-    def max_coeff(self):
-        return float(np.abs(self.c).max()) if self.c.size else 0.0
-
 
 def bubble():
     """x(1-x) y(1-y) z(1-z): vanishes on the whole cube boundary."""

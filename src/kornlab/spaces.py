@@ -44,10 +44,6 @@ class DofSpace:
     def ncomp(self):
         return self.dof_map.shape[0]
 
-    @property
-    def entity_count(self):
-        return self.dof_map.shape[1]
-
     def full_from_free(self, coeffs):
         """Expand free coefficients to per-entity values (eliminated dofs = 0)."""
         out = np.zeros(self.dof_map.shape)
@@ -98,10 +94,6 @@ class TensorField:
 
     def stacked(self):
         return self.rows.reshape(-1)
-
-    @classmethod
-    def from_stacked(cls, space, vec):
-        return cls(space, np.asarray(vec, dtype=float).reshape(3, -1))
 
 
 def build_space(mesh, family, constrain=None, component_constant=False):

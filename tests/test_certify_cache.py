@@ -8,7 +8,7 @@ loop of certify_main_inequality was folded, and must not move.
 
 import numpy as np
 import pytest
-import scipy.linalg as sla
+import scipy.sparse.linalg as spla
 
 from kornlab import constants as cst
 from kornlab import hodge, linalg
@@ -79,13 +79,13 @@ def test_certification_factors_poisson_once(workspaces, label, monkeypatch):
     for name in CHAIN:
         ws.constant(name)
     calls = []
-    real = sla.cho_factor
+    real = spla.splu
 
     def counting(*args, **kwargs):
         calls.append(args[0].shape)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(sla, "cho_factor", counting)
+    monkeypatch.setattr(spla, "splu", counting)
     rng = np.random.default_rng(7)
     # the first split factors unless the harmonic cleanup already did
     assert cst.certify_main_inequality(ws.random_tensor(rng), ws).verdict

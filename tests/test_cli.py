@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from kornlab import constants, hodge
 from kornlab.cli import EXIT_ERROR, EXIT_INVALID, EXIT_OK, EXIT_USAGE, run
 from kornlab.meshes import generate_primitive, read_mesh, write_mesh
 from kornlab.reports import dumps_json, emit_report, format_float, parse_json
@@ -155,6 +156,34 @@ def test_decompose_csv(tmp_path):
     row = lines[1].split(",")
     total = float(row[2]) + float(row[3]) + float(row[4])
     assert total == pytest.approx(float(row[1]), rel=1e-10, abs=1e-12)
+
+
+def test_solver_options_reach_the_solvers(tmp_path, monkeypatch):
+    basis_calls, workspace_calls = [], []
+    real_basis, real_workspace = hodge.harmonic_basis, constants.Workspace
+
+    def basis_spy(*args, **kwargs):
+        basis_calls.append((kwargs.get("rel_tol"), kwargs.get("tol")))
+        return real_basis(*args, **kwargs)
+
+    def workspace_spy(*args, **kwargs):
+        workspace_calls.append(kwargs)
+        return real_workspace(*args, **kwargs)
+
+    monkeypatch.setattr(hodge, "harmonic_basis", basis_spy)
+    monkeypatch.setattr(constants, "Workspace", workspace_spy)
+    opts = ["--primitive", "unit_cube", "--tol", "1e-9", "--deflation-tol", "1e-7",
+            "--quad-order", "4"]
+    for cmd in (["harmonics", "--n", "1"],
+                ["decompose", "--n", "1", "--out", str(tmp_path / "split.csv")]):
+        basis_calls.clear()
+        assert run(cmd + opts) == EXIT_OK
+        assert basis_calls == [(1e-7, 1e-9)]
+    basis_calls.clear()
+    assert run(["study", "--levels", "1,2", "--out", str(tmp_path / "study.csv")]
+               + opts) == EXIT_OK
+    assert workspace_calls == [dict(tol=1e-9, quad_order=4, deflation_tol=1e-7)] * 2
+    assert basis_calls == [(1e-7, 1e-9)] * 2
 
 
 def test_harmonics_command(tmp_path, capsys):

@@ -80,9 +80,10 @@ def test_korn_standard_strain_kernel_note_above_crossover():
 
 
 def test_korn_standard_strain_kernel_note_above_dense_max():
-    # 2187 dofs: the note keeps its shape above the dense-factorization limit
+    # 2187 dofs: the note keeps its shape above 2000, the retired limit for
+    # dense factorizations
     rec = cst.korn_constant_standard(generate_primitive("unit_cube", 8).retag(0))
-    assert rec.dim > linalg.DENSE_MAX
+    assert rec.dim > 2000
     assert rec.note.endswith("strain kernel dim 6")
 
 
@@ -198,9 +199,10 @@ def test_direct_constant_kernel_error_without_deflation():
 
 
 def test_direct_constant_kernel_error_above_dense_max():
-    # 3345 dofs: the error text keeps its kernel dimension above DENSE_MAX
+    # 3345 dofs: the error text keeps its kernel dimension above 2000, the
+    # retired limit for dense factorizations
     m = generate_primitive("unit_cube", 5).retag(0)
-    assert 3 * build_space(m, "Edge0", "gamma_t").free_count > linalg.DENSE_MAX
+    assert 3 * build_space(m, "Edge0", "gamma_t").free_count > 2000
     with pytest.raises(cst.KernelError, match="kernel dimension 3;"):
         cst.direct_main_constant(m, deflate=False)
 

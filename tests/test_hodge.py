@@ -4,7 +4,7 @@ import pytest
 from kornlab import hodge
 from kornlab.assemble import assemble
 from kornlab.hodge import SO3_BASIS
-from kornlab.meshes import generate_primitive, refine_uniform
+from kornlab.meshes import Mesh, generate_primitive, refine_uniform, validate
 from kornlab.spaces import Field, TensorField, build_space, interpolate
 
 
@@ -164,6 +164,28 @@ def test_split_residuals_lazy_and_pinned():
     for pair, value in PINNED_SPLIT_RESIDUALS.items():
         assert residuals[pair] == pytest.approx(value, rel=1e-6), pair
     assert split.residuals is residuals
+
+
+def test_poisson_solve_on_two_component_mesh():
+    # untagged unit cube n=3 plus a copy shifted by 5 in x as slice 1:
+    # pinning vertex 0 leaves the constants of the copy in the kernel, so the
+    # pinned Poisson matrix is singular, but the gradient part is unique
+    a = generate_primitive("unit_cube", 3).retag(0)
+    b = a.transformed(shift=(5.0, 0.0, 0.0))
+    nv = a.num_vertices
+    mesh = Mesh(np.vstack([a.vertices, b.vertices]), np.vstack([a.tets, b.tets + nv]),
+                np.r_[a.slice_ids, b.slice_ids + 1], np.vstack([a.btris, b.btris + nv]),
+                np.r_[a.btri_tags, b.btri_tags])
+    assert validate(mesh) == [] and not mesh.has_gamma_t
+    ops = hodge.edge_operators(mesh)
+    G = ops.grad.toarray()
+    K = G.T @ (ops.mass @ G)
+    w = np.linalg.eigvalsh(K[1:, 1:])
+    assert w[0] <= 1e-12 * w[-1]
+    rhs = ops.mass @ np.random.default_rng(0).standard_normal(ops.edge_space.free_count)
+    reference = G @ np.linalg.lstsq(K, G.T @ rhs, rcond=None)[0]
+    grad = ops.grad @ hodge._poisson_solve(ops, rhs)
+    assert np.linalg.norm(grad - reference) <= 1e-12 * np.linalg.norm(reference)
 
 
 def test_tensor_split_orthogonality_and_curl():

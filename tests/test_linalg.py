@@ -38,7 +38,8 @@ def test_solve_random_spd_residual():
 
 
 def test_solve_cg_path():
-    # above DENSE_MAX: Jacobi-preconditioned CG
+    # 2100 unknowns, above the retired dense limit of 2000: the same
+    # factorization as at every other size
     n = 2100
     rng = np.random.default_rng(1)
     main = 4.0 + rng.random(n)
@@ -50,21 +51,28 @@ def test_solve_cg_path():
 
 def test_solve_cholesky_below_dense_max(monkeypatch):
     # 800 unknowns, the P1 size of the Poisson solves that certify
-    # cube_with_tunnel n=4: far above the eigen crossover, still Cholesky
-    def no_cg(*args, **kwargs):
-        raise AssertionError("CG called below DENSE_MAX")
+    # cube_with_tunnel n=4: one factorization serves every right-hand side
+    factorizations = []
+    real = spla.splu
 
-    monkeypatch.setattr(spla, "cg", no_cg)
+    def counting(*args, **kwargs):
+        factorizations.append(args[0].shape)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(spla, "splu", counting)
     n = 800
     rng = np.random.default_rng(2)
     A = sp.diags([4.0 + rng.random(n), -np.ones(n - 1), -np.ones(n - 1)], [0, -1, 1]).tocsr()
-    b = rng.standard_normal(n)
-    x = solve_spd(A, b)
-    assert np.linalg.norm(A @ x - b) / np.linalg.norm(b) <= 1e-12
+    solve = spd_solver(A)
+    for _ in range(3):
+        b = rng.standard_normal(n)
+        x = solve(b)
+        assert np.linalg.norm(A @ x - b) / np.linalg.norm(b) <= 1e-12
+    assert factorizations == [(n, n)]
 
 
 def test_cholesky_solver_rejects_nonfinite_rhs():
-    # the cached factor is not rescanned per solve; the right-hand side is
+    # the factor is reused as it is; each solve checks its right-hand side
     rng = np.random.default_rng(3)
     X = rng.standard_normal((20, 20))
     A = X @ X.T + 20 * np.eye(20)
@@ -147,6 +155,8 @@ def test_saddle_inverse_out_of_memory_names_size(monkeypatch):
         linalg._saddle_inverse(A, sp.identity(n, format="csr"), -0.5, bordered, None)
     with pytest.raises(SolverError, match="memory"):
         eig_smallest(A, sp.identity(n, format="csr"), k=1)
+    with pytest.raises(SolverError, match=r"300x300 symmetric matrix .*memory"):
+        spd_solver(A)
 
 
 @pytest.mark.parametrize("k", [1, 3])
@@ -309,15 +319,10 @@ def test_eig_indefinite_b_rejected():
         eig_smallest(A, B, k=1)
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
-def test_solve_cg_nonconvergence_reports_residual():
-    # singular system with inconsistent rhs: CG cannot converge
+def test_spd_solver_rejects_singular_matrix():
+    # a zero diagonal entry makes the factorization exactly singular
     n = 2100
     d = np.ones(n)
     d[-1] = 0.0
-    A = sp.diags(d).tocsr()
-    b = np.zeros(n)
-    b[-1] = 1.0
-    with pytest.raises(SolverError) as err:
-        solve_spd(A, b)
-    assert err.value.residual is not None
+    with pytest.raises(SolverError, match="singular"):
+        spd_solver(sp.diags(d).tocsr())

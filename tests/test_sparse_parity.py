@@ -2,9 +2,9 @@
 
 linalg.DENSE_CROSSOVER routes eigenproblems only: pencils of at least that
 many dofs take shift-invert ARPACK on the saddle-point operator, smaller
-ones dense LAPACK.  linalg.DENSE_MAX, the limit for dense factorizations
-(Cholesky in spd_solver, its only reader), is never patched here; kernel
-counts come from the eigensolves and follow the crossover.  Lowering the
+ones dense LAPACK.  It is the only size gate in kornlab: linear solves
+factor with SuperLU at every size, and kernel counts come from the
+eigensolves and follow the crossover.  Lowering the
 crossover sends the n=2 pencils of every geometry through the sparse
 path; raising it forces the dense path on the mid-size pencils that take
 the sparse path unpatched.  The dense path on the same
