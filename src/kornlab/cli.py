@@ -31,6 +31,16 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
+def _count(minimum):
+    """argparse type: an integer of at least minimum (a usage error otherwise)."""
+    def count(text):
+        value = int(text)
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {value}")
+        return value
+    return count
+
+
 def _add_mesh_source(p):
     p.add_argument("--mesh", help="kornmesh file")
     p.add_argument("--primitive", choices=["unit_cube", "slab_mixed", "cube_with_tunnel"])
@@ -72,7 +82,7 @@ def build_parser():
     _add_solver_opts(p)
     p.add_argument("--out", required=True)
     p.add_argument("--format", default="json", choices=["json", "csv"])
-    p.add_argument("--certify-samples", type=int, default=0)
+    p.add_argument("--certify-samples", type=_count(0), default=0)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--weight-scale", type=float, default=None,
                    help="also compute the weighted constant with F = scale * Id")
@@ -91,7 +101,7 @@ def build_parser():
     p = sub.add_parser("certify", help="certify the main estimate on random fields")
     _add_mesh_source(p)
     _add_solver_opts(p)
-    p.add_argument("--samples", type=int, default=20)
+    p.add_argument("--samples", type=_count(1), default=20)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None)
 

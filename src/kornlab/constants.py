@@ -144,30 +144,18 @@ def korn_constant_tangential(mesh, tol=DEFAULT_EIG_TOL):
 
 
 def _curlfree_basis(ops, harmonics):
-    """Sparse map from (3 scalar potentials + harmonic amplitudes) to Edge0^3.
+    """Sparse map W from (3 scalar potentials + harmonic amplitudes) to Edge0^3.
 
-    Columns: per tensor row the discrete gradients of the free scalar dofs
-    (one column pinned when the scalar space has no constraint, removing
-    the per-row constant), then the harmonic fields per row.
+    Columns: per tensor row the discrete gradients of the potentials
+    (ops.pinned_grad, which removes the per-row constant), then the
+    harmonic fields per row.  A constraint row c on Edge0^3 acts on the
+    reduced coordinates as c @ W.
     """
-    Gp = ops.pinned_grad
-    blocks = sp.block_diag([Gp] * 3, format="csc")
+    blocks = sp.block_diag([ops.pinned_grad] * 3, format="csc")
     if harmonics.dim:
-        H = sp.csc_matrix(harmonics.fields.T)
-        hb = sp.block_diag([H] * 3, format="csc")
-        return sp.hstack([blocks, hb], format="csc"), Gp.shape[1]
-    return blocks, Gp.shape[1]
-
-
-def _so3_reduced(ops, npot, nharm):
-    """Reduced coordinates of the constant skew tensors in the basis above."""
-    verts = ops.edge_space.mesh.vertices
-    cols = []
-    for S in SO3_BASIS:
-        vals = verts @ S.T  # potential of row m is (S x)_m
-        pots = [ops.p1_space.free_from_full(vals[:, m].reshape(1, -1)) for m in range(3)]
-        cols.append(np.concatenate([ops.pinned_coords(p) for p in pots] + [np.zeros(3 * nharm)]))
-    return np.column_stack(cols)
+        hb = sp.block_diag([sp.csc_matrix(harmonics.fields.T)] * 3, format="csc")
+        return sp.hstack([blocks, hb], format="csc")
+    return blocks
 
 
 @dataclass
@@ -206,24 +194,24 @@ def korn_constant_irrotational(mesh, tol=DEFAULT_EIG_TOL, ops=None, harmonics=No
     """|T| <= c |sym T| over the curl-free constrained tensor fields.
 
     With a tag-1 part the pencil runs on the full curl-free subspace.
-    Without one, a single slice restricts orthogonally to the constant
-    skews; several slices take the maximum of the slice-local constants
-    (each slice is simply connected by assumption, matching the way the
-    piecewise bound is assembled) and build their own pencils.  pencil,
-    when given, is tensor_pencil(mesh, ops, coeff) built already.
+    Without one, a single slice takes the fields orthogonal to the
+    constant skews: the skew-moment rows of _slice_skew_constraints,
+    carried to the reduced coordinates by the curl-free basis.  Several
+    slices take the maximum of the slice-local constants (each slice is
+    simply connected by assumption, matching the way the piecewise bound
+    is assembled) and build their own pencils.  pencil, when given, is
+    tensor_pencil(mesh, ops, coeff) built already.
     """
     if coeff is not None and not mesh.has_gamma_t:
         raise ValueError("the weighted constant needs a nonempty tag-1 part")
-    nslices = len(np.unique(mesh.slice_ids))
-    if not mesh.has_gamma_t and nslices > 1:
-        recs = []
-        for s in np.unique(mesh.slice_ids):
-            sub = mesh.submesh(mesh.slice_ids == s)
-            recs.append(korn_constant_irrotational(sub, tol, name=name))
+    labels = mesh.slice_labels
+    if not mesh.has_gamma_t and len(labels) > 1:
+        recs = [korn_constant_irrotational(mesh.submesh(mesh.slice_ids == s), tol, name=name)
+                for s in labels]
         best = max(recs, key=lambda r: r.value)
         return ConstantRecord(
             name, best.value, best.eigenvalue, best.residual,
-            sum(r.dim for r in recs), f"max over {nslices} slice pencils",
+            sum(r.dim for r in recs), f"max over {len(labels)} slice pencils",
         )
 
     ops = ops or hodge.edge_operators(mesh)
@@ -234,17 +222,16 @@ def korn_constant_irrotational(mesh, tol=DEFAULT_EIG_TOL, ops=None, harmonics=No
             "the tag-1 part is empty"
         )
     pencil = pencil or tensor_pencil(mesh, ops, coeff)
-    W, npot = _curlfree_basis(ops, harmonics)
+    W = _curlfree_basis(ops, harmonics)
     if W.shape[1] == 0:
         return _empty(name)
     A = W.T @ (pencil.sym @ W)
     B = W.T @ (pencil.mass @ W)
-    deflation = None
-    note = None
+    constraints = note = None
     if not mesh.has_gamma_t:
-        deflation = _so3_reduced(ops, npot, harmonics.dim)
+        constraints = _slice_skew_constraints(pencil.space, mesh) @ W
         note = "deflated: constant skew tensors"
-    eig = linalg.eig_smallest(A, B, k=1, deflation=deflation, tol=tol)
+    eig = linalg.eig_smallest(A, B, k=1, constraints=constraints, tol=tol)
     return _record(name, eig, W.shape[1], note)
 
 
@@ -294,12 +281,18 @@ def derived_bounds(c_k, c_m):
 
 
 def _slice_skew_constraints(space, mesh):
-    """Rows c with c @ T_stacked = <T, S^l restricted to slice j>_M."""
+    """Rows c with c @ T_stacked = <T, S^l restricted to slice j>_M.
+
+    Three rows per slice, one per skew generator S^l: the fields they
+    annihilate are the ones L2-orthogonal to the constant skews on every
+    slice.  On one slice they are the rows (M d)^T of the constant skew
+    tensors d, so they also stand for a B-orthogonal deflation of them.
+    """
     geom = geometry(mesh)
     W = geom.centroid_edge_values  # (T,6,3)
     rows = []
     nfree = space.free_count
-    for s in np.unique(mesh.slice_ids):
+    for s in mesh.slice_labels:
         sel = mesh.slice_ids == s
         # per-edge integral of W over the slice
         acc = np.zeros((mesh.num_edges, 3))
@@ -324,34 +317,23 @@ def direct_main_constant(mesh, tol=DEFAULT_EIG_TOL, ops=None, pencil=None,
     """Optimal constant in |T| <= c (|sym T|^2 + |Curl T|^2)^(1/2).
 
     Full tensor pencil over the constrained edge tensors.  Without a
-    tag-1 part the constant skews (one slice) or the per-slice skew
-    moments (several slices) are removed; deflate=False surfaces the
-    kernel as an error instead.
+    tag-1 part the per-slice skew moments are removed by the rows of
+    _slice_skew_constraints (on one slice: the constant skews);
+    deflate=False surfaces the kernel as an error instead.
     """
     ops = ops or hodge.edge_operators(mesh)
     pencil = pencil or tensor_pencil(mesh, ops)
     A = (pencil.sym + pencil.curlcurl).tocsr()
     B = pencil.mass
-    nslices = len(np.unique(mesh.slice_ids))
-    deflation = None
-    constraints = None
-    note = None
+    nslices = len(mesh.slice_labels)
+    constraints = note = None
     if not mesh.has_gamma_t and deflate:
-        if nslices == 1:
-            deflation = np.column_stack(
-                [
-                    hodge.constant_tensor_coeffs(pencil.space, S).reshape(-1)
-                    for S in SO3_BASIS
-                ]
-            )
-            note = "deflated: constant skew tensors"
-        else:
-            constraints = _slice_skew_constraints(pencil.space, mesh)
-            note = f"deflated: per-slice skew moments ({nslices} slices)"
+        constraints = _slice_skew_constraints(pencil.space, mesh)
+        note = ("deflated: constant skew tensors" if nslices == 1
+                else f"deflated: per-slice skew moments ({nslices} slices)")
     scale = A.diagonal().sum() / max(B.diagonal().sum(), 1e-300)
     eig, nker = linalg.count_kernel(
-        A, B, KERNEL_REL_TOL * max(scale, 1.0), deflation=deflation,
-        constraints=constraints, tol=tol,
+        A, B, KERNEL_REL_TOL * max(scale, 1.0), constraints=constraints, tol=tol,
     )
     lam = float(eig.values[0])
     if nker:
@@ -549,7 +531,7 @@ class Workspace:
     def case(self):
         if self.mesh.has_gamma_t:
             return "tangential"
-        return "simply_connected" if len(np.unique(self.mesh.slice_ids)) == 1 else "sliced"
+        return "simply_connected" if len(self.mesh.slice_labels) == 1 else "sliced"
 
     def random_tensor(self, rng):
         n = self.pencil.space.free_count
@@ -618,7 +600,7 @@ def certify_main_inequality(T, ws):
     estimate, (d) the Korn link on the curl-free part, (e) the assembled
     bound.  Margins are relative; the verdict demands all >= -slack.
     """
-    M, Asym = ws.pencil.mass, ws.pencil.sym
+    Asym = ws.pencil.sym
     chain = _Chain(T, ws)  # (a)
     R, r, nR, curl_T = chain.R, chain.r, chain.nR, chain.curl_T
 
@@ -635,44 +617,35 @@ def certify_main_inequality(T, ws):
     c_m = ws.constant("c_m").value
     chain.ineq("coexact_estimate_cm", chain.nS, c_m * curl_T)
 
-    # (d) Korn link on the curl-free part
+    # (d) Korn link on the curl-free part; without a tag-1 part R and T are
+    # shifted by the skew average of R on every slice
     case = ws.case
     c_k = ws.constant("c_k_irrot").value
-    sym_R = _mnorm(r, Asym)
     if case == "tangential":
         shift = np.zeros((3, 3))
-        lhs_d = nR
-    elif case == "simply_connected":
-        shift = hodge.project_so3(R)
-        shifted = r - hodge.constant_tensor_coeffs(T.space, shift).reshape(-1)
-        lhs_d = _mnorm(shifted, M)
+        lhs_d, lhs_e = nR, chain.nT
     else:
         _, means_R, slice_vols = hodge.slice_means(R)
-        shift = 0.5 * (means_R - np.swapaxes(means_R, 1, 2))
-        lhs_d = _piecewise_shifted_norm(nR, means_R, slice_vols, shift)
-    chain.ineq("korn_link", lhs_d, c_k * sym_R)
+        _, means_T, _ = hodge.slice_means(T)
+        skews = 0.5 * (means_R - np.swapaxes(means_R, 1, 2))
+        lhs_d = _piecewise_shifted_norm(nR, means_R, slice_vols, skews)
+        lhs_e = _piecewise_shifted_norm(chain.nT, means_T, slice_vols, skews)
+        shift = skews[0] if case == "simply_connected" else skews
+    chain.ineq("korn_link", lhs_d, c_k * _mnorm(r, Asym))
 
-    # (e) assembled bound
+    # (e) assembled bound; a piecewise shift loses the orthogonality, so the
+    # weaker combined constant applies on several slices
     sym_T = _mnorm(chain.t, Asym)
     seminorm = float(np.sqrt(sym_T**2 + curl_T**2))
     c_hat, c_tilde = derived_bounds(c_k, c_m)
-    if case == "tangential":
-        chain.ineq("assembled_bound", chain.nT, c_hat * seminorm)
-    elif case == "simply_connected":
-        shifted = chain.t - hodge.constant_tensor_coeffs(T.space, shift).reshape(-1)
-        chain.ineq("assembled_bound", _mnorm(shifted, M), c_hat * seminorm)
-        # the skew average of T equals the one of its curl-free part
-        s_T = hodge.project_so3(TensorField(T.space, T.rows))
+    chain.ineq("assembled_bound", lhs_e, (c_tilde if case == "sliced" else c_hat) * seminorm)
+    if case == "simply_connected":
+        # the skew average of T equals the one of its curl-free part (on
+        # several slices they differ: the coexact part has zero mean only
+        # globally)
+        s_T = 0.5 * (means_T[0] - means_T[0].T)
         denom = max(np.linalg.norm(s_T), np.linalg.norm(shift), 1e-300)
         chain.equality("skew_consistency", float(np.linalg.norm(s_T - shift)) / denom)
-    else:
-        # piecewise shift loses the orthogonality, so the weaker combined
-        # constant applies; the skew averages of T and R differ here since
-        # the coexact part only has zero mean globally
-        _, means_T, _ = hodge.slice_means(T)
-        lhs_e = _piecewise_shifted_norm(chain.nT, means_T, slice_vols, shift)
-        chain.ineq("assembled_bound", lhs_e, c_tilde * seminorm)
-
     return chain.record(case, shift)
 
 
@@ -719,7 +692,7 @@ def compute_report(mesh, tol=DEFAULT_EIG_TOL, slack=DEFAULT_SLACK,
         "tags": {
             "gamma_t_tris": int(np.sum(mesh.btri_tags == meshes.GAMMA_T)),
             "gamma_n_tris": int(np.sum(mesh.btri_tags == meshes.GAMMA_N)),
-            "slices": int(len(np.unique(mesh.slice_ids))),
+            "slices": len(mesh.slice_labels),
             "case": ws.case,
         },
         "harmonic_dim": ws.harmonics.dim,

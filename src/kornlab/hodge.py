@@ -35,6 +35,9 @@ class EdgeOperators:
 
     The edge space may be unconstrained (splits apply to any square
     integrable field); the potentials always carry the tag-1 constraint.
+    pinned_grad is the one place where the constant potentials are
+    removed: the Poisson factor, the harmonic search, the curl-free tensor
+    basis and the deflated Maxwell solve all read it.
     """
 
     edge_space: DofSpace
@@ -52,10 +55,6 @@ class EdgeOperators:
         dropped).  With one, this is grad itself.
         """
         return self.grad if self.p1_space.mesh.has_gamma_t else self.grad[:, 1:]
-
-    def pinned_coords(self, p):
-        """Coordinates of a potential p in the columns of pinned_grad."""
-        return p if self.pinned_grad is self.grad else p[1:] - p[0]
 
     @cached_property
     def poisson(self):
@@ -274,38 +273,28 @@ def _edge_cell_means(space, coeffs):
                      geometry(mesh).centroid_edge_values)
 
 
-def tensor_mean(T):
-    """Volume average of a TensorField, exact quadrature."""
-    mesh = T.space.mesh
-    vols = geometry(mesh).vols
-    out = np.empty((3, 3))
-    for m in range(3):
-        means = _edge_cell_means(T.space, T.rows[m])
-        out[m] = vols @ means / vols.sum()
-    return out
-
-
-def _analytic_mean(func, mesh, degree=2):
+def _analytic_cell_means(func, mesh, degree):
+    """Cell averages of an analytic function, by quadrature of the given degree."""
     from .assemble import _cell_points, _quad
 
     pts, wts, _ = _quad(degree, None)
     x = _cell_points(mesh, pts)
     vals = np.asarray(func(x.reshape(-1, 3)), dtype=float)
     vals = vals.reshape(x.shape[0], x.shape[1], *vals.shape[1:])
+    return 6.0 * np.tensordot(wts, vals, axes=(0, 1))  # reference weights sum to 1/6
+
+
+def _analytic_mean(func, mesh, degree=2):
     vols = geometry(mesh).vols
-    w = 6.0 * np.einsum("t,q->tq", vols, wts)
-    return np.tensordot(w, vals, axes=([0, 1], [0, 1])) / vols.sum()
+    return np.tensordot(vols, _analytic_cell_means(func, mesh, degree), axes=1) / vols.sum()
 
 
 def project_so3(T, mesh=None, degree=2):
-    """Skew part of the volume average: the projection onto constant skews."""
-    if isinstance(T, TensorField):
-        mean = tensor_mean(T)
-    else:
-        if mesh is None:
-            raise ValueError("analytic input needs a mesh")
-        mean = _analytic_mean(T, mesh, degree)
-    return 0.5 * (mean - mean.T)
+    """Skew part of the volume average: the projection onto constant skews.
+
+    The one-slice case of piecewise_skew (every cell carries label 0).
+    """
+    return piecewise_skew(T, 0, mesh, degree)[1][0]
 
 
 @dataclass
@@ -357,7 +346,8 @@ def slice_means(T, slice_ids=None, mesh=None, degree=2):
     """Per-slice volume averages: (labels, means, volumes), means[j] (3,3).
 
     T is a TensorField or an analytic evaluator (n,3) -> (n,3,3); analytic
-    inputs may be discontinuous across slices.
+    inputs may be discontinuous across slices.  slice_ids is a label per
+    cell, or one label for every cell; by default the mesh's own.
     """
     if isinstance(T, TensorField):
         mesh = T.space.mesh
@@ -367,16 +357,9 @@ def slice_means(T, slice_ids=None, mesh=None, degree=2):
     else:
         if mesh is None:
             raise ValueError("analytic input needs a mesh")
-        from .assemble import _cell_points, _quad
-
-        pts, wts, _ = _quad(degree, None)
-        x = _cell_points(mesh, pts)
-        vals = np.asarray(T(x.reshape(-1, 3)), dtype=float).reshape(
-            x.shape[0], x.shape[1], 3, 3
-        )
-        cell_means = 6.0 * np.einsum("q,tqab->tab", wts, vals)  # per unit volume
-    ids = mesh.slice_ids if slice_ids is None else np.asarray(slice_ids)
+        cell_means = _analytic_cell_means(T, mesh, degree)
     vols = geometry(mesh).vols
+    ids = mesh.slice_ids if slice_ids is None else np.broadcast_to(slice_ids, vols.shape)
     labels = np.unique(ids)
     volumes = np.zeros(len(labels))
     means = np.zeros((len(labels), 3, 3))

@@ -160,6 +160,11 @@ class Mesh:
         """Whether the tag-1 (tangential) boundary part is nonempty."""
         return bool(np.any(self.btri_tags == GAMMA_T))
 
+    @cached_property
+    def slice_labels(self):
+        """Sorted distinct slice labels; slice_ids is read-only, so this is cached."""
+        return np.unique(self.slice_ids)
+
     def retag(self, tags):
         """Copy of the mesh with boundary tags replaced (length K array or scalar)."""
         new_tags = np.broadcast_to(np.asarray(tags, dtype=np.int64), (len(self.btris),))
@@ -404,7 +409,7 @@ def validate(mesh):
         raise InvalidMesh("slice ids must be non-negative")
 
     # each slice edge-connected
-    for s in np.unique(mesh.slice_ids):
+    for s in mesh.slice_labels:
         cells = np.nonzero(mesh.slice_ids == s)[0]
         if not _cells_edge_connected(mesh, cells):
             raise InvalidMesh(f"slice {s} is not edge-connected")
@@ -412,7 +417,7 @@ def validate(mesh):
     # advisory: with tag-1 boundary present, every slice should touch it
     if len(mesh.tagged_faces(GAMMA_T)):
         tagged_verts = set(mesh.tagged_vertices(GAMMA_T).tolist())
-        for s in np.unique(mesh.slice_ids):
+        for s in mesh.slice_labels:
             verts = set(np.unique(mesh.tets[mesh.slice_ids == s]).tolist())
             if not (verts & tagged_verts):
                 warnings.append(

@@ -66,10 +66,14 @@ def test_constants_json_roundtrip_17_digits(tmp_path):
     assert list(_walk_floats(rep2)) == floats
 
 
-def test_determinism_byte_identical(tmp_path):
+@pytest.mark.parametrize("mesh", [
+    ["--primitive", "slab_mixed"],
+    ["--primitive", "unit_cube", "--gamma-t", "none"],
+    ["--primitive", "cube_with_tunnel"],
+], ids=["tangential", "simply_connected", "sliced"])
+def test_determinism_byte_identical(tmp_path, mesh):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
-    args = ["constants", "--primitive", "slab_mixed", "--n", "2",
-            "--deterministic", "--certify-samples", "3"]
+    args = ["constants", *mesh, "--n", "2", "--deterministic", "--certify-samples", "3"]
     assert run(args + ["--out", str(a)]) == EXIT_OK
     assert run(args + ["--out", str(b)]) == EXIT_OK
     assert a.read_bytes() == b.read_bytes()
@@ -140,6 +144,17 @@ def test_usage_errors():
     assert run(["bogus"]) == EXIT_USAGE
     assert run(["constants", "--unknown-flag"]) == EXIT_USAGE
     assert run([]) == EXIT_USAGE
+
+
+def test_sample_counts_out_of_range_are_usage_errors(tmp_path, capsys):
+    out = tmp_path / "r.json"
+    for argv, flag in ((["certify", "--samples", "0"], "--samples"),
+                       (["certify", "--samples", "-3"], "--samples"),
+                       (["constants", "--certify-samples", "-2", "--out", str(out)],
+                        "--certify-samples")):
+        assert run(argv + ["--primitive", "unit_cube", "--n", "2"]) == EXIT_USAGE
+        assert f"argument {flag}:" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_missing_mesh_source_is_error(tmp_path):

@@ -334,7 +334,7 @@ def test_weighted_korn_variable_coefficient():
     ops = hodge.edge_operators(mesh)
     harm = hodge.harmonic_basis(mesh, ops)
     pencil = cst.tensor_pencil(mesh, ops, F)
-    W, _ = cst._curlfree_basis(ops, harm)
+    W = cst._curlfree_basis(ops, harm)
     import scipy.linalg as sla
 
     A = (W.T @ (pencil.sym @ W)).toarray()
@@ -430,6 +430,45 @@ def test_slice_skew_constraint_rows():
             expected = vol * float(np.tensordot(J, S))
             assert rows[k] @ x == pytest.approx(expected, rel=1e-12, abs=1e-14)
             k += 1
+
+
+# (c_direct, c_k_irrot) on the untagged meshes, computed with the one-slice
+# constant skews deflated B-orthogonally, an independent route to the same
+# quotient.  Paths: c_direct has 57 (dense), 294, 1812 and 1968 dofs;
+# c_k_irrot 21 and 78 (dense), 372 and 2 x 240.
+SKEW_QUOTIENT_VALUES = {
+    ("unit_cube", 1): (1.7030013592650635, 1.690308509457033),
+    ("unit_cube", 2): (1.9153888860113804, 1.8886770037929672),
+    ("unit_cube", 4): (2.2227451765002115, 2.1934639576776593),
+    ("cube_with_tunnel", 2): (4.880950377999442, 4.780098150721387),
+}
+
+
+@pytest.mark.parametrize("kind, n", list(SKEW_QUOTIENT_VALUES))
+def test_skew_quotient_is_per_slice_rows(kind, n, monkeypatch):
+    mesh = generate_primitive(kind, n).retag(0)
+    nslices = len(mesh.slice_labels)
+    calls = []
+    real = linalg.eig_smallest
+
+    def spy(A, B, k=1, deflation=None, constraints=None, **kw):
+        calls.append((A.shape[0], k, deflation, np.shape(constraints)))
+        return real(A, B, k, deflation, constraints, **kw)
+
+    monkeypatch.setattr(linalg, "eig_smallest", spy)
+    direct, _ = cst.direct_main_constant(mesh)
+    assert calls == [(direct.dim, 1, None, (3 * nslices, direct.dim))]
+    calls.clear()
+    irrot = cst.korn_constant_irrotational(mesh)
+    # the harmonic searches (batches of 4, gradients deflated) are not pencils
+    pencils = [c for c in calls if c[1] == 1]
+    assert len(pencils) == nslices  # one slice-local pencil per slice
+    assert sum(dim for dim, *_ in pencils) == irrot.dim
+    for dim, _, deflation, shape in pencils:
+        assert deflation is None and shape == (3, dim)
+    expected_direct, expected_irrot = SKEW_QUOTIENT_VALUES[kind, n]
+    assert direct.value == pytest.approx(expected_direct, rel=1e-12)
+    assert irrot.value == pytest.approx(expected_irrot, rel=1e-12)
 
 
 def test_rotation_invariance():

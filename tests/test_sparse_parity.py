@@ -67,8 +67,8 @@ def test_forced_sparse_matches_dense(kind, gamma_t, monkeypatch):
 
 
 def test_forced_sparse_constrained_tunnel_direct(monkeypatch):
-    # per-slice skew-moment constraints: the case the projected Lanczos got
-    # wrong (0.0419685 against 0.0419750)
+    # per-slice skew-moment constraints on the shift-invert ARPACK path,
+    # checked against a forced-dense solve and the oracle's eigenvalue
     mesh = generate_primitive("cube_with_tunnel", 2)
     monkeypatch.setattr(linalg, "DENSE_CROSSOVER", FORCED_DENSE)
     dense, _ = constants.direct_main_constant(mesh)
