@@ -5,6 +5,13 @@ exactly in Edge0 and curl Edge0 exactly in Face0; every quadratic form
 needed by the inequality eigenproblems is assembled here.  Symmetric forms
 are symmetrized after scatter, constraints are applied by elimination
 (rows/columns of eliminated dofs dropped, folded groups summed).
+
+The Whitney bases are affine per cell, so each form is a polynomial of
+known degree and is integrated by the lowest rule exact for it: the mass
+and strain forms are quadratic and take the 4-point rule, a coefficient of
+degree d raises that to 2 + 2d.  quad_order only raises the rule.  Only
+integrands that are not known to be polynomial (a coefficient or an
+analytic field without a degree) take the DEFAULT_QUAD_DEGREE floor.
 """
 
 import warnings
@@ -17,6 +24,8 @@ import scipy.sparse as sp
 from .quadrature import barycentric, tet_rule
 from .spaces import Field, TensorField
 
+# rule degree for integrands that are not known to be polynomial; polynomial
+# forms integrate at their own degree
 DEFAULT_QUAD_DEGREE = 4
 
 _LOC_EDGES = np.array([(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
@@ -33,7 +42,8 @@ class MatrixCoefficient:
 
     evaluator maps (n,3) points to (n,3,3) matrices; degree is the
     polynomial degree per cell (None for non-polynomial evaluators, which
-    integrate at the configured quadrature order with a warning).
+    integrate at DEFAULT_QUAD_DEGREE, or a higher quad_order, with a
+    warning).
     """
 
     evaluator: callable
@@ -182,8 +192,7 @@ def _scatter(loc, rows_dofs, cols_dofs, shape, symmetrize):
 
 
 def _quad(degree, quad_order):
-    deg = max(degree, DEFAULT_QUAD_DEGREE if quad_order is None else quad_order)
-    pts, wts = tet_rule(deg)
+    pts, wts = tet_rule(degree if quad_order is None else max(degree, quad_order))
     return pts, wts, barycentric(pts)
 
 
@@ -345,11 +354,12 @@ def _coeff_quaddeg(coeff):
         return 2
     if coeff.degree is None:
         warnings.warn(
-            "non-polynomial coefficient: integrating at the configured "
-            "quadrature order, result is approximate",
+            "non-polynomial coefficient: integrating at degree "
+            f"{DEFAULT_QUAD_DEGREE} or the configured quadrature order, "
+            "result is approximate",
             QuadratureWarning,
         )
-        return 2
+        return DEFAULT_QUAD_DEGREE
     return 2 + 2 * coeff.degree
 
 
@@ -492,10 +502,13 @@ def evaluate_norms(obj, which, quad_order=None):
     .jacobian(pts); a .degree attribute makes the quadrature exact.
     """
     requested = list(which)
-    mesh = obj.space.mesh if isinstance(obj, (Field, TensorField)) else obj.mesh
+    if isinstance(obj, (Field, TensorField)):
+        mesh, deg = obj.space.mesh, 2  # lowest-order fields are affine per cell
+    else:
+        degree = getattr(obj, "degree", None)
+        mesh, deg = obj.mesh, DEFAULT_QUAD_DEGREE if degree is None else 2 * degree
     geom = geometry(mesh)
-    degree = getattr(obj, "degree", None)
-    pts, wts, lam = _quad(2 * degree if degree is not None else 2, quad_order)
+    pts, wts, lam = _quad(deg, quad_order)
     w_phys = 6.0 * np.einsum("t,q->tq", geom.vols, wts)
     q = _pointwise(obj, mesh, geom, lam, pts)
 

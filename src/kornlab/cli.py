@@ -55,8 +55,9 @@ def _add_mesh_source(p):
 def _add_solver_opts(p):
     p.add_argument(
         "--quad-order", type=int, default=None,
-        help="quadrature order of the strain forms; harmonics and decompose assemble "
-             "only edge forms, which are exact at every order, so it does not change them",
+        help="raise the quadrature order; every unweighted form and every weight of known "
+             "degree (--weight-scale has degree 0) is already integrated exactly, so it "
+             "only changes forms weighted by a coefficient of unknown degree",
     )
     p.add_argument("--tol", type=float, default=consts.DEFAULT_EIG_TOL)
     p.add_argument("--deflation-tol", type=float, default=1e-8)

@@ -169,10 +169,12 @@ class TensorPencil:
 def tensor_pencil(mesh, ops=None, coeff=None, quad_order=None):
     """Row-blocked mass, (weighted) strain and curl-curl forms on Edge0^3.
 
-    The mass and curl-curl blocks reuse the edge matrices of ops (their
-    integrands have degree at most 2, so every quadrature order is
-    exact); only the strain form couples the rows and is assembled here,
-    at quad_order.
+    The mass and curl-curl blocks reuse the edge matrices of ops; only the
+    strain form couples the rows and is assembled here.  Every integrand
+    is a polynomial of degree at most 2 (2 + 2d with a coefficient of
+    degree d), integrated exactly by the rule of that degree, so
+    quad_order (which only raises the rule) changes no value unless the
+    coefficient's degree is unknown.
     """
     ops = ops or hodge.edge_operators(mesh)
     e0 = ops.edge_space
@@ -271,9 +273,13 @@ def maxwell_constant(mesh, tol=DEFAULT_EIG_TOL, ops=None, harmonics=None,
 
 
 def derived_bounds(c_k, c_m):
-    """The two combined constants of the main estimate."""
-    if c_k <= 0 or c_m <= 0:
-        raise ValueError("derived bounds need positive inputs")
+    """The two combined constants of the main estimate.
+
+    c_k = 0 (an empty curl-free space, EmptySpace) makes the Korn link
+    vacuous, and the bounds reduce to c_hat = c_m, c_tilde = sqrt(2) c_m.
+    """
+    if c_k < 0 or c_m <= 0:
+        raise ValueError("derived bounds need c_k >= 0 and c_m > 0")
     c_hat = max(np.sqrt(2.0) * c_k, c_m * np.sqrt(1.0 + 2.0 * c_k**2))
     c_tilde = np.sqrt(2.0) * max(c_k, c_m * (1.0 + c_k))
     assert c_tilde >= c_hat * (1.0 - 1e-15)
@@ -387,8 +393,9 @@ def korn_constant_weighted(mesh, F, tol=DEFAULT_EIG_TOL, ops=None, harmonics=Non
 
 
 def derived_bound_weighted(c_k_F, c_m, c_F):
-    if min(c_k_F, c_m, c_F) <= 0:
-        raise ValueError("derived bounds need positive inputs")
+    """The weighted combined constant; c_k_F = 0 is allowed as in derived_bounds."""
+    if c_k_F < 0 or c_m <= 0 or c_F <= 0:
+        raise ValueError("derived bounds need c_k_F >= 0, c_m > 0 and c_F > 0")
     return max(
         np.sqrt(2.0) * c_k_F, c_m * np.sqrt(1.0 + 2.0 * c_k_F**2 * c_F**2)
     )
@@ -521,7 +528,7 @@ class Workspace:
         key = id(weight)
         if key not in self._weighted:
             c_F, mu = matrix_coefficient_norm(weight, self.mesh)  # validates det F > 0
-            pencil = tensor_pencil(self.mesh, self.ops, weight)
+            pencil = tensor_pencil(self.mesh, self.ops, weight, self.quad_order)
             rec = korn_constant_irrotational(self.mesh, self.tol, self.ops, self.harmonics,
                                              coeff=weight, name="c_k_F", pencil=pencil)
             self._weighted[key] = (weight, WeightedWork(c_F, mu, rec, pencil))

@@ -274,10 +274,14 @@ def _edge_cell_means(space, coeffs):
 
 
 def _analytic_cell_means(func, mesh, degree):
-    """Cell averages of an analytic function, by quadrature of the given degree."""
-    from .assemble import _cell_points, _quad
+    """Cell averages of an analytic function, by quadrature of the given degree.
 
-    pts, wts, _ = _quad(degree, None)
+    The function need not be polynomial, so the degree is raised to the
+    DEFAULT_QUAD_DEGREE floor.
+    """
+    from .assemble import DEFAULT_QUAD_DEGREE, _cell_points, _quad
+
+    pts, wts, _ = _quad(max(degree, DEFAULT_QUAD_DEGREE), None)
     x = _cell_points(mesh, pts)
     vals = np.asarray(func(x.reshape(-1, 3)), dtype=float)
     vals = vals.reshape(x.shape[0], x.shape[1], *vals.shape[1:])

@@ -1,17 +1,21 @@
 import gc
+import importlib
 import weakref
 
 import numpy as np
 import pytest
 
+from kornlab import hodge
 from kornlab.assemble import (
+    DEFAULT_QUAD_DEGREE,
     MatrixCoefficient,
+    QuadratureWarning,
     assemble,
     evaluate_norms,
     export_matrix,
     identity_coefficient,
 )
-from kornlab.constants import Workspace
+from kornlab.constants import Workspace, compute_report
 from kornlab.meshes import generate_primitive
 from kornlab.polynomials import PolyField, Poly3
 from kornlab.spaces import Field, TensorField, build_space, interpolate
@@ -258,3 +262,78 @@ def test_dropped_mesh_freed_without_cyclic_collector():
         assert ref() is None
     finally:
         gc.enable()
+
+
+asm = importlib.import_module("kornlab.assemble")  # the package exports the function too
+
+_A = np.array([[1.0, 2.0, -0.5], [0.3, -1.0, 0.7], [1.1, 0.2, 0.4]])
+
+
+def _affine_coefficient():
+    """A degree-1 matrix field F(x) = I + x0 A + x1 A^T - x2 I."""
+    return MatrixCoefficient(
+        lambda pts: np.eye(3) + pts[:, 0, None, None] * _A
+        + pts[:, 1, None, None] * _A.T - pts[:, 2, None, None] * np.eye(3),
+        degree=1,
+    )
+
+
+def _spy_rules(monkeypatch):
+    degrees = []
+    real = asm.tet_rule
+
+    def spy(degree):
+        degrees.append(degree)
+        return real(degree)
+
+    monkeypatch.setattr(asm, "tet_rule", spy)
+    return degrees
+
+
+def test_forms_request_their_exact_rule(cube2, monkeypatch):
+    degrees = _spy_rules(monkeypatch)
+    ws = Workspace(cube2)
+    for name in ("c_p", "c_k_s", "c_k_t", "c_k_irrot", "c_m", "c_direct"):
+        ws.constant(name)
+    assert degrees and max(degrees) == 2
+    degrees.clear()
+    compute_report(cube2, quad_order=8)
+    assert 8 in degrees
+    degrees.clear()
+    F = MatrixCoefficient(_affine_coefficient().evaluator, degree=None)
+    with pytest.warns(QuadratureWarning):
+        assemble("tensor_symF", build_space(cube2, "Edge0"), coeff=F)
+    assert degrees == [DEFAULT_QUAD_DEGREE]
+
+
+@pytest.mark.parametrize("kind, n", [("unit_cube", 2), ("cube_with_tunnel", 1)])
+def test_default_rule_exact_for_polynomial_forms(kind, n):
+    mesh = generate_primitive(kind, n)
+    e0, f0 = build_space(mesh, "Edge0"), build_space(mesh, "Face0")
+    pv = build_space(mesh, "P1_vector", "gamma_t")
+    cases = [
+        ("mass", e0, None),
+        ("mass", f0, None),
+        ("tensor_sym", e0, None),
+        ("tensor_symF", e0, identity_coefficient(1.5)),
+        ("tensor_symF", e0, _affine_coefficient()),
+        ("symF", pv, identity_coefficient(1.5)),
+        ("symF", pv, _affine_coefficient()),
+    ]
+    for form, space, coeff in cases:
+        default = assemble(form, space, coeff=coeff).toarray()
+        fine = assemble(form, space, coeff=coeff, quad_order=8).toarray()
+        assert np.abs(default - fine).max() <= 1e-13 * np.abs(fine).max(), form
+
+
+def test_nonpolynomial_analytic_integrands_keep_the_floor(cube2):
+    # values of the degree-4 rule; the 4-point rule misses them by ~5e-5
+    def field(pts):
+        return np.exp(pts[:, 0] - 2.0 * pts[:, 1] * pts[:, 2])[:, None, None] * _A[None]
+
+    S = hodge.project_so3(field, mesh=cube2)
+    expected = [0.96341812954404, -0.9067464748649787, 0.28335827339530606]
+    assert S[[0, 0, 1], [1, 2, 2]] == pytest.approx(expected, rel=1e-14)
+    norms = evaluate_norms(AnalyticField(cube2, field), ["L2", "sym"])
+    assert norms["L2"] == pytest.approx(12.946192466479328, rel=1e-14)
+    assert norms["sym"] == pytest.approx(8.468443858534414, rel=1e-14)

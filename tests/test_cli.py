@@ -88,6 +88,23 @@ def test_certify_exit_zero(tmp_path):
     assert rep["verdicts"]["all_true"]
 
 
+def test_certify_all_tagged_single_cell_cube(tmp_path):
+    # every vertex carries tag 1, so the curl-free space is empty (c_k_irrot
+    # is EmptySpace, 0) and the Korn link is vacuous: c_hat = c_m
+    out = tmp_path / "cert.json"
+    assert run(["certify", "--primitive", "unit_cube", "--n", "1",
+                "--samples", "3", "--out", str(out)]) == EXIT_OK
+    assert json.loads(out.read_text())["verdicts"]["all_true"]
+    rep_path = tmp_path / "rep.json"
+    assert run(["constants", "--primitive", "unit_cube", "--n", "1",
+                "--out", str(rep_path)]) == EXIT_OK
+    rep = json.loads(rep_path.read_text())
+    assert rep["c_k_irrot"]["value"] == 0.0
+    assert rep["c_hat"] == rep["c_m"]["value"]
+    assert rep["c_direct"]["value"] <= rep["c_hat"]
+    assert rep["orderings"]["direct_le_derived"]
+
+
 def test_identities_csv(tmp_path):
     out = tmp_path / "idn.csv"
     code = run(["identities", "--fields", "2", "--alphas", "3", "--degree", "3",

@@ -175,6 +175,12 @@ def test_derived_bounds_formula():
         assert ct >= ch * (1 - 1e-14)
     with pytest.raises(ValueError):
         cst.derived_bounds(-1.0, 1.0)
+    # an empty curl-free space (c_k = 0) leaves the Maxwell link alone
+    assert cst.derived_bounds(0.0, 2.0) == (2.0, pytest.approx(2.0 * SQRT2, rel=1e-15))
+    assert cst.derived_bound_weighted(0.0, 2.0, 3.0) == 2.0
+    for bad in ((-1.0, 1.0, 1.0), (1.0, 0.0, 1.0), (1.0, 1.0, 0.0)):
+        with pytest.raises(ValueError):
+            cst.derived_bound_weighted(*bad)
 
 
 def test_direct_constant_bounded_by_derived(cube3_ws, slab2_ws, tunnel_ws):
