@@ -9,9 +9,10 @@ are symmetrized after scatter, constraints are applied by elimination
 The Whitney bases are affine per cell, so each form is a polynomial of
 known degree and is integrated by the lowest rule exact for it: the mass
 and strain forms are quadratic and take the 4-point rule, a coefficient of
-degree d raises that to 2 + 2d.  quad_order only raises the rule.  Only
-integrands that are not known to be polynomial (a coefficient or an
-analytic field without a degree) take the DEFAULT_QUAD_DEGREE floor.
+degree d raises that to 2 + 2d.  Only integrands that are not known to
+be polynomial (a coefficient or an analytic field without a degree) take
+the DEFAULT_QUAD_DEGREE floor.  The quad_order argument of assemble and
+evaluate_norms raises the rule further; it matters only for those.
 """
 
 import warnings
@@ -42,8 +43,8 @@ class MatrixCoefficient:
 
     evaluator maps (n,3) points to (n,3,3) matrices; degree is the
     polynomial degree per cell (None for non-polynomial evaluators, which
-    integrate at DEFAULT_QUAD_DEGREE, or a higher quad_order, with a
-    warning).
+    integrate at DEFAULT_QUAD_DEGREE, or at assemble's quad_order when that
+    is higher, with a warning).
     """
 
     evaluator: callable
@@ -219,9 +220,9 @@ def _vector_block(loc4):
     return out
 
 
-def _symgrad_local(geom, hmat=None):
-    """<sym(Ju), sym(Jv)> for P1_vector; hmat (T,4,3) replaces the gradients."""
-    g = geom.grads if hmat is None else hmat
+def _symgrad_local(geom):
+    """<sym(Ju), sym(Jv)> for P1_vector."""
+    g = geom.grads
     gg = np.einsum("tid,tjd->tij", g, g)
     T = g.shape[0]
     out = np.empty((T, 12, 12))
@@ -327,7 +328,7 @@ def assemble(form, trial, test=None, coeff=None, quad_order=None):
     elif form == "symF":
         if fam != "P1_vector":
             raise ValueError("symF needs P1_vector")
-        loc = _coeff_sym_local(geom, mesh, coeff, quad_order, basis="p1")
+        loc = _coeff_sym_local(geom, mesh, coeff, quad_order)
     elif form == "tensor_mass":
         return sp.block_diag([assemble("mass", trial, quad_order=quad_order)] * 3).tocsr()
     elif form == "tensor_curlcurl":
@@ -355,7 +356,7 @@ def _coeff_quaddeg(coeff):
     if coeff.degree is None:
         warnings.warn(
             "non-polynomial coefficient: integrating at degree "
-            f"{DEFAULT_QUAD_DEGREE} or the configured quadrature order, "
+            f"{DEFAULT_QUAD_DEGREE} (or assemble's quad_order, if higher), "
             "result is approximate",
             QuadratureWarning,
         )
@@ -363,7 +364,7 @@ def _coeff_quaddeg(coeff):
     return 2 + 2 * coeff.degree
 
 
-def _coeff_sym_local(geom, mesh, coeff, quad_order, basis):
+def _coeff_sym_local(geom, mesh, coeff, quad_order):
     pts, wts, lam = _quad(_coeff_quaddeg(coeff), quad_order)
     x = _cell_points(mesh, pts)  # (T,Q,3)
     T, Q = x.shape[0], x.shape[1]

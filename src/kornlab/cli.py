@@ -44,7 +44,7 @@ def _count(minimum):
 def _add_mesh_source(p):
     p.add_argument("--mesh", help="kornmesh file")
     p.add_argument("--primitive", choices=["unit_cube", "slab_mixed", "cube_with_tunnel"])
-    p.add_argument("--n", type=int, default=1, help="subdivision count")
+    p.add_argument("--n", type=_count(1), default=1, help="subdivision count")
     p.add_argument(
         "--gamma-t",
         default=None,
@@ -53,14 +53,7 @@ def _add_mesh_source(p):
 
 
 def _add_solver_opts(p):
-    p.add_argument(
-        "--quad-order", type=int, default=None,
-        help="raise the quadrature order; every unweighted form and every weight of known "
-             "degree (--weight-scale has degree 0) is already integrated exactly, so it "
-             "only changes forms weighted by a coefficient of unknown degree",
-    )
     p.add_argument("--tol", type=float, default=consts.DEFAULT_EIG_TOL)
-    p.add_argument("--deflation-tol", type=float, default=1e-8)
     p.add_argument("--deterministic", action="store_true")
 
 
@@ -71,7 +64,7 @@ def build_parser():
     p = sub.add_parser("gen", help="generate a primitive mesh")
     p.add_argument("--primitive", required=True,
                    choices=["unit_cube", "slab_mixed", "cube_with_tunnel"])
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_count(1), required=True)
     p.add_argument("--gamma-t", default=None)
     p.add_argument("--out", required=True)
 
@@ -202,7 +195,7 @@ def _cmd_validate(args):
 def _cmd_constants(args):
     mesh = _load_mesh(args)
     weight = (
-        identity_coefficient(args.weight_scale) if args.weight_scale else None
+        identity_coefficient(args.weight_scale) if args.weight_scale is not None else None
     )
     report = consts.compute_report(
         mesh,
@@ -210,8 +203,6 @@ def _cmd_constants(args):
         weight=weight,
         certify_samples=args.certify_samples,
         seed=args.seed,
-        quad_order=args.quad_order,
-        deflation_tol=args.deflation_tol,
     )
     report["deterministic"] = bool(args.deterministic)
     reports.emit_report(report, args.out, args.format)
@@ -222,7 +213,7 @@ def _cmd_constants(args):
 def _cmd_harmonics(args):
     mesh = _load_mesh(args)
     ops = hodge.edge_operators(mesh)
-    basis = hodge.harmonic_basis(mesh, ops, rel_tol=args.deflation_tol, tol=args.tol)
+    basis = hodge.harmonic_basis(mesh, ops, tol=args.tol)
     M = ops.mass
     gram = basis.fields @ (M @ basis.fields.T) if basis.dim else np.zeros((0, 0))
     ortho = float(np.abs(gram - np.eye(basis.dim)).max()) if basis.dim else 0.0
@@ -241,7 +232,7 @@ def _cmd_harmonics(args):
 def _cmd_decompose(args):
     mesh = _load_mesh(args)
     ops = hodge.edge_operators(mesh)
-    basis = hodge.harmonic_basis(mesh, ops, rel_tol=args.deflation_tol, tol=args.tol)
+    basis = hodge.harmonic_basis(mesh, ops, tol=args.tol)
     rng = np.random.default_rng(args.seed)
     v = Field(ops.edge_space, rng.standard_normal(ops.edge_space.free_count))
     split = hodge.helmholtz_split(v, basis, ops)
@@ -261,8 +252,7 @@ def _cmd_decompose(args):
 def _cmd_certify(args):
     mesh = _load_mesh(args)
     report = consts.compute_report(
-        mesh, tol=args.tol, certify_samples=args.samples, seed=args.seed,
-        quad_order=args.quad_order, deflation_tol=args.deflation_tol,
+        mesh, tol=args.tol, certify_samples=args.samples, seed=args.seed
     )
     report["deterministic"] = bool(args.deterministic)
     verdicts = report["verdicts"]
@@ -335,8 +325,7 @@ def _cmd_study(args):
     for n in levels:
         mesh = meshes.generate_primitive(args.primitive, n)
         mesh = _apply_selector(mesh, args.gamma_t)
-        ws = consts.Workspace(mesh, tol=args.tol, quad_order=args.quad_order,
-                              deflation_tol=args.deflation_tol)
+        ws = consts.Workspace(mesh, tol=args.tol)
         rows.append(
             (
                 n,

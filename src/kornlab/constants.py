@@ -16,13 +16,16 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import hodge, linalg, meshes
-from .assemble import assemble, geometry, tet_rule
+from .assemble import DEFAULT_QUAD_DEGREE, assemble, geometry, tet_rule
 from .hodge import SO3_BASIS
 from .spaces import TensorField, build_space
 
 DEFAULT_EIG_TOL = 1e-10
 DEFAULT_SLACK = 1e-8  # certification margins absorb eigensolver error
 KERNEL_REL_TOL = 1e-10
+# largest eigenpair residual a constant accepts, in units of max(tol, 1e-12) *
+# lambda; correct pairs stay below 1e-11 * lambda
+RESIDUAL_FACTOR = 1e4
 
 
 class KernelError(RuntimeError):
@@ -42,13 +45,19 @@ class ConstantRecord:
         return {k: v for k, v in asdict(self).items() if k != "name"}
 
 
-def _record(name, eig, dim, note=None):
+def _record(name, eig, dim, tol, note=None):
+    """1/sqrt(lambda) of the smallest pair; a pair that does not solve its
+    pencil (see RESIDUAL_FACTOR) raises linalg.SolverError."""
     lam = float(eig.values[0])
     if lam <= 0:
         raise KernelError(f"{name}: nonpositive smallest eigenvalue {lam:.3e}")
-    return ConstantRecord(
-        name, 1.0 / np.sqrt(lam), lam, float(eig.residuals[0]), dim, note
-    )
+    res = float(eig.residuals[0])
+    if res > RESIDUAL_FACTOR * max(tol, 1e-12) * lam:
+        raise linalg.SolverError(
+            f"{name}: eigenpair residual {res:.3e} at lambda = {lam:.6e} exceeds "
+            f"{RESIDUAL_FACTOR:.0e} * max(tol, 1e-12) * lambda"
+        )
+    return ConstantRecord(name, 1.0 / np.sqrt(lam), lam, res, dim, note)
 
 
 def _empty(name):
@@ -74,7 +83,7 @@ def poincare_constant(mesh, tol=DEFAULT_EIG_TOL, ops=None):
     if not mesh.has_gamma_t:
         deflation = np.ones((p1.free_count, 1))  # pure Neumann: mean-zero
     eig = linalg.eig_smallest(A, B, k=1, deflation=deflation, tol=tol)
-    return _record("c_p", eig, p1.free_count)
+    return _record("c_p", eig, p1.free_count, tol)
 
 
 def _rotation_fields(space):
@@ -121,7 +130,7 @@ def korn_constant_standard(mesh, tol=DEFAULT_EIG_TOL):
         # left in the deflated pencil is worth surfacing
         note = (f"deflated: translations and rotations; strain kernel dim {6 + nker}"
                 + (" (EXCEEDS the 6 rigid modes)" if nker else ""))
-    return _record("c_k_s", eig, pv.free_count, note)
+    return _record("c_k_s", eig, pv.free_count, tol, note)
 
 
 def korn_constant_tangential(mesh, tol=DEFAULT_EIG_TOL):
@@ -135,7 +144,7 @@ def korn_constant_tangential(mesh, tol=DEFAULT_EIG_TOL):
     B = assemble("grad", pv)
     deflation = _translation_fields(pv)  # global constants, kernel of B
     eig = linalg.eig_smallest(A, B, k=1, deflation=deflation, tol=tol)
-    return _record("c_k_t", eig, pv.free_count, "constants quotiented")
+    return _record("c_k_t", eig, pv.free_count, tol, "constants quotiented")
 
 
 # --------------------------------------------------------------------------
@@ -166,27 +175,21 @@ class TensorPencil:
     curlcurl: sp.csr_matrix
 
 
-def tensor_pencil(mesh, ops=None, coeff=None, quad_order=None):
+def tensor_pencil(mesh, ops=None, coeff=None):
     """Row-blocked mass, (weighted) strain and curl-curl forms on Edge0^3.
 
     The mass and curl-curl blocks reuse the edge matrices of ops; only the
     strain form couples the rows and is assembled here.  Every integrand
     is a polynomial of degree at most 2 (2 + 2d with a coefficient of
-    degree d), integrated exactly by the rule of that degree, so
-    quad_order (which only raises the rule) changes no value unless the
-    coefficient's degree is unknown.
+    degree d), integrated exactly by the rule of that degree; a
+    coefficient of unknown degree takes the DEFAULT_QUAD_DEGREE rule.
     """
     ops = ops or hodge.edge_operators(mesh)
     e0 = ops.edge_space
     return TensorPencil(
         e0,
         sp.block_diag([ops.mass] * 3, format="csr"),
-        assemble(
-            "tensor_sym" if coeff is None else "tensor_symF",
-            e0,
-            coeff=coeff,
-            quad_order=quad_order,
-        ),
+        assemble("tensor_sym" if coeff is None else "tensor_symF", e0, coeff=coeff),
         sp.block_diag([ops.curlcurl] * 3, format="csr"),
     )
 
@@ -234,7 +237,7 @@ def korn_constant_irrotational(mesh, tol=DEFAULT_EIG_TOL, ops=None, harmonics=No
         constraints = _slice_skew_constraints(pencil.space, mesh) @ W
         note = "deflated: constant skew tensors"
     eig = linalg.eig_smallest(A, B, k=1, constraints=constraints, tol=tol)
-    return _record(name, eig, W.shape[1], note)
+    return _record(name, eig, W.shape[1], tol, note)
 
 
 def maxwell_constant(mesh, tol=DEFAULT_EIG_TOL, ops=None, harmonics=None,
@@ -265,7 +268,7 @@ def maxwell_constant(mesh, tol=DEFAULT_EIG_TOL, ops=None, harmonics=None,
             eig = linalg.eig_smallest(
                 ops.curlcurl, ops.mass, k=1, deflation=deflation, tol=tol
             )
-        coex_rec = _record("c_m_coexact", eig, e0.free_count, "gradients deflated")
+        coex_rec = _record("c_m_coexact", eig, e0.free_count, tol, "gradients deflated")
     cm = max(grad_rec.value, coex_rec.value)
     which = "gradient" if grad_rec.value >= coex_rec.value else "coexact"
     cm_rec = ConstantRecord("c_m", cm, None, None, None, f"max attained by {which} block")
@@ -348,7 +351,7 @@ def direct_main_constant(mesh, tol=DEFAULT_EIG_TOL, ops=None, pencil=None,
             f"(lambda_min = {lam:.3e}); kernel dimension {nker}; "
             "constant skew tensors span the kernel"
         )
-    rec = _record("c_direct", eig, 3 * pencil.space.free_count, note)
+    rec = _record("c_direct", eig, 3 * pencil.space.free_count, tol, note)
     # norm equivalence |T|_{HCurl} vs the semi-norm from the same eigenvalue
     rec_equiv = float(np.sqrt(lam / (1.0 + lam)))
     return rec, rec_equiv
@@ -359,14 +362,14 @@ def direct_main_constant(mesh, tol=DEFAULT_EIG_TOL, ops=None, pencil=None,
 # --------------------------------------------------------------------------
 
 
-def matrix_coefficient_norm(F, mesh, quad_order=None):
+def matrix_coefficient_norm(F, mesh):
     """(c_F, mu_observed): max spectral norm and min determinant over the
     quadrature points and the mesh vertices (the vertices catch the
     extrema of per-cell affine coefficients)."""
     from .assemble import _cell_points
 
-    deg = F.degree if F.degree is not None else 4
-    pts, _ = tet_rule(max(deg, 2) if quad_order is None else quad_order)
+    deg = F.degree if F.degree is not None else DEFAULT_QUAD_DEGREE
+    pts, _ = tet_rule(max(deg, 2))
     x = _cell_points(mesh, pts).reshape(-1, 3)
     x = np.vstack([x, mesh.vertices])
     vals = F(x)
@@ -477,15 +480,13 @@ class Workspace:
     one eigensolve and one assembly.
     """
 
-    def __init__(self, mesh, tol=DEFAULT_EIG_TOL, slack=DEFAULT_SLACK,
-                 quad_order=None, deflation_tol=1e-8):
+    def __init__(self, mesh, tol=DEFAULT_EIG_TOL, slack=DEFAULT_SLACK):
         self.mesh = mesh
         self.tol = tol
         self.slack = slack
-        self.quad_order = quad_order
         self.ops = hodge.edge_operators(mesh)
-        self.harmonics = hodge.harmonic_basis(mesh, self.ops, rel_tol=deflation_tol, tol=tol)
-        self.pencil = tensor_pencil(mesh, self.ops, quad_order=quad_order)
+        self.harmonics = hodge.harmonic_basis(mesh, self.ops, tol=tol)
+        self.pencil = tensor_pencil(mesh, self.ops)
         self.curl_incidence = assemble(
             "curl_map", self.ops.edge_space, build_space(mesh, "Face0")
         )
@@ -528,7 +529,7 @@ class Workspace:
         key = id(weight)
         if key not in self._weighted:
             c_F, mu = matrix_coefficient_norm(weight, self.mesh)  # validates det F > 0
-            pencil = tensor_pencil(self.mesh, self.ops, weight, self.quad_order)
+            pencil = tensor_pencil(self.mesh, self.ops, weight)
             rec = korn_constant_irrotational(self.mesh, self.tol, self.ops, self.harmonics,
                                              coeff=weight, name="c_k_F", pencil=pencil)
             self._weighted[key] = (weight, WeightedWork(c_F, mu, rec, pencil))
@@ -669,10 +670,9 @@ def mesh_digest(mesh):
 
 
 def compute_report(mesh, tol=DEFAULT_EIG_TOL, slack=DEFAULT_SLACK,
-                   weight=None, certify_samples=0, seed=0, quad_order=None,
-                   deflation_tol=1e-8):
+                   weight=None, certify_samples=0, seed=0):
     """Compute every applicable constant and assemble the report dict."""
-    ws = Workspace(mesh, tol, slack, quad_order, deflation_tol)
+    ws = Workspace(mesh, tol, slack)
 
     records = {}
     for name in ("c_p", "c_k_s"):

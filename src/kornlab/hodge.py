@@ -19,6 +19,10 @@ from .assemble import assemble, geometry
 from .spaces import DofSpace, Field, TensorField, build_space
 
 HARMONIC_CAP = linalg.KERNEL_CAP  # largest harmonic dimension the search resolves
+# kernel threshold of the harmonic search relative to tr(curlcurl) / tr(mass);
+# on the built-in meshes the kernel lies below 1e-15 and the rest of the
+# spectrum above 1e-2 of that ratio
+HARMONIC_REL_TOL = 1e-8
 
 SO3_BASIS = np.array(
     [
@@ -68,9 +72,8 @@ class EdgeOperators:
         return solve if Gp is self.grad else lambda rhs: np.r_[0.0, solve(rhs[1:])]
 
 
-def edge_operators(mesh, constrain_edges=True):
-    e0 = build_space(mesh, "Edge0", "gamma_t" if constrain_edges else None)
-    return _operators_for(e0)
+def edge_operators(mesh):
+    return _operators_for(build_space(mesh, "Edge0", "gamma_t"))
 
 
 def _operators_for(edge_space):
@@ -109,7 +112,7 @@ class HarmonicBasis:
         )
 
 
-def harmonic_basis(mesh, ops=None, rel_tol=1e-8, tol=1e-10):
+def harmonic_basis(mesh, ops=None, tol=1e-10):
     """Mass-orthonormal basis of curl-free fields orthogonal to gradients.
 
     The search also yields the smallest eigenpair above the kernel, which
@@ -118,7 +121,7 @@ def harmonic_basis(mesh, ops=None, rel_tol=1e-8, tol=1e-10):
     """
     ops = ops or edge_operators(mesh)
     M = ops.mass
-    raw, coexact = _harmonic_search(ops, rel_tol, tol)
+    raw, coexact = _harmonic_search(ops, tol)
     if raw.shape[1] == 0:
         return HarmonicBasis(ops.edge_space, np.zeros((0, ops.edge_space.free_count)), ops,
                              coexact)
@@ -130,17 +133,19 @@ def harmonic_basis(mesh, ops=None, rel_tol=1e-8, tol=1e-10):
     return HarmonicBasis(ops.edge_space, fields.T, ops, coexact)
 
 
-def _harmonic_search(ops, rel_tol, tol):
+def _harmonic_search(ops, tol):
     """Near-kernel of the curl-curl pencil in the gradient complement.
 
     linalg.count_kernel (gradients deflated, batches from 4 up to
-    HARMONIC_CAP) counts the eigenvalues below the relative threshold.
+    HARMONIC_CAP) counts the eigenvalues below HARMONIC_REL_TOL relative
+    to tr(curlcurl) / tr(mass).
     Returns (kernel vectors, the first pair above the threshold).  That
     pair is mass-orthogonal to the gradients and to the kernel vectors,
     hence to the cleaned harmonic fields: it is the coexact Maxwell pair.
     """
     A, M = ops.curlcurl, ops.mass
-    threshold = rel_tol * max(A.diagonal().sum() / max(M.diagonal().sum(), 1e-300), 1e-300)
+    ratio = A.diagonal().sum() / max(M.diagonal().sum(), 1e-300)
+    threshold = HARMONIC_REL_TOL * max(ratio, 1e-300)
     eig, nker = linalg.count_kernel(A, M, threshold, k0=4, cap_name="HARMONIC_CAP",
                                     deflation=ops.pinned_grad, tol=tol)
     pair = slice(nker, nker + 1)

@@ -15,7 +15,7 @@ from kornlab.assemble import (
     export_matrix,
     identity_coefficient,
 )
-from kornlab.constants import Workspace, compute_report
+from kornlab.constants import Workspace
 from kornlab.meshes import generate_primitive
 from kornlab.polynomials import PolyField, Poly3
 from kornlab.spaces import Field, TensorField, build_space, interpolate
@@ -296,9 +296,6 @@ def test_forms_request_their_exact_rule(cube2, monkeypatch):
     for name in ("c_p", "c_k_s", "c_k_t", "c_k_irrot", "c_m", "c_direct"):
         ws.constant(name)
     assert degrees and max(degrees) == 2
-    degrees.clear()
-    compute_report(cube2, quad_order=8)
-    assert 8 in degrees
     degrees.clear()
     F = MatrixCoefficient(_affine_coefficient().evaluator, degree=None)
     with pytest.warns(QuadratureWarning):

@@ -1,10 +1,13 @@
 import json
+import re
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from kornlab import constants, hodge
-from kornlab.cli import EXIT_ERROR, EXIT_INVALID, EXIT_OK, EXIT_USAGE, run
+from kornlab.cli import EXIT_ERROR, EXIT_INVALID, EXIT_OK, EXIT_USAGE, build_parser, run
 from kornlab.meshes import generate_primitive, read_mesh, write_mesh
 from kornlab.reports import dumps_json, emit_report, format_float, parse_json
 
@@ -174,6 +177,64 @@ def test_sample_counts_out_of_range_are_usage_errors(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_subdivision_counts_below_one_are_usage_errors(tmp_path, capsys):
+    for cmd in (["gen", "--out", str(tmp_path / "m.msh")],
+                ["constants", "--out", str(tmp_path / "r.json")],
+                ["harmonics"]):
+        for n in ("0", "-2"):
+            assert run(cmd + ["--primitive", "unit_cube", "--n", n]) == EXIT_USAGE
+            assert "argument --n:" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+def test_nonpositive_weight_scale_is_rejected(tmp_path, capsys):
+    # F = 0 * Id has determinant 0: rejected like a negative scale, not ignored
+    out = tmp_path / "r.json"
+    for scale in ("0", "-1"):
+        assert run(["constants", "--primitive", "slab_mixed", "--n", "1",
+                    "--weight-scale", scale, "--out", str(out)]) == EXIT_ERROR
+        assert "coefficient determinant is" in capsys.readouterr().err
+    assert not out.exists()
+
+
+_SOLVER_COMMANDS = {
+    "constants": ["--primitive", "unit_cube", "--n", "1", "--out", "r.json"],
+    "harmonics": ["--primitive", "unit_cube", "--n", "1"],
+    "decompose": ["--primitive", "unit_cube", "--n", "1", "--out", "split.csv"],
+    "certify": ["--primitive", "unit_cube", "--n", "1"],
+    "study": ["--primitive", "unit_cube", "--levels", "1,2", "--out", "study.csv"],
+}
+
+
+@pytest.mark.parametrize("flag", ["--quad-order", "--deflation-tol"])
+@pytest.mark.parametrize("command", sorted(_SOLVER_COMMANDS))
+def test_removed_solver_flags_are_usage_errors(command, flag, capsys, monkeypatch,
+                                               tmp_path):
+    monkeypatch.chdir(tmp_path)
+    assert run([command, *_SOLVER_COMMANDS[command], flag, "4"]) == EXIT_USAGE
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+def test_readme_cli_examples_parse():
+    # the README names no command or flag the CLI does not accept
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+    block = section.split("```sh", 1)[1].split("```", 1)[0]
+    examples = [shlex.split(ln)[1:] for ln in block.splitlines() if ln.startswith("kornlab ")]
+    assert len(examples) == 9
+    parser = build_parser()
+    for argv in examples:
+        try:
+            parser.parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"README example does not parse: kornlab {shlex.join(argv)}")
+    options = {flag for sub in parser._subparsers._group_actions[0].choices.values()
+               for flag in sub._option_string_actions}
+    named = set(re.findall(r"--[a-z][a-z-]*", section.replace(block, "")))
+    assert named and named <= options, named - options
+
+
 def test_missing_mesh_source_is_error(tmp_path):
     assert run(["constants", "--out", str(tmp_path / "r.json")]) == EXIT_ERROR
 
@@ -195,7 +256,7 @@ def test_solver_options_reach_the_solvers(tmp_path, monkeypatch):
     real_basis, real_workspace = hodge.harmonic_basis, constants.Workspace
 
     def basis_spy(*args, **kwargs):
-        basis_calls.append((kwargs.get("rel_tol"), kwargs.get("tol")))
+        basis_calls.append(kwargs)
         return real_basis(*args, **kwargs)
 
     def workspace_spy(*args, **kwargs):
@@ -204,18 +265,17 @@ def test_solver_options_reach_the_solvers(tmp_path, monkeypatch):
 
     monkeypatch.setattr(hodge, "harmonic_basis", basis_spy)
     monkeypatch.setattr(constants, "Workspace", workspace_spy)
-    opts = ["--primitive", "unit_cube", "--tol", "1e-9", "--deflation-tol", "1e-7",
-            "--quad-order", "4"]
+    opts = ["--primitive", "unit_cube", "--tol", "1e-9"]
     for cmd in (["harmonics", "--n", "1"],
                 ["decompose", "--n", "1", "--out", str(tmp_path / "split.csv")]):
         basis_calls.clear()
         assert run(cmd + opts) == EXIT_OK
-        assert basis_calls == [(1e-7, 1e-9)]
+        assert basis_calls == [dict(tol=1e-9)]
     basis_calls.clear()
     assert run(["study", "--levels", "1,2", "--out", str(tmp_path / "study.csv")]
                + opts) == EXIT_OK
-    assert workspace_calls == [dict(tol=1e-9, quad_order=4, deflation_tol=1e-7)] * 2
-    assert basis_calls == [(1e-7, 1e-9)] * 2
+    assert workspace_calls == [dict(tol=1e-9)] * 2
+    assert basis_calls == [dict(tol=1e-9)] * 2
 
 
 def test_harmonics_command(tmp_path, capsys):

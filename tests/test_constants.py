@@ -1,3 +1,5 @@
+import importlib
+
 import numpy as np
 import pytest
 
@@ -410,11 +412,22 @@ def test_scaling_under_dilation(kind):
     assert ck2 == pytest.approx(ck1, rel=1e-10)
 
 
-def test_quadrature_refinement_leaves_constants_unchanged():
-    # all integrands are polynomial: the default order is already exact
+def test_quadrature_refinement_leaves_constants_unchanged(monkeypatch):
+    # all integrands are polynomial: the rule of each form's degree is exact,
+    # so raising every rule to degree 8 changes no constant
     m = generate_primitive("slab_mixed", 2)
     r1 = cst.compute_report(m)
-    r2 = cst.compute_report(m, quad_order=8)
+    asm = importlib.import_module("kornlab.assemble")  # kornlab.assemble is the function
+    real = asm.tet_rule
+    degrees = []
+
+    def degree_8(degree):
+        degrees.append(degree)
+        return real(max(degree, 8))
+
+    monkeypatch.setattr(asm, "tet_rule", degree_8)
+    r2 = cst.compute_report(m)
+    assert degrees
     for key in ("c_p", "c_k_s", "c_k_irrot", "c_m_coexact", "c_direct"):
         assert r2[key]["value"] == pytest.approx(r1[key]["value"], rel=1e-13)
 

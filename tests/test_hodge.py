@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from kornlab import hodge
+from kornlab import hodge, linalg
 from kornlab.assemble import assemble
 from kornlab.hodge import SO3_BASIS
 from kornlab.meshes import Mesh, generate_primitive, refine_uniform, validate
@@ -339,8 +339,6 @@ def test_piecewise_skew_per_slice_values():
 
 def test_harmonic_sparse_search_raises_at_cap(monkeypatch):
     # a kernel filling every requested eigenvalue must not come back truncated
-    from kornlab import linalg
-
     ops = hodge.edge_operators(generate_primitive("unit_cube", 2))
     n = ops.edge_space.free_count
 
@@ -349,4 +347,17 @@ def test_harmonic_sparse_search_raises_at_cap(monkeypatch):
 
     monkeypatch.setattr(linalg, "eig_smallest", all_below)
     with pytest.raises(linalg.SolverError, match="HARMONIC_CAP = 32"):
-        hodge._harmonic_search(ops, 1e-8, 1e-10)
+        hodge._harmonic_search(ops, 1e-10)
+
+
+@pytest.mark.parametrize("kind, n, dim", [("cube_with_tunnel", 2, 1), ("unit_cube", 4, 0)])
+def test_harmonic_threshold_sits_in_the_spectral_gap(kind, n, dim):
+    # the harmonic dimension is a Betti number: the fixed threshold must lie
+    # at least four decades above the kernel and below the first nonzero value
+    ops = hodge.edge_operators(generate_primitive(kind, n))
+    A, M = ops.curlcurl, ops.mass
+    threshold = hodge.HARMONIC_REL_TOL * A.diagonal().sum() / M.diagonal().sum()
+    eig = linalg.eig_smallest(A, M, k=4, deflation=ops.pinned_grad)
+    assert np.sum(eig.values <= threshold) == dim
+    assert np.abs(eig.values[:dim]).max(initial=0.0) <= 1e-4 * threshold
+    assert eig.values[dim] >= 1e4 * threshold

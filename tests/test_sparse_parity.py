@@ -37,6 +37,20 @@ def _records(mesh):
     return {name: ws.constant(name) for name in NAMES}
 
 
+def test_forced_sparse_tangential_constant_is_right_or_refused(monkeypatch):
+    # at this crossover ARPACK returns a pair that misses the 27-dof tangential
+    # pencil (residual 0.9, value 2.69 against 1.38); a constant is only made
+    # from a pair that solves its pencil
+    mesh = generate_primitive("unit_cube", 3)
+    dense = constants.korn_constant_tangential(mesh).value
+    monkeypatch.setattr(linalg, "DENSE_CROSSOVER", PATCHED_CROSSOVER)
+    try:
+        sparse = constants.korn_constant_tangential(mesh).value
+    except linalg.SolverError:
+        return
+    assert sparse == pytest.approx(dense, rel=1e-10)
+
+
 def _count_sparse(monkeypatch):
     """Record the dimension of every pencil that reaches _eig_sparse."""
     calls = []
