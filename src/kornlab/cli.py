@@ -41,6 +41,14 @@ def _count(minimum):
     return count
 
 
+def _levels(text):
+    """argparse type: at least two comma-separated subdivision counts."""
+    levels = [_count(1)(x) for x in text.split(",") if x.strip()]
+    if len(levels) < 2:
+        raise argparse.ArgumentTypeError("a study needs at least two refinement levels")
+    return levels
+
+
 def _add_mesh_source(p):
     p.add_argument("--mesh", help="kornmesh file")
     p.add_argument("--primitive", choices=["unit_cube", "slab_mixed", "cube_with_tunnel"])
@@ -110,7 +118,8 @@ def build_parser():
     p = sub.add_parser("study", help="refinement study table")
     p.add_argument("--primitive", required=True,
                    choices=["unit_cube", "slab_mixed", "cube_with_tunnel"])
-    p.add_argument("--levels", default="1,2,4", help="comma-separated subdivisions")
+    p.add_argument("--levels", type=_levels, default="1,2,4",
+                   help="comma-separated subdivisions")
     p.add_argument("--gamma-t", default=None)
     _add_solver_opts(p)
     p.add_argument("--out", required=True)
@@ -315,14 +324,11 @@ def _cmd_identities(args):
 
 
 def _cmd_study(args):
-    levels = [int(x) for x in args.levels.split(",") if x.strip()]
-    if len(levels) < 2:
-        raise ValueError("a study needs at least two refinement levels")
     header = (
         "level", "h", "c_p", "c_k_s", "c_m_grad", "c_m_coexact", "harmonic_dim"
     )
     rows = []
-    for n in levels:
+    for n in args.levels:
         mesh = meshes.generate_primitive(args.primitive, n)
         mesh = _apply_selector(mesh, args.gamma_t)
         ws = consts.Workspace(mesh, tol=args.tol)

@@ -86,31 +86,25 @@ def poincare_constant(mesh, tol=DEFAULT_EIG_TOL, ops=None):
     return _record("c_p", eig, p1.free_count, tol)
 
 
-def _rotation_fields(space):
-    """P1_vector coefficients of x -> S x for the three skew generators."""
-    verts = space.mesh.vertices
-    cols = []
-    for S in SO3_BASIS:
-        vals = verts @ S.T  # (V,3)
-        cols.append(space.free_from_full(vals.T))
-    return np.column_stack(cols)
+def _pin_vertex0(space, *forms):
+    """(kept-dof mask, the forms without the free dofs of vertex 0).
 
-
-def _translation_fields(space):
-    cols = []
-    for m in range(3):
-        vals = np.zeros((3, space.mesh.num_vertices))
-        vals[m] = 1.0
-        cols.append(space.free_from_full(vals))
-    return np.column_stack(cols)
+    The translations lie in the kernel of both Korn forms; pinning vertex 0,
+    as EdgeOperators.pinned_grad pins the potentials, removes them and
+    leaves the gradient form positive definite.
+    """
+    keep = np.ones(space.free_count, dtype=bool)
+    keep[space.dof_map[:, 0]] = False
+    return keep, *(F[keep][:, keep] for F in forms)
 
 
 def korn_constant_standard(mesh, tol=DEFAULT_EIG_TOL):
     """|grad v| <= c |sym grad v| over the constrained vector fields.
 
-    Without a tag-1 boundary part the translations (kernel of both forms)
-    and the rotations (B-orthogonally) are deflated, which restricts to
-    fields whose gradients are orthogonal to the constant skews.
+    Without a tag-1 boundary part the translations are pinned at vertex 0
+    and the rotations x -> S (x - x_0) about it are deflated B-orthogonally,
+    which restricts to fields whose gradients are orthogonal to the
+    constant skews.
     """
     pv = build_space(mesh, "P1_vector", "gamma_t")
     if pv.free_count == 0:
@@ -121,29 +115,33 @@ def korn_constant_standard(mesh, tol=DEFAULT_EIG_TOL):
     if not mesh.has_gamma_t:
         if pv.free_count <= 6:
             return _empty("c_k_s")
-        deflation = np.column_stack([_translation_fields(pv), _rotation_fields(pv)])
+        keep, A, B = _pin_vertex0(pv, A, B)
+        x = mesh.vertices - mesh.vertices[0]
+        deflation = np.column_stack([pv.free_from_full((x @ S.T).T)[keep] for S in SO3_BASIS])
     threshold = KERNEL_REL_TOL * A.diagonal().sum() / B.diagonal().sum()
-    eig, nker = linalg.count_kernel(A, B, threshold, deflation=deflation, tol=tol)
+    eig, kernel_dim = linalg.count_kernel(A, B, threshold, deflation=deflation, tol=tol)
     note = None
     if deflation is not None:
-        # the strain form annihilates the six deflated rigid modes; a kernel
-        # left in the deflated pencil is worth surfacing
-        note = (f"deflated: translations and rotations; strain kernel dim {6 + nker}"
-                + (" (EXCEEDS the 6 rigid modes)" if nker else ""))
+        # the strain form annihilates the six rigid modes, pinned and
+        # deflated; a kernel left in the pencil is worth surfacing
+        note = (f"deflated: translations and rotations; strain kernel dim {6 + kernel_dim}"
+                + (" (EXCEEDS the 6 rigid modes)" if kernel_dim else ""))
     return _record("c_k_s", eig, pv.free_count, tol, note)
 
 
 def korn_constant_tangential(mesh, tol=DEFAULT_EIG_TOL):
-    """Same pencil over fields constant per tag-1 boundary component."""
+    """Same pencil over fields constant per tag-1 boundary component.
+
+    The global translations are pinned at vertex 0 (a folded dof when
+    vertex 0 lies on the tag-1 part, still a complement of them).
+    """
     if not mesh.has_gamma_t:
         raise ValueError("the tangential constant needs a nonempty tag-1 part")
     pv = build_space(mesh, "P1_vector", "gamma_t", component_constant=True)
-    if pv.free_count <= 3:  # nothing beyond the quotiented translations
+    if pv.free_count <= 3:  # nothing beyond the pinned translations
         return _empty("c_k_t")
-    A = assemble("symgrad", pv)
-    B = assemble("grad", pv)
-    deflation = _translation_fields(pv)  # global constants, kernel of B
-    eig = linalg.eig_smallest(A, B, k=1, deflation=deflation, tol=tol)
+    _, A, B = _pin_vertex0(pv, assemble("symgrad", pv), assemble("grad", pv))
+    eig = linalg.eig_smallest(A, B, k=1, tol=tol)
     return _record("c_k_t", eig, pv.free_count, tol, "constants quotiented")
 
 
@@ -341,14 +339,14 @@ def direct_main_constant(mesh, tol=DEFAULT_EIG_TOL, ops=None, pencil=None,
         note = ("deflated: constant skew tensors" if nslices == 1
                 else f"deflated: per-slice skew moments ({nslices} slices)")
     scale = A.diagonal().sum() / max(B.diagonal().sum(), 1e-300)
-    eig, nker = linalg.count_kernel(
+    eig, kernel_dim = linalg.count_kernel(
         A, B, KERNEL_REL_TOL * max(scale, 1.0), constraints=constraints, tol=tol,
     )
     lam = float(eig.values[0])
-    if nker:
+    if kernel_dim:
         raise KernelError(
             "the semi-norm pencil has undeflated kernel fields "
-            f"(lambda_min = {lam:.3e}); kernel dimension {nker}; "
+            f"(lambda_min = {lam:.3e}); kernel dimension {kernel_dim}; "
             "constant skew tensors span the kernel"
         )
     rec = _record("c_direct", eig, 3 * pencil.space.free_count, tol, note)
@@ -673,6 +671,7 @@ def compute_report(mesh, tol=DEFAULT_EIG_TOL, slack=DEFAULT_SLACK,
                    weight=None, certify_samples=0, seed=0):
     """Compute every applicable constant and assemble the report dict."""
     ws = Workspace(mesh, tol, slack)
+    wt = ws.weighted(weight) if weight is not None else None  # a bad weight fails first
 
     records = {}
     for name in ("c_p", "c_k_s"):
@@ -719,8 +718,7 @@ def compute_report(mesh, tol=DEFAULT_EIG_TOL, slack=DEFAULT_SLACK,
         "c_tilde" if ws.case == "sliced" else "c_hat"
     )
 
-    if weight is not None:
-        wt = ws.weighted(weight)
+    if wt is not None:
         report["c_F"] = wt.c_F
         report["mu_observed"] = wt.mu
         report["c_k_F"] = wt.record.as_dict()

@@ -146,10 +146,10 @@ def _harmonic_search(ops, tol):
     A, M = ops.curlcurl, ops.mass
     ratio = A.diagonal().sum() / max(M.diagonal().sum(), 1e-300)
     threshold = HARMONIC_REL_TOL * max(ratio, 1e-300)
-    eig, nker = linalg.count_kernel(A, M, threshold, k0=4, cap_name="HARMONIC_CAP",
-                                    deflation=ops.pinned_grad, tol=tol)
-    pair = slice(nker, nker + 1)
-    return eig.vectors[:, :nker], linalg.EigenResult(
+    eig, kernel_dim = linalg.count_kernel(A, M, threshold, k0=4, cap_name="HARMONIC_CAP",
+                                          deflation=ops.pinned_grad, tol=tol)
+    pair = slice(kernel_dim, kernel_dim + 1)
+    return eig.vectors[:, :kernel_dim], linalg.EigenResult(
         eig.values[pair], eig.vectors[:, pair], eig.residuals[pair]
     )
 

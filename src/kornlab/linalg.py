@@ -4,26 +4,25 @@ Every sparse factorization is one call, _factor: SuperLU in symmetric mode
 (diagonal pivots, minimum-degree ordering of K^T + K), which on these
 symmetric matrices fills less than the default COLAMD ordering with
 partial pivoting.  Threshold pivoting stays on (a diagonal pivot below
-0.1 of its column is swapped out): deflated vectors in ker(B) border a
-zero diagonal block, and without pivoting those solves lose all
-accuracy.  Relaxed supernodes are off (relax=1): the default relaxation
-merges small subtrees of the elimination tree into supernodes, which on
-these finite-element matrices makes factorizations and solves above a
-few thousand rows slower and leaves the fill and the residuals as they
-are.  spd_solver factors a symmetric positive definite matrix (the
-Poisson matrix of the Helmholtz splits) with it, at every size.
+0.1 of its column is swapped out): bordered rows form a zero diagonal
+block, and without pivoting those solves lose all accuracy.  Relaxed
+supernodes are off (relax=1): the default relaxation merges small
+subtrees of the elimination tree into supernodes, which on these
+finite-element matrices makes factorizations and solves above a few
+thousand rows slower and leaves the fill and the residuals as they are.
+spd_solver factors a symmetric positive definite matrix (the Poisson
+matrix of the Helmholtz splits) with it, at every size.
 
 Eigenproblems are pencils A x = lambda B x with A positive semidefinite
-and B positive definite on the admissible subspace {C x = 0}.  The rows of
-C are raw linear constraints, B d for deflated vectors d (a B-orthogonal
-restriction) and d itself for deflated vectors in ker(B).  One size routes
-them: below DENSE_CROSSOVER they reduce to LAPACK on a basis of the
-admissible subspace; above it shift-invert ARPACK runs in the B-inner
-product with OPinv the solve with the saddle-point matrix
-[[A - sigma B, C^T], [C, 0]], which is symmetric and B-self-adjoint on
-the admissible subspace for any rows C.  Kernels are measured in one
-way, at every size: count_kernel asks eig_smallest for more eigenvalues
-until one lies above a threshold.
+and B positive definite, restricted to the admissible subspace {C x = 0}.
+The rows of C are raw linear constraints and B d for deflated vectors d
+(a B-orthogonal restriction).  One size routes them: below
+DENSE_CROSSOVER they reduce to LAPACK on a basis of the admissible
+subspace; above it shift-invert ARPACK runs in the B-inner product with
+OPinv the solve with the saddle-point matrix [[A - sigma B, C^T], [C, 0]],
+which is symmetric and B-self-adjoint on the admissible subspace for any
+rows C.  Kernels are measured in one way, at every size: count_kernel
+asks eig_smallest for more eigenvalues until one lies above a threshold.
 """
 
 from dataclasses import dataclass, field
@@ -98,8 +97,8 @@ def solve_spd(A, rhs):
 def eig_smallest(A, B, k=1, deflation=None, constraints=None, tol=1e-10):
     """k smallest eigenvalues of A x = lambda B x on the admissible subspace.
 
-    deflation: vectors removed B-orthogonally (vectors in ker(B) are
-    quotiented plainly).  constraints: extra rows C with admissible C x = 0.
+    deflation: vectors removed B-orthogonally.  constraints: extra rows C
+    with admissible C x = 0.
     """
     A = _as_csr(A)
     B = _as_csr(B)
@@ -121,9 +120,9 @@ def count_kernel(A, B, threshold, k0=1, cap_name="KERNEL_CAP", **solve):
     k = k0
     while True:
         eig = eig_smallest(A, B, k=k, **solve)
-        nker = int(np.sum(eig.values <= threshold))
-        if nker < len(eig.values):
-            return eig, nker
+        kernel_dim = int(np.sum(eig.values <= threshold))
+        if kernel_dim < len(eig.values):
+            return eig, kernel_dim
         if k >= KERNEL_CAP:
             raise SolverError(f"all {k} computed eigenvalues are below the kernel threshold "
                               f"{threshold:.3e}; the count stops at {cap_name} = {KERNEL_CAP}")
@@ -179,25 +178,22 @@ def _residuals(A, B, vals, vecs, constraints=None):
 def _saddle_rows(B, deflation, constraints, n):
     """Rows whose kernel is the admissible subspace, split as (bordered, dense).
 
-    Deflated vectors d give B d, or d itself when d lies in ker(B).  The
-    sparse path borders the first part and applies the rows with many
-    nonzeros through a Schur complement; the dense path stacks both.
+    Deflated vectors d give the rows (B d)^T.  The sparse path borders the
+    rows with few nonzeros and applies the others through a Schur
+    complement; the dense path stacks both.
     """
-    rows, nker = [], 0
+    rows = []
     if deflation is not None:
         D = sp.csc_matrix(deflation)
         if D.shape[0] != n:
             D = D.T
-        BD = (B @ D).tocsc()
-        ker = spla.norm(BD, axis=0) <= 1e-12 * np.maximum(spla.norm(D, axis=0), 1.0)
-        rows, nker = [D[:, ker].T, BD[:, ~ker].T], ker.sum()
+        rows.append((B @ D).T)
     if constraints is not None:
         rows.append(sp.csr_matrix(constraints))
     if not rows:
         return None, None
     R = sp.vstack(rows, format="csr")
     dense = np.diff(R.indptr) > _DENSE_ROW_SHARE * n
-    dense[:nker] = False  # A - sigma B is singular on a common kernel of A and B
     return (R[~dense] if not dense.all() else None,
             R[dense].toarray() if dense.any() else None)
 

@@ -160,10 +160,17 @@ def test_gamma_t_file_selector(tmp_path):
     assert rep["tags"]["gamma_t_tris"] == sum(tags)
 
 
-def test_usage_errors():
+def test_usage_errors(tmp_path, capsys):
     assert run(["bogus"]) == EXIT_USAGE
     assert run(["constants", "--unknown-flag"]) == EXIT_USAGE
     assert run([]) == EXIT_USAGE
+    capsys.readouterr()
+    # a level below 1, a non-integer level and a single level
+    for levels in ("0,1", "a,1", "4"):
+        assert run(["study", "--primitive", "unit_cube", "--levels", levels,
+                    "--out", str(tmp_path / "s.csv")]) == EXIT_USAGE
+        assert "argument --levels:" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
 
 
 def test_sample_counts_out_of_range_are_usage_errors(tmp_path, capsys):

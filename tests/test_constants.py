@@ -2,6 +2,8 @@ import importlib
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from kornlab import constants as cst
 from kornlab import hodge, linalg
@@ -545,3 +547,45 @@ def test_report_weighted_fields(slab2_ws):
         ),
         rel=1e-14,
     )
+
+
+def test_report_rejects_a_bad_weight_before_any_constant(monkeypatch):
+    calls = []
+    real = cst.poincare_constant
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cst, "poincare_constant", spy)
+    with pytest.raises(cst.NonPositiveDeterminant):
+        cst.compute_report(generate_primitive("slab_mixed", 2), weight=identity_coefficient(0.0))
+    assert calls == []
+
+
+@pytest.mark.parametrize(
+    "kind, n, tag",
+    [("unit_cube", 2, None), ("unit_cube", 2, 0), ("cube_with_tunnel", 1, None)],
+    ids=["unit_cube2", "unit_cube2_untagged", "tunnel1"],
+)
+def test_report_pencils_have_positive_definite_B(kind, n, tag, monkeypatch):
+    # kernels shared by A and B are pinned, never deflated: every B has a
+    # Cholesky factor, and no deflated vector lies in its kernel
+    pencils = []
+    real = linalg.eig_smallest
+
+    def spy(A, B, k=1, deflation=None, constraints=None, tol=1e-10):
+        pencils.append((B, deflation))
+        return real(A, B, k, deflation, constraints, tol)
+
+    monkeypatch.setattr(linalg, "eig_smallest", spy)
+    mesh = generate_primitive(kind, n)
+    cst.compute_report(mesh if tag is None else mesh.retag(tag))
+    assert len(pencils) >= 5
+    for B, deflation in pencils:
+        B = sp.csr_matrix(B)
+        np.linalg.cholesky(B.toarray())
+        if deflation is not None:
+            D = sp.csc_matrix(deflation)
+            D = D if D.shape[0] == B.shape[0] else D.T
+            assert np.all(spla.norm(B @ D, axis=0) > 1e-8 * spla.norm(D, axis=0))

@@ -6,7 +6,6 @@ import scipy.sparse.linalg as spla
 
 from kornlab import linalg
 from kornlab.assemble import assemble
-from kornlab.constants import _translation_fields
 from kornlab.linalg import (
     SolverError,
     eig_smallest,
@@ -89,16 +88,20 @@ def test_cholesky_solver_rejects_nonfinite_rhs():
 
 
 def test_saddle_inverse_accurate_with_zero_diagonal_block(monkeypatch):
-    # slab_mixed n=4 c_k_t: the three translations lie in ker(B), so they
-    # border [[A - sigma B, D^T], [D, 0]] with a zero diagonal block, which
-    # symmetric-mode LU only solves accurately with threshold pivoting on
+    # the unpinned slab_mixed n=4 c_k_t pencil bordered by the rows D of the
+    # three translations: [[A - sigma B, D^T], [D, 0]] has a zero diagonal
+    # block, which symmetric-mode LU only solves accurately with threshold
+    # pivoting on
     mesh = generate_primitive("slab_mixed", 4)
     pv = build_space(mesh, "P1_vector", "gamma_t", component_constant=True)
     A, B = assemble("symgrad", pv), assemble("grad", pv)
     n = A.shape[0]
     assert n >= linalg.DENSE_CROSSOVER
-    bordered, dense = linalg._saddle_rows(B, _translation_fields(pv), None, n)
-    assert dense is None and bordered.shape[0] == 3
+    bordered = sp.lil_matrix((3, n))
+    for m in range(3):
+        bordered[m, pv.dof_map[m]] = 1.0  # translation e_m: 1 at every dof of component m
+    bordered = bordered.tocsr()
+    assert abs(B @ bordered.T).max() <= 1e-12 * abs(B).max()  # translations lie in ker(B)
     factored = []
     real = spla.splu
 
@@ -108,7 +111,7 @@ def test_saddle_inverse_accurate_with_zero_diagonal_block(monkeypatch):
 
     monkeypatch.setattr(spla, "splu", capture)
     sigma = -1e-3 * A.diagonal().sum() / B.diagonal().sum()
-    op = linalg._saddle_inverse(A, B, sigma, bordered, dense)
+    op = linalg._saddle_inverse(A, B, sigma, bordered, None)
     (K, lu), = factored
     assert K.shape == (n + 3, n + 3)
     rng = np.random.default_rng(5)
