@@ -7,11 +7,13 @@ are symmetrized after scatter, constraints are applied by elimination
 (rows/columns of eliminated dofs dropped, folded groups summed).
 
 The Whitney bases are affine per cell, so each form is a polynomial of
-known degree and is integrated by the lowest rule exact for it: the mass
-and strain forms are quadratic and take the 4-point rule, a coefficient of
-degree d raises that to 2 + 2d.  Only integrands that are not known to
-be polynomial (a coefficient or an analytic field without a degree) take
-the DEFAULT_QUAD_DEGREE floor.  The quad_order argument of assemble and
+known degree and is integrated by the lowest rule exact for it.  The mass
+forms and the edge-tensor strain forms are quadratic and take the 4-point
+rule, a coefficient of degree d raises that to 2 + 2d; the P1 gradients
+are constant, so the P1 strain forms take degree 2d (the 1-point rule
+without a coefficient).  Only integrands that are not known to be
+polynomial (a coefficient or an analytic field without a degree) take the
+DEFAULT_QUAD_DEGREE floor.  The quad_order argument of assemble and
 evaluate_norms raises the rule further; it matters only for those.
 """
 
@@ -220,21 +222,6 @@ def _vector_block(loc4):
     return out
 
 
-def _symgrad_local(geom):
-    """<sym(Ju), sym(Jv)> for P1_vector."""
-    g = geom.grads
-    gg = np.einsum("tid,tjd->tij", g, g)
-    T = g.shape[0]
-    out = np.empty((T, 12, 12))
-    for m in range(3):
-        for n in range(3):
-            blk = 0.5 * np.einsum("ti,tj->tij", g[:, :, n], g[:, :, m])
-            if m == n:
-                blk = blk + 0.5 * gg
-            out[:, 4 * m : 4 * m + 4, 4 * n : 4 * n + 4] = blk
-    return geom.vols[:, None, None] * out
-
-
 def _divdiv_p1_local(geom):
     g = geom.grads
     T = g.shape[0]
@@ -266,8 +253,7 @@ def assemble(form, trial, test=None, coeff=None, quad_order=None):
     test = trial if test is None else test
     if trial.mesh is not test.mesh:
         raise ValueError("trial and test spaces live on different meshes")
-    mesh = trial.mesh
-    geom = geometry(mesh)
+    geom = geometry(trial.mesh)
 
     if form == "mixed_grad":
         return _mixed_grad(trial, test)
@@ -275,6 +261,8 @@ def assemble(form, trial, test=None, coeff=None, quad_order=None):
         return _curl_map(trial, test)
     if form == "div_map":
         return _div_map(trial, test, geom)
+    if form in ("symgrad", "symF", "tensor_sym", "tensor_symF"):
+        return _strain(form, trial, test, geom, coeff, quad_order)
 
     fam = trial.family
     if form == "mass":
@@ -305,10 +293,6 @@ def assemble(form, trial, test=None, coeff=None, quad_order=None):
             loc = _vector_block(_p1_stiff_local(geom))
         else:
             raise ValueError(f"grad undefined for {fam}")
-    elif form == "symgrad":
-        if fam != "P1_vector":
-            raise ValueError("symgrad needs P1_vector")
-        loc = _symgrad_local(geom)
     elif form == "divdiv":
         if fam == "P1_vector":
             loc = _divdiv_p1_local(geom)
@@ -325,20 +309,12 @@ def assemble(form, trial, test=None, coeff=None, quad_order=None):
             loc = _curlcurl_p1_local(geom)
         else:
             raise ValueError(f"curlcurl undefined for {fam}")
-    elif form == "symF":
-        if fam != "P1_vector":
-            raise ValueError("symF needs P1_vector")
-        loc = _coeff_sym_local(geom, mesh, coeff, quad_order)
     elif form == "tensor_mass":
         return sp.block_diag([assemble("mass", trial, quad_order=quad_order)] * 3).tocsr()
     elif form == "tensor_curlcurl":
         return sp.block_diag(
             [assemble("curlcurl", trial, quad_order=quad_order)] * 3
         ).tocsr()
-    elif form == "tensor_sym":
-        return _tensor_sym(trial, geom, None, quad_order)
-    elif form == "tensor_symF":
-        return _tensor_sym(trial, geom, coeff, quad_order)
     else:
         raise ValueError(f"unknown form {form!r}")
 
@@ -350,9 +326,12 @@ def assemble(form, trial, test=None, coeff=None, quad_order=None):
     )
 
 
-def _coeff_quaddeg(coeff):
+def _coeff_quaddeg(coeff, base):
+    """Rule degree of a form of degree base weighted by coeff on both sides:
+    2d for the P1 strain forms (the 1-point rule without a coefficient),
+    2 + 2d for the edge-tensor forms, with d the coefficient's degree."""
     if coeff is None:
-        return 2
+        return base
     if coeff.degree is None:
         warnings.warn(
             "non-polynomial coefficient: integrating at degree "
@@ -361,55 +340,54 @@ def _coeff_quaddeg(coeff):
             QuadratureWarning,
         )
         return DEFAULT_QUAD_DEGREE
-    return 2 + 2 * coeff.degree
+    return base + 2 * coeff.degree
 
 
-def _coeff_sym_local(geom, mesh, coeff, quad_order):
-    pts, wts, lam = _quad(_coeff_quaddeg(coeff), quad_order)
-    x = _cell_points(mesh, pts)  # (T,Q,3)
-    T, Q = x.shape[0], x.shape[1]
-    Fq = coeff(x.reshape(-1, 3)).reshape(T, Q, 3, 3) if coeff is not None else None
-    g = geom.grads  # (T,4,3)
-    h = np.broadcast_to(g[:, None], (T, Q, 4, 3))
-    if Fq is not None:
-        h = np.einsum("tqdk,tqid->tqik", Fq, h)  # F^T grad
-    out = np.empty((T, 12, 12))
-    hh = np.einsum("q,tqid,tqjd->tij", wts, h, h)
-    for m in range(3):
-        for n in range(3):
-            blk = 0.5 * np.einsum("q,tqi,tqj->tij", wts, h[..., n], h[..., m])
-            if m == n:
-                blk = blk + 0.5 * hh
-            out[:, 4 * m : 4 * m + 4, 4 * n : 4 * n + 4] = blk
-    return 6.0 * geom.vols[:, None, None] * out
+def _strain_local(h, wts):
+    """Local matrices <sym(e_m h_i^T), sym(e_n h_j^T)> of basis vectors h
+    (T,Q,nb,3) summed with the rule weights: (T,3nb,3nb), component-major,
+    entry (m i, n j) = 1/2 delta_mn h_i.h_j + 1/2 h_i,n h_j,m."""
+    T, Q, nb, _ = h.shape
+    # the rule weights are positive; one contiguous copy of sqrt(w) h serves
+    # both factors of K[t,i,a,j,b] = sum_q w_q h_i,a h_j,b
+    s = np.multiply(h, np.sqrt(wts)[:, None, None], order="C").reshape(T, Q, 3 * nb)
+    K = np.matmul(np.swapaxes(s, 1, 2), s).reshape(T, nb, 3, nb, 3)
+    del s  # the largest array here with a coefficient's rule
+    out = K.transpose(0, 4, 1, 2, 3).reshape(T, 3 * nb, 3 * nb)  # a copy
+    out += np.kron(np.eye(3), np.trace(K, axis1=2, axis2=4))
+    return 0.5 * out
 
 
-def _tensor_sym(space, geom, coeff, quad_order):
-    """<sym(T F), sym(S F)> over Edge0 rows, 3x3 block matrix of size 3E."""
-    if space.family != "Edge0":
+def _strain(form, trial, test, geom, coeff, quad_order):
+    """<sym(X F), sym(Y F)> for X, Y the gradients of P1_vector fields or
+    Edge0 tensors, the dofs of tensor row m offset by m * free_count."""
+    tensor = form.startswith("tensor")
+    if tensor and trial.family != "Edge0":
         raise ValueError("tensor forms need an Edge0 space")
-    mesh = space.mesh
-    pts, wts, lam = _quad(_coeff_quaddeg(coeff), quad_order)
-    W = geom.edge_values(lam)  # (T,Q,6,3)
-    if coeff is not None:
-        x = _cell_points(mesh, pts)
-        Fq = coeff(x.reshape(-1, 3)).reshape(W.shape[0], W.shape[1], 3, 3)
-        W = np.einsum("tqdk,tqed->tqek", Fq, W)
-    scale = 6.0 * geom.vols[:, None, None]
-    ww = scale * np.einsum("q,tqed,tqfd->tef", wts, W, W)
-    dofs = _local_dofs(space)
-    nfree = space.free_count
-    blocks = [[None] * 3 for _ in range(3)]
-    for m in range(3):
-        for n in range(3):
-            loc = 0.5 * scale * np.einsum(
-                "q,tqe,tqf->tef", wts, W[..., n], W[..., m]
-            )
-            if m == n:
-                loc = loc + 0.5 * ww
-            blocks[m][n] = _scatter(loc, dofs, dofs, (nfree, nfree), symmetrize=False)
-    mat = sp.bmat(blocks, format="csr")
-    return (mat + mat.T) * 0.5
+    if not tensor and trial.family != "P1_vector":
+        raise ValueError(f"{form} needs P1_vector")
+    coeff = coeff if form.endswith("F") else None
+    pts, wts, lam = _quad(_coeff_quaddeg(coeff, 2 if tensor else 0), quad_order)
+    h = geom.edge_values(lam) if tensor else np.repeat(geom.grads[:, None], len(wts), 1)
+    if coeff is not None:  # F^T h, F dropped before the kernel runs
+        x = _cell_points(trial.mesh, pts)
+        h = np.einsum("tqdk,tqid->tqik", coeff(x.reshape(-1, 3)).reshape(*x.shape, 3), h)
+    loc = 6.0 * geom.vols[:, None, None] * _strain_local(h, wts)
+
+    def comp_dofs(space):
+        d, n = _local_dofs(space), space.free_count
+        if not tensor:
+            return d, n
+        return np.concatenate([np.where(d >= 0, d + m * n, -1) for m in range(3)], axis=1), 3 * n
+
+    (rows, nr), (cols, nc) = comp_dofs(test), comp_dofs(trial)
+    nb = h.shape[2]
+    # one component row at a time keeps the scatter's index arrays small
+    mat = sum(
+        _scatter(loc[:, r : r + nb], rows[:, r : r + nb], cols, (nr, nc), symmetrize=False)
+        for r in range(0, 3 * nb, nb)
+    )
+    return (mat + mat.T) * 0.5 if trial is test else mat
 
 
 # --------------------------------------------------------------------------

@@ -155,12 +155,14 @@ def _apply_selector(mesh, selector):
             tags[on] = 1
         return mesh.retag(tags)
     if head == "file":
-        raw = [ln.strip() for ln in open(rest) if ln.strip()]
-        tags = np.array([int(v) for v in raw], dtype=np.int64)
+        with open(rest) as fh:
+            tags = np.array([int(ln) for ln in fh if ln.strip()], dtype=np.int64)
         if len(tags) != len(mesh.btris):
             raise ValueError(
                 f"tag file has {len(tags)} rows, mesh has {len(mesh.btris)} boundary tris"
             )
+        if np.any((tags != 0) & (tags != 1)):
+            raise meshes.InvalidMesh("boundary tags must be 0 or 1")
         return mesh.retag(tags)
     raise ValueError(f"unknown tag selector {selector!r}")
 

@@ -453,9 +453,7 @@ def boundary_components(mesh, tag):
     """Connected components of the tagged boundary-triangle graph.
 
     Two triangles are adjacent when they share an edge.  Returns
-    (component index per tagged triangle, vertex -> component map,
-    component count).  Vertices shared by several components are assigned
-    the smallest component index.
+    (component index per tagged triangle, component count).
     """
     tsel = np.nonzero(mesh.btri_tags == tag)[0]
     tris = np.sort(mesh.btris[tsel], axis=1)
@@ -479,11 +477,7 @@ def boundary_components(mesh, tag):
     for i in range(n):
         r = find(i)
         comp[i] = roots.setdefault(r, len(roots))
-    vertex_comp = {}
-    for i, tri in enumerate(tris):
-        for v in tri:
-            vertex_comp[int(v)] = min(vertex_comp.get(int(v), comp[i]), comp[i])
-    return comp, vertex_comp, len(roots)
+    return comp, len(roots)
 
 
 # --------------------------------------------------------------------------

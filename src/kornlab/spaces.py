@@ -124,10 +124,9 @@ def build_space(mesh, family, constrain=None, component_constant=False):
 
     eliminated = np.zeros(nent, dtype=bool)
     group_of = -np.ones(nent, dtype=np.int64)
-    ngroups = 0
     if constrain == "gamma_t":
         if component_constant:
-            group_of, ngroups = _fold_groups(mesh)
+            group_of = _fold_groups(mesh)
         elif family in ("P1_scalar", "P1_vector"):
             eliminated[mesh.tagged_vertices(GAMMA_T)] = True
         else:  # Edge0
@@ -156,7 +155,7 @@ def build_space(mesh, family, constrain=None, component_constant=False):
 
 def _fold_groups(mesh):
     """Vertex -> tag-1 boundary component, components touching at a vertex merged."""
-    comp_per_tri, _, ncomp = meshes.boundary_components(mesh, GAMMA_T)
+    comp_per_tri, ncomp = meshes.boundary_components(mesh, GAMMA_T)
     parent = list(range(ncomp))
 
     def find(a):
@@ -179,7 +178,7 @@ def _fold_groups(mesh):
     for v, c in seen.items():
         r = find(c)
         group_of[v] = labels.setdefault(r, len(labels))
-    return group_of, len(labels)
+    return group_of
 
 
 # --------------------------------------------------------------------------

@@ -110,6 +110,9 @@ def test_forms_symmetric_to_the_bit(cube2):
         assert (A - A.T).nnz == 0
     T = assemble("tensor_sym", e0)
     assert (T - T.T).nnz == 0
+    for form, space in (("symF", pv), ("tensor_symF", e0)):
+        A = assemble(form, space, coeff=_affine_coefficient())
+        assert (A - A.T).nnz == 0, form
 
 
 def test_edge_curl_matches_face_interpolant(cube2):
@@ -301,6 +304,36 @@ def test_forms_request_their_exact_rule(cube2, monkeypatch):
     with pytest.warns(QuadratureWarning):
         assemble("tensor_symF", build_space(cube2, "Edge0"), coeff=F)
     assert degrees == [DEFAULT_QUAD_DEGREE]
+    # the P1 gradients are constant per cell: degree 2d
+    degrees.clear()
+    pv = build_space(cube2, "P1_vector", "gamma_t")
+    assemble("symgrad", pv)
+    assemble("symF", pv, coeff=identity_coefficient())
+    assemble("symF", pv, coeff=_affine_coefficient())
+    assert degrees == [0, 0, 2]
+
+
+def test_weighted_strain_forms_match_pointwise_reference():
+    # _A is not symmetric, so a transposed F would not match
+    mesh = generate_primitive("slab_mixed", 2)
+    F = _affine_coefficient()
+    geom = asm.geometry(mesh)
+    pts, wts, lam = asm._quad(8, None)
+    w = 6.0 * geom.vols[:, None] * wts
+    Fq = F(asm._cell_points(mesh, pts).reshape(-1, 3)).reshape(*w.shape, 3, 3)
+    rng = np.random.default_rng(5)
+    e0 = build_space(mesh, "Edge0", "gamma_t")
+    pv = build_space(mesh, "P1_vector", "gamma_t")
+    T = TensorField(e0, rng.standard_normal((3, e0.free_count)))
+    u = Field(pv, rng.standard_normal(pv.free_count))
+    for form, space, x, key, field in (
+        ("tensor_symF", e0, T.stacked(), "value", T),
+        ("symF", pv, u.coeffs, "jac", u),
+    ):
+        X = asm._pointwise(field, mesh, geom, lam, pts)[key]  # T or grad u
+        ref = float(np.sum(w * np.sum(asm._sym(X @ Fq) ** 2, axis=(-2, -1))))
+        A = assemble(form, space, coeff=F)
+        assert float(x @ (A @ x)) == pytest.approx(ref, rel=1e-13), form
 
 
 @pytest.mark.parametrize("kind, n", [("unit_cube", 2), ("cube_with_tunnel", 1)])

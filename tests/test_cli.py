@@ -158,6 +158,11 @@ def test_gamma_t_file_selector(tmp_path):
     assert code == EXIT_OK
     rep = json.loads(out.read_text())
     assert rep["tags"]["gamma_t_tris"] == sum(tags)
+    # a tag outside {0, 1} is invalid input, as in a mesh file
+    tfile.write_text("2\n" * len(mesh.btris))
+    code = run(["constants", "--mesh", str(mpath), "--gamma-t", f"file {tfile}",
+                "--out", str(tmp_path / "bad.json")])
+    assert code == EXIT_INVALID
 
 
 def test_usage_errors(tmp_path, capsys):

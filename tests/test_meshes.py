@@ -142,7 +142,7 @@ def test_validate_rejects_interior_face():
 
 def test_boundary_components():
     m = generate_primitive("unit_cube", 2)
-    _, _, n = boundary_components(m, 1)
+    _, n = boundary_components(m, 1)
     assert n == 1
     # two opposite faces tagged: 2 components
     coords = m.vertices[m.btris]
@@ -150,9 +150,9 @@ def test_boundary_components():
     tags[np.all(np.abs(coords[:, :, 0]) < 1e-12, axis=1)] = 1
     tags[np.all(np.abs(coords[:, :, 0] - 1) < 1e-12, axis=1)] = 1
     m2 = m.retag(tags)
-    _, _, n2 = boundary_components(m2, 1)
+    _, n2 = boundary_components(m2, 1)
     assert n2 == 2
-    _, _, n3 = boundary_components(m.retag(0), 1)
+    _, n3 = boundary_components(m.retag(0), 1)
     assert n3 == 0
 
 
