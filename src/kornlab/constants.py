@@ -8,9 +8,10 @@ estimates behind the main inequality transfers verbatim to the discrete
 level; certify_main_inequality re-checks every link on a concrete field.
 """
 
+import contextlib
 import hashlib
 from collections import namedtuple
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 import scipy.sparse as sp
@@ -23,9 +24,13 @@ from .spaces import TensorField, build_space
 DEFAULT_EIG_TOL = 1e-10
 DEFAULT_SLACK = 1e-8  # certification margins absorb eigensolver error
 KERNEL_REL_TOL = 1e-10
-# largest eigenpair residual a constant accepts, in units of max(tol, 1e-12) *
-# lambda; correct pairs stay below 1e-11 * lambda
+# largest relative eigenpair residual |A x - lambda B x| / (lambda |B x|) a
+# constant accepts, in units of max(tol, 1e-12); it reads the same at every
+# length scale, and correct pairs stay below 1e-11
 RESIDUAL_FACTOR = 1e4
+# relative margin of the c_direct bracket: absorbs the eigensolver error of
+# c_k_irrot and c_m, from which the bracket is derived
+BRACKET_MARGIN = 1e-8
 
 
 class KernelError(RuntimeError):
@@ -40,22 +45,34 @@ class ConstantRecord:
     residual: float = None
     dim: int = None
     note: str = None
+    # the eigenvector where a later solve starts from it (c_k_irrot on one
+    # slice: the lifted pair W y on Edge0^3); not reported
+    vector: np.ndarray = field(default=None, repr=False, compare=False)
 
     def as_dict(self):
-        return {k: v for k, v in asdict(self).items() if k != "name"}
+        return {f.name: getattr(self, f.name) for f in fields(self)
+                if f.name not in ("name", "vector")}
 
 
-def _record(name, eig, dim, tol, note=None):
-    """1/sqrt(lambda) of the smallest pair; a pair that does not solve its
-    pencil (see RESIDUAL_FACTOR) raises linalg.SolverError."""
+def _record(name, eig, B, dim, tol, note=None):
+    """1/sqrt(lambda) of the smallest pair of a pencil with mass form B.
+
+    The reported residual is the B-scaled |A x - lambda B x| of the pair.
+    A pair that does not solve its pencil, its residual relative to
+    lambda |B x| above RESIDUAL_FACTOR * max(tol, 1e-12), raises
+    linalg.SolverError.
+    """
     lam = float(eig.values[0])
     if lam <= 0:
         raise KernelError(f"{name}: nonpositive smallest eigenvalue {lam:.3e}")
     res = float(eig.residuals[0])
-    if res > RESIDUAL_FACTOR * max(tol, 1e-12) * lam:
+    x = eig.vectors[:, 0]
+    Bx = B @ x
+    rel = res * np.sqrt(abs(x @ Bx)) / max(lam * np.linalg.norm(Bx), 1e-300)
+    if rel > RESIDUAL_FACTOR * max(tol, 1e-12):
         raise linalg.SolverError(
-            f"{name}: eigenpair residual {res:.3e} at lambda = {lam:.6e} exceeds "
-            f"{RESIDUAL_FACTOR:.0e} * max(tol, 1e-12) * lambda"
+            f"{name}: relative eigenpair residual {rel:.3e} at lambda = {lam:.6e} "
+            f"exceeds {RESIDUAL_FACTOR:.0e} * max(tol, 1e-12)"
         )
     return ConstantRecord(name, 1.0 / np.sqrt(lam), lam, res, dim, note)
 
@@ -83,7 +100,7 @@ def poincare_constant(mesh, tol=DEFAULT_EIG_TOL, ops=None):
     if not mesh.has_gamma_t:
         deflation = np.ones((p1.free_count, 1))  # pure Neumann: mean-zero
     eig = linalg.eig_smallest(A, B, k=1, deflation=deflation, tol=tol)
-    return _record("c_p", eig, p1.free_count, tol)
+    return _record("c_p", eig, B, p1.free_count, tol)
 
 
 def _pin_vertex0(space, *forms):
@@ -126,7 +143,7 @@ def korn_constant_standard(mesh, tol=DEFAULT_EIG_TOL):
         # deflated; a kernel left in the pencil is worth surfacing
         note = (f"deflated: translations and rotations; strain kernel dim {6 + kernel_dim}"
                 + (" (EXCEEDS the 6 rigid modes)" if kernel_dim else ""))
-    return _record("c_k_s", eig, pv.free_count, tol, note)
+    return _record("c_k_s", eig, B, pv.free_count, tol, note)
 
 
 def korn_constant_tangential(mesh, tol=DEFAULT_EIG_TOL):
@@ -142,7 +159,7 @@ def korn_constant_tangential(mesh, tol=DEFAULT_EIG_TOL):
         return _empty("c_k_t")
     _, A, B = _pin_vertex0(pv, assemble("symgrad", pv), assemble("grad", pv))
     eig = linalg.eig_smallest(A, B, k=1, tol=tol)
-    return _record("c_k_t", eig, pv.free_count, tol, "constants quotiented")
+    return _record("c_k_t", eig, B, pv.free_count, tol, "constants quotiented")
 
 
 # --------------------------------------------------------------------------
@@ -203,7 +220,8 @@ def korn_constant_irrotational(mesh, tol=DEFAULT_EIG_TOL, ops=None, harmonics=No
     slices take the maximum of the slice-local constants (each slice is
     simply connected by assumption, matching the way the piecewise bound
     is assembled) and build their own pencils.  pencil, when given, is
-    tensor_pencil(mesh, ops, coeff) built already.
+    tensor_pencil(mesh, ops, coeff) built already.  On one slice the
+    record carries the pair lifted to Edge0^3, W y, as its vector.
     """
     if coeff is not None and not mesh.has_gamma_t:
         raise ValueError("the weighted constant needs a nonempty tag-1 part")
@@ -235,7 +253,9 @@ def korn_constant_irrotational(mesh, tol=DEFAULT_EIG_TOL, ops=None, harmonics=No
         constraints = _slice_skew_constraints(pencil.space, mesh) @ W
         note = "deflated: constant skew tensors"
     eig = linalg.eig_smallest(A, B, k=1, constraints=constraints, tol=tol)
-    return _record(name, eig, W.shape[1], tol, note)
+    rec = _record(name, eig, B, W.shape[1], tol, note)
+    rec.vector = W @ eig.vectors[:, 0]
+    return rec
 
 
 def maxwell_constant(mesh, tol=DEFAULT_EIG_TOL, ops=None, harmonics=None,
@@ -266,7 +286,8 @@ def maxwell_constant(mesh, tol=DEFAULT_EIG_TOL, ops=None, harmonics=None,
             eig = linalg.eig_smallest(
                 ops.curlcurl, ops.mass, k=1, deflation=deflation, tol=tol
             )
-        coex_rec = _record("c_m_coexact", eig, e0.free_count, tol, "gradients deflated")
+        coex_rec = _record("c_m_coexact", eig, ops.mass, e0.free_count, tol,
+                           "gradients deflated")
     cm = max(grad_rec.value, coex_rec.value)
     which = "gradient" if grad_rec.value >= coex_rec.value else "coexact"
     cm_rec = ConstantRecord("c_m", cm, None, None, None, f"max attained by {which} block")
@@ -320,13 +341,27 @@ def _slice_skew_constraints(space, mesh):
 
 
 def direct_main_constant(mesh, tol=DEFAULT_EIG_TOL, ops=None, pencil=None,
-                         deflate=True):
+                         deflate=True, bracket=None, v0=None):
     """Optimal constant in |T| <= c (|sym T|^2 + |Curl T|^2)^(1/2).
 
     Full tensor pencil over the constrained edge tensors.  Without a
     tag-1 part the per-slice skew moments are removed by the rows of
     _slice_skew_constraints (on one slice: the constant skews);
     deflate=False surfaces the kernel as an error instead.
+
+    bracket, when given, is (lower, upper) for the smallest eigenvalue,
+    from the chain of estimates (Workspace.direct_seed): lower = 1/c_bound^2
+    by the main estimate, upper = 1/c_k_irrot^2 on one slice (None
+    otherwise), since curl-free fields are admissible.  The solve then
+    takes one shift-invert pass (linalg.seeded) at sigma = (1 -
+    BRACKET_MARGIN) lower / 2, started from v0 (the curl-free pair W y, or
+    None for a random vector).  It returns the eigenvalue lambda nearest
+    sigma.  When lambda >= 2 sigma, every eigenvalue mu in [0, lambda)
+    would lie nearer (sigma - mu <= sigma <= lambda - sigma), so lambda is
+    the smallest one and the estimate holds: the result certifies itself
+    and assumes nothing.  lambda < 2 sigma violates the main estimate
+    (lambda_1 <= lambda), and lambda above (1 + BRACKET_MARGIN) upper means
+    the solve missed the smallest pair; both raise linalg.SolverError.
     """
     ops = ops or hodge.edge_operators(mesh)
     pencil = pencil or tensor_pencil(mesh, ops)
@@ -339,9 +374,14 @@ def direct_main_constant(mesh, tol=DEFAULT_EIG_TOL, ops=None, pencil=None,
         note = ("deflated: constant skew tensors" if nslices == 1
                 else f"deflated: per-slice skew moments ({nslices} slices)")
     scale = A.diagonal().sum() / max(B.diagonal().sum(), 1e-300)
-    eig, kernel_dim = linalg.count_kernel(
-        A, B, KERNEL_REL_TOL * max(scale, 1.0), constraints=constraints, tol=tol,
-    )
+    seed = contextlib.nullcontext()
+    if bracket is not None:
+        sigma = 0.5 * (1.0 - BRACKET_MARGIN) * bracket[0]
+        seed = linalg.seeded(sigma, v0)
+    with seed:
+        eig, kernel_dim = linalg.count_kernel(
+            A, B, KERNEL_REL_TOL * max(scale, 1.0), constraints=constraints, tol=tol,
+        )
     lam = float(eig.values[0])
     if kernel_dim:
         raise KernelError(
@@ -349,7 +389,20 @@ def direct_main_constant(mesh, tol=DEFAULT_EIG_TOL, ops=None, pencil=None,
             f"(lambda_min = {lam:.3e}); kernel dimension {kernel_dim}; "
             "constant skew tensors span the kernel"
         )
-    rec = _record("c_direct", eig, 3 * pencil.space.free_count, tol, note)
+    if bracket is not None:
+        if lam < 2.0 * sigma:
+            raise linalg.SolverError(
+                f"c_direct: lambda = {lam:.12e} lies below the lower bound "
+                f"{2.0 * sigma:.12e} of the main estimate; c_direct exceeds the "
+                "derived bound, or c_k_irrot or c_m is wrong"
+            )
+        upper = bracket[1]
+        if upper is not None and lam > (1.0 + BRACKET_MARGIN) * upper:
+            raise linalg.SolverError(
+                f"c_direct: lambda = {lam:.12e} lies above the curl-free bound "
+                f"{upper:.12e}; the solve missed the smallest pair"
+            )
+    rec = _record("c_direct", eig, B, 3 * pencil.space.free_count, tol, note)
     # norm equivalence |T|_{HCurl} vs the semi-norm from the same eigenvalue
     rec_equiv = float(np.sqrt(lam / (1.0 + lam)))
     return rec, rec_equiv
@@ -473,6 +526,8 @@ class Workspace:
     curl incidence.  The harmonic search runs at tol and also yields the
     coexact Maxwell pair, so c_m_coexact needs no eigensolve of its own.
     Constants are cached by name, and the Maxwell gradient block reuses c_p.
+    c_direct is solved from the bracket and start vector that c_k_irrot and
+    c_m give it (direct_seed).
     The weighted work (coefficient norms, c_k_F and the weighted pencil) is
     cached per weight object, so the report and every weighted sample share
     one eigensolve and one assembly.
@@ -512,7 +567,8 @@ class Workspace:
             self._cache.update({"c_m": cm, "c_m_grad": grad, "c_m_coexact": coex})
             return self._cache[name]
         elif name == "c_direct":
-            rec, equiv = direct_main_constant(mesh, self.tol, self.ops, self.pencil)
+            rec, equiv = direct_main_constant(mesh, self.tol, self.ops, self.pencil,
+                                              **self.direct_seed())
             self._cache["norm_equivalence"] = equiv
         else:
             raise KeyError(name)
@@ -532,6 +588,22 @@ class Workspace:
                                              coeff=weight, name="c_k_F", pencil=pencil)
             self._weighted[key] = (weight, WeightedWork(c_F, mu, rec, pencil))
         return self._weighted[key][1]
+
+    def direct_seed(self):
+        """The bracket and start vector of the c_direct solve, from the chain.
+
+        The main estimate gives c_direct <= c_hat (c_tilde when sliced), so
+        lambda_1 >= 1/c_bound^2.  On one slice the lifted c_k_irrot pair W y
+        is an admissible curl-free field whose Rayleigh quotient is
+        1/c_k_irrot^2, so lambda_1 is at most that, and W y starts the
+        solve.  Sliced, or with an empty curl-free space, there is no such
+        pair: no upper bound, and a random start vector.
+        """
+        c_k = self.constant("c_k_irrot")
+        c_hat, c_tilde = derived_bounds(c_k.value, self.constant("c_m").value)
+        c_bound = c_tilde if self.case == "sliced" else c_hat
+        upper = c_k.eigenvalue if c_k.vector is not None else None
+        return dict(bracket=(1.0 / c_bound**2, upper), v0=c_k.vector)
 
     @property
     def case(self):

@@ -21,10 +21,20 @@ DENSE_CROSSOVER they reduce to LAPACK on a basis of the admissible
 subspace; above it shift-invert ARPACK runs in the B-inner product with
 OPinv the solve with the saddle-point matrix [[A - sigma B, C^T], [C, 0]],
 which is symmetric and B-self-adjoint on the admissible subspace for any
-rows C.  Kernels are measured in one way, at every size: count_kernel
-asks eig_smallest for more eigenvalues until one lies above a threshold.
+rows C.  A caller that knows where the smallest eigenvalue lies (the
+c_direct pencil, bracketed by the chain of estimates) runs its solve
+inside seeded(shift, v0): the sparse path then factors once at that shift
+and runs one ARPACK pass for the eigenvalues nearest it, started from v0
+with a small share of the seeded random vector mixed in.  The seed is a
+context, not a keyword of eig_smallest, so any solver that stands in for
+eig_smallest keeps its signature.  Only unseeded pencils take the loose
+locating pass and the cluster re-shift.  Kernels are measured in one
+way, at every size: count_kernel asks eig_smallest for more eigenvalues
+until one lies above a threshold.
 """
 
+import contextlib
+import contextvars
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,8 +44,9 @@ import scipy.sparse.linalg as spla
 
 DENSE_CROSSOVER = 256  # eigenproblems: dense LAPACK below, shift-invert ARPACK above
 _SEED = 20260314  # fixed start vectors keep reports reproducible
-_LOOSE_TOL = 1e-2  # first ARPACK pass: only locates the spectrum
+_LOOSE_TOL = 1e-2  # first ARPACK pass of an unseeded pencil: only locates the spectrum
 _CLUSTER_RATIO = 1.02  # re-shift when the first pass finds lambda_2 / lambda_1 below this
+_START_MIX = 1e-4  # share of the random vector in a given start vector: no direction is missing
 _DENSE_ROW_SHARE = 0.05  # rows with more nonzeros than this share of n are dense
 _PIVOT_THRESH = 0.1  # symmetric-mode LU: a smaller diagonal pivot is swapped out
 _RELAX = 1  # SuperLU supernode relaxation: 1 turns it off
@@ -98,7 +109,8 @@ def eig_smallest(A, B, k=1, deflation=None, constraints=None, tol=1e-10):
     """k smallest eigenvalues of A x = lambda B x on the admissible subspace.
 
     deflation: vectors removed B-orthogonally.  constraints: extra rows C
-    with admissible C x = 0.
+    with admissible C x = 0.  Inside seeded(...) the sparse path returns
+    the k eigenvalues nearest the seed's shift instead (see _eig_sparse).
     """
     A = _as_csr(A)
     B = _as_csr(B)
@@ -106,6 +118,25 @@ def eig_smallest(A, B, k=1, deflation=None, constraints=None, tol=1e-10):
     if n < DENSE_CROSSOVER:
         return _eig_dense(A, B, k, deflation, constraints, tol)
     return _eig_sparse(A, B, k, deflation, constraints, tol)
+
+
+_seed = contextvars.ContextVar("seed", default=None)
+
+
+@contextlib.contextmanager
+def seeded(shift, v0=None):
+    """Sparse eigensolves in the block: one factorization at shift, one pass.
+
+    The pass converges the eigenvalues nearest shift, started from v0 (or
+    the seeded random vector).  They are the smallest ones only where the
+    caller knows the spectrum: it must check the result.  The dense path
+    ignores the seed.
+    """
+    token = _seed.set((shift, v0))
+    try:
+        yield
+    finally:
+        _seed.reset(token)
 
 
 def count_kernel(A, B, threshold, k0=1, cap_name="KERNEL_CAP", **solve):
@@ -241,10 +272,16 @@ def _arpack(A, B, k, sigma, op, v0, tol):
 def _eig_sparse(A, B, k, deflation, constraints, tol):
     """Shift-invert ARPACK on the saddle-point operator.
 
-    A loose first pass from a shift below the spectrum locates the
-    max(k, 2) smallest eigenvalues.  When the ratio of the two smallest is
-    below _CLUSTER_RATIO the shift moves 99% of the way to the smallest and
-    the matrix is refactored; otherwise the full-accuracy pass reuses the
+    Inside seeded(shift, v0) the matrix is factored once at that shift and
+    one full-accuracy pass converges the k pairs nearest it.  Its start is
+    op(B v), v = v0 plus _START_MIX |v0| of the seeded random vector: v0
+    may miss the wanted eigenvector (a symmetry class that excludes it),
+    the random share puts every direction in the Krylov space.
+    Unseeded, a loose first pass from a shift below the spectrum, started
+    from op(B r) with r the seeded random vector, locates the max(k, 2)
+    smallest eigenvalues.  When the ratio of the two smallest is below
+    _CLUSTER_RATIO the shift moves 99% of the way to the smallest and the
+    matrix is refactored; otherwise the full-accuracy pass reuses the
     factorization.  That pass converges only the k pairs asked for: the
     second one served the cluster test alone.
     """
@@ -253,14 +290,23 @@ def _eig_sparse(A, B, k, deflation, constraints, tol):
     if tr_b <= 0:
         raise SolverError("sparse path needs positive definite B")
     rows = _saddle_rows(B, deflation, constraints, n)
-    sigma = -1e-3 * max(abs(A.diagonal().sum()) / tr_b, 1e-30)
+    seed = _seed.get()
+    if seed is None:
+        sigma, v0 = -1e-3 * max(abs(A.diagonal().sum()) / tr_b, 1e-30), None
+    else:
+        sigma, v0 = seed
     op = _saddle_inverse(A, B, sigma, *rows)
-    v0 = op(B @ np.random.default_rng(_SEED).standard_normal(n))
-    vals, vecs = _arpack(A, B, max(k, 2), sigma, op, v0, _LOOSE_TOL)
-    if vals[1] < _CLUSTER_RATIO * vals[0]:
-        sigma += 0.99 * (vals[0] - sigma)
-        op = _saddle_inverse(A, B, sigma, *rows)
-    vals, vecs = _arpack(A, B, k, sigma, op, vecs.sum(axis=1), tol)
+    v = np.random.default_rng(_SEED).standard_normal(n)
+    if v0 is not None:
+        v = v0 + _START_MIX * (np.linalg.norm(v0) / np.linalg.norm(v)) * v
+    start = op(B @ v)
+    if seed is None:
+        vals, vecs = _arpack(A, B, max(k, 2), sigma, op, start, _LOOSE_TOL)
+        if vals[1] < _CLUSTER_RATIO * vals[0]:
+            sigma += 0.99 * (vals[0] - sigma)
+            op = _saddle_inverse(A, B, sigma, *rows)
+        start = vecs.sum(axis=1)
+    vals, vecs = _arpack(A, B, k, sigma, op, start, tol)
     return EigenResult(vals, vecs, _residuals(A, B, vals, vecs, constraints))
 
 

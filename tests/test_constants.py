@@ -414,6 +414,15 @@ def test_scaling_under_dilation(kind):
     assert ck2 == pytest.approx(ck1, rel=1e-10)
 
 
+@pytest.mark.parametrize("s", [1e-6, 1e6])
+def test_poincare_residual_gate_is_scale_covariant(s):
+    # at s = 1e6, lambda = 8.8e-13 and the B-scaled residual 1.5e-17 is at
+    # rounding level; the gate reads it relative to lambda |B x|
+    m = generate_primitive("cube_with_tunnel", 1)
+    scaled = cst.poincare_constant(m.transformed(matrix=s * np.eye(3))).value
+    assert scaled == pytest.approx(s * cst.poincare_constant(m).value, rel=1e-10)
+
+
 def test_quadrature_refinement_leaves_constants_unchanged(monkeypatch):
     # all integrands are polynomial: the rule of each form's degree is exact,
     # so raising every rule to degree 8 changes no constant
