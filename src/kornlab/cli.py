@@ -8,6 +8,7 @@ deterministic, so repeated runs emit byte-identical reports; the
 """
 
 import argparse
+import math
 import sys
 
 import numpy as np
@@ -41,6 +42,14 @@ def _count(minimum):
     return count
 
 
+def _tolerance(text):
+    """argparse type: a finite eigensolver tolerance in [0, 1) (a usage error otherwise)."""
+    value = float(text)
+    if not (math.isfinite(value) and 0.0 <= value < 1.0):
+        raise argparse.ArgumentTypeError(f"must be finite and in [0, 1), got {text}")
+    return value
+
+
 def _levels(text):
     """argparse type: at least two comma-separated subdivision counts."""
     levels = [_count(1)(x) for x in text.split(",") if x.strip()]
@@ -61,7 +70,7 @@ def _add_mesh_source(p):
 
 
 def _add_solver_opts(p):
-    p.add_argument("--tol", type=float, default=consts.DEFAULT_EIG_TOL)
+    p.add_argument("--tol", type=_tolerance, default=consts.DEFAULT_EIG_TOL)
     p.add_argument("--deterministic", action="store_true")
 
 

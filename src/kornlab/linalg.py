@@ -21,16 +21,17 @@ DENSE_CROSSOVER they reduce to LAPACK on a basis of the admissible
 subspace; above it shift-invert ARPACK runs in the B-inner product with
 OPinv the solve with the saddle-point matrix [[A - sigma B, C^T], [C, 0]],
 which is symmetric and B-self-adjoint on the admissible subspace for any
-rows C.  A caller that knows where the smallest eigenvalue lies (the
-c_direct pencil, bracketed by the chain of estimates) runs its solve
-inside seeded(shift, v0): the sparse path then factors once at that shift
-and runs one ARPACK pass for the eigenvalues nearest it, started from v0
-with a small share of the seeded random vector mixed in.  The seed is a
-context, not a keyword of eig_smallest, so any solver that stands in for
-eig_smallest keeps its signature.  Only unseeded pencils take the loose
-locating pass and the cluster re-shift.  Kernels are measured in one
-way, at every size: count_kernel asks eig_smallest for more eigenvalues
-until one lies above a threshold.
+rows C.  Every row of C, sparse or dense, borders that matrix.  Every
+sparse eigensolve has one shape: one factorization at sigma and one
+full-accuracy ARPACK pass for the k pairs nearest it.  sigma lies just
+below the spectrum, unless the caller knows where the smallest
+eigenvalue lies (the c_direct pencil, bracketed by the chain of
+estimates) and runs its solve inside seeded(shift, v0): then sigma is
+that shift and the pass starts from v0 with a small share of the seeded
+random vector mixed in.  The seed is a context, not a keyword of
+eig_smallest, so any solver that stands in for eig_smallest keeps its
+signature.  Kernels are measured in one way, at every size: count_kernel
+asks eig_smallest for more eigenvalues until one lies above a threshold.
 """
 
 import contextlib
@@ -44,10 +45,7 @@ import scipy.sparse.linalg as spla
 
 DENSE_CROSSOVER = 256  # eigenproblems: dense LAPACK below, shift-invert ARPACK above
 _SEED = 20260314  # fixed start vectors keep reports reproducible
-_LOOSE_TOL = 1e-2  # first ARPACK pass of an unseeded pencil: only locates the spectrum
-_CLUSTER_RATIO = 1.02  # re-shift when the first pass finds lambda_2 / lambda_1 below this
 _START_MIX = 1e-4  # share of the random vector in a given start vector: no direction is missing
-_DENSE_ROW_SHARE = 0.05  # rows with more nonzeros than this share of n are dense
 _PIVOT_THRESH = 0.1  # symmetric-mode LU: a smaller diagonal pivot is swapped out
 _RELAX = 1  # SuperLU supernode relaxation: 1 turns it off
 KERNEL_CAP = 32  # count_kernel stops doubling its batch here
@@ -162,10 +160,9 @@ def count_kernel(A, B, threshold, k0=1, cap_name="KERNEL_CAP", **solve):
 
 def _eig_dense(A, B, k, deflation, constraints, tol):
     n = A.shape[0]
-    rows = [R.toarray() if sp.issparse(R) else R
-            for R in _saddle_rows(B, deflation, constraints, n) if R is not None]
-    if rows:
-        U = sla.null_space(np.vstack(rows))
+    C = _saddle_rows(B, deflation, constraints, n)
+    if C is not None:
+        U = sla.null_space(C.toarray())
         if U.shape[1] == 0:
             raise SolverError("constraints eliminate the whole space")
         Ar = U.T @ (A @ U)
@@ -207,11 +204,11 @@ def _residuals(A, B, vals, vecs, constraints=None):
 
 
 def _saddle_rows(B, deflation, constraints, n):
-    """Rows whose kernel is the admissible subspace, split as (bordered, dense).
+    """Rows C whose kernel is the admissible subspace: one CSR matrix, or None.
 
-    Deflated vectors d give the rows (B d)^T.  The sparse path borders the
-    rows with few nonzeros and applies the others through a Schur
-    complement; the dense path stacks both.
+    Deflated vectors d give the rows (B d)^T, raw constraints their own
+    rows.  Both paths take C as it is: the dense one stacks it, the sparse
+    one borders it.
     """
     rows = []
     if deflation is not None:
@@ -221,41 +218,26 @@ def _saddle_rows(B, deflation, constraints, n):
         rows.append((B @ D).T)
     if constraints is not None:
         rows.append(sp.csr_matrix(constraints))
-    if not rows:
-        return None, None
-    R = sp.vstack(rows, format="csr")
-    dense = np.diff(R.indptr) > _DENSE_ROW_SHARE * n
-    return (R[~dense] if not dense.all() else None,
-            R[dense].toarray() if dense.any() else None)
+    return sp.vstack(rows, format="csr") if rows else None
 
 
-def _saddle_inverse(A, B, sigma, bordered, dense):
+def _saddle_inverse(A, B, sigma, C):
     """x -> (A - sigma B)^{-1} x on {C x = 0}: the OPinv of shift-invert ARPACK.
 
-    Sparse rows of C border the factorized matrix [[A - sigma B, C^T], [C, 0]].
-    Dense rows D would fill that factorization, so they enter through the
-    rank-L Schur complement K - K D^T (D K D^T)^{-1} D K of its inverse K.
-    The matrix is factored by _factor.
+    Every row of C, sparse or dense, borders the matrix
+    [[A - sigma B, C^T], [C, 0]], factored once by _factor.  The dense
+    rows (skew moments, deflated vectors B d) are few, and against the
+    factors of A - sigma B alone they change the fill little: +1.5% for
+    the six skew rows of the cube_with_tunnel n=4 c_direct matrix, -7% for
+    the three of the untagged unit_cube n=8 one.
     """
     n = A.shape[0]
     K = (A - sigma * B).tocsc()  # already CSC: _factor makes no second copy
-    if bordered is not None:
-        K = sp.bmat([[K, bordered.T], [bordered, None]], format="csc")
+    if C is not None:
+        K = sp.bmat([[K, C.T], [C, None]], format="csc")
     lu = _factor(K, "saddle-point matrix")
-
-    def solve(x):
-        return lu.solve(np.concatenate([np.ravel(x), np.zeros(K.shape[0] - n)]))[:n]
-
-    if dense is None:
-        return solve
-    Y = np.column_stack([solve(d) for d in dense])
-    S = sla.lu_factor(dense @ Y)
-
-    def schur_solve(x):
-        y = solve(x)
-        return y - Y @ sla.lu_solve(S, dense @ y)
-
-    return schur_solve
+    pad = np.zeros(K.shape[0] - n)
+    return lambda x: lu.solve(np.concatenate([np.ravel(x), pad]))[:n]
 
 
 def _arpack(A, B, k, sigma, op, v0, tol):
@@ -270,43 +252,30 @@ def _arpack(A, B, k, sigma, op, v0, tol):
 
 
 def _eig_sparse(A, B, k, deflation, constraints, tol):
-    """Shift-invert ARPACK on the saddle-point operator.
+    """Shift-invert ARPACK on the saddle-point operator: one factorization, one pass.
 
-    Inside seeded(shift, v0) the matrix is factored once at that shift and
-    one full-accuracy pass converges the k pairs nearest it.  Its start is
-    op(B v), v = v0 plus _START_MIX |v0| of the seeded random vector: v0
-    may miss the wanted eigenvector (a symmetry class that excludes it),
-    the random share puts every direction in the Krylov space.
-    Unseeded, a loose first pass from a shift below the spectrum, started
-    from op(B r) with r the seeded random vector, locates the max(k, 2)
-    smallest eigenvalues.  When the ratio of the two smallest is below
-    _CLUSTER_RATIO the shift moves 99% of the way to the smallest and the
-    matrix is refactored; otherwise the full-accuracy pass reuses the
-    factorization.  That pass converges only the k pairs asked for: the
-    second one served the cluster test alone.
+    The matrix is factored once at sigma: the seed's shift inside
+    seeded(shift, v0), else sigma_0 = -1e-3 tr A / tr B, just below the
+    spectrum.  One full-accuracy pass then converges the k pairs nearest
+    sigma, started from op(B v).  v is the seeded random vector r, or
+    v0 plus _START_MIX |v0| of r: v0 may miss the wanted eigenvector (a
+    symmetry class that excludes it), the random share puts every
+    direction in the Krylov space.
     """
     n = A.shape[0]
     tr_b = B.diagonal().sum()
     if tr_b <= 0:
         raise SolverError("sparse path needs positive definite B")
-    rows = _saddle_rows(B, deflation, constraints, n)
     seed = _seed.get()
     if seed is None:
         sigma, v0 = -1e-3 * max(abs(A.diagonal().sum()) / tr_b, 1e-30), None
     else:
         sigma, v0 = seed
-    op = _saddle_inverse(A, B, sigma, *rows)
+    op = _saddle_inverse(A, B, sigma, _saddle_rows(B, deflation, constraints, n))
     v = np.random.default_rng(_SEED).standard_normal(n)
     if v0 is not None:
         v = v0 + _START_MIX * (np.linalg.norm(v0) / np.linalg.norm(v)) * v
-    start = op(B @ v)
-    if seed is None:
-        vals, vecs = _arpack(A, B, max(k, 2), sigma, op, start, _LOOSE_TOL)
-        if vals[1] < _CLUSTER_RATIO * vals[0]:
-            sigma += 0.99 * (vals[0] - sigma)
-            op = _saddle_inverse(A, B, sigma, *rows)
-        start = vecs.sum(axis=1)
-    vals, vecs = _arpack(A, B, k, sigma, op, start, tol)
+    vals, vecs = _arpack(A, B, k, sigma, op, op(B @ v), tol)
     return EigenResult(vals, vecs, _residuals(A, B, vals, vecs, constraints))
 
 

@@ -228,6 +228,23 @@ def test_removed_solver_flags_are_usage_errors(command, flag, capsys, monkeypatc
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1", "1"])
+@pytest.mark.parametrize("command", ["constants", "study"])
+def test_tolerance_out_of_range_is_usage_error(command, tol, capsys, monkeypatch, tmp_path):
+    # nan runs ARPACK to its iteration limit, inf switches the residual gate off
+    monkeypatch.chdir(tmp_path)
+    assert run([command, *_SOLVER_COMMANDS[command], "--tol", tol]) == EXIT_USAGE
+    assert "argument --tol:" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("command", ["constants", "study"])
+def test_tolerance_zero_and_small_are_accepted(command, monkeypatch, tmp_path):
+    monkeypatch.chdir(tmp_path)
+    for tol in ("0", "1e-10"):
+        assert run([command, *_SOLVER_COMMANDS[command], "--tol", tol]) == EXIT_OK
+
+
 def test_readme_cli_examples_parse():
     # the README names no command or flag the CLI does not accept
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()

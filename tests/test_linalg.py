@@ -4,6 +4,7 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+from kornlab import constants as cst
 from kornlab import linalg
 from kornlab.assemble import assemble
 from kornlab.linalg import (
@@ -36,7 +37,7 @@ def test_solve_random_spd_residual():
     assert np.linalg.norm(A @ x - b) / np.linalg.norm(b) <= 1e-12
 
 
-def test_solve_cg_path():
+def test_solve_above_retired_dense_limit():
     # 2100 unknowns, above the retired dense limit of 2000: the same
     # factorization as at every other size
     n = 2100
@@ -111,7 +112,7 @@ def test_saddle_inverse_accurate_with_zero_diagonal_block(monkeypatch):
 
     monkeypatch.setattr(spla, "splu", capture)
     sigma = -1e-3 * A.diagonal().sum() / B.diagonal().sum()
-    op = linalg._saddle_inverse(A, B, sigma, bordered, None)
+    op = linalg._saddle_inverse(A, B, sigma, bordered)
     (K, lu), = factored
     assert K.shape == (n + 3, n + 3)
     rng = np.random.default_rng(5)
@@ -137,7 +138,7 @@ def test_saddle_inverse_factor_options(monkeypatch):
     monkeypatch.setattr(spla, "splu", capture)
     n = 300
     A = sp.diags(np.arange(1.0, n + 1)).tocsr()
-    op = linalg._saddle_inverse(A, sp.identity(n, format="csr"), -0.5, None, None)
+    op = linalg._saddle_inverse(A, sp.identity(n, format="csr"), -0.5, None)
     assert np.allclose(op(np.ones(n)), 1.0 / (np.arange(1.0, n + 1) + 0.5))
     (kwargs,) = options
     assert kwargs["relax"] == 1
@@ -155,30 +156,67 @@ def test_saddle_inverse_out_of_memory_names_size(monkeypatch):
     A = sp.diags(np.arange(1.0, n + 1)).tocsr()
     bordered = sp.csr_matrix(np.ones((1, n)))
     with pytest.raises(SolverError, match=r"301x301 saddle-point matrix .*memory"):
-        linalg._saddle_inverse(A, sp.identity(n, format="csr"), -0.5, bordered, None)
+        linalg._saddle_inverse(A, sp.identity(n, format="csr"), -0.5, bordered)
     with pytest.raises(SolverError, match="memory"):
         eig_smallest(A, sp.identity(n, format="csr"), k=1)
     with pytest.raises(SolverError, match=r"300x300 symmetric matrix .*memory"):
         spd_solver(A)
 
 
+def test_saddle_inverse_borders_dense_skew_rows(monkeypatch):
+    # the tunnel n=2 c_direct pencil: two slices, three skew-moment rows
+    # each, every row dense; all six border the factorized matrix
+    mesh = generate_primitive("cube_with_tunnel", 2)
+    pencil = cst.tensor_pencil(mesh)
+    A, B = (pencil.sym + pencil.curlcurl).tocsr(), pencil.mass
+    n = A.shape[0]
+    assert n >= linalg.DENSE_CROSSOVER
+    C = linalg._saddle_rows(B, None, cst._slice_skew_constraints(pencil.space, mesh), n)
+    assert C.shape == (6, n) and np.diff(C.indptr).min() > 0.05 * n
+    factored = []
+    real = linalg._factor
+
+    def spy(K, what):
+        factored.append(K.shape)
+        return real(K, what)
+
+    monkeypatch.setattr(linalg, "_factor", spy)
+    sigma = -1e-3 * A.diagonal().sum() / B.diagonal().sum()
+    op = linalg._saddle_inverse(A, B, sigma, C)
+    assert factored == [(n + 6, n + 6)]
+    x = np.random.default_rng(8).standard_normal(n)
+    y = op(x)
+    Ct = C.toarray().T
+    assert np.linalg.norm(C @ y) <= 1e-12 * np.linalg.norm(Ct, 2) * np.linalg.norm(y)
+    # (A - sigma B) y = x up to a multiplier term C^T mu
+    r = (A - sigma * B) @ y - x
+    r = r - Ct @ np.linalg.lstsq(Ct, r, rcond=None)[0]
+    assert np.linalg.norm(r) <= 1e-12 * np.linalg.norm(x)
+
+
 @pytest.mark.parametrize("k", [1, 3])
 @pytest.mark.parametrize("gap", [1.0, 1e-3], ids=["separated", "clustered"])
-def test_final_arpack_pass_requests_k_pairs(k, gap, monkeypatch):
-    # the loose pass needs two pairs for the cluster test; the
-    # full-accuracy pass converges only the k that were asked for
-    requested = []
-    real = linalg._arpack
+def test_unseeded_sparse_solve_is_one_factorization_and_one_pass(k, gap, monkeypatch):
+    # separated or clustered, an unseeded pencil is factored once and
+    # converged by one ARPACK pass for the k pairs asked for
+    factored, requested = [], []
+    real_factor, real_arpack = linalg._factor, linalg._arpack
 
-    def spy(A, B, kk, *args):
+    def spy_factor(K, what):
+        factored.append(K.shape)
+        return real_factor(K, what)
+
+    def spy_arpack(A, B, kk, *args):
         requested.append(kk)
-        return real(A, B, kk, *args)
+        return real_arpack(A, B, kk, *args)
 
-    monkeypatch.setattr(linalg, "_arpack", spy)
+    monkeypatch.setattr(linalg, "_factor", spy_factor)
+    monkeypatch.setattr(linalg, "_arpack", spy_arpack)
     n = 400
     w = np.concatenate([[1.0, 1.0 + gap], 3.0 + np.arange(n - 2)])
     eig = eig_smallest(sp.diags(w).tocsr(), sp.identity(n, format="csr"), k=k)
-    assert requested == [max(k, 2), k]
+    assert factored == [(n, n)]
+    assert requested == [k]
     assert np.allclose(eig.values, w[:k], rtol=1e-10)
     assert eig.vectors.shape == (n, k)
     assert np.all(eig.residuals <= 1e-8)
@@ -225,7 +263,7 @@ def test_eig_monotone_under_restriction():
     assert lam1 >= lam0 - 1e-12
 
 
-def test_eig_lanczos_path_matches_dense():
+def test_eig_sparse_path_matches_exact_spectrum():
     # tridiagonal pencil above the crossover with a known spectrum
     n = 2500
     main = 2.0 * np.ones(n)
@@ -238,7 +276,7 @@ def test_eig_lanczos_path_matches_dense():
     assert np.all(r.residuals <= 1e-8)
 
 
-def test_eig_lanczos_with_deflation():
+def test_eig_sparse_path_with_deflation():
     n = 2200
     rng = np.random.default_rng(3)
     vals = np.concatenate([[1e-16, 1e-16], rng.uniform(1.0, 5.0, n - 2)])

@@ -90,7 +90,7 @@ def test_seeded_direct_is_one_factorization_and_one_pass(kind, n, tag, ref, monk
 
 
 def test_seeded_direct_unit_cube_n8_needs_one_factorization(monkeypatch):
-    # lambda_2 / lambda_1 ~ 1.001: the unseeded path re-shifts and refactors
+    # lambda_2 / lambda_1 ~ 1.001: the seeded solve still factors once
     ws = _chain_workspace(generate_primitive("unit_cube", 8))
     calls = _spy_solver(monkeypatch)
     rec = ws.constant("c_direct")
