@@ -221,7 +221,9 @@ def korn_constant_irrotational(mesh, tol=DEFAULT_EIG_TOL, ops=None, harmonics=No
     simply connected by assumption, matching the way the piecewise bound
     is assembled) and build their own pencils.  pencil, when given, is
     tensor_pencil(mesh, ops, coeff) built already.  On one slice the
-    record carries the pair lifted to Edge0^3, W y, as its vector.
+    record carries the pair lifted to Edge0^3, W y, as its vector.  Without
+    harmonic fields, unless sliced, this is the c_k_s and c_k_t pencil with
+    its dofs reordered, and Workspace reads those two off this record.
     """
     if coeff is not None and not mesh.has_gamma_t:
         raise ValueError("the weighted constant needs a nonempty tag-1 part")
@@ -438,14 +440,6 @@ class NonPositiveDeterminant(ValueError):
     pass
 
 
-def korn_constant_weighted(mesh, F, tol=DEFAULT_EIG_TOL, ops=None, harmonics=None):
-    """Irrotational constant with the weighted strain sym(T F) (needs a tag-1 part)."""
-    matrix_coefficient_norm(F, mesh)  # validates det F > 0
-    return korn_constant_irrotational(
-        mesh, tol, ops=ops, harmonics=harmonics, coeff=F, name="c_k_F"
-    )
-
-
 def derived_bound_weighted(c_k_F, c_m, c_F):
     """The weighted combined constant; c_k_F = 0 is allowed as in derived_bounds."""
     if c_k_F < 0 or c_m <= 0 or c_F <= 0:
@@ -526,6 +520,12 @@ class Workspace:
     curl incidence.  The harmonic search runs at tol and also yields the
     coexact Maxwell pair, so c_m_coexact needs no eigensolve of its own.
     Constants are cached by name, and the Maxwell gradient block reuses c_p.
+    Without harmonic fields the complex is exact: the curl-free tensors are
+    the gradients of the admissible P1 vectors, and the tag-1 part has at
+    most one component (dim H^1(Omega, Gamma_t) >= components - 1).  So,
+    unless sliced, the c_k_irrot pencil is the c_k_s and c_k_t pencil with
+    its dofs reordered, and those two are read off its pair (each record
+    keeps its own space's dim): one Korn eigensolve per report.
     c_direct is solved from the bracket and start vector that c_k_irrot and
     c_m give it (direct_seed).
     The weighted work (coefficient norms, c_k_F and the weighted pencil) is
@@ -552,6 +552,13 @@ class Workspace:
         mesh = self.mesh
         if name == "c_p":
             rec = poincare_constant(mesh, self.tol, self.ops)
+        elif (name == "c_k_s" or name == "c_k_t" and mesh.has_gamma_t) and not (
+                self.harmonics.dim or self.case == "sliced"):
+            irrot = self.constant("c_k_irrot")  # the same pencil, dofs reordered
+            pv = build_space(mesh, "P1_vector", "gamma_t", component_constant=name == "c_k_t")
+            rec = _empty(name) if irrot.eigenvalue is None else replace(
+                irrot, name=name, dim=pv.free_count, vector=None,
+                note="equal to c_k_irrot: harmonic dim 0")
         elif name == "c_k_s":
             rec = korn_constant_standard(mesh, self.tol)
         elif name == "c_k_t":
@@ -745,15 +752,8 @@ def compute_report(mesh, tol=DEFAULT_EIG_TOL, slack=DEFAULT_SLACK,
     ws = Workspace(mesh, tol, slack)
     wt = ws.weighted(weight) if weight is not None else None  # a bad weight fails first
 
-    records = {}
-    for name in ("c_p", "c_k_s"):
-        records[name] = ws.constant(name)
-    if mesh.has_gamma_t:
-        records["c_k_t"] = ws.constant("c_k_t")
-    records["c_k_irrot"] = ws.constant("c_k_irrot")
-    for name in ("c_m", "c_m_grad", "c_m_coexact"):
-        records[name] = ws.constant(name)
-    records["c_direct"] = ws.constant("c_direct")
+    names = ("c_p", "c_k_s", "c_k_t", "c_k_irrot", "c_m", "c_m_grad", "c_m_coexact", "c_direct")
+    records = {n: ws.constant(n) for n in names if n != "c_k_t" or mesh.has_gamma_t}
 
     c_hat, c_tilde = derived_bounds(
         records["c_k_irrot"].value, records["c_m"].value

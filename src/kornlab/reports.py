@@ -5,6 +5,8 @@ IEEE double exactly; dict insertion order is preserved, so two runs with
 the same configuration emit byte-identical files.
 """
 
+import csv
+
 import numpy as np
 
 
@@ -61,17 +63,13 @@ def dumps_json(obj, indent=2):
 
 def emit_report(report, path, fmt="json"):
     """Write a report dict as JSON or as a flattened CSV table."""
-    if fmt == "json":
-        text = dumps_json(report)
-    elif fmt == "csv":
-        rows = ["key,value"]
-        for key, value in _flatten(report):
-            rows.append(f"{key},{value}")
-        text = "\n".join(rows) + "\n"
+    if fmt == "csv":
+        write_csv(path, ("key", "value"), _flatten(report))
+    elif fmt == "json":
+        with open(path, "w", newline="\n") as fh:
+            fh.write(dumps_json(report))
     else:
         raise ValueError(f"unknown report format {fmt!r}")
-    with open(path, "w", newline="\n") as fh:
-        fh.write(text)
 
 
 def _flatten(obj, prefix=""):
@@ -82,28 +80,25 @@ def _flatten(obj, prefix=""):
         seq = obj.tolist() if isinstance(obj, np.ndarray) else list(obj)
         for i, v in enumerate(seq):
             yield from _flatten(v, f"{prefix}{i}.")
+    elif obj is None:
+        yield prefix[:-1], ""
+    elif isinstance(obj, bool):
+        yield prefix[:-1], "true" if obj else "false"
     else:
-        key = prefix[:-1]
-        if obj is None:
-            yield key, ""
-        elif isinstance(obj, bool):
-            yield key, "true" if obj else "false"
-        elif isinstance(obj, (float, np.floating)):
-            yield key, format_float(float(obj))
-        else:
-            yield key, str(obj)
+        yield prefix[:-1], obj
+
+
+def _csv_cell(x):
+    # nan and inf unquoted: the writer quotes the cells that need it
+    return format_float(x).strip('"') if isinstance(x, (float, np.floating)) else str(x)
 
 
 def write_csv(path, header, rows):
-    lines = [",".join(header)]
-    for row in rows:
-        cells = [
-            format_float(x) if isinstance(x, (float, np.floating)) else str(x)
-            for x in row
-        ]
-        lines.append(",".join(cells))
-    with open(path, "w", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    """Rows as CSV; a cell holding a comma, quote or newline is quoted."""
+    with open(path, "w", newline="") as fh:
+        out = csv.writer(fh, quoting=csv.QUOTE_MINIMAL, lineterminator="\n")
+        out.writerow(header)
+        out.writerows([_csv_cell(x) for x in row] for row in rows)
 
 
 def parse_json(text):

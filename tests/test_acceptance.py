@@ -260,14 +260,9 @@ def test_criterion_9_weighted(slab4_ws):
     ck = slab4_ws.constant("c_k_irrot").value
     cm = slab4_ws.constant("c_m").value
     c_hat, _ = cst.derived_bounds(ck, cm)
-    rec_id = cst.korn_constant_weighted(
-        mesh, identity_coefficient(), ops=slab4_ws.ops, harmonics=slab4_ws.harmonics
-    )
+    rec_id = slab4_ws.weighted(identity_coefficient()).record
     chat_id = cst.derived_bound_weighted(rec_id.value, cm, 1.0)
-    rec_2 = cst.korn_constant_weighted(
-        mesh, identity_coefficient(2.0), ops=slab4_ws.ops,
-        harmonics=slab4_ws.harmonics,
-    )
+    rec_2 = slab4_ws.weighted(identity_coefficient(2.0)).record
     rejected = False
     bad = MatrixCoefficient(
         lambda p: np.broadcast_to(np.diag([1.0, 1.0, -1.0]), (len(p), 3, 3)).copy(),

@@ -1,3 +1,4 @@
+import csv
 import json
 import re
 import shlex
@@ -333,3 +334,15 @@ def test_empty_report_valid_json(tmp_path):
     path = tmp_path / "empty.json"
     emit_report({}, path, "json")
     assert json.loads(path.read_text()) == {}
+
+
+def test_csv_cells_with_commas_and_quotes_keep_their_column(tmp_path):
+    note = 'equal to c_k_irrot, "carried"'
+    path = tmp_path / "r.csv"
+    emit_report({"c_k_s": {"value": 1.5, "note": note}, "nan": float("nan")}, path, "csv")
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert all(len(row) == 2 for row in rows)
+    assert rows == [["key", "value"], ["c_k_s.value", "1.5"], ["c_k_s.note", note],
+                    ["nan", "nan"]]
+    assert path.read_text().splitlines()[1] == "c_k_s.value,1.5"

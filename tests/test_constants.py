@@ -104,16 +104,81 @@ def test_korn_tangential_equals_standard_for_connected_boundary(cube3_ws):
     assert t == pytest.approx(s, rel=1e-10)
 
 
-def test_korn_tangential_two_plates_exceeds_standard():
-    m = generate_primitive("unit_cube", 2)
+def _two_plates(n):
+    """unit_cube with the tag-1 part on the planes x = 0 and x = 1."""
+    m = generate_primitive("unit_cube", n)
     coords = m.vertices[m.btris]
     tags = np.zeros(len(m.btris), dtype=int)
     tags[np.all(np.abs(coords[:, :, 0]) < 1e-12, axis=1)] = 1
     tags[np.all(np.abs(coords[:, :, 0] - 1) < 1e-12, axis=1)] = 1
-    m = m.retag(tags)
+    return m.retag(tags)
+
+
+def test_korn_tangential_two_plates_exceeds_standard():
+    m = _two_plates(2)
     s = cst.korn_constant_standard(m).value
     t = cst.korn_constant_tangential(m).value
     assert t >= s * (1 - 1e-10)
+
+
+def _tagged(kind, n, tag):
+    mesh = generate_primitive(kind, n)
+    return mesh if tag is None else mesh.retag(tag)
+
+
+@pytest.mark.parametrize(
+    "kind, n, tag",
+    [("unit_cube", 2, None), ("unit_cube", 2, 0), ("unit_cube", 4, None),
+     ("unit_cube", 4, 0), ("slab_mixed", 4, None), ("slab_mixed", 4, 0),
+     ("cube_with_tunnel", 2, 1)],
+    ids=["cube2", "cube2_untagged", "cube4", "cube4_untagged", "slab4",
+         "slab4_untagged", "tunnel2_tagged"],
+)
+def test_workspace_carries_korn_vector_constants_from_c_k_irrot(kind, n, tag, monkeypatch):
+    # no harmonic fields and not sliced: the c_k_irrot pencil is the c_k_s
+    # (and c_k_t) pencil with its dofs reordered, so the Workspace solves it
+    # once and matches the separate solves
+    mesh = _tagged(kind, n, tag)
+    separate = {"c_k_s": cst.korn_constant_standard(mesh)}
+    if mesh.has_gamma_t:
+        separate["c_k_t"] = cst.korn_constant_tangential(mesh)
+    ws = cst.Workspace(mesh)
+    assert ws.harmonics.dim == 0 and ws.case != "sliced"
+    if not mesh.has_gamma_t:
+        with pytest.raises(ValueError):
+            ws.constant("c_k_t")
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("separate Korn solve on an identity mesh")
+
+    monkeypatch.setattr(cst, "korn_constant_standard", no_solve)
+    monkeypatch.setattr(cst, "korn_constant_tangential", no_solve)
+    irrot = ws.constant("c_k_irrot")
+    for name, rec in separate.items():
+        carried = ws.constant(name)
+        assert carried.name == name
+        assert carried.value == pytest.approx(rec.value, rel=1e-13)
+        assert carried.dim == rec.dim
+        assert carried.eigenvalue == irrot.eigenvalue
+        assert carried.note == "equal to c_k_irrot: harmonic dim 0"
+        assert carried.vector is None
+
+
+@pytest.mark.parametrize("plates", [True, False], ids=["two_plates2", "tunnel2_sliced"])
+def test_workspace_solves_korn_vector_constants_separately_otherwise(plates):
+    # harmonic fields (two tag-1 components) or slices: the quotients differ
+    mesh = _two_plates(2) if plates else generate_primitive("cube_with_tunnel", 2)
+    ws = cst.Workspace(mesh)
+    assert ws.harmonics.dim > 0
+    s = ws.constant("c_k_s")
+    assert s == cst.korn_constant_standard(mesh)
+    if mesh.has_gamma_t:
+        t = ws.constant("c_k_t")
+        assert t == cst.korn_constant_tangential(mesh)
+        assert s.value < t.value * (1 - 1e-3)
+    else:
+        assert ws.case == "sliced"
+        assert s.value < ws.constant("c_k_irrot").value * (1 - 1e-3)
 
 
 def test_korn_chain_ordering(slab2_ws):
@@ -312,20 +377,15 @@ def test_matrix_coefficient_norms():
 
 
 def test_weighted_korn_identity_and_scaling(slab2_ws):
-    mesh = slab2_ws.mesh
     ck = slab2_ws.constant("c_k_irrot").value
     cm = slab2_ws.constant("c_m").value
-    rec1 = cst.korn_constant_weighted(
-        mesh, identity_coefficient(), ops=slab2_ws.ops, harmonics=slab2_ws.harmonics
-    )
+    rec1 = slab2_ws.weighted(identity_coefficient()).record
     assert rec1.value == pytest.approx(ck, rel=1e-10)
     c_hat, _ = cst.derived_bounds(ck, cm)
     assert cst.derived_bound_weighted(rec1.value, cm, 1.0) == pytest.approx(
         c_hat, rel=1e-10
     )
-    rec2 = cst.korn_constant_weighted(
-        mesh, identity_coefficient(2.0), ops=slab2_ws.ops, harmonics=slab2_ws.harmonics
-    )
+    rec2 = slab2_ws.weighted(identity_coefficient(2.0)).record
     assert rec2.value == pytest.approx(ck / 2.0, rel=1e-10)
 
 
@@ -338,7 +398,7 @@ def test_weighted_korn_variable_coefficient():
         return out
 
     F = MatrixCoefficient(evaluator, degree=1)
-    rec = cst.korn_constant_weighted(mesh, F)
+    rec = cst.Workspace(mesh).weighted(F).record
     assert np.isfinite(rec.value) and rec.value > 0
     # dense oracle: rebuild the reduced pencil by hand
     ops = hodge.edge_operators(mesh)
@@ -373,7 +433,7 @@ def test_certify_weighted_chain(slab2_ws):
 def test_weighted_needs_tags():
     m = generate_primitive("unit_cube", 2).retag(0)
     with pytest.raises(ValueError):
-        cst.korn_constant_weighted(m, identity_coefficient())
+        cst.Workspace(m).weighted(identity_coefficient())
 
 
 def test_generalized_poincare_dispatcher(slab2_ws):
@@ -588,9 +648,14 @@ def test_report_pencils_have_positive_definite_B(kind, n, tag, monkeypatch):
         return real(A, B, k, deflation, constraints, tol)
 
     monkeypatch.setattr(linalg, "eig_smallest", spy)
-    mesh = generate_primitive(kind, n)
-    cst.compute_report(mesh if tag is None else mesh.retag(tag))
-    assert len(pencils) >= 5
+    mesh = _tagged(kind, n, tag)
+    cst.compute_report(mesh)
+    assert len(pencils) >= 4
+    # the pinned c_k_s and c_k_t pencils, which the report reads off
+    # c_k_irrot on the cubes
+    cst.korn_constant_standard(mesh)
+    if mesh.has_gamma_t:
+        cst.korn_constant_tangential(mesh)
     for B, deflation in pencils:
         B = sp.csr_matrix(B)
         np.linalg.cholesky(B.toarray())

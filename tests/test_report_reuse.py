@@ -125,8 +125,9 @@ def test_weighted_certification_assembles_weighted_strain_once(monkeypatch):
 
 
 def test_report_measures_kernels_by_eigensolve(monkeypatch):
-    # the strain-kernel note comes from the c_k_s eigensolve: no dense kernel
-    # diagnostic and no extra solve (five, as before the diagnostic went)
+    # no dense kernel diagnostic and no extra solve: four, c_k_s being read
+    # off the c_k_irrot solve (the strain-kernel note of a separate c_k_s
+    # solve is covered in test_constants.py)
     calls = Counter()
     for name in ("eig_smallest", "null_space"):
         real = getattr(linalg, name)
@@ -137,8 +138,8 @@ def test_report_measures_kernels_by_eigensolve(monkeypatch):
 
         monkeypatch.setattr(linalg, name, spy)
     report = cst.compute_report(generate_primitive("unit_cube", 4).retag(0))
-    assert report["c_k_s"]["note"].endswith("strain kernel dim 6")
-    assert calls == {"eig_smallest": 5}
+    assert report["c_k_s"]["note"] == "equal to c_k_irrot: harmonic dim 0"
+    assert calls == {"eig_smallest": 4}
 
 
 def test_second_weighted_sample_reuses_weighted_work(monkeypatch):
