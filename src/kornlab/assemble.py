@@ -19,7 +19,6 @@ evaluate_norms raises the rule further; it matters only for those.
 
 import warnings
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -112,11 +111,6 @@ class _Geometry:
         lb = lam[:, b.ravel()].reshape(len(lam), *b.shape)
         vals = la[..., None] * gb[None] - lb[..., None] * ga[None]  # (Q,T,6,3)
         return np.transpose(vals, (1, 0, 2, 3))
-
-    @cached_property
-    def centroid_edge_values(self):
-        """Whitney edge basis at the cell centroids: (T,6,3)."""
-        return self.edge_values(np.full((1, 4), 0.25))[:, 0]
 
     def face_values(self, lam):
         """Whitney face basis at barycentric points: (T,Q,4,3)."""

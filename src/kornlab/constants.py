@@ -17,7 +17,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import hodge, linalg, meshes
-from .assemble import DEFAULT_QUAD_DEGREE, assemble, geometry, tet_rule
+from .assemble import DEFAULT_QUAD_DEGREE, assemble, tet_rule
 from .hodge import SO3_BASIS
 from .spaces import TensorField, build_space
 
@@ -252,7 +252,7 @@ def korn_constant_irrotational(mesh, tol=DEFAULT_EIG_TOL, ops=None, harmonics=No
     B = W.T @ (pencil.mass @ W)
     constraints = note = None
     if not mesh.has_gamma_t:
-        constraints = _slice_skew_constraints(pencil.space, mesh) @ W
+        constraints = _slice_skew_constraints(pencil.space) @ W
         note = "deflated: constant skew tensors"
     eig = linalg.eig_smallest(A, B, k=1, constraints=constraints, tol=tol)
     rec = _record(name, eig, B, W.shape[1], tol, note)
@@ -310,36 +310,19 @@ def derived_bounds(c_k, c_m):
     return c_hat, c_tilde
 
 
-def _slice_skew_constraints(space, mesh):
+def _slice_skew_constraints(space):
     """Rows c with c @ T_stacked = <T, S^l restricted to slice j>_M.
 
     Three rows per slice, one per skew generator S^l: the fields they
     annihilate are the ones L2-orthogonal to the constant skews on every
     slice.  On one slice they are the rows (M d)^T of the constant skew
     tensors d, so they also stand for a B-orthogonal deflation of them.
+    Row (j, l) holds S^l[m] @ Q_j in block m, Q_j the three rows of slice j
+    in hodge.slice_moments, the matrix certification averages with.
     """
-    geom = geometry(mesh)
-    W = geom.centroid_edge_values  # (T,6,3)
-    rows = []
-    nfree = space.free_count
-    for s in mesh.slice_labels:
-        sel = mesh.slice_ids == s
-        # per-edge integral of W over the slice
-        acc = np.zeros((mesh.num_edges, 3))
-        np.add.at(
-            acc,
-            mesh.tet_edges[sel].ravel(),
-            (geom.vols[sel, None, None] * W[sel]).reshape(-1, 3),
-        )
-        free_rows = space.dof_map[0]
-        for S in SO3_BASIS:
-            row = np.zeros(3 * nfree)
-            for m in range(3):
-                vals = acc @ S[m]
-                keep = free_rows >= 0
-                row[m * nfree + free_rows[keep]] = vals[keep]
-            rows.append(row)
-    return np.vstack(rows)
+    labels, Q, _ = hodge.slice_moments(space)
+    Q = Q.reshape(len(labels), 3, space.free_count)
+    return np.einsum("lmd,jdn->jlmn", SO3_BASIS, Q).reshape(3 * len(labels), -1)
 
 
 def direct_main_constant(mesh, tol=DEFAULT_EIG_TOL, ops=None, pencil=None,
@@ -372,7 +355,7 @@ def direct_main_constant(mesh, tol=DEFAULT_EIG_TOL, ops=None, pencil=None,
     nslices = len(mesh.slice_labels)
     constraints = note = None
     if not mesh.has_gamma_t and deflate:
-        constraints = _slice_skew_constraints(pencil.space, mesh)
+        constraints = _slice_skew_constraints(pencil.space)
         note = ("deflated: constant skew tensors" if nslices == 1
                 else f"deflated: per-slice skew moments ({nslices} slices)")
     scale = A.diagonal().sum() / max(B.diagonal().sum(), 1e-300)
@@ -516,9 +499,10 @@ class Workspace:
     operators (mass, curl-curl, gradient incidence, the scalar space of c_p
     and the cached Poisson factorization), the harmonic basis, the tensor
     pencil (its mass and curl-curl blocks reuse the edge matrices; the
-    strain form is assembled once, for c_k_irrot and c_direct) and the
-    curl incidence.  The harmonic search runs at tol and also yields the
-    coexact Maxwell pair, so c_m_coexact needs no eigensolve of its own.
+    strain form is assembled once, for c_k_irrot and c_direct), the curl
+    incidence and the Face0 mass (certification reads |Curl T| through
+    them).  The harmonic search runs at tol and also yields the coexact
+    Maxwell pair, so c_m_coexact needs no eigensolve of its own.
     Constants are cached by name, and the Maxwell gradient block reuses c_p.
     Without harmonic fields the complex is exact: the curl-free tensors are
     the gradients of the admissible P1 vectors, and the tag-1 part has at
@@ -540,9 +524,11 @@ class Workspace:
         self.ops = hodge.edge_operators(mesh)
         self.harmonics = hodge.harmonic_basis(mesh, self.ops, tol=tol)
         self.pencil = tensor_pencil(mesh, self.ops)
-        self.curl_incidence = assemble(
-            "curl_map", self.ops.edge_space, build_space(mesh, "Face0")
-        )
+        # the curl incidence C: Edge0 -> Face0 and the Face0 mass M_f;
+        # C^T M_f C is the edge curl-curl form
+        f0 = build_space(mesh, "Face0")
+        self.curl_incidence = assemble("curl_map", self.ops.edge_space, f0)
+        self.face_mass = assemble("mass", f0)
         self._cache = {}
         self._weighted = {}  # id(weight) -> (weight, WeightedWork)
 
@@ -638,26 +624,43 @@ def _mnorm(vec, mat):
     return float(np.sqrt(max(vec @ (mat @ vec), 0.0)))
 
 
+def _image_norm(rows, images):
+    """sqrt(sum_m rows[m] @ images[m]): a norm read off the images of the rows."""
+    return float(np.sqrt(max(np.vdot(rows, images), 0.0)))
+
+
 class _Chain:
     """The links of one certification chain on a tensor field T, in order.
 
     Holds the Helmholtz split T = R + S with its mass norms and |Curl T|,
     and starts with link (a): the mass-orthogonality of R and S relative to
     |T|^2 (the size at which a defect would perturb the Pythagoras step).
-    Degenerate links (both sides at rounding level) are measured against
-    the size of T instead of a vanishing right-hand side.
+    Only the field-dependent work runs per field: one split, which hands
+    back M T and M R, so every mass norm and inner product of T, R and S
+    reads off them (M S = M T - M R); the incidence images C t_m, which the
+    curl_transfer link reads too, and |Curl T|^2 = sum_m (C t_m)^T M_f
+    (C t_m).  That sum of Face0 mass norms stays nonnegative where t^T CC t
+    is pure rounding (rows within rounding of gradients), and C^T M_f C is
+    the curl-curl form.  Degenerate links (both sides at rounding level)
+    are measured against the size of T instead of a vanishing right-hand
+    side.
     """
 
     def __init__(self, T, ws):
-        M = ws.pencil.mass
         self.ws = ws
-        self.R, S = hodge.helmholtz_split_tensor(T, ws.harmonics, ws.ops).parts()
+        split = hodge.helmholtz_split_tensor(T, ws.harmonics, ws.ops)
+        self.R, S = split.parts()
+        mass_S = split.mass_T - split.mass_R
         self.t, self.r, self.s = T.stacked(), self.R.stacked(), S.stacked()
-        self.nT, self.nR, self.nS = (_mnorm(v, M) for v in (self.t, self.r, self.s))
-        self.curl_T = _mnorm(self.t, ws.pencil.curlcurl)
+        self.nT = _image_norm(T.rows, split.mass_T)
+        self.nR = _image_norm(self.R.rows, split.mass_R)
+        self.nS = _image_norm(S.rows, mass_S)
+        C, Mf = ws.curl_incidence, ws.face_mass
+        self.curl_images = np.array([C @ row for row in T.rows])
+        self.curl_T = _image_norm(self.curl_images, [Mf @ c for c in self.curl_images])
         self.floor = 1e-6 * max(self.nT, 1e-300)
         self.links = {}
-        ortho = abs(float(self.r @ (M @ self.s)))
+        ortho = abs(float(np.vdot(self.R.rows, mass_S)))
         self.equality("orthogonality", ortho / max(self.nT**2, 1e-300))
 
     def ineq(self, name, lhs, rhs):
@@ -684,6 +687,10 @@ def certify_main_inequality(T, ws):
     Links: (a) split orthogonality, (b) curl preservation, (c) the coexact
     estimate, (d) the Korn link on the curl-free part, (e) the assembled
     bound.  Margins are relative; the verdict demands all >= -slack.
+    A field costs one Helmholtz split and one-vector sparse products; the
+    slice averages of T and R (d, e) are two dense products with the
+    cached hodge.slice_moments, and the operators of the Workspace are
+    only read.
     """
     Asym = ws.pencil.sym
     chain = _Chain(T, ws)  # (a)
@@ -691,9 +698,9 @@ def certify_main_inequality(T, ws):
 
     # (b) the coexact part carries the whole curl (incidence level, so the
     # gradient rows cancel exactly)
-    Cinc = ws.curl_incidence
-    inc_R = np.linalg.norm(np.column_stack([Cinc @ row for row in R.rows]))
-    inc_T = np.linalg.norm(np.column_stack([Cinc @ row for row in T.rows]))
+    C = ws.curl_incidence
+    inc_R = np.linalg.norm(np.array([C @ row for row in R.rows]))
+    inc_T = np.linalg.norm(chain.curl_images)
     inc_floor = 1e-6 * max(np.linalg.norm(chain.t), 1e-300)
     chain.equality("curl_transfer", inc_R / max(inc_T, inc_floor))
 

@@ -71,6 +71,11 @@ class EdgeOperators:
         solve = linalg.spd_solver((Gp.T @ (self.mass @ Gp)).tocsr())
         return solve if Gp is self.grad else lambda rhs: np.r_[0.0, solve(rhs[1:])]
 
+    @cached_property
+    def grad_t(self):
+        """G^T as its own CSR matrix, built once for every Poisson right-hand side."""
+        return self.grad.T.tocsr()
+
 
 def edge_operators(mesh):
     return _operators_for(build_space(mesh, "Edge0", "gamma_t"))
@@ -165,7 +170,7 @@ def _clean_harmonic(ops, d):
 
 def _poisson_solve(ops, weighted_rhs):
     """Solve (G^T M G) u = G^T (M v) with the factorization cached on ops."""
-    return ops.poisson(ops.grad.T @ weighted_rhs)
+    return ops.poisson(ops.grad_t @ weighted_rhs)
 
 
 @dataclass
@@ -225,57 +230,60 @@ def helmholtz_split(v, harmonics=None, ops=None):
         ops = _operators_for(space)
     if harmonics is None:
         harmonics = harmonic_basis(mesh)
-    M, G = ops.mass, ops.grad
-
-    u = _poisson_solve(ops, M @ coeffs)
-    grad = G @ u
-    if harmonics.dim:
-        hf = harmonics.fields_in(space)
-        proj = hf @ (M @ coeffs)
-        harm = hf.T @ proj
-    else:
-        harm = np.zeros_like(coeffs)
+    u, grad, harm = _curl_free_split(ops, harmonics.fields_in(space), ops.mass @ coeffs)
     coex = coeffs - grad - harm
     return HelmholtzSplit(
-        Field(space, grad), Field(space, harm), Field(space, coex), u, v, M
+        Field(space, grad), Field(space, harm), Field(space, coex), u, v, ops.mass
     )
+
+
+def _curl_free_split(ops, hf, Mv):
+    """(potential u, gradient G u, harmonic part) of the field v with M v = Mv.
+
+    hf holds the harmonic fields as rows (none: the part is zero).
+    """
+    u = _poisson_solve(ops, Mv)
+    return u, ops.grad @ u, hf.T @ (hf @ Mv)
 
 
 @dataclass
 class TensorSplit:
     curl_free: TensorField  # gradient + harmonic rows
     coexact: TensorField
+    # mass images of the rows of T and R, formed by the split: every mass
+    # norm and inner product of T, R and S reads off them, M S = M T - M R
+    mass_T: np.ndarray = field(repr=False)
+    mass_R: np.ndarray = field(repr=False)
 
     def parts(self):
         return self.curl_free, self.coexact
 
 
 def helmholtz_split_tensor(T, harmonics=None, ops=None):
-    """Row-wise Helmholtz split; the coexact part carries Curl S = Curl T."""
+    """Row-wise Helmholtz split; the coexact part carries Curl S = Curl T.
+
+    Every product takes one row at a time: scipy's sparse products with
+    several vectors are slower than as many single ones.
+    """
     if ops is None or ops.edge_space is not T.space:
         ops = _operators_for(T.space)
     if harmonics is None:
         harmonics = harmonic_basis(T.space.mesh)
-    R = np.empty_like(T.rows)
-    S = np.empty_like(T.rows)
-    for m in range(3):
-        split = helmholtz_split(Field(T.space, T.rows[m]), harmonics, ops)
-        R[m] = split.grad_part.coeffs + split.harmonic_part.coeffs
-        S[m] = split.coexact_part.coeffs
-    return TensorSplit(TensorField(T.space, R), TensorField(T.space, S))
+    M = ops.mass
+    hf = harmonics.fields_in(T.space)
+    R, S, MT, MR = (np.empty_like(T.rows) for _ in range(4))
+    for m, row in enumerate(T.rows):
+        MT[m] = M @ row
+        _, grad, harm = _curl_free_split(ops, hf, MT[m])
+        R[m] = grad + harm
+        S[m] = row - grad - harm
+        MR[m] = M @ R[m]
+    return TensorSplit(TensorField(T.space, R), TensorField(T.space, S), MT, MR)
 
 
 # --------------------------------------------------------------------------
 # averages and projections
 # --------------------------------------------------------------------------
-
-
-def _edge_cell_means(space, coeffs):
-    """Cell averages of an Edge0 field (exact: the basis is linear per cell)."""
-    mesh = space.mesh
-    full = space.full_from_free(coeffs)[0]
-    return np.einsum("te,ted->td", full[mesh.tet_edges],
-                     geometry(mesh).centroid_edge_values)
 
 
 def _analytic_cell_means(func, mesh, degree):
@@ -351,22 +359,57 @@ def project_rigid(v, mesh=None, degree=2):
     return RigidProjection(spin, mean_val, offset, centroid, res_so3, res_r3)
 
 
+def slice_moments(space, slice_ids=None):
+    """(labels, Q, volumes): the per-slice first moments of an Edge0 space.
+
+    Q has three rows per slice: Q[3 j + d] @ x is the integral over slice j
+    of component d of the field with free coefficients x (exact: the basis
+    is linear per cell, so the centroid value times the volume).
+    slice_ids is a label per cell, or one label for every cell; by default
+    the mesh's own, whose moments are cached on the mesh per constraint of
+    the space.
+    """
+    mesh = space.mesh
+    if slice_ids is not None:
+        return _slice_moments(space, np.broadcast_to(slice_ids, (mesh.num_tets,)))
+    key = f"_slice_moments_{space.constrain}"
+    if key not in mesh.__dict__:
+        mesh.__dict__[key] = _slice_moments(space, mesh.slice_ids)
+    return mesh.__dict__[key]
+
+
+def _slice_moments(space, ids):
+    mesh = space.mesh
+    geom = geometry(mesh)
+    labels, which = np.unique(ids, return_inverse=True)
+    nslices, nedges = len(labels), mesh.num_edges
+    # edge basis at the cell centroids times the cell volume: (T,6,3)
+    vals = geom.vols[:, None, None] * geom.edge_values(np.full((1, 4), 0.25))[:, 0]
+    key = (which[:, None] * nedges + mesh.tet_edges).ravel()
+    acc = np.stack([np.bincount(key, vals[..., d].ravel(), nslices * nedges)
+                    for d in range(3)], axis=1).reshape(nslices, nedges, 3)
+    free = space.dof_map[0]
+    keep = free >= 0
+    Q = np.zeros((nslices, 3, space.free_count))
+    Q[:, :, free[keep]] = np.swapaxes(acc[:, keep], 1, 2)
+    return labels, Q.reshape(3 * nslices, -1), np.bincount(which, geom.vols, nslices)
+
+
 def slice_means(T, slice_ids=None, mesh=None, degree=2):
     """Per-slice volume averages: (labels, means, volumes), means[j] (3,3).
 
-    T is a TensorField or an analytic evaluator (n,3) -> (n,3,3); analytic
-    inputs may be discontinuous across slices.  slice_ids is a label per
-    cell, or one label for every cell; by default the mesh's own.
+    T is a TensorField (averaged through slice_moments) or an analytic
+    evaluator (n,3) -> (n,3,3); analytic inputs may be discontinuous across
+    slices.  slice_ids is a label per cell, or one label for every cell; by
+    default the mesh's own.
     """
     if isinstance(T, TensorField):
-        mesh = T.space.mesh
-        cell_means = np.stack(
-            [_edge_cell_means(T.space, T.rows[m]) for m in range(3)], axis=1
-        )  # (T,3,3)
-    else:
-        if mesh is None:
-            raise ValueError("analytic input needs a mesh")
-        cell_means = _analytic_cell_means(T, mesh, degree)
+        labels, Q, volumes = slice_moments(T.space, slice_ids)
+        sums = (Q @ T.rows.T).reshape(len(labels), 3, 3)  # [j, d, m]
+        return labels, np.swapaxes(sums, 1, 2) / volumes[:, None, None], volumes
+    if mesh is None:
+        raise ValueError("analytic input needs a mesh")
+    cell_means = _analytic_cell_means(T, mesh, degree)
     vols = geometry(mesh).vols
     ids = mesh.slice_ids if slice_ids is None else np.broadcast_to(slice_ids, vols.shape)
     labels = np.unique(ids)

@@ -1,7 +1,10 @@
 """Certification reuses what depends only on the mesh.
 
 Each EdgeOperators factors its Poisson matrix G^T M G once; every later
-Helmholtz split is a pair of triangular solves.  The pinned margins were
+Helmholtz split is a pair of triangular solves.  The slice moments are
+built once per mesh and the curl incidence and Face0 mass with the
+Workspace, so a sample after the first does only the work that depends on
+its field.  The pinned margins were
 recorded before the factorization was cached and the piecewise-shift
 loop of certify_main_inequality was folded, and must not move.
 """
@@ -14,7 +17,7 @@ from kornlab import constants as cst
 from kornlab import hodge, linalg
 from kornlab.assemble import assemble
 from kornlab.meshes import generate_primitive
-from kornlab.spaces import build_space
+from kornlab.spaces import TensorField, build_space
 
 CHAIN = ("c_m", "c_m_coexact", "c_k_irrot")  # the constants certification reads
 
@@ -79,21 +82,44 @@ def test_certification_factors_poisson_once(workspaces, label, monkeypatch):
     for name in CHAIN:
         ws.constant(name)
     calls = []
-    real = spla.splu
 
-    def counting(*args, **kwargs):
-        calls.append(args[0].shape)
-        return real(*args, **kwargs)
+    def spy(module, name):
+        real = getattr(module, name)
 
-    monkeypatch.setattr(spla, "splu", counting)
+        def counting(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counting)
+
+    for module, name in ((spla, "splu"), (cst, "assemble"), (hodge, "assemble"),
+                         (cst, "build_space"), (hodge, "build_space"),
+                         (hodge, "_slice_moments"), (hodge, "helmholtz_split_tensor")):
+        spy(module, name)
     rng = np.random.default_rng(7)
     # the first split factors unless the harmonic cleanup already did
     assert cst.certify_main_inequality(ws.random_tensor(rng), ws).verdict
-    assert len(calls) <= 1
-    calls.clear()
+    assert calls.count("splu") <= 1
+    assert calls.count("helmholtz_split_tensor") == 1
     for _ in range(5):
+        calls.clear()
         assert cst.certify_main_inequality(ws.random_tensor(rng), ws).verdict
-    assert calls == []
+        # no assembly, space, factorization or slice-moment matrix; one split
+        assert calls == ["helmholtz_split_tensor"]
+
+
+@pytest.mark.parametrize("noise", [1e-12, 1e-10])
+def test_gradient_rows_with_noise_certify(workspaces, noise):
+    # t^T CC t is pure rounding for rows within noise of gradients; |Curl T|
+    # read as the Face0 mass norm of the incidence images C t_m is not
+    ws = workspaces["slab_tangential"]
+    ops = ws.ops
+    rng = np.random.default_rng(3)
+    rows = np.stack([ops.grad @ rng.standard_normal(ops.p1_space.free_count)
+                     for _ in range(3)])
+    rows += noise * rng.standard_normal(rows.shape)
+    cert = cst.certify_main_inequality(TensorField(ops.edge_space, rows), ws)
+    assert cert.verdict, cert.failed
 
 
 @pytest.mark.parametrize("label", ["tunnel_sliced", "slab_tangential"])

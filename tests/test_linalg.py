@@ -171,7 +171,7 @@ def test_saddle_inverse_borders_dense_skew_rows(monkeypatch):
     A, B = (pencil.sym + pencil.curlcurl).tocsr(), pencil.mass
     n = A.shape[0]
     assert n >= linalg.DENSE_CROSSOVER
-    C = linalg._saddle_rows(B, None, cst._slice_skew_constraints(pencil.space, mesh), n)
+    C = linalg._saddle_rows(B, None, cst._slice_skew_constraints(pencil.space), n)
     assert C.shape == (6, n) and np.diff(C.indptr).min() > 0.05 * n
     factored = []
     real = linalg._factor

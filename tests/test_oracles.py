@@ -107,9 +107,53 @@ def test_direct_constant_dense_oracle_no_tags():
     assert rec.value == pytest.approx(1.0 / np.sqrt(w[0]), rel=1e-9)
 
 
+def _cell_centroid_slice_means(T):
+    """Per-slice averages of a TensorField: volume-weighted cell-centroid
+    values (exact: the fields are affine per cell)."""
+    mesh = T.space.mesh
+    geom = geometry(mesh)
+    W = geom.edge_values(np.full((1, 4), 0.25))[:, 0]  # (T,6,3)
+    cells = np.stack([
+        np.einsum("te,ted->td", T.space.full_from_free(row)[0][mesh.tet_edges], W)
+        for row in T.rows
+    ], axis=1)  # (T,3,3)
+    means, vols = [], []
+    for s in np.unique(mesh.slice_ids):
+        sel = mesh.slice_ids == s
+        vols.append(geom.vols[sel].sum())
+        means.append(np.einsum("t,tab->ab", geom.vols[sel], cells[sel]) / vols[-1])
+    return np.array(means), np.array(vols)
+
+
+def _shifted_norm(X, skews):
+    """|X - skews[j] on slice j| from evaluate_norms and the cell averages;
+    on one slice the constant skew is an Edge0 tensor, subtracted as one."""
+    if len(skews) == 1:
+        shift = hodge.constant_tensor_coeffs(X.space, skews[0])
+        return np.sqrt(evaluate_norms(TensorField(X.space, X.rows - shift), ["L2"])["L2"])
+    means, vols = _cell_centroid_slice_means(X)
+    sq = (evaluate_norms(X, ["L2"])["L2"]
+          - 2.0 * np.einsum("j,jab,jab->", vols, means, skews)
+          + np.einsum("j,jab,jab->", vols, skews, skews))
+    return np.sqrt(sq)
+
+
 def test_certification_links_against_norm_oracle():
-    mesh = generate_primitive("slab_mixed", 2)
-    ws = cst.Workspace(mesh)
+    cases = [  # (mesh, case, harmonic dim)
+        (generate_primitive("slab_mixed", 2), "tangential", 0),
+        (generate_primitive("unit_cube", 2).retag(0), "simply_connected", 0),
+        (generate_primitive("cube_with_tunnel", 2), "sliced", 1),
+    ]
+    for mesh, case, harmonic_dim in cases:
+        ws = cst.Workspace(mesh)
+        assert (ws.case, ws.harmonics.dim) == (case, harmonic_dim)
+        _check_links_against_norm_oracle(ws)
+
+
+def _check_links_against_norm_oracle(ws):
+    c_k = ws.constant("c_k_irrot").value
+    c_hat, c_tilde = cst.derived_bounds(c_k, ws.constant("c_m").value)
+    c_bound = c_tilde if ws.case == "sliced" else c_hat
     rng = np.random.default_rng(123)
     for _ in range(5):
         T = ws.random_tensor(rng)
@@ -117,7 +161,6 @@ def test_certification_links_against_norm_oracle():
         split = hodge.helmholtz_split_tensor(T, ws.harmonics, ws.ops)
         R, S = split.parts()
         nS = np.sqrt(evaluate_norms(S, ["L2"])["L2"])
-        nT = np.sqrt(evaluate_norms(T, ["L2"])["L2"])
         sym_T = np.sqrt(evaluate_norms(T, ["sym"])["sym"])
         curl_T = np.sqrt(evaluate_norms(T, ["curl"])["curl"])
         sym_R = np.sqrt(evaluate_norms(R, ["sym"])["sym"])
@@ -126,20 +169,28 @@ def test_certification_links_against_norm_oracle():
         assert link["rhs"] == pytest.approx(
             ws.constant("c_m_coexact").value * curl_T, rel=1e-9
         )
+        assert cert.links["coexact_estimate_cm"]["rhs"] == pytest.approx(
+            ws.constant("c_m").value * curl_T, rel=1e-9
+        )
+        if ws.case == "tangential":
+            lhs_d = np.sqrt(evaluate_norms(R, ["L2"])["L2"])
+            lhs_e = np.sqrt(evaluate_norms(T, ["L2"])["L2"])
+        else:
+            means_T, _ = _cell_centroid_slice_means(T)
+            means_R, _ = _cell_centroid_slice_means(R)
+            assert np.abs(hodge.slice_means(T)[1] - means_T).max() <= 1e-12
+            assert np.abs(hodge.slice_means(R)[1] - means_R).max() <= 1e-12
+            skews = 0.5 * (means_R - np.swapaxes(means_R, 1, 2))
+            shift = skews if ws.case == "sliced" else skews[0]
+            assert np.abs(cert.skew_shift - shift).max() <= 1e-12
+            lhs_d, lhs_e = _shifted_norm(R, skews), _shifted_norm(T, skews)
         korn = cert.links["korn_link"]
-        assert korn["lhs"] == pytest.approx(
-            np.sqrt(evaluate_norms(R, ["L2"])["L2"]), rel=1e-9
-        )
-        assert korn["rhs"] == pytest.approx(
-            ws.constant("c_k_irrot").value * sym_R, rel=1e-9
-        )
+        assert korn["lhs"] == pytest.approx(lhs_d, rel=1e-9)
+        assert korn["rhs"] == pytest.approx(c_k * sym_R, rel=1e-9)
         bound = cert.links["assembled_bound"]
-        c_hat, _ = cst.derived_bounds(
-            ws.constant("c_k_irrot").value, ws.constant("c_m").value
-        )
-        assert bound["lhs"] == pytest.approx(nT, rel=1e-9)
+        assert bound["lhs"] == pytest.approx(lhs_e, rel=1e-9)
         assert bound["rhs"] == pytest.approx(
-            c_hat * np.sqrt(sym_T**2 + curl_T**2), rel=1e-9
+            c_bound * np.sqrt(sym_T**2 + curl_T**2), rel=1e-9
         )
 
 
