@@ -12,6 +12,7 @@ import contextlib
 import hashlib
 from collections import namedtuple
 from dataclasses import dataclass, field, fields, replace
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -209,53 +210,90 @@ def tensor_pencil(mesh, ops=None, coeff=None):
     )
 
 
+# the curl-free basis W of _curlfree_basis, the reduced strain and mass forms
+# W^T Sym W and W^T M W, and the mass image M W: every norm of a curl-free
+# tensor R = W y reads off them in the coordinates y
+CurlFreeForms = namedtuple("CurlFreeForms", "basis sym mass mass_image")
+
+
+def _reduce(W, form):
+    return (W.T @ (form @ W)).tocsr()
+
+
+def curl_free_forms(ops, harmonics, pencil):
+    """CurlFreeForms of the curl-free tensors, with the strain form of pencil."""
+    W = _curlfree_basis(ops, harmonics)
+    MW = pencil.mass @ W
+    return CurlFreeForms(W, _reduce(W, pencil.sym), (W.T @ MW).tocsr(), MW.tocsr())
+
+
+_HANDLES_NEED_SLICES = ("a domain with harmonic fields needs at least two slices when "
+                        "the tag-1 part is empty")
+
+
+def _slice_betti1(sub):
+    """First Betti number of a slice submesh (its boundary all tag 0).
+
+    For a compact 3-manifold with boundary, chi = V - E + F - T equals
+    (boundary components) - b1.
+    """
+    chi = sub.num_vertices - sub.num_edges + sub.num_faces - sub.num_tets
+    return meshes.boundary_components(sub, meshes.GAMMA_N)[1] - chi
+
+
 def korn_constant_irrotational(mesh, tol=DEFAULT_EIG_TOL, ops=None, harmonics=None,
-                               coeff=None, name="c_k_irrot", pencil=None):
+                               coeff=None, name="c_k_irrot", forms=None):
     """|T| <= c |sym T| over the curl-free constrained tensor fields.
 
     With a tag-1 part the pencil runs on the full curl-free subspace.
     Without one, a single slice takes the fields orthogonal to the
     constant skews: the skew-moment rows of _slice_skew_constraints,
     carried to the reduced coordinates by the curl-free basis.  Several
-    slices take the maximum of the slice-local constants (each slice is
-    simply connected by assumption, matching the way the piecewise bound
-    is assembled) and build their own pencils.  pencil, when given, is
-    tensor_pencil(mesh, ops, coeff) built already.  On one slice the
-    record carries the pair lifted to Edge0^3, W y, as its vector.  Without
-    harmonic fields, unless sliced, this is the c_k_s and c_k_t pencil with
-    its dofs reordered, and Workspace reads those two off this record.
+    slices take the maximum of the slice-local constants, matching the way
+    the piecewise bound is assembled.  Each slice must be simply connected,
+    and this is checked: b1 = boundary components - chi.  A slice then has
+    no harmonic fields and a free boundary, so its curl-free tensors are
+    the gradients of its P1 vectors and the skew-moment rows deflate the
+    rotations: its pencil is korn_constant_standard of the slice, whose
+    dim counts the vertex-0 potentials, 3 (n_v - 1) per slice.  forms,
+    when given, is curl_free_forms(ops, harmonics, tensor_pencil(mesh, ops,
+    coeff)) built already.  On one slice the record carries the pair
+    lifted to Edge0^3, W y, as its vector.  Without harmonic fields, unless
+    sliced, this is the c_k_s and c_k_t pencil with its dofs reordered,
+    and Workspace reads those two off this record.
     """
     if coeff is not None and not mesh.has_gamma_t:
         raise ValueError("the weighted constant needs a nonempty tag-1 part")
     labels = mesh.slice_labels
     if not mesh.has_gamma_t and len(labels) > 1:
-        recs = [korn_constant_irrotational(mesh.submesh(mesh.slice_ids == s), tol, name=name)
-                for s in labels]
+        subs = [mesh.submesh(mesh.slice_ids == s) for s in labels]
+        for s, sub in zip(labels, subs):
+            b1 = _slice_betti1(sub)
+            if b1:
+                raise ValueError(f"slice {s} is not simply connected (b1 = {b1}): "
+                                 + _HANDLES_NEED_SLICES)
+        recs = [korn_constant_standard(sub, tol) for sub in subs]
         best = max(recs, key=lambda r: r.value)
         return ConstantRecord(
             name, best.value, best.eigenvalue, best.residual,
-            sum(r.dim for r in recs), f"max over {len(labels)} slice pencils",
+            sum(3 * (sub.num_vertices - 1) for sub in subs),
+            f"max over {len(labels)} slice pencils",
         )
 
     ops = ops or hodge.edge_operators(mesh)
     harmonics = harmonics or hodge.harmonic_basis(mesh, ops)
     if not mesh.has_gamma_t and harmonics.dim > 0:
-        raise ValueError(
-            "a domain with harmonic fields needs at least two slices when "
-            "the tag-1 part is empty"
-        )
-    pencil = pencil or tensor_pencil(mesh, ops, coeff)
-    W = _curlfree_basis(ops, harmonics)
+        raise ValueError(_HANDLES_NEED_SLICES)
+    forms = forms or curl_free_forms(ops, harmonics, tensor_pencil(mesh, ops, coeff))
+    W = forms.basis
     if W.shape[1] == 0:
         return _empty(name)
-    A = W.T @ (pencil.sym @ W)
-    B = W.T @ (pencil.mass @ W)
     constraints = note = None
     if not mesh.has_gamma_t:
-        constraints = _slice_skew_constraints(pencil.space) @ W
+        constraints = _slice_skew_constraints(ops.edge_space) @ W
         note = "deflated: constant skew tensors"
-    eig = linalg.eig_smallest(A, B, k=1, constraints=constraints, tol=tol)
-    rec = _record(name, eig, B, W.shape[1], tol, note)
+    eig = linalg.eig_smallest(forms.sym, forms.mass, k=1, constraints=constraints, tol=tol)
+    rec = _record(name, eig, forms.mass, W.shape[1], tol, note)
     rec.vector = W @ eig.vectors[:, 0]
     return rec
 
@@ -445,7 +483,8 @@ def certify_weighted_inequality(T, ws, weight):
     AsymF = wt.pencil.sym
     chain = _Chain(T, ws)
     chain.coexact_estimate()
-    chain.ineq("weighted_korn_link", chain.nR, c_k_F * _mnorm(chain.r, AsymF))
+    chain.ineq("weighted_korn_link", _mnorm(chain.y, ws.curl_free.mass),
+               c_k_F * _mnorm(chain.y, wt.reduced_sym))
     chain.ineq("weight_norm_link", _mnorm(chain.s, AsymF), wt.c_F * chain.nS)
     semi_F = float(np.sqrt(_mnorm(chain.t, AsymF) ** 2 + chain.curl_T**2))
     chain.ineq("assembled_bound", chain.nT, c_hat_F * semi_F)
@@ -489,7 +528,8 @@ class CertificationRecord:
 
 # what the weighted constant and its certification need of one coefficient F:
 # c_F and mu (matrix_coefficient_norm), the c_k_F record, the F-weighted pencil
-WeightedWork = namedtuple("WeightedWork", "c_F mu record pencil")
+# and its strain form reduced to the curl-free coordinates, W^T Sym_F W
+WeightedWork = namedtuple("WeightedWork", "c_F mu record pencil reduced_sym")
 
 
 class Workspace:
@@ -501,8 +541,15 @@ class Workspace:
     pencil (its mass and curl-curl blocks reuse the edge matrices; the
     strain form is assembled once, for c_k_irrot and c_direct), the curl
     incidence and the Face0 mass (certification reads |Curl T| through
-    them).  The harmonic search runs at tol and also yields the coexact
-    Maxwell pair, so c_m_coexact needs no eigensolve of its own.
+    them).  On first use it also builds the curl-free basis W with the
+    reduced forms W^T Sym W and W^T M W (curl_free): the one-slice
+    c_k_irrot pencil, from which certification reads |R| and |sym R| in
+    the coordinates y of R = W y; without a tag-1 part, the constant skews
+    in those coordinates (skew_fields); and the forms each sample reads
+    |sym T| and |Curl T| through (strain_form, row_curl, row_face_form,
+    curl_free_curl).  The harmonic search runs at
+    tol and also yields the coexact Maxwell pair, so c_m_coexact needs no
+    eigensolve of its own.
     Constants are cached by name, and the Maxwell gradient block reuses c_p.
     Without harmonic fields the complex is exact: the curl-free tensors are
     the gradients of the admissible P1 vectors, and the tag-1 part has at
@@ -550,8 +597,11 @@ class Workspace:
         elif name == "c_k_t":
             rec = korn_constant_tangential(mesh, self.tol)
         elif name == "c_k_irrot":
+            # sliced, each slice solves its own pencil and the forms wait
+            # for certification
             rec = korn_constant_irrotational(
-                mesh, self.tol, self.ops, self.harmonics, pencil=self.pencil
+                mesh, self.tol, self.ops, self.harmonics,
+                forms=None if self.case == "sliced" else self.curl_free,
             )
         elif name in ("c_m", "c_m_grad", "c_m_coexact"):
             cm, grad, coex = maxwell_constant(
@@ -577,10 +627,62 @@ class Workspace:
         if key not in self._weighted:
             c_F, mu = matrix_coefficient_norm(weight, self.mesh)  # validates det F > 0
             pencil = tensor_pencil(self.mesh, self.ops, weight)
+            cf = self.curl_free
+            forms = cf._replace(sym=_reduce(cf.basis, pencil.sym))
             rec = korn_constant_irrotational(self.mesh, self.tol, self.ops, self.harmonics,
-                                             coeff=weight, name="c_k_F", pencil=pencil)
-            self._weighted[key] = (weight, WeightedWork(c_F, mu, rec, pencil))
+                                             coeff=weight, name="c_k_F", forms=forms)
+            self._weighted[key] = (weight, WeightedWork(c_F, mu, rec, pencil, forms.sym))
         return self._weighted[key][1]
+
+    @cached_property
+    def curl_free(self):
+        """CurlFreeForms of the mesh's curl-free tensors, built on first use."""
+        return curl_free_forms(self.ops, self.harmonics, self.pencil)
+
+    @cached_property
+    def strain_form(self):
+        """The pencil's strain form as a _HalfForm, for |sym T| per sample."""
+        return _HalfForm(self.pencil.sym)
+
+    @cached_property
+    def row_curl(self):
+        """The curl incidence of Edge0^3, row-blocked: one product per sample."""
+        return sp.block_diag([self.curl_incidence] * 3, format="csr")
+
+    @cached_property
+    def row_face_form(self):
+        """The row-blocked Face0 mass as a _HalfForm, for |Curl T| per sample."""
+        return _HalfForm(sp.block_diag([self.face_mass] * 3, format="csr"))
+
+    @cached_property
+    def curl_free_curl(self):
+        """C W, the curl incidence of the curl-free basis, row-blocked.
+
+        C G = 0 on the incidence level, so the gradient columns vanish
+        exactly and only the harmonic columns keep entries.
+        """
+        CW = (self.row_curl @ self.curl_free.basis).tocsr()
+        CW.eliminate_zeros()
+        return CW
+
+    @cached_property
+    def skew_fields(self):
+        """(Y, W Y, M W Y) of the constant skews S^l, one row per generator.
+
+        Row m of S^l is the gradient of x -> S^l[m] . x, so without a tag-1
+        part S^l = W y_l exactly, y_l holding those potentials pinned at
+        vertex 0 and no harmonic amplitude: Y has rows y_l, W Y the Edge0^3
+        fields and M W Y their mass images.
+        """
+        cf = self.curl_free
+        npot = self.ops.pinned_grad.shape[1]
+        Y = np.zeros((3, cf.basis.shape[1]))
+        for l, S in enumerate(SO3_BASIS):
+            for m in range(3):
+                f = self.ops.p1_space.free_from_full(self.mesh.vertices @ S[m])
+                Y[l, m * npot:(m + 1) * npot] = f[1:] - f[0]
+        fields, images = (np.ascontiguousarray((F @ Y.T).T) for F in (cf.basis, cf.mass_image))
+        return Y, fields, images
 
     def direct_seed(self):
         """The bracket and start vector of the c_direct solve, from the chain.
@@ -624,6 +726,18 @@ def _mnorm(vec, mat):
     return float(np.sqrt(max(vec @ (mat @ vec), 0.0)))
 
 
+class _HalfForm:
+    """x^T A x of a symmetric sparse A from its strict upper triangle and
+    its diagonal: the terms of the full product, half of its nonzeros."""
+
+    def __init__(self, A):
+        self.upper = sp.triu(A, k=1, format="csr")
+        self.diag = A.diagonal()
+
+    def norm(self, x):
+        return float(np.sqrt(max(2.0 * (x @ (self.upper @ x)) + x @ (self.diag * x), 0.0)))
+
+
 def _image_norm(rows, images):
     """sqrt(sum_m rows[m] @ images[m]): a norm read off the images of the rows."""
     return float(np.sqrt(max(np.vdot(rows, images), 0.0)))
@@ -636,32 +750,32 @@ class _Chain:
     and starts with link (a): the mass-orthogonality of R and S relative to
     |T|^2 (the size at which a defect would perturb the Pythagoras step).
     Only the field-dependent work runs per field: one split, which hands
-    back M T and M R, so every mass norm and inner product of T, R and S
-    reads off them (M S = M T - M R); the incidence images C t_m, which the
-    curl_transfer link reads too, and |Curl T|^2 = sum_m (C t_m)^T M_f
-    (C t_m).  That sum of Face0 mass norms stays nonnegative where t^T CC t
-    is pure rounding (rows within rounding of gradients), and C^T M_f C is
-    the curl-curl form.  Degenerate links (both sides at rounding level)
-    are measured against the size of T instead of a vanishing right-hand
-    side.
+    back M T and the coordinates y of R = W y, so M S = M T - (M W) y
+    (ws.curl_free) and the links read |R| and |sym R| off the reduced
+    forms; the incidence image C t (row-blocked), which the curl_transfer
+    link reads too, and |Curl T|^2 = (C t)^T M_f (C t).  That Face0 mass
+    norm stays nonnegative where t^T CC t is pure rounding (rows within
+    rounding of gradients), and C^T M_f C is the curl-curl form.
+    Degenerate links (both sides at rounding level) are measured against
+    the size of T instead of a vanishing right-hand side.
     """
 
     def __init__(self, T, ws):
         self.ws = ws
         split = hodge.helmholtz_split_tensor(T, ws.harmonics, ws.ops)
         self.R, S = split.parts()
-        mass_S = split.mass_T - split.mass_R
-        self.t, self.r, self.s = T.stacked(), self.R.stacked(), S.stacked()
-        self.nT = _image_norm(T.rows, split.mass_T)
-        self.nR = _image_norm(self.R.rows, split.mass_R)
-        self.nS = _image_norm(S.rows, mass_S)
-        C, Mf = ws.curl_incidence, ws.face_mass
-        self.curl_images = np.array([C @ row for row in T.rows])
-        self.curl_T = _image_norm(self.curl_images, [Mf @ c for c in self.curl_images])
+        self.y = split.coords
+        self.t, self.s = T.stacked(), S.stacked()
+        self.mass_t = split.mass_T.reshape(-1)
+        mass_s = self.mass_t - ws.curl_free.mass_image @ self.y
+        self.nT = _image_norm(self.t, self.mass_t)
+        self.nS = _image_norm(self.s, mass_s)
+        self.curl_image = ws.row_curl @ self.t
+        self.curl_T = ws.row_face_form.norm(self.curl_image)
         self.floor = 1e-6 * max(self.nT, 1e-300)
         self.links = {}
-        ortho = abs(float(np.vdot(self.R.rows, mass_S)))
-        self.equality("orthogonality", ortho / max(self.nT**2, 1e-300))
+        self.inner_RS = float(np.vdot(self.R.rows, mass_s))
+        self.equality("orthogonality", abs(self.inner_RS) / max(self.nT**2, 1e-300))
 
     def ineq(self, name, lhs, rhs):
         margin = (rhs - lhs) / max(abs(rhs), self.floor)
@@ -687,20 +801,27 @@ def certify_main_inequality(T, ws):
     Links: (a) split orthogonality, (b) curl preservation, (c) the coexact
     estimate, (d) the Korn link on the curl-free part, (e) the assembled
     bound.  Margins are relative; the verdict demands all >= -slack.
-    A field costs one Helmholtz split and one-vector sparse products; the
-    slice averages of T and R (d, e) are two dense products with the
-    cached hodge.slice_moments, and the operators of the Workspace are
-    only read.
+    A field costs one Helmholtz split and one-vector sparse products: |R|,
+    |sym R| and |Curl R| read off the reduced forms of ws.curl_free, |sym
+    T| off the upper half of the strain form (ws.strain_form), the slice
+    averages of T and R (d, e) are two dense products with the cached
+    hodge.slice_moments, and the operators of the Workspace are only read.
+
+    Without a tag-1 part the global skew average K of R is subtracted
+    before any norm is taken: R - K = W (y - y_K) and T - K = t - W y_K,
+    with W y_K and M W y_K from ws.skew_fields.  sym K = 0, so the strain
+    norms are unchanged, and a field near a constant skew loses nothing to
+    cancellation.  Several slices then shift by the per-slice skews minus
+    K, through the slice averages.
     """
-    Asym = ws.pencil.sym
+    cf = ws.curl_free
     chain = _Chain(T, ws)  # (a)
-    R, r, nR, curl_T = chain.R, chain.r, chain.nR, chain.curl_T
+    R, curl_T = chain.R, chain.curl_T
 
     # (b) the coexact part carries the whole curl (incidence level, so the
-    # gradient rows cancel exactly)
-    C = ws.curl_incidence
-    inc_R = np.linalg.norm(np.array([C @ row for row in R.rows]))
-    inc_T = np.linalg.norm(chain.curl_images)
+    # gradient columns of C W vanish exactly)
+    inc_R = np.linalg.norm(ws.curl_free_curl @ chain.y)
+    inc_T = np.linalg.norm(chain.curl_image)
     inc_floor = 1e-6 * max(np.linalg.norm(chain.t), 1e-300)
     chain.equality("curl_transfer", inc_R / max(inc_T, inc_floor))
 
@@ -713,21 +834,29 @@ def certify_main_inequality(T, ws):
     # shifted by the skew average of R on every slice
     case = ws.case
     c_k = ws.constant("c_k_irrot").value
+    y, t = chain.y, chain.t
     if case == "tangential":
         shift = np.zeros((3, 3))
-        lhs_d, lhs_e = nR, chain.nT
+        lhs_d, lhs_e = _mnorm(y, cf.mass), chain.nT
     else:
         _, means_R, slice_vols = hodge.slice_means(R)
         _, means_T, _ = hodge.slice_means(T)
         skews = 0.5 * (means_R - np.swapaxes(means_R, 1, 2))
-        lhs_d = _piecewise_shifted_norm(nR, means_R, slice_vols, skews)
-        lhs_e = _piecewise_shifted_norm(chain.nT, means_T, slice_vols, skews)
+        K = np.tensordot(slice_vols, skews, axes=1) / slice_vols.sum()
+        k = 0.5 * np.tensordot(SO3_BASIS, K, axes=2)  # K = sum_l k_l S^l
+        Y, WY, MWY = ws.skew_fields
+        y, t = y - k @ Y, t - k @ WY
+        lhs_d = _mnorm(y, cf.mass)
+        lhs_e = _image_norm(t, chain.mass_t - k @ MWY)
+        if case == "sliced":
+            lhs_d = _piecewise_shifted_norm(lhs_d, means_R - K, slice_vols, skews - K)
+            lhs_e = _piecewise_shifted_norm(lhs_e, means_T - K, slice_vols, skews - K)
         shift = skews[0] if case == "simply_connected" else skews
-    chain.ineq("korn_link", lhs_d, c_k * _mnorm(r, Asym))
+    chain.ineq("korn_link", lhs_d, c_k * _mnorm(y, cf.sym))
 
     # (e) assembled bound; a piecewise shift loses the orthogonality, so the
     # weaker combined constant applies on several slices
-    sym_T = _mnorm(chain.t, Asym)
+    sym_T = ws.strain_form.norm(t)
     seminorm = float(np.sqrt(sym_T**2 + curl_T**2))
     c_hat, c_tilde = derived_bounds(c_k, c_m)
     chain.ineq("assembled_bound", lhs_e, (c_tilde if case == "sliced" else c_hat) * seminorm)

@@ -4,8 +4,11 @@ The harmonic space is the kernel of the curl-curl form inside the
 mass-orthogonal complement of the discrete gradients; its dimension is a
 topological quantity (a Betti number in the pure-tag cases).  Splits are
 computed per row for tensor fields.  The gradient parts come from the
-Poisson matrix G^T M G, which each EdgeOperators assembles and factors
-once, on first use; every later split costs triangular solves.
+Poisson matrix G^T M G on the pinned potentials, which each EdgeOperators
+assembles and factors once, on first use; every later split costs
+triangular solves.  The tensor split also hands back the coordinates of
+its curl-free part (the pinned potentials and the harmonic amplitudes of
+every row), so its norms can be read off reduced forms.
 """
 
 from dataclasses import dataclass, field
@@ -62,19 +65,22 @@ class EdgeOperators:
 
     @cached_property
     def poisson(self):
-        """solve(rhs) for (G^T M G) u = rhs, factored once.
+        """solve(rhs) for (Gp^T M Gp) u = rhs on the pinned potentials, factored once.
 
-        The system is factored on the columns of pinned_grad, so without a
-        tag-1 part u[0] = 0; the gradient is unaffected.
+        Gp is pinned_grad; with rhs = grad_t @ (M v), Gp u is the gradient
+        part of v.
         """
         Gp = self.pinned_grad
-        solve = linalg.spd_solver((Gp.T @ (self.mass @ Gp)).tocsr())
-        return solve if Gp is self.grad else lambda rhs: np.r_[0.0, solve(rhs[1:])]
+        return linalg.spd_solver((Gp.T @ (self.mass @ Gp)).tocsr())
 
     @cached_property
     def grad_t(self):
-        """G^T as its own CSR matrix, built once for every Poisson right-hand side."""
-        return self.grad.T.tocsr()
+        """Gp^T as its own CSR matrix, built once for every Poisson right-hand side."""
+        return self.pinned_grad.T.tocsr()
+
+    def unpinned(self, u):
+        """A pinned potential on every vertex: the pinned vertex 0 carries 0."""
+        return u if self.pinned_grad is self.grad else np.r_[0.0, u]
 
 
 def edge_operators(mesh):
@@ -165,11 +171,12 @@ def _clean_harmonic(ops, d):
     The gradient projection leaves the (already tiny) curl untouched since
     curl o grad vanishes identically on the incidence level.
     """
-    return d - ops.grad @ _poisson_solve(ops, ops.mass @ d)
+    return d - ops.pinned_grad @ _poisson_solve(ops, ops.mass @ d)
 
 
 def _poisson_solve(ops, weighted_rhs):
-    """Solve (G^T M G) u = G^T (M v) with the factorization cached on ops."""
+    """Solve (Gp^T M Gp) u = Gp^T (M v) for the pinned potential u, with
+    the factorization cached on ops; Gp is ops.pinned_grad."""
     return ops.poisson(ops.grad_t @ weighted_rhs)
 
 
@@ -230,30 +237,33 @@ def helmholtz_split(v, harmonics=None, ops=None):
         ops = _operators_for(space)
     if harmonics is None:
         harmonics = harmonic_basis(mesh)
-    u, grad, harm = _curl_free_split(ops, harmonics.fields_in(space), ops.mass @ coeffs)
+    u, _, grad, harm = _curl_free_split(ops, harmonics.fields_in(space), ops.mass @ coeffs)
     coex = coeffs - grad - harm
-    return HelmholtzSplit(
-        Field(space, grad), Field(space, harm), Field(space, coex), u, v, ops.mass
-    )
+    return HelmholtzSplit(Field(space, grad), Field(space, harm), Field(space, coex),
+                          ops.unpinned(u), v, ops.mass)
 
 
 def _curl_free_split(ops, hf, Mv):
-    """(potential u, gradient G u, harmonic part) of the field v with M v = Mv.
+    """(pinned potential u, harmonic amplitudes a, gradient Gp u, harmonic
+    part hf^T a) of the field v with M v = Mv.
 
     hf holds the harmonic fields as rows (none: the part is zero).
     """
     u = _poisson_solve(ops, Mv)
-    return u, ops.grad @ u, hf.T @ (hf @ Mv)
+    amps = hf @ Mv
+    return u, amps, ops.pinned_grad @ u, hf.T @ amps
 
 
 @dataclass
 class TensorSplit:
     curl_free: TensorField  # gradient + harmonic rows
     coexact: TensorField
-    # mass images of the rows of T and R, formed by the split: every mass
-    # norm and inner product of T, R and S reads off them, M S = M T - M R
+    # mass images of the rows of T, formed by the split
     mass_T: np.ndarray = field(repr=False)
-    mass_R: np.ndarray = field(repr=False)
+    # coordinates y of the curl-free part, R = W y with W the curl-free
+    # basis (constants._curlfree_basis): the pinned potentials of the three
+    # rows, then the harmonic amplitudes of the three rows
+    coords: np.ndarray = field(repr=False)
 
     def parts(self):
         return self.curl_free, self.coexact
@@ -271,14 +281,17 @@ def helmholtz_split_tensor(T, harmonics=None, ops=None):
         harmonics = harmonic_basis(T.space.mesh)
     M = ops.mass
     hf = harmonics.fields_in(T.space)
-    R, S, MT, MR = (np.empty_like(T.rows) for _ in range(4))
+    R, S, MT = (np.empty_like(T.rows) for _ in range(3))
+    pots, amps = [], []
     for m, row in enumerate(T.rows):
         MT[m] = M @ row
-        _, grad, harm = _curl_free_split(ops, hf, MT[m])
+        u, a, grad, harm = _curl_free_split(ops, hf, MT[m])
         R[m] = grad + harm
         S[m] = row - grad - harm
-        MR[m] = M @ R[m]
-    return TensorSplit(TensorField(T.space, R), TensorField(T.space, S), MT, MR)
+        pots.append(u)
+        amps.append(a)
+    return TensorSplit(TensorField(T.space, R), TensorField(T.space, S), MT,
+                       np.concatenate(pots + amps))
 
 
 # --------------------------------------------------------------------------

@@ -1,0 +1,144 @@
+"""Curl-free tensors through their potentials.
+
+The curl-free part of every tensor split is R = W y, W the curl-free basis
+(constants._curlfree_basis): certification reads |R|, |sym R| and |Curl R|
+off the reduced forms in the coordinates y that the split hands back, and
+without a tag-1 part it subtracts the constant skews in those coordinates.
+A slice of a sliced mesh is simply connected (b1 = boundary components -
+chi, checked) with a free boundary, so its c_k_irrot pencil is the P1
+vector Korn pencil of the slice.
+"""
+
+import numpy as np
+import pytest
+
+from kornlab import constants as cst
+from kornlab import hodge
+from kornlab.meshes import Mesh, generate_primitive
+from kornlab.spaces import TensorField
+
+MESHES = {
+    "slab_mixed": lambda: generate_primitive("slab_mixed", 2),
+    "unit_cube_untagged": lambda: generate_primitive("unit_cube", 2).retag(0),
+    "tunnel": lambda: generate_primitive("cube_with_tunnel", 2),
+}
+
+
+@pytest.fixture(scope="module")
+def workspaces():
+    out = {}
+    for label, make in MESHES.items():
+        ws = cst.Workspace(make())
+        for name in ("c_m", "c_k_irrot"):
+            ws.constant(name)
+        out[label] = ws
+    return out
+
+
+def _ring_with_one_tet_split_off():
+    m = generate_primitive("cube_with_tunnel", 1).retag(0)
+    ids = np.zeros(m.num_tets, dtype=np.int64)
+    ids[0] = 1
+    return Mesh(m.vertices, m.tets, ids, m.btris, m.btri_tags)
+
+
+def test_ring_slice_is_refused_by_its_betti_number():
+    ring = _ring_with_one_tet_split_off()
+    subs = [ring.submesh(ring.slice_ids == s) for s in ring.slice_labels]
+    assert [cst._slice_betti1(sub) for sub in subs] == [1, 0]
+    with pytest.raises(ValueError, match=r"slice 0 .*b1 = 1"):
+        cst.korn_constant_irrotational(ring)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_tunnel_slices_are_simply_connected(n):
+    mesh = generate_primitive("cube_with_tunnel", n)
+    assert len(mesh.slice_labels) > 1
+    for s in mesh.slice_labels:
+        assert cst._slice_betti1(mesh.submesh(mesh.slice_ids == s)) == 0
+
+
+def test_sliced_c_k_irrot_solves_the_slice_korn_pencils(monkeypatch):
+    mesh = generate_primitive("cube_with_tunnel", 2)
+    ws = cst.Workspace(mesh)
+    calls = []
+
+    def spy(module, name):
+        real = getattr(module, name)
+
+        def counting(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counting)
+
+    for module, name in ((hodge, "harmonic_basis"), (hodge, "edge_operators"),
+                         (cst, "tensor_pencil"), (cst, "korn_constant_standard")):
+        spy(module, name)
+    rec = ws.constant("c_k_irrot")
+    # no slice builds edge operators, a harmonic search or a tensor pencil
+    assert calls == ["korn_constant_standard"] * len(mesh.slice_labels)
+    subs = [mesh.submesh(mesh.slice_ids == s) for s in mesh.slice_labels]
+    assert rec.dim == sum(3 * (sub.num_vertices - 1) for sub in subs)
+    monkeypatch.undo()
+    # the same value as the Edge0^3 pencil of each slice
+    edge_path = []
+    for sub in subs:
+        ops = hodge.edge_operators(sub)
+        forms = cst.curl_free_forms(ops, hodge.harmonic_basis(sub, ops),
+                                    cst.tensor_pencil(sub, ops))
+        edge_path.append(cst.korn_constant_irrotational(sub, forms=forms).value)
+    assert rec.value == pytest.approx(max(edge_path), rel=1e-13)
+
+
+@pytest.mark.parametrize("label", list(MESHES))
+def test_reduced_forms_match_edge_products(workspaces, label):
+    ws = workspaces[label]
+    cf = ws.curl_free
+    M, Asym = ws.pencil.mass, ws.pencil.sym
+    for seed in range(3):
+        T = ws.random_tensor(np.random.default_rng(seed))
+        split = hodge.helmholtz_split_tensor(T, ws.harmonics, ws.ops)
+        R, S = split.parts()
+        r, s, y = R.stacked(), S.stacked(), split.coords
+        scale = float(T.stacked() @ (M @ T.stacked()))
+        assert np.abs(cf.basis @ y - r).max() <= 1e-14 * np.abs(r).max()
+        chain = cst._Chain(T, ws)
+        for reduced, edge in ((y @ (cf.mass @ y), r @ (M @ r)),
+                              (y @ (cf.sym @ y), r @ (Asym @ r)),
+                              (chain.inner_RS, r @ (M @ s)),
+                              (chain.nS**2, s @ (M @ s)),
+                              (ws.strain_form.norm(T.stacked())**2,
+                               T.stacked() @ (Asym @ T.stacked()))):
+            assert abs(reduced - edge) <= 1e-13 * scale
+        curl_R = np.concatenate([ws.curl_incidence @ row for row in R.rows])
+        assert np.abs(ws.curl_free_curl @ y - curl_R).max() <= 1e-13 * np.sqrt(scale)
+
+
+@pytest.mark.parametrize("label", ["unit_cube_untagged", "tunnel"])
+def test_skew_fields_are_the_constant_skews(workspaces, label):
+    ws = workspaces[label]
+    Y, fields, images = ws.skew_fields
+    e0 = ws.pencil.space
+    for l, S in enumerate(hodge.SO3_BASIS):
+        const = hodge.constant_tensor_coeffs(e0, S).reshape(-1)
+        assert np.abs(fields[l] - const).max() <= 1e-13
+        assert np.abs(images[l] - ws.pencil.mass @ const).max() <= 1e-13
+
+
+@pytest.mark.parametrize("label", ["unit_cube_untagged", "tunnel"])
+@pytest.mark.parametrize("noise", [1e-12, 1e-10])
+def test_constant_skew_with_noise_certifies(workspaces, label, noise):
+    # |X|^2 - 2 <X, S> + |S|^2 and t^T Asym t cancelled here; the global
+    # skew is now subtracted in the curl-free coordinates first
+    ws = workspaces[label]
+    e0 = ws.pencil.space
+    skew = hodge.SO3_BASIS[0] + 0.3 * hodge.SO3_BASIS[2]
+    rng = np.random.default_rng(5)
+    rows = hodge.constant_tensor_coeffs(e0, skew)
+    rows = rows + noise * rng.standard_normal(rows.shape)
+    cert = cst.certify_main_inequality(TensorField(e0, rows), ws)
+    assert cert.case == ("sliced" if label == "tunnel" else "simply_connected")
+    assert cert.verdict, {k: cert.links[k]["margin"] for k in cert.failed}
+    shift = cert.skew_shift if cert.case == "simply_connected" else cert.skew_shift[0]
+    assert np.abs(shift - skew).max() <= 1e-9
