@@ -23,6 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
+from .meshes import locate_rows
 from .quadrature import barycentric, tet_rule
 from .spaces import Field, TensorField
 
@@ -408,16 +409,10 @@ def _curl_map(trial, test):
     if trial.family != "Edge0" or test.family != "Face0":
         raise ValueError("curl_map maps Edge0 into Face0")
     mesh = trial.mesh
-    nv = mesh.num_vertices
-    from .meshes import _pair_index
-
-    lookup = _pair_index(mesh.edges, nv)
     f = mesh.faces
-    eij = lookup[f[:, 0] * nv + f[:, 1]]
-    ejk = lookup[f[:, 1] * nv + f[:, 2]]
-    eik = lookup[f[:, 0] * nv + f[:, 2]]
+    # edges ij, jk, ik of each face i < j < k
     rows = np.repeat(test.dof_map[0], 3)
-    cols = trial.dof_map[0][np.column_stack([eij, ejk, eik]).ravel()]
+    cols = trial.dof_map[0][locate_rows(mesh.edges, f[:, [0, 1, 1, 2, 0, 2]].reshape(-1, 2))]
     vals = np.tile([1.0, 1.0, -1.0], len(f))
     keep = (rows >= 0) & (cols >= 0)
     return sp.coo_matrix(

@@ -20,6 +20,8 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
+import scipy.sparse as sp
+from scipy.sparse.csgraph import connected_components
 
 GAMMA_N = 0
 GAMMA_T = 1
@@ -104,15 +106,12 @@ class Mesh:
         self._map_btris()
 
     def _map_btris(self):
-        order = np.sort(self.btris, axis=1)
-        face_index = {tuple(f): i for i, f in enumerate(self.faces)}
-        idx = np.empty(len(self.btris), dtype=np.int64)
-        for k, tri in enumerate(order):
-            key = tuple(tri)
-            if key not in face_index:
-                raise InvalidMesh(f"boundary triangle {tri} is not a face of any tet")
-            idx[k] = face_index[key]
-        self.btri_face = idx
+        try:
+            self.btri_face = locate_rows(self.faces, np.sort(self.btris, axis=1))
+        except KeyError as exc:
+            raise InvalidMesh(
+                f"boundary triangle {exc.args[0]} is not a face of any tet"
+            ) from None
 
     # -- basic queries --------------------------------------------------------
 
@@ -144,12 +143,7 @@ class Mesh:
     def tagged_edges(self, tag):
         """Edges lying in a tagged boundary triangle."""
         tris = self.faces[self.tagged_faces(tag)]
-        if len(tris) == 0:
-            return np.empty(0, dtype=np.int64)
-        pairs = tris[:, [0, 1, 0, 2, 1, 2]].reshape(-1, 2)
-        edge_index = _pair_index(self.edges, self.num_vertices)
-        keys = pairs[:, 0] * self.num_vertices + pairs[:, 1]
-        return np.unique(edge_index[keys])
+        return np.unique(locate_rows(self.edges, tris[:, [0, 1, 0, 2, 1, 2]].reshape(-1, 2)))
 
     def tagged_vertices(self, tag):
         tris = self.faces[self.tagged_faces(tag)]
@@ -196,7 +190,7 @@ class Mesh:
         remap = -np.ones(self.num_vertices, dtype=np.int64)
         remap[used] = np.arange(len(used))
         tets = remap[cells]
-        btris, _ = _boundary_faces_of(tets)
+        btris = _boundary_faces_of(tets)
         return Mesh(
             self.vertices[used],
             tets,
@@ -206,30 +200,51 @@ class Mesh:
         )
 
 
-class _PairIndex:
-    """Edge lookup by vertex pair via binary search (edges are sorted)."""
+def locate_rows(table, rows):
+    """Index of each row of ``rows`` in ``table``.
 
-    def __init__(self, edges, nv):
-        self.nv = nv
-        self.keys = edges[:, 0] * nv + edges[:, 1]
+    ``table`` holds distinct rows of vertex indices in lexicographic order,
+    as ``np.unique(..., axis=0)`` leaves ``Mesh.edges`` and ``Mesh.faces``.
+    Column by column, a row's key becomes the start of its block of equal
+    leading columns times the index bound plus the next column, so keys stay
+    below ``len(table) * num_vertices`` and do not overflow.  Raises KeyError
+    naming the first row of ``rows`` missing from ``table``.
+    """
+    n = 1 + max(table.max(initial=-1), rows.max(initial=-1))
+    tkey, qkey = table[:, 0], rows[:, 0]
+    for t, q in zip(table.T[1:], rows.T[1:]):
+        tkey, qkey = np.searchsorted(tkey, tkey) * n + t, np.searchsorted(tkey, qkey) * n + q
+    idx = np.searchsorted(tkey, qkey)
+    hit = idx < len(table)
+    hit[hit] = np.all(table[idx[hit]] == rows[hit], axis=1)
+    if not hit.all():
+        raise KeyError(rows[np.argmin(hit)])
+    return idx
 
-    def __getitem__(self, key):
-        idx = np.searchsorted(self.keys, key)
-        idx = np.minimum(idx, len(self.keys) - 1)
-        if np.any(self.keys[idx] != key):
-            raise KeyError("vertex pair is not an edge of the mesh")
-        return idx
 
+def row_components(table):
+    """Connected components of the rows of an integer table.
 
-def _pair_index(edges, nv):
-    return _PairIndex(edges, nv)
+    Two rows are adjacent when they share an entry.  Returns the component
+    count and the component of each row, numbered by first row.
+    """
+    n = len(table)
+    values, entry = np.unique(table.ravel(), return_inverse=True)
+    size = n + len(values)
+    graph = sp.csr_matrix(
+        (np.ones(entry.size), (np.repeat(np.arange(n), table.shape[1]), n + entry)),
+        shape=(size, size),
+    )
+    labels = connected_components(graph, directed=False)[1][:n]
+    _, first, comp = np.unique(labels, return_index=True, return_inverse=True)
+    return len(first), np.argsort(np.argsort(first))[comp]
 
 
 def _boundary_faces_of(tets):
     tris = tets[:, [1, 2, 3, 0, 2, 3, 0, 1, 3, 0, 1, 2]].reshape(-1, 3)
     tris.sort(axis=1)
     uniq, counts = np.unique(tris, axis=0, return_counts=True)
-    return uniq[counts == 1], uniq[counts > 2]
+    return uniq[counts == 1]
 
 
 def _orient_positive(vertices, tets):
@@ -298,7 +313,7 @@ def generate_primitive(kind, n):
         raise ValueError("subdivision count must be >= 1")
     if kind in ("unit_cube", "slab_mixed"):
         vertices, tets, _ = _grid_tets((n, n, n), h=1.0 / n)
-        btris, bad = _boundary_faces_of(tets)
+        btris = _boundary_faces_of(tets)
         if kind == "unit_cube":
             tags = np.ones(len(btris), dtype=np.int64)
         else:
@@ -321,7 +336,7 @@ def generate_primitive(kind, n):
             ],
             dtype=np.int64,
         )
-        btris, bad = _boundary_faces_of(tets)
+        btris = _boundary_faces_of(tets)
         tags = np.zeros(len(btris), dtype=np.int64)
         return Mesh(vertices, tets, slices, btris, tags)
     raise ValueError(f"unknown primitive kind {kind!r}")
@@ -335,46 +350,31 @@ def refine_uniform(mesh):
     nv = mesh.num_vertices
     mid_xyz = 0.5 * (mesh.vertices[mesh.edges[:, 0]] + mesh.vertices[mesh.edges[:, 1]])
     vertices = np.vstack([mesh.vertices, mid_xyz])
-    edge_index = {}
-    for i, (a, b) in enumerate(mesh.edges):
-        edge_index[(a, b)] = nv + i
+    # vertex nv + e is the midpoint of edge e; tet_edges follow 01 02 03 12 13 23
+    x0, x1, x2, x3 = mesh.tets.T
+    m01, m02, m03, m12, m13, m23 = (nv + mesh.tet_edges).T
+    children = [
+        (x0, m01, m02, m03),
+        (m01, x1, m12, m13),
+        (m02, m12, x2, m23),
+        (m03, m13, m23, x3),
+        (m01, m02, m03, m13),
+        (m01, m02, m12, m13),
+        (m02, m03, m13, m23),
+        (m02, m12, m13, m23),
+    ]
+    tets = _orient_positive(vertices, np.transpose(children, (2, 0, 1)).reshape(-1, 4))
 
-    def mid(a, b):
-        return edge_index[(a, b) if a < b else (b, a)]
-
-    tets = []
-    slices = []
-    for t, s in zip(mesh.tets, mesh.slice_ids):
-        x0, x1, x2, x3 = t
-        m01, m02, m03 = mid(x0, x1), mid(x0, x2), mid(x0, x3)
-        m12, m13, m23 = mid(x1, x2), mid(x1, x3), mid(x2, x3)
-        children = [
-            (x0, m01, m02, m03),
-            (m01, x1, m12, m13),
-            (m02, m12, x2, m23),
-            (m03, m13, m23, x3),
-            (m01, m02, m03, m13),
-            (m01, m02, m12, m13),
-            (m02, m03, m13, m23),
-            (m02, m12, m13, m23),
-        ]
-        tets.extend(children)
-        slices.extend([s] * 8)
-    tets = _orient_positive(vertices, np.array(tets, dtype=np.int64))
-
-    btris = []
-    tags = []
-    for tri, tag in zip(mesh.btris, mesh.btri_tags):
-        a, b, c = tri
-        mab, mbc, mca = mid(a, b), mid(b, c), mid(c, a)
-        btris.extend([(a, mab, mca), (mab, b, mbc), (mca, mbc, c), (mab, mbc, mca)])
-        tags.extend([tag] * 4)
+    a, b, c = mesh.btris.T
+    pairs = np.sort(mesh.btris[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2), axis=1)
+    mab, mbc, mca = (nv + locate_rows(mesh.edges, pairs).reshape(-1, 3)).T
+    children = [(a, mab, mca), (mab, b, mbc), (mca, mbc, c), (mab, mbc, mca)]
     return Mesh(
         vertices,
         tets,
-        np.array(slices, dtype=np.int64),
-        np.array(btris, dtype=np.int64),
-        np.array(tags, dtype=np.int64),
+        np.repeat(mesh.slice_ids, 8),
+        np.transpose(children, (2, 0, 1)).reshape(-1, 3),
+        np.repeat(mesh.btri_tags, 4),
     )
 
 
@@ -385,99 +385,60 @@ def refine_uniform(mesh):
 
 def validate(mesh):
     """Check the mesh invariants; raise on errors, return a list of warnings."""
-    warnings = []
+    bad = np.flatnonzero(~np.all(np.isfinite(mesh.vertices), axis=1))
+    if len(bad):
+        more = " ..." if len(bad) > 8 else ""
+        raise InvalidMesh(f"non-finite coordinates at vertices {bad[:8].tolist()}{more}")
     vols = mesh.tet_volumes()
     if np.any(vols <= 0):
         raise InvalidMesh(f"{int(np.sum(vols <= 0))} tets are not positively oriented")
 
-    order = np.sort(mesh.btris, axis=1)
-    uniq, counts = np.unique(order, axis=0, return_counts=True)
-    if np.any(counts > 1):
+    # the constructor mapped every boundary triangle to a face of the complex
+    listed = np.bincount(mesh.btri_face, minlength=mesh.num_faces)
+    shared = np.bincount(mesh.tet_faces.ravel(), minlength=mesh.num_faces)
+    if np.any(listed > 1):
         raise NonManifoldBoundary("duplicated boundary triangle")
-    boundary, overfull = _boundary_faces_of(mesh.tets)
-    if len(overfull):
+    if np.any(shared > 2):
         raise NonManifoldBoundary("a face is shared by more than two tets")
-    bset = {tuple(f) for f in boundary}
-    given = {tuple(f) for f in uniq}
-    if given - bset:
+    if np.any(listed[shared == 2]):
         raise NonManifoldBoundary("an interior face is listed as a boundary triangle")
-    if bset - given:
+    if not np.all(listed[shared == 1]):
         raise InvalidMesh("a boundary face of the complex is missing from btris")
     if np.any((mesh.btri_tags != 0) & (mesh.btri_tags != 1)):
         raise InvalidMesh("boundary tags must be 0 or 1")
     if np.any(mesh.slice_ids < 0):
         raise InvalidMesh("slice ids must be non-negative")
 
-    # each slice edge-connected
-    for s in mesh.slice_labels:
-        cells = np.nonzero(mesh.slice_ids == s)[0]
-        if not _cells_edge_connected(mesh, cells):
-            raise InvalidMesh(f"slice {s} is not edge-connected")
+    # each slice edge-connected: cells meet through (edge, slice) nodes
+    labels = mesh.slice_labels
+    slice_of = np.searchsorted(labels, mesh.slice_ids)
+    count, comp = row_components(mesh.tet_edges * len(labels) + slice_of[:, None])
+    if count > len(labels):
+        pieces = np.bincount(slice_of[np.unique(comp, return_index=True)[1]])
+        raise InvalidMesh(f"slice {labels[np.argmax(pieces > 1)]} is not edge-connected")
 
     # advisory: with tag-1 boundary present, every slice should touch it
-    if len(mesh.tagged_faces(GAMMA_T)):
-        tagged_verts = set(mesh.tagged_vertices(GAMMA_T).tolist())
-        for s in mesh.slice_labels:
-            verts = set(np.unique(mesh.tets[mesh.slice_ids == s]).tolist())
-            if not (verts & tagged_verts):
-                warnings.append(
-                    f"slice {s} does not touch the tag-1 boundary part"
-                )
-    return warnings
-
-
-def _cells_edge_connected(mesh, cells):
-    if len(cells) <= 1:
-        return True
-    adj = {}
-    for c in cells:
-        for e in mesh.tet_edges[c]:
-            adj.setdefault(e, []).append(c)
-    parent = {c: c for c in cells}
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for group in adj.values():
-        r = find(group[0])
-        for c in group[1:]:
-            parent[find(c)] = r
-    roots = {find(c) for c in cells}
-    return len(roots) == 1
+    if mesh.has_gamma_t:
+        touching = np.any(np.isin(mesh.tets, mesh.tagged_vertices(GAMMA_T)), axis=1)
+        return [
+            f"slice {s} does not touch the tag-1 boundary part"
+            for s in labels
+            if not np.any(touching[mesh.slice_ids == s])
+        ]
+    return []
 
 
 def boundary_components(mesh, tag):
     """Connected components of the tagged boundary-triangle graph.
 
     Two triangles are adjacent when they share an edge.  Returns
-    (component index per tagged triangle, component count).
+    (component index per tagged triangle, numbered by first triangle,
+    component count).
     """
-    tsel = np.nonzero(mesh.btri_tags == tag)[0]
-    tris = np.sort(mesh.btris[tsel], axis=1)
-    n = len(tris)
-    parent = list(range(n))
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    edge_map = {}
-    for i, (a, b, c) in enumerate(tris):
-        for e in ((a, b), (a, c), (b, c)):
-            j = edge_map.setdefault(e, i)
-            if j != i:
-                parent[find(i)] = find(j)
-    roots = {}
-    comp = np.empty(n, dtype=np.int64)
-    for i in range(n):
-        r = find(i)
-        comp[i] = roots.setdefault(r, len(roots))
-    return comp, len(roots)
+    tris = mesh.faces[mesh.btri_face[mesh.btri_tags == tag]]
+    edges = locate_rows(mesh.edges, tris[:, [0, 1, 0, 2, 1, 2]].reshape(-1, 2))
+    count, comp = row_components(edges.reshape(-1, 3))
+    return comp, count
 
 
 # --------------------------------------------------------------------------

@@ -12,9 +12,12 @@ P0_scalar  : cell constants, dof = cell mean.
 
 Constraints are applied by elimination: tag-1 boundary vertices (P1),
 edges of tag-1 boundary triangles (Edge0), tag-0 boundary faces (Face0).
-With ``component_constant`` the vertex dofs of each connected tag-1
-boundary component fold into a single shared unknown per vector component
-instead of being eliminated.
+With ``component_constant`` the vertex dofs of each connected piece of
+the tag-1 part fold into a single shared unknown per vector component
+instead of being eliminated.  The pieces come from one connected-components
+call on the tagged triangles, two triangles joined when they share a
+vertex, so patches that touch only at a vertex share one folded unknown.
+Free dofs are numbered per component in order of their first entity.
 """
 
 from dataclasses import dataclass, field
@@ -122,63 +125,39 @@ def build_space(mesh, family, constrain=None, component_constant=False):
         "P0_scalar": mesh.num_tets,
     }[family]
 
-    eliminated = np.zeros(nent, dtype=bool)
-    group_of = -np.ones(nent, dtype=np.int64)
+    # each kept entity carries the dof of its representative; dofs are
+    # numbered per component in order of first entity
+    kept = np.ones(nent, dtype=bool)
+    rep = np.arange(nent)
     if constrain == "gamma_t":
         if component_constant:
-            group_of = _fold_groups(mesh)
+            rep = _fold_representatives(mesh)
         elif family in ("P1_scalar", "P1_vector"):
-            eliminated[mesh.tagged_vertices(GAMMA_T)] = True
+            kept[mesh.tagged_vertices(GAMMA_T)] = False
         else:  # Edge0
-            eliminated[mesh.tagged_edges(GAMMA_T)] = True
+            kept[mesh.tagged_edges(GAMMA_T)] = False
     elif constrain == "gamma_n":
-        eliminated[mesh.tagged_faces(GAMMA_N)] = True
+        kept[mesh.tagged_faces(GAMMA_N)] = False
 
+    reps, local = np.unique(rep[kept], return_inverse=True)
     dof_map = -np.ones((ncomp, nent), dtype=np.int64)
-    nxt = 0
-    for c in range(ncomp):
-        group_dof = {}
-        for ent in range(nent):
-            if eliminated[ent]:
-                continue
-            g = group_of[ent]
-            if g >= 0:
-                if g not in group_dof:
-                    group_dof[g] = nxt
-                    nxt += 1
-                dof_map[c, ent] = group_dof[g]
-            else:
-                dof_map[c, ent] = nxt
-                nxt += 1
-    return DofSpace(mesh, family, constrain, component_constant, dof_map, nxt)
+    dof_map[:, kept] = local + len(reps) * np.arange(ncomp)[:, None]
+    return DofSpace(mesh, family, constrain, component_constant, dof_map, ncomp * len(reps))
 
 
-def _fold_groups(mesh):
-    """Vertex -> tag-1 boundary component, components touching at a vertex merged."""
-    comp_per_tri, ncomp = meshes.boundary_components(mesh, GAMMA_T)
-    parent = list(range(ncomp))
+def _fold_representatives(mesh):
+    """Lowest vertex of each vertex's tag-1 group, the vertex itself off Γ_t.
 
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    # components sharing a vertex carry the same trace value: merge them
-    seen = {}
+    A group is a connected piece of the tag-1 part, patches that touch only
+    at a vertex included: they carry one trace value.
+    """
     tris = mesh.btris[mesh.btri_tags == GAMMA_T]
-    for tri, comp in zip(tris, comp_per_tri):
-        for v in tri:
-            v = int(v)
-            if v in seen and find(seen[v]) != find(comp):
-                parent[find(seen[v])] = find(comp)
-            seen[v] = int(comp)
-    group_of = -np.ones(mesh.num_vertices, dtype=np.int64)
-    labels = {}
-    for v, c in seen.items():
-        r = find(c)
-        group_of[v] = labels.setdefault(r, len(labels))
-    return group_of
+    count, comp = meshes.row_components(tris)
+    lowest = np.full(count, mesh.num_vertices)
+    np.minimum.at(lowest, comp, tris.min(axis=1))
+    rep = np.arange(mesh.num_vertices)
+    rep[tris] = lowest[comp, None]
+    return rep
 
 
 # --------------------------------------------------------------------------

@@ -31,6 +31,21 @@ def test_validate_ok_and_invalid(tmp_path):
     assert run(["validate", "--mesh", str(bad)]) == EXIT_INVALID
 
 
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_non_finite_vertex_is_invalid_input(tmp_path, capsys, value):
+    path = tmp_path / "m.msh"
+    run(["gen", "--primitive", "unit_cube", "--n", "1", "--out", str(path)])
+    lines = path.read_text().splitlines()
+    lines[3] = f"0 {value} 0"  # vertex 1
+    path.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert run(["validate", "--mesh", str(path)]) == EXIT_INVALID
+    assert run(["constants", "--mesh", str(path), "--out", str(tmp_path / "r.json")]) \
+        == EXIT_INVALID
+    err = capsys.readouterr().err
+    assert err.count("non-finite coordinates at vertices [1]") == 2
+
+
 def test_constants_report_keys(tmp_path):
     out = tmp_path / "rep.json"
     code = run(

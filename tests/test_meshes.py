@@ -193,6 +193,48 @@ def test_validate_warns_slice_without_tag():
     assert any("slice" in w for w in warnings)
 
 
+def test_validate_rejects_slice_without_shared_edge():
+    m = generate_primitive("unit_cube", 2)
+    # the corner tets at (0,0,0) and (1,1,1) share only the centre vertex
+    corner = [np.flatnonzero(np.all(m.vertices == c, axis=1))[0] for c in (0, 1)]
+    pick = [np.flatnonzero(np.any(m.tets == v, axis=1))[0] for v in corner]
+    sub = m.submesh(np.isin(np.arange(m.num_tets), pick))
+    with pytest.raises(InvalidMesh, match="^slice 0 is not edge-connected$"):
+        validate(sub)
+    # a connected slice 1 beside a split slice 3: the label is named
+    two = meshes.Mesh(sub.vertices, sub.tets, [3, 3], sub.btris, sub.btri_tags)
+    with pytest.raises(InvalidMesh, match="^slice 3 is not edge-connected$"):
+        validate(two)
+    assert validate(meshes.Mesh(sub.vertices, sub.tets, [1, 3], sub.btris,
+                                sub.btri_tags)) == []
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_validate_rejects_non_finite_vertices(value):
+    m = generate_primitive("unit_cube", 1)
+    v = m.vertices.copy()
+    v[5, 1] = float(value)
+    with pytest.raises(InvalidMesh, match=r"non-finite coordinates at vertices \[5\]"):
+        validate(meshes.Mesh(v, m.tets, m.slice_ids, m.btris, m.btri_tags))
+
+
+def test_locate_rows_finds_edges_and_faces_and_raises_on_a_miss():
+    m = generate_primitive("cube_with_tunnel", 1)
+    for table in (m.edges, m.faces):
+        order = np.random.default_rng(0).permutation(len(table))
+        assert np.array_equal(meshes.locate_rows(table, table[order]), order)
+    # the leading pair of (0, 1, 2) is an edge, the triple is not a face
+    with pytest.raises(KeyError):
+        meshes.locate_rows(m.faces, np.array([m.faces[0], [0, 1, 2]]))
+    with pytest.raises(KeyError):
+        meshes.locate_rows(m.edges, np.array([[0, m.num_vertices]]))
+    # indices near 1e9: scalar keys v0 nv^2 + v1 nv + v2 would overflow int64
+    rng = np.random.default_rng(1)
+    table = np.unique(rng.choice([0, 7, 10**9 - 2, 10**9 - 1], (40, 3)), axis=0)
+    order = rng.permutation(len(table))
+    assert np.array_equal(meshes.locate_rows(table, table[order]), order)
+
+
 def test_transformed_rotation_keeps_orientation():
     m = generate_primitive("unit_cube", 1)
     theta = 0.7

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from kornlab.meshes import generate_primitive
+from kornlab.meshes import boundary_components, generate_primitive
 from kornlab.spaces import SpaceError, build_space, interpolate
 
 
@@ -52,6 +52,22 @@ def test_component_constant_folding():
     plain = build_space(m, "P1_vector")
     # 26 boundary vertices fold into one group per component
     assert folded.free_count == plain.free_count - 3 * (26 - 1)
+
+
+def test_patches_touching_at_a_vertex_fold_into_one_group():
+    m = generate_primitive("unit_cube", 2)
+    x, y, z = np.moveaxis(m.vertices[m.btris], 2, 0)
+    low = np.all((y <= 0.5) & (z <= 0.5), axis=1)
+    high = np.all((y >= 0.5) & (z >= 0.5), axis=1)
+    m = m.retag(np.all(x == 0, axis=1) & (low | high))
+    # two edge-connected quadrants of x = 0 meet only at (0, 1/2, 1/2)
+    assert boundary_components(m, 1)[1] == 2
+    group = m.tagged_vertices(1)
+    assert len(group) == 7
+    folded = build_space(m, "P1_vector", "gamma_t", component_constant=True)
+    plain = build_space(m, "P1_vector")
+    assert folded.free_count == plain.free_count - 3 * (len(group) - 1)
+    assert np.all(folded.dof_map[:, group] == folded.dof_map[:, group[:1]])
 
 
 def test_interpolate_p1_vertex_values():
