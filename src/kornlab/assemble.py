@@ -41,7 +41,7 @@ class QuadratureWarning(UserWarning):
 
 @dataclass
 class MatrixCoefficient:
-    """Pointwise 3x3 matrix field F with det F >= mu > 0.
+    """Pointwise 3x3 matrix field F with det F > 0.
 
     evaluator maps (n,3) points to (n,3,3) matrices; degree is the
     polynomial degree per cell (None for non-polynomial evaluators, which
@@ -51,7 +51,6 @@ class MatrixCoefficient:
 
     evaluator: callable
     degree: int | None = 0
-    mu: float | None = None
 
     def __call__(self, pts):
         out = np.asarray(self.evaluator(pts), dtype=float)
@@ -64,7 +63,6 @@ def identity_coefficient(scale=1.0):
     return MatrixCoefficient(
         lambda pts: np.broadcast_to(scale * np.eye(3), (len(pts), 3, 3)).copy(),
         degree=0,
-        mu=scale**3,
     )
 
 
@@ -439,13 +437,6 @@ def _div_map(trial, test, geom):
 # --------------------------------------------------------------------------
 # norm evaluation
 # --------------------------------------------------------------------------
-
-
-def export_matrix(mat, path):
-    """Write an assembled matrix as Matrix Market ASCII (debugging aid)."""
-    from scipy.io import mmwrite
-
-    mmwrite(path, sp.coo_matrix(mat))
 
 
 def dev_alpha(mat, alpha):

@@ -102,7 +102,6 @@ def _operators_for(edge_space):
 class HarmonicBasis:
     space: DofSpace
     fields: np.ndarray  # (L, free) mass-orthonormal rows
-    ops: EdgeOperators = field(repr=False, default=None)
     # smallest pair of the same pencil above the kernel: the coexact
     # Maxwell eigenpair (None when the basis was built without the search)
     coexact: linalg.EigenResult = field(repr=False, default=None)
@@ -134,14 +133,13 @@ def harmonic_basis(mesh, ops=None, tol=1e-10):
     M = ops.mass
     raw, coexact = _harmonic_search(ops, tol)
     if raw.shape[1] == 0:
-        return HarmonicBasis(ops.edge_space, np.zeros((0, ops.edge_space.free_count)), ops,
-                             coexact)
+        return HarmonicBasis(ops.edge_space, np.zeros((0, ops.edge_space.free_count)), coexact)
     fields = np.column_stack([_clean_harmonic(ops, raw[:, j]) for j in range(raw.shape[1])])
     # mass re-orthonormalization after the cleanup
     gram = fields.T @ (M @ fields)
     L = np.linalg.cholesky(0.5 * (gram + gram.T))
     fields = fields @ np.linalg.inv(L).T
-    return HarmonicBasis(ops.edge_space, fields.T, ops, coexact)
+    return HarmonicBasis(ops.edge_space, fields.T, coexact)
 
 
 def _harmonic_search(ops, tol):

@@ -30,8 +30,9 @@ estimates) and runs its solve inside seeded(shift, v0): then sigma is
 that shift and the pass starts from v0 with a small share of the seeded
 random vector mixed in.  The seed is a context, not a keyword of
 eig_smallest, so any solver that stands in for eig_smallest keeps its
-signature.  Kernels are measured in one way, at every size: count_kernel
-asks eig_smallest for more eigenvalues until one lies above a threshold.
+signature.  Kernel dimensions are counted in one way, at every size:
+count_kernel asks eig_smallest for more eigenvalues until one lies above
+a threshold.
 """
 
 import contextlib

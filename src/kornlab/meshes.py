@@ -27,6 +27,10 @@ GAMMA_N = 0
 GAMMA_T = 1
 
 _KUHN_PERMS = [(0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0)]
+# the corners of the six Kuhn tets of a unit cell, (6,4,3): the cell's lowest
+# vertex, then one unit step along each axis in the order of a permutation
+_KUHN_PATHS = np.pad(np.cumsum(np.eye(3, dtype=np.int64)[_KUHN_PERMS], axis=1),
+                     ((0, 0), (1, 0), (0, 0)))
 
 
 class MeshError(Exception):
@@ -263,42 +267,24 @@ def _orient_positive(vertices, tets):
 # --------------------------------------------------------------------------
 
 
-def _grid_tets(shape, origin=(0.0, 0.0, 0.0), h=1.0, keep=None):
-    """Kuhn (6-tet) split of an axis-aligned box grid.
+def _grid_tets(mask, h):
+    """Kuhn (6-tet) split of the cells of an axis-aligned box grid.
 
-    shape: cells per axis. keep: optional predicate on integer cell (i,j,k).
-    Returns vertices, tets and the integer cell of each tet.
+    mask: boolean array, one entry per cell (i, j, k), True for the cells
+    to split; h: the cell size.  Returns vertices, tets and the integer
+    cell of each tet, cells in C order and six tets per cell.
     """
-    nx, ny, nz = shape
-    xs = [np.asarray(origin)[d] + h * np.arange(n + 1) for d, n in enumerate(shape)]
-    X, Y, Z = np.meshgrid(*xs, indexing="ij")
+    X, Y, Z = np.meshgrid(*(h * np.arange(n + 1) for n in mask.shape), indexing="ij")
     vertices = np.column_stack([X.ravel(), Y.ravel(), Z.ravel()])
-
-    def vid(i, j, k):
-        return (i * (ny + 1) + j) * (nz + 1) + k
-
-    tets = []
-    cell_of = []
-    for i in range(nx):
-        for j in range(ny):
-            for k in range(nz):
-                if keep is not None and not keep(i, j, k):
-                    continue
-                c0 = np.array([i, j, k])
-                for perm in _KUHN_PERMS:
-                    path = [c0.copy()]
-                    for axis in perm:
-                        nxt = path[-1].copy()
-                        nxt[axis] += 1
-                        path.append(nxt)
-                    tets.append([vid(*p) for p in path])
-                    cell_of.append((i, j, k))
-    tets = _orient_positive(vertices, np.array(tets, dtype=np.int64))
+    cells = np.argwhere(mask)
+    corners = cells[:, None, None, :] + _KUHN_PATHS  # (C,6,4,3)
+    strides = np.array([(mask.shape[1] + 1) * (mask.shape[2] + 1), mask.shape[2] + 1, 1])
+    tets = _orient_positive(vertices, (corners @ strides).reshape(-1, 4))
     # drop unused vertices (holes in the grid)
     used = np.unique(tets)
     remap = -np.ones(len(vertices), dtype=np.int64)
     remap[used] = np.arange(len(used))
-    return vertices[used], remap[tets], cell_of
+    return vertices[used], remap[tets], np.repeat(cells, len(_KUHN_PATHS), axis=0)
 
 
 def generate_primitive(kind, n):
@@ -312,7 +298,7 @@ def generate_primitive(kind, n):
     if n < 1:
         raise ValueError("subdivision count must be >= 1")
     if kind in ("unit_cube", "slab_mixed"):
-        vertices, tets, _ = _grid_tets((n, n, n), h=1.0 / n)
+        vertices, tets, _ = _grid_tets(np.ones((n, n, n), dtype=bool), 1.0 / n)
         btris = _boundary_faces_of(tets)
         if kind == "unit_cube":
             tags = np.ones(len(btris), dtype=np.int64)
@@ -323,19 +309,13 @@ def generate_primitive(kind, n):
         return Mesh(vertices, tets, slices, btris, tags)
     if kind == "cube_with_tunnel":
         # plan view: 3x3 ring of unit boxes minus the middle one, height 1
-        def keep(i, j, k):
-            return not (n <= i < 2 * n and n <= j < 2 * n)
-
-        vertices, tets, cell_of = _grid_tets((3 * n, 3 * n, n), h=1.0 / n, keep=keep)
-        # two simply connected halves of the ring (L-shaped in plan view)
-        half_a = {(0, 0), (1, 0), (2, 0), (0, 1)}
-        slices = np.array(
-            [
-                0 if (min(c[0] // n, 2), min(c[1] // n, 2)) in half_a else 1
-                for c in cell_of
-            ],
-            dtype=np.int64,
-        )
+        ring = np.ones((3 * n, 3 * n, n), dtype=bool)
+        ring[n : 2 * n, n : 2 * n] = False
+        vertices, tets, cell_of = _grid_tets(ring, 1.0 / n)
+        # two simply connected halves of the ring (L-shaped in plan view):
+        # half 0 is the row of boxes j < n and the box i < n, n <= j < 2n
+        i, j = cell_of[:, 0], cell_of[:, 1]
+        slices = np.where((j < n) | ((i < n) & (j < 2 * n)), 0, 1)
         btris = _boundary_faces_of(tets)
         tags = np.zeros(len(btris), dtype=np.int64)
         return Mesh(vertices, tets, slices, btris, tags)

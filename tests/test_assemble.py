@@ -12,7 +12,6 @@ from kornlab.assemble import (
     QuadratureWarning,
     assemble,
     evaluate_norms,
-    export_matrix,
     identity_coefficient,
 )
 from kornlab.constants import Workspace
@@ -241,15 +240,6 @@ def test_nonpolynomial_coefficient_warns(cube2):
     )
     with pytest.warns(UserWarning):
         assemble("symF", pv, coeff=F)
-
-
-def test_export_matrix(cube2, tmp_path):
-    p0 = build_space(cube2, "P0_scalar")
-    M = assemble("mass", p0)
-    path = tmp_path / "m.mtx"
-    export_matrix(M, path)
-    text = path.read_text()
-    assert text.startswith("%%MatrixMarket")
 
 
 def test_dropped_mesh_freed_without_cyclic_collector():

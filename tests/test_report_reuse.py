@@ -9,12 +9,10 @@ the coexact Maxwell pair.
 import importlib
 from collections import Counter
 
-import numpy as np
 import pytest
 
 from kornlab import constants as cst
 from kornlab import hodge, linalg
-from kornlab.assemble import MatrixCoefficient
 from kornlab.meshes import generate_primitive
 
 asm = importlib.import_module("kornlab.assemble")  # the package exports the function too
@@ -105,25 +103,6 @@ def test_report_solves_curlcurl_pencil_once(n, sparse, monkeypatch):
     assert report["c_m_coexact"]["residual"] <= 1e-10
 
 
-def test_weighted_certification_assembles_weighted_strain_once(monkeypatch):
-    ws = cst.Workspace(generate_primitive("slab_mixed", 2))
-    for name in ("c_m", "c_m_coexact"):
-        ws.constant(name)
-
-    def evaluator(p):
-        out = np.broadcast_to(np.eye(3), (len(p), 3, 3)).copy()
-        out[:, 0, 0] = 1.0 + 0.5 * p[:, 0]
-        return out
-
-    calls = _spy_assemble(monkeypatch)
-    rng = np.random.default_rng(4)
-    cert = cst.certify_weighted_inequality(
-        ws.random_tensor(rng), ws, MatrixCoefficient(evaluator, degree=1)
-    )
-    assert cert.verdict, cert.failed
-    assert [form for form, _, _ in calls] == ["tensor_symF"]
-
-
 def test_report_measures_kernels_by_eigensolve(monkeypatch):
     # no dense kernel diagnostic and no extra solve: four, c_k_s being read
     # off the c_k_irrot solve (the strain-kernel note of a separate c_k_s
@@ -140,27 +119,6 @@ def test_report_measures_kernels_by_eigensolve(monkeypatch):
     report = cst.compute_report(generate_primitive("unit_cube", 4).retag(0))
     assert report["c_k_s"]["note"] == "equal to c_k_irrot: harmonic dim 0"
     assert calls == {"eig_smallest": 4}
-
-
-def test_second_weighted_sample_reuses_weighted_work(monkeypatch):
-    ws = cst.Workspace(generate_primitive("slab_mixed", 2))
-    weight = MatrixCoefficient(lambda p: np.broadcast_to(2.0 * np.eye(3), (len(p), 3, 3)))
-    rng = np.random.default_rng(5)
-    first = cst.certify_weighted_inequality(ws.random_tensor(rng), ws, weight)
-    assert first.verdict, first.failed
-    solves = []
-    real = linalg.eig_smallest
-
-    def spy(*args, **kwargs):
-        solves.append(args[0].shape)
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(linalg, "eig_smallest", spy)
-    calls = _spy_assemble(monkeypatch)
-    second = cst.certify_weighted_inequality(ws.random_tensor(rng), ws, weight)
-    assert second.verdict, second.failed
-    assert solves == [] and calls == []
-    assert ws.weighted(weight).record is ws.weighted(weight).record
 
 
 def test_workspace_pencil_matches_assembled_tensor_forms():

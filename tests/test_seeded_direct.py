@@ -111,8 +111,8 @@ def test_start_vector_without_the_smallest_pair_still_finds_it():
     wy = seed["v0"]
     perp = wy - (x1 @ (B @ wy)) * x1
     assert abs(x1 @ (B @ perp)) < 1e-12 * np.sqrt(perp @ (B @ perp))
-    rec, _ = cst.direct_main_constant(ws.mesh, ws.tol, ws.ops, ws.pencil,
-                                      bracket=seed["bracket"], v0=perp)
+    rec = cst.direct_main_constant(ws.mesh, ws.tol, ws.ops, ws.pencil,
+                                   bracket=seed["bracket"], v0=perp)
     assert rec.value == pytest.approx(SEEDED["unit_cube6"][3], rel=1e-10)
 
 

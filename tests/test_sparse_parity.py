@@ -82,9 +82,9 @@ def test_forced_sparse_constrained_tunnel_direct(monkeypatch):
     # checked against a forced-dense solve and the oracle's eigenvalue
     mesh = generate_primitive("cube_with_tunnel", 2)
     monkeypatch.setattr(linalg, "DENSE_CROSSOVER", FORCED_DENSE)
-    dense, _ = constants.direct_main_constant(mesh)
+    dense = constants.direct_main_constant(mesh)
     monkeypatch.setattr(linalg, "DENSE_CROSSOVER", PATCHED_CROSSOVER)
-    sparse, _ = constants.direct_main_constant(mesh)
+    sparse = constants.direct_main_constant(mesh)
     assert sparse.eigenvalue == pytest.approx(0.041975049321929386, rel=1e-10)
     assert sparse.value == pytest.approx(dense.value, rel=REL_TOL)
     assert sparse.residual <= 1e-10
@@ -105,7 +105,7 @@ def test_unit_cube_n8_direct_above_crossover():
     # reference: ARPACK shift-invert on the saddle-point operator, from an
     # implementation independent of kornlab.linalg (perfbench/oracle.py,
     # refs.json), which agrees with dense LAPACK to 7e-14 at n=6
-    rec, _ = constants.direct_main_constant(generate_primitive("unit_cube", 8))
+    rec = constants.direct_main_constant(generate_primitive("unit_cube", 8))
     assert rec.value == pytest.approx(1.410272155021159, rel=1e-10)
     assert rec.residual <= 1e-10
 
