@@ -145,9 +145,12 @@ def harmonic_basis(mesh, ops=None, tol=1e-10):
 def _harmonic_search(ops, tol):
     """Near-kernel of the curl-curl pencil in the gradient complement.
 
-    linalg.count_kernel (gradients deflated, batches from 4 up to
-    HARMONIC_CAP) counts the eigenvalues below HARMONIC_REL_TOL relative
-    to tr(curlcurl) / tr(mass).
+    linalg.count_kernel (batches from 4 up to HARMONIC_CAP) counts the
+    eigenvalues below HARMONIC_REL_TOL relative to tr(curlcurl) / tr(mass).
+    The pinned gradients are deflated: they span a kernel of curl-curl, so
+    above the crossover the eigensolver factors the curl-curl matrix alone
+    and projects them out mass-orthogonally after each solve, with no
+    border row per potential (see linalg._eig_sparse).
     Returns (kernel vectors, the first pair above the threshold).  That
     pair is mass-orthogonal to the gradients and to the kernel vectors,
     hence to the cleaned harmonic fields: it is the coexact Maxwell pair.
@@ -235,21 +238,25 @@ def helmholtz_split(v, harmonics=None, ops=None):
         ops = _operators_for(space)
     if harmonics is None:
         harmonics = harmonic_basis(mesh)
-    u, _, grad, harm = _curl_free_split(ops, harmonics.fields_in(space), ops.mass @ coeffs)
+    (u,), _, (grad,), (harm,) = _curl_free_split(ops, harmonics.fields_in(space),
+                                                 (ops.mass @ coeffs)[None])
     coex = coeffs - grad - harm
     return HelmholtzSplit(Field(space, grad), Field(space, harm), Field(space, coex),
                           ops.unpinned(u), v, ops.mass)
 
 
-def _curl_free_split(ops, hf, Mv):
-    """(pinned potential u, harmonic amplitudes a, gradient Gp u, harmonic
-    part hf^T a) of the field v with M v = Mv.
+def _curl_free_split(ops, hf, MV):
+    """(pinned potentials U, harmonic amplitudes, gradient parts, harmonic
+    parts) of the fields v_m with M v_m = MV[m], one per row of each.
 
-    hf holds the harmonic fields as rows (none: the part is zero).
+    hf holds the harmonic fields as rows (none: the parts are zero).  One
+    Poisson solve takes every row; the sparse products take one row at a
+    time, since scipy's products with several vectors are slower than as
+    many single ones.
     """
-    u = _poisson_solve(ops, Mv)
-    amps = hf @ Mv
-    return u, amps, ops.pinned_grad @ u, hf.T @ amps
+    U = ops.poisson(np.column_stack([ops.grad_t @ mv for mv in MV])).T
+    amps = MV @ hf.T
+    return U, amps, np.stack([ops.pinned_grad @ u for u in U]), amps @ hf
 
 
 @dataclass
@@ -270,26 +277,17 @@ class TensorSplit:
 def helmholtz_split_tensor(T, harmonics=None, ops=None):
     """Row-wise Helmholtz split; the coexact part carries Curl S = Curl T.
 
-    Every product takes one row at a time: scipy's sparse products with
-    several vectors are slower than as many single ones.
+    The three rows share one Poisson solve (see _curl_free_split).
     """
     if ops is None or ops.edge_space is not T.space:
         ops = _operators_for(T.space)
     if harmonics is None:
         harmonics = harmonic_basis(T.space.mesh)
-    M = ops.mass
-    hf = harmonics.fields_in(T.space)
-    R, S, MT = (np.empty_like(T.rows) for _ in range(3))
-    pots, amps = [], []
-    for m, row in enumerate(T.rows):
-        MT[m] = M @ row
-        u, a, grad, harm = _curl_free_split(ops, hf, MT[m])
-        R[m] = grad + harm
-        S[m] = row - grad - harm
-        pots.append(u)
-        amps.append(a)
-    return TensorSplit(TensorField(T.space, R), TensorField(T.space, S), MT,
-                       np.concatenate(pots + amps))
+    MT = np.stack([ops.mass @ row for row in T.rows])
+    U, amps, grad, harm = _curl_free_split(ops, harmonics.fields_in(T.space), MT)
+    return TensorSplit(TensorField(T.space, grad + harm),
+                       TensorField(T.space, T.rows - grad - harm), MT,
+                       np.concatenate([*U, *amps]))
 
 
 # --------------------------------------------------------------------------

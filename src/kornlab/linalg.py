@@ -4,9 +4,9 @@ Every sparse factorization is one call, _factor: SuperLU in symmetric mode
 (diagonal pivots, minimum-degree ordering of K^T + K), which on these
 symmetric matrices fills less than the default COLAMD ordering with
 partial pivoting.  Threshold pivoting stays on (a diagonal pivot below
-0.1 of its column is swapped out): bordered rows form a zero diagonal
-block, and without pivoting those solves lose all accuracy.  Relaxed
-supernodes are off (relax=1): the default relaxation merges small
+0.1 of its column is swapped out): bordered constraint rows form a zero
+diagonal block, and without pivoting those solves lose all accuracy.
+Relaxed supernodes are off (relax=1): the default relaxation merges small
 subtrees of the elimination tree into supernodes, which on these
 finite-element matrices makes factorizations and solves above a few
 thousand rows slower and leaves the fill and the residuals as they are.
@@ -14,14 +14,18 @@ spd_solver factors a symmetric positive definite matrix (the Poisson
 matrix of the Helmholtz splits) with it, at every size.
 
 Eigenproblems are pencils A x = lambda B x with A positive semidefinite
-and B positive definite, restricted to the admissible subspace {C x = 0}.
-The rows of C are raw linear constraints and B d for deflated vectors d
-(a B-orthogonal restriction).  One size routes them: below
-DENSE_CROSSOVER they reduce to LAPACK on a basis of the admissible
-subspace; above it shift-invert ARPACK runs in the B-inner product with
-OPinv the solve with the saddle-point matrix [[A - sigma B, C^T], [C, 0]],
-which is symmetric and B-self-adjoint on the admissible subspace for any
-rows C.  Every row of C, sparse or dense, borders that matrix.  Every
+and B positive definite, restricted to the admissible subspace: the
+fields x with C x = 0 for raw linear constraint rows C, B-orthogonal to
+the deflated vectors, the columns of a basis D of a kernel of A.  One size routes them: below DENSE_CROSSOVER they
+reduce to LAPACK on a basis of the admissible subspace (D enters as the
+rows (B D)^T); above it shift-invert ARPACK runs in the B-inner product.
+Its OPinv solves with A - sigma B, bordered by the constraint rows into
+the saddle-point matrix [[A - sigma B, C^T], [C, 0]], which is symmetric
+and B-self-adjoint on {C x = 0} for any rows C.  A deflation basis is
+not bordered: since A D = 0, the B-orthogonal complement of D is an
+invariant subspace, and the solve with A - sigma B followed by the
+B-orthogonal projection off D is the bordered solve (see _eig_sparse).
+A sparse pencil takes constraints or a deflation, not both.  Every
 sparse eigensolve has one shape: one factorization at sigma and one
 full-accuracy ARPACK pass for the k pairs nearest it.  sigma lies just
 below the spectrum, unless the caller knows where the smallest
@@ -50,6 +54,9 @@ _START_MIX = 1e-4  # share of the random vector in a given start vector: no dire
 _PIVOT_THRESH = 0.1  # symmetric-mode LU: a smaller diagonal pivot is swapped out
 _RELAX = 1  # SuperLU supernode relaxation: 1 turns it off
 KERNEL_CAP = 32  # count_kernel stops doubling its batch here
+# a deflation column d with |A d| above this share of |A|_F |d| is not in ker A;
+# the deflation bases kornlab builds read below 1e-16
+_KERNEL_RTOL = 1e-12
 
 
 class SolverError(RuntimeError):
@@ -107,8 +114,11 @@ def solve_spd(A, rhs):
 def eig_smallest(A, B, k=1, deflation=None, constraints=None, tol=1e-10):
     """k smallest eigenvalues of A x = lambda B x on the admissible subspace.
 
-    deflation: vectors removed B-orthogonally.  constraints: extra rows C
-    with admissible C x = 0.  Inside seeded(...) the sparse path returns
+    deflation: vectors removed B-orthogonally, as the columns (or one
+    row) of a basis D of a kernel of A: A D = 0 to rounding.
+    constraints: extra rows C with admissible C x = 0.  The sparse path
+    takes one of the two, not both, and checks A D = 0; it raises
+    ValueError otherwise.  Inside seeded(...) the sparse path returns
     the k eigenvalues nearest the seed's shift instead (see _eig_sparse).
     """
     A = _as_csr(A)
@@ -204,19 +214,23 @@ def _residuals(A, B, vals, vecs, constraints=None):
     return out
 
 
+def _deflation_basis(deflation, n):
+    """The deflated vectors as the columns of a sparse (n, p) matrix."""
+    D = sp.csc_matrix(deflation)
+    return D if D.shape[0] == n else D.T
+
+
 def _saddle_rows(B, deflation, constraints, n):
     """Rows C whose kernel is the admissible subspace: one CSR matrix, or None.
 
     Deflated vectors d give the rows (B d)^T, raw constraints their own
-    rows.  Both paths take C as it is: the dense one stacks it, the sparse
-    one borders it.
+    rows.  The dense path stacks both into C and takes its null space;
+    the sparse one borders the constraint rows only (it never passes a
+    deflation here).
     """
     rows = []
     if deflation is not None:
-        D = sp.csc_matrix(deflation)
-        if D.shape[0] != n:
-            D = D.T
-        rows.append((B @ D).T)
+        rows.append((B @ _deflation_basis(deflation, n)).T)
     if constraints is not None:
         rows.append(sp.csr_matrix(constraints))
     return sp.vstack(rows, format="csr") if rows else None
@@ -225,20 +239,49 @@ def _saddle_rows(B, deflation, constraints, n):
 def _saddle_inverse(A, B, sigma, C):
     """x -> (A - sigma B)^{-1} x on {C x = 0}: the OPinv of shift-invert ARPACK.
 
-    Every row of C, sparse or dense, borders the matrix
-    [[A - sigma B, C^T], [C, 0]], factored once by _factor.  The dense
-    rows (skew moments, deflated vectors B d) are few, and against the
-    factors of A - sigma B alone they change the fill little: +1.5% for
-    the six skew rows of the cube_with_tunnel n=4 c_direct matrix, -7% for
-    the three of the untagged unit_cube n=8 one.
+    The constraint rows C border the matrix [[A - sigma B, C^T], [C, 0]],
+    factored once by _factor; without rows A - sigma B is factored alone.
+    The rows (skew moments, the reduced rows of c_k_irrot) are few and
+    dense, and against the factors of A - sigma B alone they change the
+    fill little: +1.5% for the six skew rows of the cube_with_tunnel n=4
+    c_direct matrix, -7% for the three of the untagged unit_cube n=8 one.
     """
     n = A.shape[0]
     K = (A - sigma * B).tocsc()  # already CSC: _factor makes no second copy
-    if C is not None:
-        K = sp.bmat([[K, C.T], [C, None]], format="csc")
+    if C is None:
+        lu = _factor(K, "shifted matrix")
+        return lambda x: lu.solve(np.ravel(x))
+    K = sp.bmat([[K, C.T], [C, None]], format="csc")
     lu = _factor(K, "saddle-point matrix")
     pad = np.zeros(K.shape[0] - n)
     return lambda x: lu.solve(np.concatenate([np.ravel(x), pad]))[:n]
+
+
+def _projected_inverse(A, B, sigma, deflation):
+    """x -> P (A - sigma B)^{-1} x, P = I - D (D^T B D)^{-1} (B D)^T the
+    B-orthogonal projection off the deflation basis D.
+
+    A - sigma B is factored alone (_saddle_inverse without rows) and
+    D^T B D once by _factor (for the pinned gradients it is the Poisson
+    matrix).  A column d of D with |A d| above _KERNEL_RTOL |A|_F |d|
+    raises ValueError: off ker A the projected solve is not the bordered
+    one (see _eig_sparse).
+    """
+    D = _deflation_basis(deflation, A.shape[0])
+    off = spla.norm(A @ D, axis=0) > _KERNEL_RTOL * np.linalg.norm(A.data) * spla.norm(D, axis=0)
+    if off.any():
+        raise ValueError(f"deflation column {np.argmax(off)} is not in the kernel of A: "
+                         "a sparse pencil deflates only a kernel of A")
+    BD = (B @ D).tocsc()
+    gram = _factor(D.T @ BD, "deflation Gram matrix")
+    BDt = BD.T.tocsr()
+    solve = _saddle_inverse(A, B, sigma, None)
+
+    def op(x):
+        z = solve(x)
+        return z - D @ gram.solve(BDt @ z)
+
+    return op
 
 
 def _arpack(A, B, k, sigma, op, v0, tol):
@@ -253,7 +296,7 @@ def _arpack(A, B, k, sigma, op, v0, tol):
 
 
 def _eig_sparse(A, B, k, deflation, constraints, tol):
-    """Shift-invert ARPACK on the saddle-point operator: one factorization, one pass.
+    """Shift-invert ARPACK: one factorization, one pass.
 
     The matrix is factored once at sigma: the seed's shift inside
     seeded(shift, v0), else sigma_0 = -1e-3 tr A / tr B, just below the
@@ -262,8 +305,20 @@ def _eig_sparse(A, B, k, deflation, constraints, tol):
     v0 plus _START_MIX |v0| of r: v0 may miss the wanted eigenvector (a
     symmetry class that excludes it), the random share puts every
     direction in the Krylov space.
+
+    Constraint rows border the factored matrix (_saddle_inverse).  A
+    deflation basis D does not: A - sigma B is factored alone and each
+    solve is followed by the B-orthogonal projection P off D
+    (_projected_inverse).  As A D = 0, z = (A - sigma B)^{-1} y splits as
+    P z + D c with (A - sigma B) P z + B D (-sigma c) = y and
+    D^T B P z = 0: P z is the bordered solve, so ARPACK sees the same
+    operator on the same subspace.  The projection does not keep C x = 0,
+    so deflation and constraints together raise ValueError.
     """
     n = A.shape[0]
+    if deflation is not None and constraints is not None:
+        raise ValueError("a sparse pencil takes a deflation or constraints, not both: "
+                         "the deflating projection does not keep C x = 0")
     tr_b = B.diagonal().sum()
     if tr_b <= 0:
         raise SolverError("sparse path needs positive definite B")
@@ -272,7 +327,10 @@ def _eig_sparse(A, B, k, deflation, constraints, tol):
         sigma, v0 = -1e-3 * max(abs(A.diagonal().sum()) / tr_b, 1e-30), None
     else:
         sigma, v0 = seed
-    op = _saddle_inverse(A, B, sigma, _saddle_rows(B, deflation, constraints, n))
+    if deflation is None:
+        op = _saddle_inverse(A, B, sigma, _saddle_rows(B, None, constraints, n))
+    else:
+        op = _projected_inverse(A, B, sigma, deflation)
     v = np.random.default_rng(_SEED).standard_normal(n)
     if v0 is not None:
         v = v0 + _START_MIX * (np.linalg.norm(v0) / np.linalg.norm(v)) * v

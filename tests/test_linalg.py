@@ -288,6 +288,56 @@ def test_eig_sparse_path_with_deflation():
     assert r.values[0] == pytest.approx(vals[2:].min(), rel=1e-9)
 
 
+def _kernel_pencil(n=400, p=2):
+    """A diagonal pencil above the crossover whose first p unit vectors span ker A."""
+    A = sp.diags(np.concatenate([np.zeros(p), 1.0 + np.arange(n - p)])).tocsr()
+    D = np.zeros((n, p))
+    D[np.arange(p), np.arange(p)] = 1.0
+    return A, sp.identity(n, format="csr"), D
+
+
+def test_sparse_deflation_factors_n_rows_and_constraints_border(monkeypatch):
+    # a deflation basis is projected out after each solve: the shifted
+    # matrix has n rows, next to the p x p Gram matrix D^T B D; m constraint
+    # rows border it to n + m rows
+    factored = []
+    real = linalg._factor
+
+    def spy(K, what):
+        factored.append(K.shape[0])
+        return real(K, what)
+
+    monkeypatch.setattr(linalg, "_factor", spy)
+    n, p, m = 400, 2, 3
+    A, B, D = _kernel_pencil(n, p)
+    eig = eig_smallest(A, B, k=2, deflation=D)
+    assert sorted(factored) == [p, n]
+    assert np.allclose(eig.values, [1.0, 2.0], rtol=1e-12)
+    assert np.abs(D.T @ (B @ eig.vectors)).max() <= 1e-14
+    factored.clear()
+    C = np.zeros((m, n))
+    C[np.arange(m), np.arange(m)] = 1.0  # the two kernel vectors and the third unit vector
+    eig = eig_smallest(A, B, k=1, constraints=C)
+    assert factored == [n + m]
+    assert eig.values[0] == pytest.approx(2.0, rel=1e-12)
+
+
+def test_sparse_deflation_with_constraints_raises():
+    # the projection off D does not keep C x = 0; no caller passes both
+    A, B, D = _kernel_pencil()
+    with pytest.raises(ValueError, match="not both"):
+        eig_smallest(A, B, k=1, deflation=D, constraints=np.ones((1, A.shape[0])))
+
+
+def test_sparse_deflation_outside_the_kernel_raises():
+    # off ker A the projected solve is not the bordered one: refused, not
+    # silently wrong
+    A, B, D = _kernel_pencil()
+    D[2, 1] = 1e-6  # the second column leaves ker A
+    with pytest.raises(ValueError, match="deflation column 1 is not in the kernel"):
+        eig_smallest(A, B, k=1, deflation=D)
+
+
 @pytest.mark.parametrize("crossover", [linalg.DENSE_CROSSOVER, 16], ids=["dense", "sparse"])
 def test_count_kernel_diagonal_pencil(crossover, monkeypatch):
     # a 3-dim kernel: batches k = 1, 2, 4, and the fourth value is the first

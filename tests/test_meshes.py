@@ -235,6 +235,20 @@ def test_locate_rows_finds_edges_and_faces_and_raises_on_a_miss():
     assert np.array_equal(meshes.locate_rows(table, table[order]), order)
 
 
+@pytest.mark.parametrize("n", [7, 2**22 + 5, 2**40], ids=["small", "face_keys_ranked", "huge"])
+@pytest.mark.parametrize("width", [2, 3])
+def test_unique_rows_matches_unique_along_rows(n, width):
+    # scalar keys give np.unique(axis=0)'s rows, inverse and counts; above
+    # 2**21 indices a three-column key a n^2 + b n + c would overflow int64
+    rng = np.random.default_rng(n + width)
+    rows = rng.integers(0, n, size=(600, width))
+    rows[300:] = rows[rng.integers(0, 300, 300)]
+    got = meshes.unique_rows(rows, n)
+    want = np.unique(rows, axis=0, return_inverse=True, return_counts=True)
+    for a, b in zip(got, want):
+        assert np.array_equal(a, np.ravel(b) if a.ndim == 1 else b)
+
+
 def test_transformed_rotation_keeps_orientation():
     m = generate_primitive("unit_cube", 1)
     theta = 0.7

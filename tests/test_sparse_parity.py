@@ -12,6 +12,7 @@ pencils is the oracle.  Two tests run above the real crossover without
 patching.
 """
 
+import numpy as np
 import pytest
 
 from kornlab import constants, hodge, linalg
@@ -164,3 +165,38 @@ def test_workspace_coexact_pair_matches_forced_dense_deflated_solve(
     _, _, dense = constants.maxwell_constant(mesh, ops=ops, harmonics=basis)
     assert coexact.value == pytest.approx(dense.value, rel=1e-10)
     assert coexact.residual <= 1e-10 and dense.residual <= 1e-10
+
+
+def _bordered_search(ops, k):
+    """The harmonic pencil as shift-invert ARPACK on the matrix bordered by
+    one row (M Gp)^T per pinned potential: the reference for the projection."""
+    A, M = ops.curlcurl, ops.mass
+    n = A.shape[0]
+    sigma = -1e-3 * A.diagonal().sum() / M.diagonal().sum()
+    op = linalg._saddle_inverse(A, M, sigma, (M @ ops.pinned_grad).T.tocsr())
+    v = np.random.default_rng(linalg._SEED).standard_normal(n)
+    return linalg._arpack(A, M, k, sigma, op, op(M @ v), 1e-10)
+
+
+@pytest.mark.parametrize(
+    "kind, n, retag, harmonic_dim",
+    [("cube_with_tunnel", 4, None, 1), ("slab_mixed", 6, None, 0), ("unit_cube", 4, 0, 0)],
+    ids=["tunnel4", "slab6", "unit_cube4_untagged"],
+)
+def test_projected_harmonic_search_matches_bordered_reference(kind, n, retag, harmonic_dim):
+    # the search factors curl-curl alone and projects the gradients out after
+    # each solve; bordering one row per potential gives the same operator
+    mesh = generate_primitive(kind, n)
+    if retag is not None:
+        mesh = mesh.retag(retag)
+    ops = hodge.edge_operators(mesh)
+    A, M, Gp = ops.curlcurl, ops.mass, ops.pinned_grad
+    assert A.shape[0] >= linalg.DENSE_CROSSOVER
+    kernel, coexact = hodge._harmonic_search(ops, 1e-10)
+    threshold = hodge.HARMONIC_REL_TOL * A.diagonal().sum() / M.diagonal().sum()
+    ref_vals, _ = _bordered_search(ops, 4)
+    ref_dim = int(np.sum(ref_vals <= threshold))
+    assert kernel.shape[1] == ref_dim == harmonic_dim
+    assert coexact.values[0] == pytest.approx(ref_vals[ref_dim], rel=1e-12)
+    for x in np.column_stack([kernel, coexact.vectors]).T:
+        assert np.linalg.norm(Gp.T @ (M @ x)) <= 1e-12 * np.sqrt(x @ (M @ x))
