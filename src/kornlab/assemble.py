@@ -2,9 +2,23 @@
 
 The discrete gradient and curl are incidence matrices, so grad P1 lands
 exactly in Edge0 and curl Edge0 exactly in Face0; every quadratic form
-needed by the inequality eigenproblems is assembled here.  Symmetric forms
-are symmetrized after scatter, constraints are applied by elimination
-(rows/columns of eliminated dofs dropped, folded groups summed).
+needed by the inequality eigenproblems is assembled here.  Constraints are
+applied by elimination (rows/columns of eliminated dofs dropped, folded
+groups summed).
+
+Every form lands in the sparsity pattern of its local dof tables, built
+once per table pair and cached on the mesh like its geometry (keyed by
+family, constraint and folding): the canonical CSR structure, the place
+in it of every local entry, and for equal tables the permutation that
+transposes the data.  A form is then one np.bincount of its local
+matrices into that data array; a form of a space with itself averages
+the data with its transpose, so it is symmetric to the bit.  The
+component families share the scalar table: P1_vector is three P1
+components and the edge-tensor forms three Edge0 rows, so block (m, n)
+of such a form is summed into the scalar pattern and the CSR of the
+block matrix follows by index arithmetic, row (m, i) being row i of the
+blocks (m, 0), (m, 1), (m, 2) side by side.  Entries that cancel to
+exactly zero, as on the structured meshes, are dropped from the result.
 
 The Whitney bases are affine per cell, so each form is a polynomial of
 known degree and is integrated by the lowest rule exact for it.  The mass
@@ -101,15 +115,21 @@ class _Geometry:
         return 2.0 * np.cross(ga, gb)
 
     def edge_values(self, lam):
-        """Whitney edge basis at barycentric points: (T,Q,6,3)."""
-        a = self.edge_loc[:, :, 0]
-        b = self.edge_loc[:, :, 1]
-        ga = np.take_along_axis(self.grads, a[:, :, None], axis=1)  # (T,6,3)
-        gb = np.take_along_axis(self.grads, b[:, :, None], axis=1)
-        la = lam[:, a.ravel()].reshape(len(lam), *a.shape)  # (Q,T,6)
-        lb = lam[:, b.ravel()].reshape(len(lam), *b.shape)
-        vals = la[..., None] * gb[None] - lb[..., None] * ga[None]  # (Q,T,6,3)
-        return np.transpose(vals, (1, 0, 2, 3))
+        """Whitney edge basis at barycentric points: (T,Q,6,3).
+
+        lambda_a grad lambda_b - lambda_b grad lambda_a is lam @ G per cell,
+        row a of G holding grad lambda_b and row b -grad lambda_a, so one
+        batched product writes the result in place.
+        """
+        a, b = self.edge_loc[:, :, 0], self.edge_loc[:, :, 1]
+        T = len(a)
+        t, e = np.arange(T)[:, None], np.arange(6)
+        G = np.zeros((T, 4, 6, 3))
+        G[t, a, e] = self.grads[t, b]
+        G[t, b, e] = -self.grads[t, a]
+        vals = np.empty((T, len(lam), 6, 3))
+        np.matmul(lam, G.reshape(T, 4, 18), out=vals.reshape(T, len(lam), 18))
+        return vals
 
     def face_values(self, lam):
         """Whitney face basis at barycentric points: (T,Q,4,3)."""
@@ -154,36 +174,125 @@ def _cell_points(mesh, ref_pts):
     )
 
 
-def _local_dofs(space):
-    mesh = space.mesh
-    fam = space.family
-    if fam == "P1_scalar":
-        return space.dof_map[0][mesh.tets]
-    if fam == "P1_vector":
-        return np.concatenate(
-            [space.dof_map[m][mesh.tets] for m in range(3)], axis=1
-        )  # (T,12), comp-major
-    if fam == "Edge0":
-        return space.dof_map[0][mesh.tet_edges]
-    if fam == "Face0":
-        return space.dof_map[0][mesh.tet_faces]
-    if fam == "P0_scalar":
-        return space.dof_map[0][np.arange(mesh.num_tets)[:, None]]
-    raise ValueError(fam)
+def _table(space):
+    """(cache key, scalar local dof table (T,k), scalar free count).
+
+    A component space contributes the table of one component: the dofs of
+    P1_vector component m are those of component 0 offset by m times the
+    scalar count, so it shares the P1 table of the same constraint and
+    folding.
+    """
+    mesh, fam = space.mesh, space.family
+    if fam in ("P1_scalar", "P1_vector"):
+        ent, fam = mesh.tets, "P1"
+    elif fam == "Edge0":
+        ent = mesh.tet_edges
+    elif fam == "Face0":
+        ent = mesh.tet_faces
+    elif fam == "P0_scalar":
+        ent = np.arange(mesh.num_tets)[:, None]
+    else:
+        raise ValueError(fam)
+    key = (fam, space.constrain, space.component_constant)
+    return key, space.dof_map[0][ent], space.free_count // space.ncomp
 
 
-def _scatter(loc, rows_dofs, cols_dofs, shape, symmetrize):
-    nr, nc = loc.shape[1], loc.shape[2]
-    rows = np.repeat(rows_dofs[:, :, None], nc, axis=2).ravel()
-    cols = np.repeat(cols_dofs[:, None, :], nr, axis=1).ravel()
-    vals = loc.ravel()
-    keep = (rows >= 0) & (cols >= 0)
-    mat = sp.coo_matrix(
-        (vals[keep], (rows[keep], cols[keep])), shape=shape
-    ).tocsr()
-    mat.sum_duplicates()
-    if symmetrize:
-        mat = (mat + mat.T) * 0.5
+@dataclass
+class _Pattern:
+    """Canonical CSR structure of the local matrices over a dof table pair.
+
+    pos[e] is the place in the data array of local entry e of the (T,kr,kc)
+    local matrices in C order; entries of eliminated dofs go to the spare
+    slot nnz.  tperm (equal tables only) maps the data to that of the
+    transpose; it is an involution.
+    """
+
+    shape: tuple
+    indptr: np.ndarray
+    indices: np.ndarray
+    pos: np.ndarray
+    tperm: np.ndarray | None
+
+    def data(self, loc):
+        """Local matrices (T,kr,kc) summed into the pattern: one bincount."""
+        nnz = len(self.indices)
+        return np.bincount(self.pos, weights=loc.ravel(), minlength=nnz + 1)[:nnz]
+
+
+def _build_pattern(rows, cols, shape, symmetric):
+    nr, nc = shape
+    rows = np.broadcast_to(rows[:, :, None], (len(rows), rows.shape[1], cols.shape[1]))
+    cols = np.broadcast_to(cols[:, None, :], rows.shape)
+    key = (rows * nc + cols).ravel()
+    spare = nr * nc  # sorts after every kept entry
+    key[((rows < 0) | (cols < 0)).ravel()] = spare
+    order = np.argsort(key)
+    key = key[order]
+    first = np.ones(len(key), dtype=bool)
+    first[1:] = key[1:] != key[:-1]
+    pos = np.empty(len(key), dtype=np.intp)
+    pos[order] = np.cumsum(first) - 1
+    key = key[first]
+    key = key[key < spare]
+    r, c = np.divmod(key, nc)
+    indptr = np.zeros(nr + 1, dtype=np.int64)
+    np.cumsum(np.bincount(r, minlength=nr), out=indptr[1:])
+    return _Pattern(shape, indptr, c, pos, np.argsort(c * nr + r) if symmetric else None)
+
+
+def _pattern(test, trial):
+    """The _Pattern of the scalar tables of test (rows) and trial (columns),
+    cached on the mesh."""
+    (rkey, rows, nr), (ckey, cols, nc) = _table(test), _table(trial)
+    cache = test.mesh.__dict__.setdefault("_patterns", {})
+    if (rkey, ckey) not in cache:
+        cache[rkey, ckey] = _build_pattern(rows, cols, (nr, nc), rkey == ckey)
+    return cache[rkey, ckey]
+
+
+def _scatter(loc, test, trial, ncomp=1):
+    """CSR matrix of the local matrices loc over the dof tables of test (rows)
+    and trial (columns), symmetrized when trial is test.
+
+    loc is (T,kr,kc), repeated on the diagonal of an ncomp x ncomp block
+    matrix, or (ncomp,ncomp,T,kr,kc), block (m, n) at loc[m, n]; rows and
+    columns are component-major (dof m * scalar count + i).
+    """
+    pat = _pattern(test, trial)
+    if loc.ndim == 3:
+        blocks = dict.fromkeys(((m, m) for m in range(ncomp)), pat.data(loc))
+    else:
+        ncomp = len(loc)
+        blocks = {(m, n): pat.data(loc[m, n]) for m in range(ncomp) for n in range(ncomp)}
+    if trial is test:  # block (m, n) of the transpose is block (n, m) transposed
+        blocks = {(m, n): 0.5 * (d + blocks[n, m][pat.tperm]) for (m, n), d in blocks.items()}
+    return _block_csr(pat, blocks, ncomp)
+
+
+def _block_csr(pat, blocks, ncomp):
+    """CSR of the block matrix whose block (m, n) has data blocks[m, n] in
+    pat (absent blocks are zero): row (m, i) is row i of blocks (m, n),
+    n ascending, side by side."""
+    (nr, nc), p = pat.shape, pat.indptr
+    nnz = len(pat.indices)
+    row_of = np.repeat(np.arange(nr), np.diff(p))  # row of each scalar entry
+    row_start, row_len = p[row_of], np.diff(p)[row_of]
+    total = nnz * len(blocks)
+    idx = np.int32 if max(total, ncomp * nc) < 2**31 else np.int64
+    data, indices = np.empty(total), np.empty(total, dtype=idx)
+    indptr = np.zeros(ncomp * nr + 1, dtype=idx)
+    start = 0
+    for m in range(ncomp):
+        ns = [n for n in range(ncomp) if (m, n) in blocks]
+        at = start + (len(ns) - 1) * row_start + np.arange(nnz)  # the entries of block ns[0]
+        for n in ns:
+            data[at] = blocks[m, n]
+            indices[at] = pat.indices + n * nc
+            at += row_len
+        indptr[1 + m * nr:1 + (m + 1) * nr] = start + len(ns) * p[1:]
+        start += len(ns) * nnz
+    mat = sp.csr_matrix((data, indices, indptr), shape=(ncomp * nr, ncomp * nc))
+    mat.eliminate_zeros()  # entries that cancel exactly, as on structured meshes
     return mat
 
 
@@ -206,33 +315,21 @@ def _p1_stiff_local(geom):
     return geom.vols[:, None, None] * np.einsum("tid,tjd->tij", geom.grads, geom.grads)
 
 
-def _vector_block(loc4):
-    """Expand a (T,4,4) scalar block to a (T,12,12) comp-major block diagonal."""
-    T = loc4.shape[0]
-    out = np.zeros((T, 12, 12))
-    for m in range(3):
-        out[:, 4 * m : 4 * m + 4, 4 * m : 4 * m + 4] = loc4
-    return out
+def _mass_local(vals, wts, vols):
+    """Local mass matrices of basis values (T,Q,k,3) at the rule points."""
+    return 6.0 * vols[:, None, None] * np.einsum("q,tqed,tqfd->tef", wts, vals, vals,
+                                                 optimize=True)
 
 
 def _divdiv_p1_local(geom):
     g = geom.grads
-    T = g.shape[0]
-    out = np.empty((T, 12, 12))
-    for m in range(3):
-        for n in range(3):
-            out[:, 4 * m : 4 * m + 4, 4 * n : 4 * n + 4] = np.einsum(
-                "ti,tj->tij", g[:, :, m], g[:, :, n]
-            )
-    return geom.vols[:, None, None] * out
+    return geom.vols[:, None, None] * np.einsum("tim,tjn->mntij", g, g, order="C")
 
 
 def _curlcurl_p1_local(geom):
     g = geom.grads
-    eye = np.eye(3)
-    cb = np.cross(g[:, :, None, :], eye[None, None, :, :])  # (T,4,3comp,3)
-    cb = np.transpose(cb, (0, 2, 1, 3)).reshape(len(g), 12, 3)  # comp-major
-    return geom.vols[:, None, None] * np.einsum("tid,tjd->tij", cb, cb)
+    cb = np.cross(g[:, :, None, :], np.eye(3)[None, None])  # (T,4,3comp,3), grad phi_i x e_m
+    return geom.vols[:, None, None] * np.einsum("timd,tjnd->mntij", cb, cb, order="C")
 
 
 def assemble(form, trial, test=None, coeff=None, quad_order=None):
@@ -257,33 +354,27 @@ def assemble(form, trial, test=None, coeff=None, quad_order=None):
     if form in ("symgrad", "symF", "tensor_sym", "tensor_symF"):
         return _strain(form, trial, test, geom, coeff, quad_order)
 
-    fam = trial.family
+    fam, ncomp = trial.family, trial.ncomp
+    if form in ("tensor_mass", "tensor_curlcurl"):  # three Edge0 rows
+        if fam != "Edge0":
+            raise ValueError("tensor forms need an Edge0 space")
+        form, ncomp = form.removeprefix("tensor_"), 3
     if form == "mass":
-        if fam == "P1_scalar":
+        if fam in ("P1_scalar", "P1_vector"):
             loc = _p1_mass_local(geom)
-        elif fam == "P1_vector":
-            loc = _vector_block(_p1_mass_local(geom))
         elif fam == "Edge0":
             pts, wts, lam = _quad(2, quad_order)
-            W = geom.edge_values(lam)
-            loc = 6.0 * geom.vols[:, None, None] * np.einsum(
-                "q,tqed,tqfd->tef", wts, W, W
-            )
+            loc = _mass_local(geom.edge_values(lam), wts, geom.vols)
         elif fam == "Face0":
             pts, wts, lam = _quad(2, quad_order)
-            W = geom.face_values(lam)
-            loc = 6.0 * geom.vols[:, None, None] * np.einsum(
-                "q,tqed,tqfd->tef", wts, W, W
-            )
+            loc = _mass_local(geom.face_values(lam), wts, geom.vols)
         elif fam == "P0_scalar":
             loc = geom.vols[:, None, None]
         else:
             raise ValueError(f"mass undefined for {fam}")
     elif form == "grad":
-        if fam == "P1_scalar":
+        if fam in ("P1_scalar", "P1_vector"):
             loc = _p1_stiff_local(geom)
-        elif fam == "P1_vector":
-            loc = _vector_block(_p1_stiff_local(geom))
         else:
             raise ValueError(f"grad undefined for {fam}")
     elif form == "divdiv":
@@ -302,21 +393,9 @@ def assemble(form, trial, test=None, coeff=None, quad_order=None):
             loc = _curlcurl_p1_local(geom)
         else:
             raise ValueError(f"curlcurl undefined for {fam}")
-    elif form == "tensor_mass":
-        return sp.block_diag([assemble("mass", trial, quad_order=quad_order)] * 3).tocsr()
-    elif form == "tensor_curlcurl":
-        return sp.block_diag(
-            [assemble("curlcurl", trial, quad_order=quad_order)] * 3
-        ).tocsr()
     else:
         raise ValueError(f"unknown form {form!r}")
-
-    rows_dofs = _local_dofs(test)
-    cols_dofs = _local_dofs(trial)
-    return _scatter(
-        loc, rows_dofs, cols_dofs, (test.free_count, trial.free_count),
-        symmetrize=(trial is test),
-    )
+    return _scatter(loc, test, trial, ncomp)
 
 
 def _coeff_quaddeg(coeff, base):
@@ -336,19 +415,20 @@ def _coeff_quaddeg(coeff, base):
     return base + 2 * coeff.degree
 
 
-def _strain_local(h, wts):
-    """Local matrices <sym(e_m h_i^T), sym(e_n h_j^T)> of basis vectors h
-    (T,Q,nb,3) summed with the rule weights: (T,3nb,3nb), component-major,
-    entry (m i, n j) = 1/2 delta_mn h_i.h_j + 1/2 h_i,n h_j,m."""
-    T, Q, nb, _ = h.shape
-    # the rule weights are positive; one contiguous copy of sqrt(w) h serves
-    # both factors of K[t,i,a,j,b] = sum_q w_q h_i,a h_j,b
-    s = np.multiply(h, np.sqrt(wts)[:, None, None], order="C").reshape(T, Q, 3 * nb)
-    K = np.matmul(np.swapaxes(s, 1, 2), s).reshape(T, nb, 3, nb, 3)
-    del s  # the largest array here with a coefficient's rule
-    out = K.transpose(0, 4, 1, 2, 3).reshape(T, 3 * nb, 3 * nb)  # a copy
-    out += np.kron(np.eye(3), np.trace(K, axis1=2, axis2=4))
-    return 0.5 * out
+def _strain_local(s):
+    """Blocks (m, n) of the local matrices <sym(e_m h_i^T), sym(e_n h_j^T)>
+    summed over the rule, from s = h sqrt(w_q 6|t| / 2) with h the (T,Q,nb,3)
+    basis vectors at the rule points: (3,3,T,nb,nb), entry (m, n, t, i, j) =
+    1/2 delta_mn h_i.h_j + 1/2 h_i,n h_j,m.  The delta term is the mass
+    kernel of h, added to the diagonal blocks only."""
+    T, Q, nb, _ = s.shape
+    s = s.reshape(T, Q, 3 * nb)
+    K = np.matmul(np.swapaxes(s, 1, 2), s).reshape(T, nb, 3, nb, 3)  # K[t,i,a,j,b]
+    out = K.transpose(4, 2, 0, 1, 3).copy()  # out[m,n,t,i,j] = K[t,i,n,j,m]
+    mass = out[0, 0] + out[1, 1] + out[2, 2]
+    for m in range(3):
+        out[m, m] += mass
+    return out
 
 
 def _strain(form, trial, test, geom, coeff, quad_order):
@@ -361,26 +441,23 @@ def _strain(form, trial, test, geom, coeff, quad_order):
         raise ValueError(f"{form} needs P1_vector")
     coeff = coeff if form.endswith("F") else None
     pts, wts, lam = _quad(_coeff_quaddeg(coeff, 2 if tensor else 0), quad_order)
-    h = geom.edge_values(lam) if tensor else np.repeat(geom.grads[:, None], len(wts), 1)
-    if coeff is not None:  # F^T h, F dropped before the kernel runs
+    # the rule weights are positive, so the kernel's factor is the basis
+    # scaled by sqrt(w_q 6|t| / 2)
+    scale = np.sqrt(3.0 * geom.vols[:, None] * wts)[..., None, None]
+    if coeff is not None:  # F first: with F^T h formed in place, F and h are the peak
         x = _cell_points(trial.mesh, pts)
-        h = np.einsum("tqdk,tqid->tqik", coeff(x.reshape(-1, 3)).reshape(*x.shape, 3), h)
-    loc = 6.0 * geom.vols[:, None, None] * _strain_local(h, wts)
-
-    def comp_dofs(space):
-        d, n = _local_dofs(space), space.free_count
-        if not tensor:
-            return d, n
-        return np.concatenate([np.where(d >= 0, d + m * n, -1) for m in range(3)], axis=1), 3 * n
-
-    (rows, nr), (cols, nc) = comp_dofs(test), comp_dofs(trial)
-    nb = h.shape[2]
-    # one component row at a time keeps the scatter's index arrays small
-    mat = sum(
-        _scatter(loc[:, r : r + nb], rows[:, r : r + nb], cols, (nr, nc), symmetrize=False)
-        for r in range(0, 3 * nb, nb)
-    )
-    return (mat + mat.T) * 0.5 if trial is test else mat
+        F = coeff(x.reshape(-1, 3)).reshape(*x.shape, 3) * scale
+        del x
+    h = geom.edge_values(lam) if tensor else np.repeat(geom.grads[:, None], len(wts), 1)
+    if coeff is None:
+        h *= scale
+    else:
+        for c in range(0, len(h), 256):  # F^T h in place, 256 cells at a time
+            h[c:c + 256] = h[c:c + 256] @ F[c:c + 256]
+        del F
+    loc = _strain_local(h)
+    del h  # the largest array here with a coefficient's rule
+    return _scatter(loc, test, trial)
 
 
 # --------------------------------------------------------------------------

@@ -145,8 +145,10 @@ def harmonic_basis(mesh, ops=None, tol=1e-10):
 def _harmonic_search(ops, tol):
     """Near-kernel of the curl-curl pencil in the gradient complement.
 
-    linalg.count_kernel (batches from 4 up to HARMONIC_CAP) counts the
+    linalg.count_kernel (batches from 2 up to HARMONIC_CAP) counts the
     eigenvalues below HARMONIC_REL_TOL relative to tr(curlcurl) / tr(mass).
+    Only kernel_dim + 1 pairs are read: harmonic dimensions 0 and 1 take
+    one eigensolve, 2 and 3 a second one at k = 4.
     The pinned gradients are deflated: they span a kernel of curl-curl, so
     above the crossover the eigensolver factors the curl-curl matrix alone
     and projects them out mass-orthogonally after each solve, with no
@@ -158,7 +160,7 @@ def _harmonic_search(ops, tol):
     A, M = ops.curlcurl, ops.mass
     ratio = A.diagonal().sum() / max(M.diagonal().sum(), 1e-300)
     threshold = HARMONIC_REL_TOL * max(ratio, 1e-300)
-    eig, kernel_dim = linalg.count_kernel(A, M, threshold, k0=4, cap_name="HARMONIC_CAP",
+    eig, kernel_dim = linalg.count_kernel(A, M, threshold, k0=2, cap_name="HARMONIC_CAP",
                                           deflation=ops.pinned_grad, tol=tol)
     pair = slice(kernel_dim, kernel_dim + 1)
     return eig.vectors[:, :kernel_dim], linalg.EigenResult(

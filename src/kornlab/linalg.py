@@ -18,7 +18,9 @@ and B positive definite, restricted to the admissible subspace: the
 fields x with C x = 0 for raw linear constraint rows C, B-orthogonal to
 the deflated vectors, the columns of a basis D of a kernel of A.  One size routes them: below DENSE_CROSSOVER they
 reduce to LAPACK on a basis of the admissible subspace (D enters as the
-rows (B D)^T); above it shift-invert ARPACK runs in the B-inner product.
+rows (B D)^T), which computes only the k smallest pairs asked for (eigh
+with subset_by_index); above it shift-invert ARPACK runs in the
+B-inner product.
 Its OPinv solves with A - sigma B, bordered by the constraint rows into
 the saddle-point matrix [[A - sigma B, C^T], [C, 0]], which is symmetric
 and B-self-adjoint on {C x = 0} for any rows C.  A deflation basis is
@@ -183,13 +185,12 @@ def _eig_dense(A, B, k, deflation, constraints, tol):
         Ar, Br = A.toarray(), B.toarray()
     Ar = 0.5 * (Ar + Ar.T)
     Br = 0.5 * (Br + Br.T)
+    k = min(k, len(Ar))
     try:
-        w, V = sla.eigh(Ar, Br)
+        vals, V = sla.eigh(Ar, Br, subset_by_index=[0, k - 1])
     except (np.linalg.LinAlgError, sla.LinAlgError) as exc:
         raise SolverError(f"B is not positive definite on the admissible space: {exc}")
-    k = min(k, len(w))
-    vecs = V[:, :k] if U is None else U @ V[:, :k]
-    vals = w[:k]
+    vecs = V if U is None else U @ V
     res = _residuals(A, B, vals, vecs, constraints)
     return EigenResult(vals, vecs, res)
 

@@ -1,9 +1,11 @@
 import gc
 import importlib
+import tracemalloc
 import weakref
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from kornlab import hodge
 from kornlab.assemble import (
@@ -17,6 +19,7 @@ from kornlab.assemble import (
 from kornlab.constants import Workspace
 from kornlab.meshes import generate_primitive
 from kornlab.polynomials import PolyField, Poly3
+from kornlab.quadrature import barycentric, tet_rule
 from kornlab.spaces import Field, TensorField, build_space, interpolate
 
 
@@ -357,3 +360,183 @@ def test_nonpolynomial_analytic_integrands_keep_the_floor(cube2):
     norms = evaluate_norms(AnalyticField(cube2, field), ["L2", "sym"])
     assert norms["L2"] == pytest.approx(12.946192466479328, rel=1e-14)
     assert norms["sym"] == pytest.approx(8.468443858534414, rel=1e-14)
+
+
+# --------------------------------------------------------------------------
+# the sparsity patterns against the COO scatter they replaced
+# --------------------------------------------------------------------------
+
+
+def _ref_local_dofs(space):
+    mesh, fam = space.mesh, space.family
+    if fam == "P1_vector":  # (T,12), component-major
+        return np.concatenate([space.dof_map[m][mesh.tets] for m in range(3)], axis=1)
+    ent = {"P1_scalar": mesh.tets, "Edge0": mesh.tet_edges, "Face0": mesh.tet_faces,
+           "P0_scalar": np.arange(mesh.num_tets)[:, None]}[fam]
+    return space.dof_map[0][ent]
+
+
+def _ref_scatter(loc, rows_dofs, cols_dofs, shape, symmetrize):
+    """COO -> CSR with the duplicates summed, then (A + A^T) / 2."""
+    nr, nc = loc.shape[1], loc.shape[2]
+    rows = np.repeat(rows_dofs[:, :, None], nc, axis=2).ravel()
+    cols = np.repeat(cols_dofs[:, None, :], nr, axis=1).ravel()
+    keep = (rows >= 0) & (cols >= 0)
+    mat = sp.coo_matrix((loc.ravel()[keep], (rows[keep], cols[keep])), shape=shape).tocsr()
+    mat.sum_duplicates()
+    return (mat + mat.T) * 0.5 if symmetrize else mat
+
+
+def _ref_vector_block(loc4):
+    out = np.zeros((len(loc4), 12, 12))
+    for m in range(3):
+        out[:, 4 * m:4 * m + 4, 4 * m:4 * m + 4] = loc4
+    return out
+
+
+def _ref_assemble(form, trial, test=None, coeff=None):
+    """The forms as full component-major local matrices through _ref_scatter."""
+    test = trial if test is None else test
+    if form in ("tensor_mass", "tensor_curlcurl"):
+        return sp.block_diag([_ref_assemble(form[len("tensor_"):], trial, test)] * 3).tocsr()
+    geom = asm.geometry(trial.mesh)
+    vols, g, fam = geom.vols[:, None, None], geom.grads, trial.family
+    rows, cols = _ref_local_dofs(test), _ref_local_dofs(trial)
+    nr, nc = test.free_count, trial.free_count
+    pts4, wts4 = tet_rule(2)
+    if form in ("symgrad", "symF", "tensor_sym", "tensor_symF"):
+        tensor = form.startswith("tensor")
+        coeff = coeff if form.endswith("F") else None
+        pts, wts = tet_rule((2 if tensor else 0) + (0 if coeff is None else 2 * coeff.degree))
+        h = geom.edge_values(barycentric(pts)) if tensor else np.repeat(g[:, None], len(wts), 1)
+        if coeff is not None:
+            x = asm._cell_points(trial.mesh, pts)
+            h = np.einsum("tqdk,tqid->tqik", coeff(x.reshape(-1, 3)).reshape(*x.shape, 3), h)
+        K = np.einsum("q,tqia,tqjb->tiajb", wts, h, h)
+        nb = h.shape[2]
+        loc = K.transpose(0, 4, 1, 2, 3).reshape(len(K), 3 * nb, 3 * nb)
+        loc = 3.0 * vols * (loc + np.kron(np.eye(3), np.trace(K, axis1=2, axis2=4)))
+        if tensor:
+            rows, cols = (np.concatenate([np.where(d >= 0, d + m * n, -1) for m in range(3)], axis=1)
+                          for d, n in ((rows, nr), (cols, nc)))
+            nr, nc = 3 * nr, 3 * nc
+    elif fam in ("P1_scalar", "P1_vector"):
+        if form == "mass":
+            loc = vols * (np.ones((4, 4)) + np.eye(4)) / 20.0
+        elif form == "grad":
+            loc = vols * np.einsum("tid,tjd->tij", g, g)
+        elif form == "divdiv":
+            loc = vols * np.einsum("tim,tjn->tminj", g, g).reshape(-1, 12, 12)
+        else:  # curlcurl
+            cb = np.cross(g[:, :, None, :], np.eye(3)[None, None])
+            cb = np.transpose(cb, (0, 2, 1, 3)).reshape(len(g), 12, 3)
+            loc = vols * np.einsum("tid,tjd->tij", cb, cb)
+        if fam == "P1_vector" and form in ("mass", "grad"):
+            loc = _ref_vector_block(loc)
+    elif form == "mass" and fam in ("Edge0", "Face0"):
+        W = (geom.edge_values if fam == "Edge0" else geom.face_values)(barycentric(pts4))
+        loc = 6.0 * vols * np.einsum("q,tqed,tqfd->tef", wts4, W, W)
+    elif form == "curlcurl":
+        c = geom.edge_curls()
+        loc = vols * np.einsum("ted,tfd->tef", c, c)
+    elif form == "divdiv":
+        d = geom.face_divs()
+        loc = vols * np.einsum("te,tf->tef", d, d)
+    else:  # P0 mass
+        loc = vols
+    return _ref_scatter(loc, rows, cols, (nr, nc), trial is test)
+
+
+def _parity_cases(mesh):
+    """(form, trial, test, coeff) for every form x family assemble serves."""
+    p1, p1_all = build_space(mesh, "P1_scalar", "gamma_t"), build_space(mesh, "P1_scalar")
+    pv = build_space(mesh, "P1_vector", "gamma_t")
+    folded = build_space(mesh, "P1_vector", "gamma_t", component_constant=True)
+    e0, e0_all = build_space(mesh, "Edge0", "gamma_t"), build_space(mesh, "Edge0")
+    f0, p0 = build_space(mesh, "Face0", "gamma_n"), build_space(mesh, "P0_scalar")
+    F = _affine_coefficient()
+    cases = [(form, s, s, None) for form in ("mass", "grad") for s in (p1, p1_all, pv, folded)]
+    cases += [(form, s, s, None) for form in ("symgrad", "divdiv", "curlcurl") for s in (pv, folded)]
+    cases += [("symF", pv, pv, F), ("symF", folded, folded, F)]
+    cases += [(form, s, s, None) for s in (e0, e0_all)
+              for form in ("mass", "curlcurl", "tensor_mass", "tensor_sym", "tensor_curlcurl")]
+    cases += [("tensor_symF", e0, e0, F), ("mass", f0, f0, None), ("divdiv", f0, f0, None),
+              ("mass", p0, p0, None)]
+    # rectangular pairs: rows from one constraint, columns from another
+    cases += [("grad", p1, p1_all, None), ("symgrad", pv, folded, None),
+              ("mass", e0, e0_all, None), ("tensor_sym", e0_all, e0, None)]
+    return cases
+
+
+_PARITY_MESHES = {
+    "unit_cube": lambda: generate_primitive("unit_cube", 2),
+    "unit_cube_untagged": lambda: generate_primitive("unit_cube", 2).retag(0),
+    "slab_mixed": lambda: generate_primitive("slab_mixed", 2),
+    "tunnel": lambda: generate_primitive("cube_with_tunnel", 2),
+}
+
+
+@pytest.mark.parametrize("mesh_name", sorted(_PARITY_MESHES))
+def test_pattern_assembly_matches_coo_scatter(mesh_name):
+    mesh = _PARITY_MESHES[mesh_name]()
+    for form, trial, test, coeff in _parity_cases(mesh):
+        label = (form, trial.family, trial.constrain, trial.component_constant, test is trial)
+        A = assemble(form, trial, test, coeff=coeff)
+        ref = _ref_assemble(form, trial, test, coeff=coeff)
+        assert A.format == "csr" and A.has_canonical_format, label
+        assert A.shape == ref.shape, label
+        assert abs(A - ref).max() <= 1e-14 * abs(ref).max(), label
+        if test is trial:
+            assert (A != A.T).nnz == 0, label
+
+
+def test_edge_values_match_the_product_formula(cube2):
+    geom = asm.geometry(cube2)
+    a, b = geom.edge_loc[:, :, 0], geom.edge_loc[:, :, 1]
+    ga = np.take_along_axis(geom.grads, a[:, :, None], axis=1)
+    gb = np.take_along_axis(geom.grads, b[:, :, None], axis=1)
+    for degree in (2, 4):
+        lam = barycentric(tet_rule(degree)[0])
+        la = lam[:, a.ravel()].reshape(len(lam), *a.shape)
+        lb = lam[:, b.ravel()].reshape(len(lam), *b.shape)
+        ref = np.transpose(la[..., None] * gb[None] - lb[..., None] * ga[None], (1, 0, 2, 3))
+        W = geom.edge_values(lam)
+        assert W.flags.c_contiguous
+        assert np.abs(W - ref).max() <= 1e-15 * np.abs(ref).max()
+
+
+def test_workspace_builds_the_edge_pattern_once(monkeypatch):
+    # Edge0 mass, curl-curl and the strain form share one pattern; every
+    # pattern of the report is built once
+    built = []
+    real = asm._build_pattern
+
+    def spy(rows, cols, shape, symmetric):
+        built.append(rows.shape[1])
+        return real(rows, cols, shape, symmetric)
+
+    monkeypatch.setattr(asm, "_build_pattern", spy)
+    mesh = generate_primitive("slab_mixed", 2)
+    ws = Workspace(mesh)
+    for name in ("c_p", "c_k_s", "c_k_t", "c_k_irrot", "c_m", "c_direct"):
+        ws.constant(name)
+    assert built.count(6) == 1  # an Edge0 table has six dofs per cell
+    assert len(built) == len(mesh.__dict__["_patterns"])
+
+
+def test_weighted_strain_form_peak_memory():
+    # the 64-point rule on tunnel n=4: the edge basis values are 28.3 MB,
+    # and edge_values alone, through per-point products and a transposed
+    # copy, used to peak at 76.5 MB (2.7 times that)
+    mesh = generate_primitive("cube_with_tunnel", 4)
+    e0 = build_space(mesh, "Edge0", "gamma_t")
+    asm.geometry(mesh)
+    basis_bytes = mesh.num_tets * len(tet_rule(4)[1]) * 6 * 3 * 8
+    tracemalloc.start()
+    try:
+        assemble("tensor_symF", e0, coeff=_affine_coefficient())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert basis_bytes == pytest.approx(28.3e6, rel=1e-2)
+    assert peak < 2 * basis_bytes

@@ -361,3 +361,38 @@ def test_harmonic_threshold_sits_in_the_spectral_gap(kind, n, dim):
     assert np.sum(eig.values <= threshold) == dim
     assert np.abs(eig.values[:dim]).max(initial=0.0) <= 1e-4 * threshold
     assert eig.values[dim] >= 1e4 * threshold
+
+
+def _spy_requests(monkeypatch):
+    requested = []
+    real = linalg.eig_smallest
+
+    def spy(A, B, k=1, **kwargs):
+        requested.append(k)
+        return real(A, B, k=k, **kwargs)
+
+    monkeypatch.setattr(linalg, "eig_smallest", spy)
+    return requested
+
+
+@pytest.mark.parametrize("kind, n, dim", [("cube_with_tunnel", 2, 1), ("cube_with_tunnel", 4, 1),
+                                          ("slab_mixed", 6, 0), ("unit_cube", 6, 0)])
+def test_harmonic_search_asks_for_two_pairs(kind, n, dim, monkeypatch):
+    # the search reads dim + 1 pairs: dimensions 0 and 1 take one solve
+    requested = _spy_requests(monkeypatch)
+    basis = hodge.harmonic_basis(generate_primitive(kind, n))
+    assert requested == [2]
+    assert basis.dim == dim
+    assert basis.coexact.values[0] > 0
+
+
+def test_harmonic_dimension_two_takes_one_more_solve(monkeypatch):
+    # three disjoint tag-1 patches (the faces x = 0, x = 1 and a square in
+    # the middle of z = 0): H^1(Omega, Gamma_t) has dimension 3 - 1
+    mesh = generate_primitive("unit_cube", 4)
+    c = mesh.vertices[mesh.btris].mean(axis=1)
+    patch = np.isclose(c[:, 2], 0) & np.all(np.abs(c[:, :2] - 0.5) < 0.25, axis=1)
+    mesh = mesh.retag((np.isclose(c[:, 0], 0) | np.isclose(c[:, 0], 1) | patch).astype(np.int64))
+    requested = _spy_requests(monkeypatch)
+    assert hodge.harmonic_basis(mesh).dim == 2
+    assert requested == [2, 4]

@@ -338,10 +338,8 @@ def test_sparse_deflation_outside_the_kernel_raises():
         eig_smallest(A, B, k=1, deflation=D)
 
 
-@pytest.mark.parametrize("crossover", [linalg.DENSE_CROSSOVER, 16], ids=["dense", "sparse"])
-def test_count_kernel_diagonal_pencil(crossover, monkeypatch):
-    # a 3-dim kernel: batches k = 1, 2, 4, and the fourth value is the first
-    # above the threshold
+def _count_diagonal_kernel(crossover, k0, monkeypatch):
+    """count_kernel on a pencil with a 3-dim kernel: (count, batches)."""
     monkeypatch.setattr(linalg, "DENSE_CROSSOVER", crossover)
     requested = []
     real = linalg.eig_smallest
@@ -353,11 +351,68 @@ def test_count_kernel_diagonal_pencil(crossover, monkeypatch):
     monkeypatch.setattr(linalg, "eig_smallest", spy)
     n = 40
     A = sp.diags(np.concatenate([[0.0, 0.0, 0.0], 1.0 + np.arange(n - 3)])).tocsr()
-    eig, nker = linalg.count_kernel(A, sp.identity(n, format="csr"), 1e-8)
-    assert nker == 3
-    assert requested == [1, 2, 4]
+    eig, nker = linalg.count_kernel(A, sp.identity(n, format="csr"), 1e-8, k0=k0)
     assert np.abs(eig.values[:3]).max() <= 1e-12
     assert eig.values[3] == pytest.approx(1.0, rel=1e-10)
+    return nker, requested
+
+
+@pytest.mark.parametrize("crossover", [linalg.DENSE_CROSSOVER, 16], ids=["dense", "sparse"])
+def test_count_kernel_diagonal_pencil(crossover, monkeypatch):
+    # batches k = 1, 2, 4, and the fourth value is the first above the threshold
+    nker, requested = _count_diagonal_kernel(crossover, 1, monkeypatch)
+    assert nker == 3
+    assert requested == [1, 2, 4]
+
+
+@pytest.mark.parametrize("crossover", [linalg.DENSE_CROSSOVER, 16], ids=["dense", "sparse"])
+def test_count_kernel_from_two_pairs(crossover, monkeypatch):
+    # the harmonic search's first batch: k = 2, then 4
+    nker, requested = _count_diagonal_kernel(crossover, 2, monkeypatch)
+    assert nker == 3
+    assert requested == [2, 4]
+
+
+def _dense_pencil(case, n=60):
+    """A random pencil with a constrained or a deflated admissible subspace."""
+    rng = np.random.default_rng(21)
+    Q = np.linalg.qr(rng.standard_normal((n, n)))[0]
+    A = Q @ np.diag(np.concatenate([[0.0, 0.0], rng.uniform(1.0, 9.0, n - 2)])) @ Q.T
+    Y = rng.standard_normal((n, n))
+    B = Y @ Y.T + n * np.eye(n)
+    if case == "constrained":
+        C = rng.standard_normal((3, n))
+        return A, B, dict(constraints=C), C
+    D = Q[:, :2]  # spans ker A
+    return A, B, dict(deflation=D), (B @ D).T
+
+
+@pytest.mark.parametrize("case", ["constrained", "deflated"])
+def test_dense_path_computes_only_the_pairs_it_returns(case, monkeypatch):
+    A, B, solve, C = _dense_pencil(case)
+    U = sla.null_space(C)
+    w, V = sla.eigh(U.T @ A @ U, U.T @ B @ U)  # the full reduced spectrum
+    V = U @ V[:, :4]
+    ref_res = linalg._residuals(sp.csr_matrix(A), sp.csr_matrix(B), w[:4], V,
+                                solve.get("constraints"))
+    subsets = []
+    real = sla.eigh
+
+    def spy(a, b, **kwargs):
+        subsets.append(kwargs.get("subset_by_index"))
+        return real(a, b, **kwargs)
+
+    monkeypatch.setattr(linalg.sla, "eigh", spy)
+    r = eig_smallest(A, B, k=4, **solve)
+    assert subsets == [[0, 3]]
+    assert np.abs(r.values - w[:4]).max() <= 1e-12 * w[3]
+    signs = np.sign(np.sum(r.vectors * V, axis=0))
+    assert np.abs(r.vectors - V * signs).max() <= 1e-12 * np.abs(V).max()
+    assert np.abs(r.residuals - ref_res).max() <= 1e-12
+    # a request beyond the admissible dimension returns all of it
+    full = eig_smallest(A, B, k=len(A), **solve)
+    assert len(full.values) == U.shape[1]
+    assert np.abs(full.values - w).max() <= 1e-12 * w[-1]
 
 
 def test_count_kernel_raises_at_cap():
