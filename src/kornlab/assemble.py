@@ -2,9 +2,16 @@
 
 The discrete gradient and curl are incidence matrices, so grad P1 lands
 exactly in Edge0 and curl Edge0 exactly in Face0; every quadratic form
-needed by the inequality eigenproblems is assembled here.  Constraints are
-applied by elimination (rows/columns of eliminated dofs dropped, folded
-groups summed).
+needed by the inequality eigenproblems is assembled here: mass (P1,
+Edge0, Face0), grad (P1), curlcurl (Edge0), the strain forms symgrad
+(P1_vector), tensor_sym and tensor_symF (three Edge0 rows, row m offset by
+m times the free count), and the incidences mixed_grad and curl_map.  The
+three strain forms are <sym(X F), sym(Y F)> for P1 gradients or edge
+tensors X, Y (F the identity, or the coefficient of tensor_symF) and share
+one kernel; a tensor mass or curl-curl form is the block diagonal of the
+Edge0 one (constants.tensor_pencil).  Constraints are applied by
+elimination (rows/columns of eliminated dofs dropped, folded groups
+summed).
 
 Every form lands in the sparsity pattern of its local dof tables, built
 once per table pair and cached on the mesh like its geometry (keyed by
@@ -23,12 +30,12 @@ exactly zero, as on the structured meshes, are dropped from the result.
 The Whitney bases are affine per cell, so each form is a polynomial of
 known degree and is integrated by the lowest rule exact for it.  The mass
 forms and the edge-tensor strain forms are quadratic and take the 4-point
-rule, a coefficient of degree d raises that to 2 + 2d; the P1 gradients
-are constant, so the P1 strain forms take degree 2d (the 1-point rule
-without a coefficient).  Only integrands that are not known to be
-polynomial (a coefficient or an analytic field without a degree) take the
-DEFAULT_QUAD_DEGREE floor.  The quad_order argument of assemble and
-evaluate_norms raises the rule further; it matters only for those.
+rule, and tensor_symF with a coefficient of degree d takes degree 2 + 2d;
+the P1 gradients are constant, so symgrad takes the 1-point rule.  Only
+integrands that are not known to be polynomial (a coefficient or an
+analytic field without a degree) take the DEFAULT_QUAD_DEGREE floor.
+The quad_order argument of assemble and evaluate_norms raises the rule
+further; it matters only for those.
 """
 
 import warnings
@@ -70,12 +77,15 @@ class MatrixCoefficient:
         out = np.asarray(self.evaluator(pts), dtype=float)
         if out.shape != (len(pts), 3, 3):
             raise ValueError("coefficient evaluator must return (n,3,3)")
+        if not np.isfinite(out).all():
+            bad = sorted({str(v) for v in out[~np.isfinite(out)].tolist()})
+            raise ValueError(f"coefficient has non-finite values ({', '.join(bad)})")
         return out
 
 
 def identity_coefficient(scale=1.0):
-    return MatrixCoefficient(
-        lambda pts: np.broadcast_to(scale * np.eye(3), (len(pts), 3, 3)).copy(),
+    return MatrixCoefficient(  # not scale * I: 0 * inf warns and reads nan
+        lambda pts: np.broadcast_to(np.diag([float(scale)] * 3), (len(pts), 3, 3)).copy(),
         degree=0,
     )
 
@@ -148,16 +158,6 @@ class _Geometry:
         )
         return np.transpose(vals, (1, 0, 2, 3))
 
-    def face_divs(self):
-        """div of the Whitney face basis, constant per cell: (T,4)."""
-        i = self.face_loc[:, :, 0]
-        j = self.face_loc[:, :, 1]
-        k = self.face_loc[:, :, 2]
-        gi = np.take_along_axis(self.grads, i[:, :, None], axis=1)
-        gj = np.take_along_axis(self.grads, j[:, :, None], axis=1)
-        gk = np.take_along_axis(self.grads, k[:, :, None], axis=1)
-        return 6.0 * np.einsum("tfi,tfi->tf", gi, np.cross(gj, gk))
-
 
 def geometry(mesh):
     geom = mesh.__dict__.get("_geom")
@@ -189,8 +189,6 @@ def _table(space):
         ent = mesh.tet_edges
     elif fam == "Face0":
         ent = mesh.tet_faces
-    elif fam == "P0_scalar":
-        ent = np.arange(mesh.num_tets)[:, None]
     else:
         raise ValueError(fam)
     key = (fam, space.constrain, space.component_constant)
@@ -321,24 +319,13 @@ def _mass_local(vals, wts, vols):
                                                  optimize=True)
 
 
-def _divdiv_p1_local(geom):
-    g = geom.grads
-    return geom.vols[:, None, None] * np.einsum("tim,tjn->mntij", g, g, order="C")
-
-
-def _curlcurl_p1_local(geom):
-    g = geom.grads
-    cb = np.cross(g[:, :, None, :], np.eye(3)[None, None])  # (T,4,3comp,3), grad phi_i x e_m
-    return geom.vols[:, None, None] * np.einsum("timd,tjnd->mntij", cb, cb, order="C")
-
-
 def assemble(form, trial, test=None, coeff=None, quad_order=None):
     """Assemble a bilinear form into a CSR matrix over free dofs.
 
-    Forms: mass, grad, symgrad, curlcurl, divdiv, symF, mixed_grad,
-    curl_map, div_map, tensor_mass, tensor_sym, tensor_curlcurl,
-    tensor_symF.  trial/test are DofSpaces over the same mesh (test
-    defaults to trial).
+    Forms (families in the module docstring): mass, grad, symgrad,
+    curlcurl, tensor_sym, tensor_symF, mixed_grad, curl_map.  trial/test
+    are DofSpaces over the same mesh (test defaults to trial); coeff is
+    the MatrixCoefficient of tensor_symF.
     """
     test = trial if test is None else test
     if trial.mesh is not test.mesh:
@@ -349,16 +336,10 @@ def assemble(form, trial, test=None, coeff=None, quad_order=None):
         return _mixed_grad(trial, test)
     if form == "curl_map":
         return _curl_map(trial, test)
-    if form == "div_map":
-        return _div_map(trial, test, geom)
-    if form in ("symgrad", "symF", "tensor_sym", "tensor_symF"):
+    if form in ("symgrad", "tensor_sym", "tensor_symF"):
         return _strain(form, trial, test, geom, coeff, quad_order)
 
-    fam, ncomp = trial.family, trial.ncomp
-    if form in ("tensor_mass", "tensor_curlcurl"):  # three Edge0 rows
-        if fam != "Edge0":
-            raise ValueError("tensor forms need an Edge0 space")
-        form, ncomp = form.removeprefix("tensor_"), 3
+    fam = trial.family
     if form == "mass":
         if fam in ("P1_scalar", "P1_vector"):
             loc = _p1_mass_local(geom)
@@ -368,8 +349,6 @@ def assemble(form, trial, test=None, coeff=None, quad_order=None):
         elif fam == "Face0":
             pts, wts, lam = _quad(2, quad_order)
             loc = _mass_local(geom.face_values(lam), wts, geom.vols)
-        elif fam == "P0_scalar":
-            loc = geom.vols[:, None, None]
         else:
             raise ValueError(f"mass undefined for {fam}")
     elif form == "grad":
@@ -377,31 +356,20 @@ def assemble(form, trial, test=None, coeff=None, quad_order=None):
             loc = _p1_stiff_local(geom)
         else:
             raise ValueError(f"grad undefined for {fam}")
-    elif form == "divdiv":
-        if fam == "P1_vector":
-            loc = _divdiv_p1_local(geom)
-        elif fam == "Face0":
-            d = geom.face_divs()
-            loc = geom.vols[:, None, None] * np.einsum("te,tf->tef", d, d)
-        else:
-            raise ValueError(f"divdiv undefined for {fam}")
     elif form == "curlcurl":
         if fam == "Edge0":
             c = geom.edge_curls()
             loc = geom.vols[:, None, None] * np.einsum("ted,tfd->tef", c, c)
-        elif fam == "P1_vector":
-            loc = _curlcurl_p1_local(geom)
         else:
             raise ValueError(f"curlcurl undefined for {fam}")
     else:
         raise ValueError(f"unknown form {form!r}")
-    return _scatter(loc, test, trial, ncomp)
+    return _scatter(loc, test, trial, trial.ncomp)
 
 
 def _coeff_quaddeg(coeff, base):
-    """Rule degree of a form of degree base weighted by coeff on both sides:
-    2d for the P1 strain forms (the 1-point rule without a coefficient),
-    2 + 2d for the edge-tensor forms, with d the coefficient's degree."""
+    """Rule degree of a strain form of degree base weighted by coeff on both
+    sides: base + 2d, with d the coefficient's degree."""
     if coeff is None:
         return base
     if coeff.degree is None:
@@ -433,13 +401,14 @@ def _strain_local(s):
 
 def _strain(form, trial, test, geom, coeff, quad_order):
     """<sym(X F), sym(Y F)> for X, Y the gradients of P1_vector fields or
-    Edge0 tensors, the dofs of tensor row m offset by m * free_count."""
+    Edge0 tensors, the dofs of tensor row m offset by m * free_count; F is
+    coeff for tensor_symF and the identity otherwise."""
     tensor = form.startswith("tensor")
     if tensor and trial.family != "Edge0":
         raise ValueError("tensor forms need an Edge0 space")
     if not tensor and trial.family != "P1_vector":
         raise ValueError(f"{form} needs P1_vector")
-    coeff = coeff if form.endswith("F") else None
+    coeff = coeff if form == "tensor_symF" else None
     pts, wts, lam = _quad(_coeff_quaddeg(coeff, 2 if tensor else 0), quad_order)
     # the rule weights are positive, so the kernel's factor is the basis
     # scaled by sqrt(w_q 6|t| / 2)
@@ -489,21 +458,6 @@ def _curl_map(trial, test):
     rows = np.repeat(test.dof_map[0], 3)
     cols = trial.dof_map[0][locate_rows(mesh.edges, f[:, [0, 1, 1, 2, 0, 2]].reshape(-1, 2))]
     vals = np.tile([1.0, 1.0, -1.0], len(f))
-    keep = (rows >= 0) & (cols >= 0)
-    return sp.coo_matrix(
-        (vals[keep], (rows[keep], cols[keep])),
-        shape=(test.free_count, trial.free_count),
-    ).tocsr()
-
-
-def _div_map(trial, test, geom):
-    if trial.family != "Face0" or test.family != "P0_scalar":
-        raise ValueError("div_map maps Face0 into P0")
-    mesh = trial.mesh
-    signs = np.sign(geom.face_divs())  # +1 when the global normal points outward
-    vals = (signs / geom.vols[:, None]).ravel()
-    rows = np.repeat(test.dof_map[0][np.arange(mesh.num_tets)], 4)
-    cols = trial.dof_map[0][mesh.tet_faces].ravel()
     keep = (rows >= 0) & (cols >= 0)
     return sp.coo_matrix(
         (vals[keep], (rows[keep], cols[keep])),
@@ -582,8 +536,6 @@ def evaluate_norms(obj, which, quad_order=None):
                 raise ValueError(f"unknown norm {name!r}")
         elif kind == "vector" and name == "curl" and "curl" in q:
             sq = np.sum(q["curl"] ** 2, axis=-1)
-        elif kind == "vector" and name == "div" and "div" in q:
-            sq = q["div"] ** 2
         elif kind == "tensor":
             Tv = q["value"]
             if name == "sym":
@@ -643,20 +595,6 @@ def _pointwise(obj, mesh, geom, lam, pts):
                 "kind": "vector",
                 "value": np.einsum("te,tqed->tqd", c, W),
                 "curl": np.broadcast_to(curl[:, None], (len(c), Q, 3)),
-            }
-        if fam == "Face0":
-            c = full[0][mesh.tet_faces]
-            W = geom.face_values(lam)
-            div = np.einsum("tf,tf->t", c, geom.face_divs())
-            return {
-                "kind": "vector",
-                "value": np.einsum("tf,tqfd->tqd", c, W),
-                "div": np.broadcast_to(div[:, None], (len(c), Q)),
-            }
-        if fam == "P0_scalar":
-            return {
-                "kind": "scalar",
-                "value": np.broadcast_to(full[0][:, None], (len(full[0]), Q)),
             }
         raise ValueError(fam)
     # analytic object

@@ -94,7 +94,7 @@ def build_parser():
     p.add_argument("--out", required=True)
     p.add_argument("--format", default="json", choices=["json", "csv"])
     p.add_argument("--certify-samples", type=_count(0), default=0)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_count(0), default=0)
     p.add_argument("--weight-scale", type=float, default=None,
                    help="also compute the weighted constant with F = scale * Id")
 
@@ -106,21 +106,21 @@ def build_parser():
     p = sub.add_parser("decompose", help="split a random edge field")
     _add_mesh_source(p)
     _add_solver_opts(p)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_count(0), default=0)
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("certify", help="certify the main estimate on random fields")
     _add_mesh_source(p)
     _add_solver_opts(p)
     p.add_argument("--samples", type=_count(1), default=20)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_count(0), default=0)
     p.add_argument("--out", default=None)
 
     p = sub.add_parser("identities", help="verify the integral identity suite")
-    p.add_argument("--fields", type=int, default=20)
-    p.add_argument("--alphas", type=int, default=7)
-    p.add_argument("--degree", type=int, default=4)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--fields", type=_count(1), default=20)
+    p.add_argument("--alphas", type=_count(1), default=7)
+    p.add_argument("--degree", type=_count(1), default=4)
+    p.add_argument("--seed", type=_count(0), default=0)
     p.add_argument("--out", required=True)
     p.add_argument("--deterministic", action="store_true")
 

@@ -312,27 +312,20 @@ def maxwell_constant(mesh, tol=DEFAULT_EIG_TOL, ops=None, harmonics=None,
     record when already computed).  Coexact block: the curl-curl pencil
     restricted mass-orthogonally to the curl-free fields (gradients and
     harmonic fields deflated).  Its eigenpair is the one the harmonic
-    search found above the kernel; it is solved for here only when the
-    basis carries none for this edge space.
+    search found above the kernel (harmonics.coexact), so it takes no
+    eigensolve here; harmonics must therefore be the basis of the edge
+    space of ops (ValueError otherwise).
     """
     ops = ops or hodge.edge_operators(mesh)
     harmonics = harmonics or hodge.harmonic_basis(mesh, ops, tol=tol)
-    grad_rec = replace(grad_rec or poincare_constant(mesh, tol, ops), name="c_m_grad")
     e0 = ops.edge_space
+    if harmonics.space is not e0:
+        raise ValueError("maxwell_constant needs the harmonic basis of the edge space of ops")
+    grad_rec = replace(grad_rec or poincare_constant(mesh, tol, ops), name="c_m_grad")
     if e0.free_count == 0:
         coex_rec = _empty("c_m_coexact")
     else:
-        eig = harmonics.coexact if harmonics.space is e0 else None
-        if eig is None:
-            Gp = ops.pinned_grad
-            defl = [Gp] if Gp.shape[1] else []
-            if harmonics.dim:
-                defl.append(sp.csc_matrix(harmonics.fields.T))
-            deflation = sp.hstack(defl, format="csc") if defl else None
-            eig = linalg.eig_smallest(
-                ops.curlcurl, ops.mass, k=1, deflation=deflation, tol=tol
-            )
-        coex_rec = _record("c_m_coexact", eig, ops.mass, e0.free_count, tol,
+        coex_rec = _record("c_m_coexact", harmonics.coexact, ops.mass, e0.free_count, tol,
                            "gradients deflated")
     cm = max(grad_rec.value, coex_rec.value)
     which = "gradient" if grad_rec.value >= coex_rec.value else "coexact"

@@ -43,8 +43,8 @@ class EdgeOperators:
     The edge space may be unconstrained (splits apply to any square
     integrable field); the potentials always carry the tag-1 constraint.
     pinned_grad is the one place where the constant potentials are
-    removed: the Poisson factor, the harmonic search, the curl-free tensor
-    basis and the deflated Maxwell solve all read it.
+    removed: the Poisson factor, the harmonic search (which also yields the
+    coexact Maxwell pair) and the curl-free tensor basis all read it.
     """
 
     edge_space: DofSpace
@@ -102,9 +102,9 @@ def _operators_for(edge_space):
 class HarmonicBasis:
     space: DofSpace
     fields: np.ndarray  # (L, free) mass-orthonormal rows
-    # smallest pair of the same pencil above the kernel: the coexact
-    # Maxwell eigenpair (None when the basis was built without the search)
-    coexact: linalg.EigenResult = field(repr=False, default=None)
+    # smallest pair of the same pencil above the kernel, from the same search:
+    # the coexact Maxwell eigenpair, the only one maxwell_constant reads
+    coexact: linalg.EigenResult = field(repr=False)
 
     @property
     def dim(self):

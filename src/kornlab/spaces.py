@@ -7,16 +7,19 @@ P1_vector  : three P1 components, dof index = comp * V + vertex.
 Edge0      : lowest-order edge elements, dof = circulation along the edge
              oriented from its lower to its higher vertex index.
 Face0      : lowest-order face elements, dof = flux through the face with
-             the normal induced by its ascending vertex triple.
-P0_scalar  : cell constants, dof = cell mean.
+             the normal induced by its ascending vertex triple; it holds
+             the curls of Edge0 fields and is never constrained.
+
+The rank-2 and rank-3 estimates go through tag duality (Mesh.swap_tags),
+so the complex has no normal-trace constraint and no cell elements.
 
 Constraints are applied by elimination: tag-1 boundary vertices (P1),
-edges of tag-1 boundary triangles (Edge0), tag-0 boundary faces (Face0).
-With ``component_constant`` the vertex dofs of each connected piece of
-the tag-1 part fold into a single shared unknown per vector component
-instead of being eliminated.  The pieces come from one connected-components
-call on the tagged triangles, two triangles joined when they share a
-vertex, so patches that touch only at a vertex share one folded unknown.
+edges of tag-1 boundary triangles (Edge0).  With ``component_constant``
+the vertex dofs of each connected piece of the tag-1 part fold into a
+single shared unknown per vector component instead of being eliminated.
+The pieces come from one connected-components call on the tagged
+triangles, two triangles joined when they share a vertex, so patches that
+touch only at a vertex share one folded unknown.
 Free dofs are numbered per component in order of their first entity.
 """
 
@@ -25,9 +28,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import meshes
-from .meshes import GAMMA_N, GAMMA_T
+from .meshes import GAMMA_T
 
-FAMILIES = ("P1_scalar", "P1_vector", "Edge0", "Face0", "P0_scalar")
+FAMILIES = ("P1_scalar", "P1_vector", "Edge0", "Face0")
 
 
 class SpaceError(ValueError):
@@ -102,17 +105,15 @@ class TensorField:
 def build_space(mesh, family, constrain=None, component_constant=False):
     """Create a constrained dof space.
 
-    constrain: None, 'gamma_t' (P1/Edge0 families) or 'gamma_n' (Face0).
+    constrain: None or 'gamma_t' (P1 and Edge0 families).
     component_constant applies to P1_vector with 'gamma_t' only.
     """
     if family not in FAMILIES:
         raise SpaceError(f"unknown family {family!r}")
-    if constrain not in (None, "gamma_t", "gamma_n"):
+    if constrain not in (None, "gamma_t"):
         raise SpaceError(f"unknown constraint selector {constrain!r}")
-    if constrain == "gamma_t" and family in ("Face0", "P0_scalar"):
-        raise SpaceError(f"{family} cannot carry a tangential-trace constraint")
-    if constrain == "gamma_n" and family != "Face0":
-        raise SpaceError(f"{family} cannot carry a normal-trace constraint")
+    if constrain == "gamma_t" and family == "Face0":
+        raise SpaceError("Face0 cannot carry a tangential-trace constraint")
     if component_constant and (family != "P1_vector" or constrain != "gamma_t"):
         raise SpaceError("component_constant needs P1_vector with 'gamma_t'")
 
@@ -122,7 +123,6 @@ def build_space(mesh, family, constrain=None, component_constant=False):
         "P1_vector": mesh.num_vertices,
         "Edge0": mesh.num_edges,
         "Face0": mesh.num_faces,
-        "P0_scalar": mesh.num_tets,
     }[family]
 
     # each kept entity carries the dof of its representative; dofs are
@@ -136,8 +136,6 @@ def build_space(mesh, family, constrain=None, component_constant=False):
             kept[mesh.tagged_vertices(GAMMA_T)] = False
         else:  # Edge0
             kept[mesh.tagged_edges(GAMMA_T)] = False
-    elif constrain == "gamma_n":
-        kept[mesh.tagged_faces(GAMMA_N)] = False
 
     reps, local = np.unique(rep[kept], return_inverse=True)
     dof_map = -np.ones((ncomp, nent), dtype=np.int64)
@@ -170,9 +168,9 @@ _SEG_GAUSS = np.polynomial.legendre.leggauss(4)  # exact to degree 7 on edges
 def interpolate(func, space, bc_tol=1e-12):
     """Canonical-dof interpolant of an analytic field.
 
-    func maps (n,3) points to values: scalars for P1_scalar/P0_scalar,
-    3-vectors for the other families.  Raises when the field violates the
-    space's boundary condition by more than bc_tol.
+    func maps (n,3) points to values: scalars for P1_scalar, 3-vectors for
+    P1_vector and Edge0.  Raises when the field violates the space's
+    boundary condition by more than bc_tol.
     """
     mesh = space.mesh
     fam = space.family
@@ -191,26 +189,6 @@ def interpolate(func, space, bc_tol=1e-12):
             pts = a + 0.5 * (t + 1.0) * (b - a)
             dofs += 0.5 * wt * np.einsum("ij,ij->i", np.asarray(func(pts)), b - a)
         full = dofs.reshape(1, -1)
-    elif fam == "Face0":
-        tri = mesh.vertices[mesh.faces]
-        normal2 = np.cross(tri[:, 1] - tri[:, 0], tri[:, 2] - tri[:, 0])  # 2*area*n
-        # degree-2 rule on the triangle (edge midpoints)
-        dofs = np.zeros(mesh.num_faces)
-        for (u, v) in ((0.5, 0.0), (0.0, 0.5), (0.5, 0.5)):
-            pts = tri[:, 0] + u * (tri[:, 1] - tri[:, 0]) + v * (tri[:, 2] - tri[:, 0])
-            dofs += np.einsum("ij,ij->i", np.asarray(func(pts)), normal2) / 6.0
-        full = dofs.reshape(1, -1)
-    elif fam == "P0_scalar":
-        from .quadrature import tet_rule
-
-        pts, wts = tet_rule(2)
-        p = mesh.vertices[mesh.tets]
-        vols = mesh.tet_volumes()
-        acc = np.zeros(mesh.num_tets)
-        for q, wq in zip(pts, wts):
-            x = p[:, 0] + np.einsum("k,ikj->ij", q, p[:, 1:] - p[:, [0, 0, 0]])
-            acc += 6.0 * wq * np.asarray(func(x))
-        full = acc.reshape(1, -1)
     else:
         raise SpaceError(f"cannot interpolate into {fam}")
     return Field(space, space.free_from_full(full, check_bc=bc_tol))

@@ -16,11 +16,11 @@ from kornlab.assemble import (
     evaluate_norms,
     identity_coefficient,
 )
-from kornlab.constants import Workspace
+from kornlab.constants import Workspace, maxwell_constant, tensor_pencil
 from kornlab.meshes import generate_primitive
 from kornlab.polynomials import PolyField, Poly3
 from kornlab.quadrature import barycentric, tet_rule
-from kornlab.spaces import Field, TensorField, build_space, interpolate
+from kornlab.spaces import Field, SpaceError, TensorField, build_space, interpolate
 
 
 class AnalyticField:
@@ -53,22 +53,13 @@ def cube2():
     return generate_primitive("unit_cube", 2)
 
 
-def test_p0_mass_trace_is_volume(cube2):
-    p0 = build_space(cube2, "P0_scalar")
-    M = assemble("mass", p0)
-    assert M.diagonal().sum() == pytest.approx(1.0, rel=1e-13)
-
-
 def test_complex_identities(cube2):
     p1 = build_space(cube2, "P1_scalar")
     e0 = build_space(cube2, "Edge0")
     f0 = build_space(cube2, "Face0")
-    p0 = build_space(cube2, "P0_scalar")
     G = assemble("mixed_grad", p1, e0)
     C = assemble("curl_map", e0, f0)
-    D = assemble("div_map", f0, p0)
     assert (abs(C @ G)).max() == 0.0
-    assert (abs(D @ C)).max() == 0.0
 
 
 def test_complex_identities_constrained(cube2):
@@ -91,12 +82,13 @@ def test_symgrad_vs_grad_random_vectors(cube2):
 
 
 def test_dirichlet_matrix_identity(cube2):
-    # full Dirichlet: sym form = (grad form + div form) / 2 entrywise
+    # full Dirichlet: sym form = (grad form + div form) / 2 entrywise; the
+    # div-div and curl-curl forms of P1 vectors are the test-local ones
     pv = build_space(cube2, "P1_vector", "gamma_t")
     Ms = assemble("symgrad", pv)
     Mg = assemble("grad", pv)
-    Md = assemble("divdiv", pv)
-    Mc = assemble("curlcurl", pv)
+    Md = _ref_assemble("divdiv", pv)
+    Mc = _ref_assemble("curlcurl", pv)
     assert abs((Ms - 0.5 * (Mg + Md)).toarray()).max() < 1e-14
     assert abs((Ms - 0.5 * Mc - Md).toarray()).max() < 1e-14
 
@@ -107,19 +99,19 @@ def test_forms_symmetric_to_the_bit(cube2):
         A = assemble(form, e0)
         assert (A - A.T).nnz == 0
     pv = build_space(cube2, "P1_vector")
-    for form in ("mass", "grad", "symgrad", "divdiv"):
+    for form in ("mass", "grad", "symgrad"):
         A = assemble(form, pv)
         assert (A - A.T).nnz == 0
     T = assemble("tensor_sym", e0)
     assert (T - T.T).nnz == 0
-    for form, space in (("symF", pv), ("tensor_symF", e0)):
-        A = assemble(form, space, coeff=_affine_coefficient())
-        assert (A - A.T).nnz == 0, form
+    A = assemble("tensor_symF", e0, coeff=_affine_coefficient())
+    assert (A - A.T).nnz == 0
 
 
 def test_edge_curl_matches_face_interpolant(cube2):
     # curl of an edge field is exactly the face interpolant with the
-    # incidence coefficients
+    # incidence coefficients; the flux of e_z through a face is 1/2 n2 . e_z,
+    # n2 = 2 |face| n the normal of its ascending vertex triple
     e0 = build_space(cube2, "Edge0")
     f0 = build_space(cube2, "Face0")
     C = assemble("curl_map", e0, f0)
@@ -127,9 +119,11 @@ def test_edge_curl_matches_face_interpolant(cube2):
     v = interpolate(
         lambda x: np.column_stack([x[:, 1] * 0, x[:, 0], x[:, 2] * 0]), e0
     )
-    w = interpolate(lambda x: np.tile([0.0, 0.0, 1.0], (len(x), 1)), f0)
+    tri = cube2.vertices[cube2.faces]
+    n2 = np.cross(tri[:, 1] - tri[:, 0], tri[:, 2] - tri[:, 0])
+    flux = f0.free_from_full(0.5 * n2[:, 2])
     cv = C @ v.coeffs
-    assert np.allclose(cv, w.coeffs, atol=1e-13)
+    assert np.allclose(cv, flux, atol=1e-13)
     assert float(cv @ (Mf @ cv)) == pytest.approx(1.0, rel=1e-13)
 
 
@@ -170,8 +164,8 @@ def test_evaluate_norms_bubble_identity(cube2):
 
 
 def test_evaluate_norms_undefined_norm(cube2):
-    p0 = build_space(cube2, "P0_scalar")
-    f = Field(p0, np.ones(p0.free_count))
+    p1 = build_space(cube2, "P1_scalar")
+    f = Field(p1, np.ones(p1.free_count))
     with pytest.raises(ValueError):
         evaluate_norms(f, ["curl"])
 
@@ -191,8 +185,8 @@ def test_tensor_forms_match_rowwise(cube2):
     e0 = build_space(cube2, "Edge0")
     rng = np.random.default_rng(3)
     T = TensorField(e0, rng.standard_normal((3, e0.free_count)))
-    Mt = assemble("tensor_mass", e0)
-    Kt = assemble("tensor_curlcurl", e0)
+    pencil = tensor_pencil(cube2, hodge._operators_for(e0))
+    Mt, Kt = pencil.mass, pencil.curlcurl
     M = assemble("mass", e0)
     K = assemble("curlcurl", e0)
     x = T.stacked()
@@ -220,13 +214,6 @@ def test_tensor_sym_constant_skew_annihilated(cube2):
         assert abs(float(x @ (St @ x))) < 1e-13
 
 
-def test_symF_identity_matches_symgrad(cube2):
-    pv = build_space(cube2, "P1_vector", "gamma_t")
-    A = assemble("symgrad", pv)
-    B = assemble("symF", pv, coeff=identity_coefficient())
-    assert abs((A - B).toarray()).max() < 1e-13
-
-
 def test_symF_scaling(cube2):
     e0 = build_space(cube2, "Edge0")
     A = assemble("tensor_sym", e0)
@@ -235,14 +222,48 @@ def test_symF_scaling(cube2):
 
 
 def test_nonpolynomial_coefficient_warns(cube2):
-    pv = build_space(cube2, "P1_vector", "gamma_t")
+    e0 = build_space(cube2, "Edge0", "gamma_t")
     F = MatrixCoefficient(
         lambda pts: np.broadcast_to(np.eye(3), (len(pts), 3, 3))
         * (2.0 + np.sin(pts[:, 0]))[:, None, None],
         degree=None,
     )
     with pytest.warns(UserWarning):
-        assemble("symF", pv, coeff=F)
+        assemble("tensor_symF", e0, coeff=F)
+
+
+def _foreign_basis_maxwell(mesh):
+    # a basis built over its own edge operators belongs to another edge space
+    maxwell_constant(mesh, ops=hodge.edge_operators(mesh), harmonics=hodge.harmonic_basis(mesh))
+
+
+@pytest.mark.parametrize("error, name, call", [
+    pytest.param(ValueError, "'divdiv'", lambda m: assemble("divdiv", build_space(m, "P1_vector")),
+                 id="divdiv"),
+    pytest.param(ValueError, "'div_map'",
+                 lambda m: assemble("div_map", build_space(m, "Face0"), build_space(m, "Edge0")),
+                 id="div_map"),
+    pytest.param(ValueError, "'tensor_mass'",
+                 lambda m: assemble("tensor_mass", build_space(m, "Edge0")), id="tensor_mass"),
+    pytest.param(ValueError, "'tensor_curlcurl'",
+                 lambda m: assemble("tensor_curlcurl", build_space(m, "Edge0")),
+                 id="tensor_curlcurl"),
+    pytest.param(ValueError, "'symF'", lambda m: assemble("symF", build_space(m, "P1_vector"),
+                                                          coeff=identity_coefficient()),
+                 id="symF"),
+    pytest.param(ValueError, "curlcurl undefined for P1_vector",
+                 lambda m: assemble("curlcurl", build_space(m, "P1_vector")),
+                 id="curlcurl_P1_vector"),
+    pytest.param(SpaceError, "'P0_scalar'", lambda m: build_space(m, "P0_scalar"), id="P0_scalar"),
+    pytest.param(SpaceError, "'gamma_n'", lambda m: build_space(m, "Face0", "gamma_n"),
+                 id="gamma_n"),
+    pytest.param(ValueError, "harmonic basis of the edge space", _foreign_basis_maxwell,
+                 id="maxwell_foreign_basis"),
+])
+def test_removed_parts_raise_named_errors(cube2, error, name, call):
+    with pytest.raises(error) as info:
+        call(cube2)
+    assert name in str(info.value)
 
 
 def test_dropped_mesh_freed_without_cyclic_collector():
@@ -297,13 +318,14 @@ def test_forms_request_their_exact_rule(cube2, monkeypatch):
     with pytest.warns(QuadratureWarning):
         assemble("tensor_symF", build_space(cube2, "Edge0"), coeff=F)
     assert degrees == [DEFAULT_QUAD_DEGREE]
-    # the P1 gradients are constant per cell: degree 2d
+    # the P1 gradients are constant per cell; a coefficient of degree d
+    # raises the edge-tensor rule to 2 + 2d
     degrees.clear()
-    pv = build_space(cube2, "P1_vector", "gamma_t")
-    assemble("symgrad", pv)
-    assemble("symF", pv, coeff=identity_coefficient())
-    assemble("symF", pv, coeff=_affine_coefficient())
-    assert degrees == [0, 0, 2]
+    e0 = build_space(cube2, "Edge0", "gamma_t")
+    assemble("symgrad", build_space(cube2, "P1_vector", "gamma_t"))
+    assemble("tensor_symF", e0, coeff=identity_coefficient())
+    assemble("tensor_symF", e0, coeff=_affine_coefficient())
+    assert degrees == [0, 2, 4]
 
 
 def test_weighted_strain_forms_match_pointwise_reference():
@@ -316,17 +338,12 @@ def test_weighted_strain_forms_match_pointwise_reference():
     Fq = F(asm._cell_points(mesh, pts).reshape(-1, 3)).reshape(*w.shape, 3, 3)
     rng = np.random.default_rng(5)
     e0 = build_space(mesh, "Edge0", "gamma_t")
-    pv = build_space(mesh, "P1_vector", "gamma_t")
     T = TensorField(e0, rng.standard_normal((3, e0.free_count)))
-    u = Field(pv, rng.standard_normal(pv.free_count))
-    for form, space, x, key, field in (
-        ("tensor_symF", e0, T.stacked(), "value", T),
-        ("symF", pv, u.coeffs, "jac", u),
-    ):
-        X = asm._pointwise(field, mesh, geom, lam, pts)[key]  # T or grad u
-        ref = float(np.sum(w * np.sum(asm._sym(X @ Fq) ** 2, axis=(-2, -1))))
-        A = assemble(form, space, coeff=F)
-        assert float(x @ (A @ x)) == pytest.approx(ref, rel=1e-13), form
+    X = asm._pointwise(T, mesh, geom, lam, pts)["value"]
+    ref = float(np.sum(w * np.sum(asm._sym(X @ Fq) ** 2, axis=(-2, -1))))
+    A = assemble("tensor_symF", e0, coeff=F)
+    x = T.stacked()
+    assert float(x @ (A @ x)) == pytest.approx(ref, rel=1e-13)
 
 
 @pytest.mark.parametrize("kind, n", [("unit_cube", 2), ("cube_with_tunnel", 1)])
@@ -337,11 +354,10 @@ def test_default_rule_exact_for_polynomial_forms(kind, n):
     cases = [
         ("mass", e0, None),
         ("mass", f0, None),
+        ("symgrad", pv, None),
         ("tensor_sym", e0, None),
         ("tensor_symF", e0, identity_coefficient(1.5)),
         ("tensor_symF", e0, _affine_coefficient()),
-        ("symF", pv, identity_coefficient(1.5)),
-        ("symF", pv, _affine_coefficient()),
     ]
     for form, space, coeff in cases:
         default = assemble(form, space, coeff=coeff).toarray()
@@ -371,8 +387,7 @@ def _ref_local_dofs(space):
     mesh, fam = space.mesh, space.family
     if fam == "P1_vector":  # (T,12), component-major
         return np.concatenate([space.dof_map[m][mesh.tets] for m in range(3)], axis=1)
-    ent = {"P1_scalar": mesh.tets, "Edge0": mesh.tet_edges, "Face0": mesh.tet_faces,
-           "P0_scalar": np.arange(mesh.num_tets)[:, None]}[fam]
+    ent = {"P1_scalar": mesh.tets, "Edge0": mesh.tet_edges, "Face0": mesh.tet_faces}[fam]
     return space.dof_map[0][ent]
 
 
@@ -395,18 +410,18 @@ def _ref_vector_block(loc4):
 
 
 def _ref_assemble(form, trial, test=None, coeff=None):
-    """The forms as full component-major local matrices through _ref_scatter."""
+    """The forms as full component-major local matrices through _ref_scatter;
+    divdiv and curlcurl of P1 vectors are kept here for the Dirichlet
+    identity."""
     test = trial if test is None else test
-    if form in ("tensor_mass", "tensor_curlcurl"):
-        return sp.block_diag([_ref_assemble(form[len("tensor_"):], trial, test)] * 3).tocsr()
     geom = asm.geometry(trial.mesh)
     vols, g, fam = geom.vols[:, None, None], geom.grads, trial.family
     rows, cols = _ref_local_dofs(test), _ref_local_dofs(trial)
     nr, nc = test.free_count, trial.free_count
     pts4, wts4 = tet_rule(2)
-    if form in ("symgrad", "symF", "tensor_sym", "tensor_symF"):
+    if form in ("symgrad", "tensor_sym", "tensor_symF"):
         tensor = form.startswith("tensor")
-        coeff = coeff if form.endswith("F") else None
+        coeff = coeff if form == "tensor_symF" else None
         pts, wts = tet_rule((2 if tensor else 0) + (0 if coeff is None else 2 * coeff.degree))
         h = geom.edge_values(barycentric(pts)) if tensor else np.repeat(g[:, None], len(wts), 1)
         if coeff is not None:
@@ -436,14 +451,9 @@ def _ref_assemble(form, trial, test=None, coeff=None):
     elif form == "mass" and fam in ("Edge0", "Face0"):
         W = (geom.edge_values if fam == "Edge0" else geom.face_values)(barycentric(pts4))
         loc = 6.0 * vols * np.einsum("q,tqed,tqfd->tef", wts4, W, W)
-    elif form == "curlcurl":
+    else:  # Edge0 curl-curl
         c = geom.edge_curls()
         loc = vols * np.einsum("ted,tfd->tef", c, c)
-    elif form == "divdiv":
-        d = geom.face_divs()
-        loc = vols * np.einsum("te,tf->tef", d, d)
-    else:  # P0 mass
-        loc = vols
     return _ref_scatter(loc, rows, cols, (nr, nc), trial is test)
 
 
@@ -453,15 +463,13 @@ def _parity_cases(mesh):
     pv = build_space(mesh, "P1_vector", "gamma_t")
     folded = build_space(mesh, "P1_vector", "gamma_t", component_constant=True)
     e0, e0_all = build_space(mesh, "Edge0", "gamma_t"), build_space(mesh, "Edge0")
-    f0, p0 = build_space(mesh, "Face0", "gamma_n"), build_space(mesh, "P0_scalar")
+    f0 = build_space(mesh, "Face0")
     F = _affine_coefficient()
     cases = [(form, s, s, None) for form in ("mass", "grad") for s in (p1, p1_all, pv, folded)]
-    cases += [(form, s, s, None) for form in ("symgrad", "divdiv", "curlcurl") for s in (pv, folded)]
-    cases += [("symF", pv, pv, F), ("symF", folded, folded, F)]
+    cases += [("symgrad", s, s, None) for s in (pv, folded)]
     cases += [(form, s, s, None) for s in (e0, e0_all)
-              for form in ("mass", "curlcurl", "tensor_mass", "tensor_sym", "tensor_curlcurl")]
-    cases += [("tensor_symF", e0, e0, F), ("mass", f0, f0, None), ("divdiv", f0, f0, None),
-              ("mass", p0, p0, None)]
+              for form in ("mass", "curlcurl", "tensor_sym")]
+    cases += [("tensor_symF", e0, e0, F), ("mass", f0, f0, None)]
     # rectangular pairs: rows from one constraint, columns from another
     cases += [("grad", p1, p1_all, None), ("symgrad", pv, folded, None),
               ("mass", e0, e0_all, None), ("tensor_sym", e0_all, e0, None)]

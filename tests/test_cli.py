@@ -225,6 +225,43 @@ def test_nonpositive_weight_scale_is_rejected(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_nonfinite_weight_scale_is_rejected(tmp_path, capsys):
+    # rejected where the coefficient is evaluated, before any SVD
+    out = tmp_path / "r.json"
+    for scale in ("nan", "inf"):
+        assert run(["constants", "--primitive", "slab_mixed", "--n", "1",
+                    "--weight-scale", scale, "--out", str(out)]) == EXIT_ERROR
+        assert f"coefficient has non-finite values ({scale})" in capsys.readouterr().err
+    assert not out.exists()
+
+
+_INTEGER_ARGS = {
+    "--seed": {
+        "constants": ["--primitive", "unit_cube", "--n", "1", "--out", "r.json"],
+        "decompose": ["--primitive", "unit_cube", "--n", "1", "--out", "split.csv"],
+        "certify": ["--primitive", "unit_cube", "--n", "1", "--out", "c.json"],
+        "identities": ["--out", "ids.csv"],
+    },
+    "--fields": {"identities": ["--out", "ids.csv"]},
+    "--alphas": {"identities": ["--out", "ids.csv"]},
+    "--degree": {"identities": ["--out", "ids.csv"]},
+}
+
+
+@pytest.mark.parametrize("flag, command, value", [
+    (flag, command, value)
+    for flag, commands in _INTEGER_ARGS.items() for command in commands
+    for value in (["-1", "x"] if flag == "--seed" else ["0", "-1", "x"])
+])
+def test_integer_arguments_out_of_range_are_usage_errors(flag, command, value, capsys,
+                                                         monkeypatch, tmp_path):
+    # a negative --degree or --fields would check nothing and pass
+    monkeypatch.chdir(tmp_path)
+    assert run([command, *_INTEGER_ARGS[flag][command], flag, value]) == EXIT_USAGE
+    assert f"argument {flag}:" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
 _SOLVER_COMMANDS = {
     "constants": ["--primitive", "unit_cube", "--n", "1", "--out", "r.json"],
     "harmonics": ["--primitive", "unit_cube", "--n", "1"],

@@ -11,7 +11,7 @@ import pytest
 
 from kornlab import constants as cst
 from kornlab import hodge
-from kornlab.assemble import assemble, evaluate_norms, geometry
+from kornlab.assemble import evaluate_norms, geometry
 from kornlab.meshes import generate_primitive
 from kornlab.quadrature import barycentric, tet_rule
 from kornlab.spaces import TensorField, build_space
@@ -63,11 +63,9 @@ def slab1():
 
 
 def test_dense_forms_match_assembled(slab1):
-    space = build_space(slab1, "Edge0", "gamma_t")
-    M0, S0, K0 = dense_tensor_forms(slab1, space)
-    M = assemble("tensor_mass", space).toarray()
-    S = assemble("tensor_sym", space).toarray()
-    K = assemble("tensor_curlcurl", space).toarray()
+    pencil = cst.tensor_pencil(slab1)
+    M0, S0, K0 = dense_tensor_forms(slab1, pencil.space)
+    M, S, K = (form.toarray() for form in (pencil.mass, pencil.sym, pencil.curlcurl))
     assert np.abs(M - M0).max() <= 1e-13
     assert np.abs(S - S0).max() <= 1e-13
     assert np.abs(K - K0).max() <= 1e-12

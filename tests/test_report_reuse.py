@@ -119,14 +119,3 @@ def test_report_measures_kernels_by_eigensolve(monkeypatch):
     report = cst.compute_report(generate_primitive("unit_cube", 4).retag(0))
     assert report["c_k_s"]["note"] == "equal to c_k_irrot: harmonic dim 0"
     assert calls == {"eig_smallest": 4}
-
-
-def test_workspace_pencil_matches_assembled_tensor_forms():
-    # the mass and curl-curl blocks come from the edge operators; they must
-    # equal the tensor forms assemble still offers
-    ws = cst.Workspace(generate_primitive("cube_with_tunnel", 1))
-    e0 = ws.ops.edge_space
-    for mat, form in ((ws.pencil.mass, "tensor_mass"), (ws.pencil.curlcurl, "tensor_curlcurl")):
-        ref = asm.assemble(form, e0)
-        assert mat.shape == ref.shape
-        assert abs(mat - ref).max() == 0.0

@@ -29,13 +29,6 @@ def test_edge_constraint_only_surface_edges():
     assert np.linalg.norm(p[1] - p[0]) == pytest.approx(np.sqrt(3.0))
 
 
-def test_face_space_gamma_n():
-    m = generate_primitive("slab_mixed", 2)
-    s = build_space(m, "Face0", "gamma_n")
-    eliminated = np.sum(s.dof_map[0] < 0)
-    assert eliminated == np.sum(m.btri_tags == 0)
-
-
 def test_incompatible_family_tag():
     m = generate_primitive("unit_cube", 1)
     with pytest.raises(SpaceError):
@@ -95,11 +88,3 @@ def test_interpolate_bc_violation():
         interpolate(lambda x: x[:, 0], s)  # trace is 1 on the tagged face
     interpolate(lambda x: 1.0 - x[:, 0], s)  # compatible field passes
 
-
-def test_interpolate_face_flux_constant():
-    m = generate_primitive("unit_cube", 2)
-    s = build_space(m, "Face0")
-    f = interpolate(lambda x: np.tile([0.0, 0.0, 1.0], (len(x), 1)), s)
-    tri = m.vertices[m.faces]
-    n2 = np.cross(tri[:, 1] - tri[:, 0], tri[:, 2] - tri[:, 0])
-    assert np.allclose(f.coeffs, 0.5 * n2[:, 2], atol=1e-14)

@@ -14,6 +14,7 @@ patching.
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from kornlab import constants, hodge, linalg
 from kornlab.meshes import generate_primitive
@@ -148,7 +149,7 @@ def test_workspace_coexact_pair_matches_forced_dense_deflated_solve(
         kind, n, retag, harmonic_dim, monkeypatch):
     # the Workspace reads c_m_coexact off the harmonic search, whose vectors
     # are orthogonal to the raw kernel vectors; the reference deflates the
-    # cleaned harmonic fields, on the dense path
+    # pinned gradients and the cleaned harmonic fields, on the dense path
     mesh = generate_primitive(kind, n)
     if retag is not None:
         mesh = mesh.retag(retag)
@@ -161,10 +162,10 @@ def test_workspace_coexact_pair_matches_forced_dense_deflated_solve(
     ops = hodge.edge_operators(mesh)
     basis = hodge.harmonic_basis(mesh, ops)
     assert basis.dim == harmonic_dim
-    basis.coexact = None  # forces the standalone deflated solve
-    _, _, dense = constants.maxwell_constant(mesh, ops=ops, harmonics=basis)
-    assert coexact.value == pytest.approx(dense.value, rel=1e-10)
-    assert coexact.residual <= 1e-10 and dense.residual <= 1e-10
+    deflation = sp.hstack([ops.pinned_grad, sp.csc_matrix(basis.fields.T)], format="csc")
+    dense = linalg.eig_smallest(ops.curlcurl, ops.mass, k=1, deflation=deflation)
+    assert coexact.value == pytest.approx(1.0 / np.sqrt(dense.values[0]), rel=1e-10)
+    assert coexact.residual <= 1e-10 and dense.residuals[0] <= 1e-10
 
 
 def _bordered_search(ops, k):

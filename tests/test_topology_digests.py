@@ -31,8 +31,6 @@ SPACES = [
     ("Edge0", None, False),
     ("Edge0", "gamma_t", False),
     ("Face0", None, False),
-    ("Face0", "gamma_n", False),
-    ("P0_scalar", None, False),
 ]
 
 
