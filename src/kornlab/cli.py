@@ -231,10 +231,8 @@ def _cmd_constants(args):
 
 
 def _cmd_harmonics(args):
-    mesh = _load_mesh(args)
-    ops = hodge.edge_operators(mesh)
-    basis = hodge.harmonic_basis(mesh, ops, tol=args.tol)
-    M = ops.mass
+    basis = hodge.harmonic_basis(_load_mesh(args), tol=args.tol)
+    M = basis.ops.mass
     gram = basis.fields @ (M @ basis.fields.T) if basis.dim else np.zeros((0, 0))
     ortho = float(np.abs(gram - np.eye(basis.dim)).max()) if basis.dim else 0.0
     print(f"harmonic dimension: {basis.dim} (mass-orthonormality residual {ortho:.2e})")
@@ -250,16 +248,14 @@ def _cmd_harmonics(args):
 
 
 def _cmd_decompose(args):
-    mesh = _load_mesh(args)
-    ops = hodge.edge_operators(mesh)
-    basis = hodge.harmonic_basis(mesh, ops, tol=args.tol)
+    basis = hodge.harmonic_basis(_load_mesh(args), tol=args.tol)
     rng = np.random.default_rng(args.seed)
-    v = Field(ops.edge_space, rng.standard_normal(ops.edge_space.free_count))
-    split = hodge.helmholtz_split(v, basis, ops)
+    v = Field(basis.space, rng.standard_normal(basis.space.free_count))
+    split = hodge.helmholtz_split(v, harmonics=basis)
     rows = [
         (i, v.coeffs[i], split.grad_part.coeffs[i], split.harmonic_part.coeffs[i],
          split.coexact_part.coeffs[i])
-        for i in range(ops.edge_space.free_count)
+        for i in range(basis.space.free_count)
     ]
     reports.write_csv(
         args.out, ("dof", "input", "gradient", "harmonic", "coexact"), rows

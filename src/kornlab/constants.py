@@ -8,7 +8,6 @@ estimates behind the main inequality transfers verbatim to the discrete
 level; certify_main_inequality re-checks every link on a concrete field.
 """
 
-import contextlib
 import hashlib
 from collections import namedtuple
 from dataclasses import dataclass, field, fields, replace
@@ -87,7 +86,7 @@ def _empty(name):
 # --------------------------------------------------------------------------
 
 
-def poincare_constant(mesh, tol=DEFAULT_EIG_TOL, ops=None):
+def poincare_constant(mesh, tol=DEFAULT_EIG_TOL, *, ops=None):
     """Optimal constant of |u| <= c |grad u| over the constrained scalars.
 
     ops, when given, supplies the scalar space (its p1_space).
@@ -170,15 +169,15 @@ def korn_constant_tangential(mesh, tol=DEFAULT_EIG_TOL):
 # --------------------------------------------------------------------------
 
 
-def _curlfree_basis(ops, harmonics):
+def _curlfree_basis(harmonics):
     """Sparse map W from (3 scalar potentials + harmonic amplitudes) to Edge0^3.
 
     Columns: per tensor row the discrete gradients of the potentials
-    (ops.pinned_grad, which removes the per-row constant), then the
-    harmonic fields per row.  A constraint row c on Edge0^3 acts on the
+    (harmonics.ops.pinned_grad, which removes the per-row constant), then
+    the harmonic fields per row.  A constraint row c on Edge0^3 acts on the
     reduced coordinates as c @ W.
     """
-    blocks = sp.block_diag([ops.pinned_grad] * 3, format="csc")
+    blocks = sp.block_diag([harmonics.ops.pinned_grad] * 3, format="csc")
     if harmonics.dim:
         hb = sp.block_diag([sp.csc_matrix(harmonics.fields.T)] * 3, format="csc")
         return sp.hstack([blocks, hb], format="csc")
@@ -193,7 +192,7 @@ class TensorPencil:
     curlcurl: sp.csr_matrix
 
 
-def tensor_pencil(mesh, ops=None):
+def tensor_pencil(ops):
     """Row-blocked mass, strain and curl-curl forms on Edge0^3.
 
     The mass and curl-curl blocks reuse the edge matrices of ops; only the
@@ -201,7 +200,6 @@ def tensor_pencil(mesh, ops=None):
     is a polynomial of degree at most 2, integrated exactly by the rule of
     that degree.
     """
-    ops = ops or hodge.edge_operators(mesh)
     e0 = ops.edge_space
     return TensorPencil(
         e0,
@@ -221,9 +219,9 @@ def _reduce(W, form):
     return (W.T @ (form @ W)).tocsr()
 
 
-def curl_free_forms(ops, harmonics, pencil):
+def curl_free_forms(harmonics, pencil):
     """CurlFreeForms of the curl-free tensors, with the strain form of pencil."""
-    W = _curlfree_basis(ops, harmonics)
+    W = _curlfree_basis(harmonics)
     MW = pencil.mass @ W
     return CurlFreeForms(W, _reduce(W, pencil.sym), (W.T @ MW).tocsr(), MW.tocsr())
 
@@ -242,7 +240,7 @@ def _slice_betti1(sub):
     return meshes.boundary_components(sub, meshes.GAMMA_N)[1] - chi
 
 
-def korn_constant_irrotational(mesh, tol=DEFAULT_EIG_TOL, ops=None, harmonics=None,
+def korn_constant_irrotational(mesh, tol=DEFAULT_EIG_TOL, *, harmonics=None,
                                name="c_k_irrot", forms=None):
     """|T| <= c |sym T| over the curl-free constrained tensor fields.
 
@@ -258,10 +256,10 @@ def korn_constant_irrotational(mesh, tol=DEFAULT_EIG_TOL, ops=None, harmonics=No
     rotations: its pencil is korn_constant_standard of the slice, whose
     dim counts the vertex-0 potentials, 3 (n_v - 1) per slice; a slice
     whose strain form annihilates more than the rigid motions raises
-    KernelError naming it.  forms, when given, is curl_free_forms(ops,
-    harmonics, tensor_pencil(mesh, ops)) built already, or those forms
-    with another strain form (the weighted c_k_F).  On one slice the
-    record carries the pair lifted to Edge0^3, W y, as its vector.
+    KernelError naming it.  forms, when given, is curl_free_forms(harmonics,
+    tensor_pencil(harmonics.ops)) built already, or those forms with
+    another strain form (the weighted c_k_F).  On one slice the record
+    carries the pair lifted to Edge0^3, W y, as its vector.
     Without harmonic fields, unless sliced, this is the c_k_s and c_k_t
     pencil with its dofs reordered, and Workspace reads those two off this
     record.
@@ -286,17 +284,16 @@ def korn_constant_irrotational(mesh, tol=DEFAULT_EIG_TOL, ops=None, harmonics=No
             f"max over {len(labels)} slice pencils",
         )
 
-    ops = ops or hodge.edge_operators(mesh)
-    harmonics = harmonics or hodge.harmonic_basis(mesh, ops)
+    harmonics = harmonics or hodge.harmonic_basis(mesh)
     if not mesh.has_gamma_t and harmonics.dim > 0:
         raise ValueError(_HANDLES_NEED_SLICES)
-    forms = forms or curl_free_forms(ops, harmonics, tensor_pencil(mesh, ops))
+    forms = forms or curl_free_forms(harmonics, tensor_pencil(harmonics.ops))
     W = forms.basis
     if W.shape[1] == 0:
         return _empty(name)
     constraints = note = None
     if not mesh.has_gamma_t:
-        constraints = _slice_skew_constraints(ops.edge_space) @ W
+        constraints = _slice_skew_constraints(harmonics.space) @ W
         note = "deflated: constant skew tensors"
     eig = linalg.eig_smallest(forms.sym, forms.mass, k=1, constraints=constraints, tol=tol)
     rec = _record(name, eig, forms.mass, W.shape[1], tol, note)
@@ -304,8 +301,7 @@ def korn_constant_irrotational(mesh, tol=DEFAULT_EIG_TOL, ops=None, harmonics=No
     return rec
 
 
-def maxwell_constant(mesh, tol=DEFAULT_EIG_TOL, ops=None, harmonics=None,
-                     grad_rec=None):
+def maxwell_constant(mesh, tol=DEFAULT_EIG_TOL, *, harmonics=None, grad_rec=None):
     """Maxwell constant as the max of its gradient and coexact blocks.
 
     Gradient block: the scalar constant (grad_rec, the poincare_constant
@@ -313,15 +309,12 @@ def maxwell_constant(mesh, tol=DEFAULT_EIG_TOL, ops=None, harmonics=None,
     restricted mass-orthogonally to the curl-free fields (gradients and
     harmonic fields deflated).  Its eigenpair is the one the harmonic
     search found above the kernel (harmonics.coexact), so it takes no
-    eigensolve here; harmonics must therefore be the basis of the edge
-    space of ops (ValueError otherwise).
+    eigensolve here.
     """
-    ops = ops or hodge.edge_operators(mesh)
-    harmonics = harmonics or hodge.harmonic_basis(mesh, ops, tol=tol)
+    harmonics = harmonics or hodge.harmonic_basis(mesh, tol=tol)
+    ops = harmonics.ops
     e0 = ops.edge_space
-    if harmonics.space is not e0:
-        raise ValueError("maxwell_constant needs the harmonic basis of the edge space of ops")
-    grad_rec = replace(grad_rec or poincare_constant(mesh, tol, ops), name="c_m_grad")
+    grad_rec = replace(grad_rec or poincare_constant(mesh, tol, ops=ops), name="c_m_grad")
     if e0.free_count == 0:
         coex_rec = _empty("c_m_coexact")
     else:
@@ -362,8 +355,8 @@ def _slice_skew_constraints(space):
     return np.einsum("lmd,jdn->jlmn", SO3_BASIS, Q).reshape(3 * len(labels), -1)
 
 
-def direct_main_constant(mesh, tol=DEFAULT_EIG_TOL, ops=None, pencil=None,
-                         deflate=True, bracket=None, v0=None):
+def direct_main_constant(mesh, tol=DEFAULT_EIG_TOL, *, pencil=None, deflate=True,
+                         bracket=None, v0=None):
     """Optimal constant in |T| <= c (|sym T|^2 + |Curl T|^2)^(1/2).
 
     Full tensor pencil over the constrained edge tensors.  Without a
@@ -380,13 +373,13 @@ def direct_main_constant(mesh, tol=DEFAULT_EIG_TOL, ops=None, pencil=None,
     None for a random vector).  It returns the eigenvalue lambda nearest
     sigma.  When lambda >= 2 sigma, every eigenvalue mu in [0, lambda)
     would lie nearer (sigma - mu <= sigma <= lambda - sigma), so lambda is
-    the smallest one and the estimate holds: the result certifies itself
-    and assumes nothing.  lambda < 2 sigma violates the main estimate
-    (lambda_1 <= lambda), and lambda above (1 + BRACKET_MARGIN) upper means
-    the solve missed the smallest pair; both raise linalg.SolverError.
+    the smallest one (so no kernel count runs) and the estimate holds: the
+    result certifies itself and assumes nothing.  lambda < 2 sigma violates
+    the main estimate (lambda_1 <= lambda), and lambda above (1 +
+    BRACKET_MARGIN) upper means the solve missed the smallest pair; both
+    raise linalg.SolverError.
     """
-    ops = ops or hodge.edge_operators(mesh)
-    pencil = pencil or tensor_pencil(mesh, ops)
+    pencil = pencil or tensor_pencil(hodge.edge_operators(mesh))
     A = (pencil.sym + pencil.curlcurl).tocsr()
     B = pencil.mass
     nslices = len(mesh.slice_labels)
@@ -395,23 +388,22 @@ def direct_main_constant(mesh, tol=DEFAULT_EIG_TOL, ops=None, pencil=None,
         constraints = _slice_skew_constraints(pencil.space)
         note = ("deflated: constant skew tensors" if nslices == 1
                 else f"deflated: per-slice skew moments ({nslices} slices)")
-    scale = A.diagonal().sum() / max(B.diagonal().sum(), 1e-300)
-    seed = contextlib.nullcontext()
-    if bracket is not None:
-        sigma = 0.5 * (1.0 - BRACKET_MARGIN) * bracket[0]
-        seed = linalg.seeded(sigma, v0)
-    with seed:
+    if bracket is None:
+        scale = A.diagonal().sum() / max(B.diagonal().sum(), 1e-300)
         eig, kernel_dim = linalg.count_kernel(
             A, B, KERNEL_REL_TOL * max(scale, 1.0), constraints=constraints, tol=tol,
         )
-    lam = float(eig.values[0])
-    if kernel_dim:
-        raise KernelError(
-            "the semi-norm pencil has undeflated kernel fields "
-            f"(lambda_min = {lam:.3e}); kernel dimension {kernel_dim}; "
-            "constant skew tensors span the kernel"
-        )
-    if bracket is not None:
+        if kernel_dim:
+            raise KernelError(
+                "the semi-norm pencil has undeflated kernel fields "
+                f"(lambda_min = {eig.values[0]:.3e}); kernel dimension {kernel_dim}; "
+                "constant skew tensors span the kernel"
+            )
+    else:
+        sigma = 0.5 * (1.0 - BRACKET_MARGIN) * bracket[0]
+        with linalg.seeded(sigma, v0):
+            eig = linalg.eig_smallest(A, B, k=1, constraints=constraints, tol=tol)
+        lam = float(eig.values[0])
         if lam < 2.0 * sigma:
             raise linalg.SolverError(
                 f"c_direct: lambda = {lam:.12e} lies below the lower bound "
@@ -511,10 +503,11 @@ class Workspace:
 
     Built once and handed down to every constant that needs them: the edge
     operators (mass, curl-curl, gradient incidence, the scalar space of c_p
-    and the cached Poisson factorization), the harmonic basis and the
-    tensor pencil (its mass and curl-curl blocks reuse the edge matrices;
-    the strain form is assembled once, for c_k_irrot and c_direct).  On
-    first use it also builds the curl-free basis W with the reduced forms
+    and the cached Poisson factorization), held by the harmonic basis that
+    c_m, c_k_irrot and the splits read them from, and the tensor pencil
+    (its mass and curl-curl blocks reuse the edge matrices; the strain
+    form is assembled once, for c_k_irrot and c_direct).  On first use it
+    also builds the curl-free basis W with the reduced forms
     W^T Sym W and W^T M W (curl_free): the one-slice c_k_irrot pencil,
     from which certification reads |R| and |sym R| in the coordinates y
     of R = W y; without a tag-1 part, the constant skews in those
@@ -538,9 +531,9 @@ class Workspace:
     def __init__(self, mesh, tol=DEFAULT_EIG_TOL):
         self.mesh = mesh
         self.tol = tol
-        self.ops = hodge.edge_operators(mesh)
-        self.harmonics = hodge.harmonic_basis(mesh, self.ops, tol=tol)
-        self.pencil = tensor_pencil(mesh, self.ops)
+        self.harmonics = hodge.harmonic_basis(mesh, tol=tol)
+        self.ops = self.harmonics.ops
+        self.pencil = tensor_pencil(self.ops)
         self._cache = {}
 
     def constant(self, name):
@@ -548,7 +541,7 @@ class Workspace:
             return self._cache[name]
         mesh = self.mesh
         if name == "c_p":
-            rec = poincare_constant(mesh, self.tol, self.ops)
+            rec = poincare_constant(mesh, self.tol, ops=self.ops)
         elif (name == "c_k_s" or name == "c_k_t" and mesh.has_gamma_t) and not (
                 self.harmonics.dim or self.case == "sliced"):
             irrot = self.constant("c_k_irrot")  # the same pencil, dofs reordered
@@ -564,17 +557,17 @@ class Workspace:
             # sliced, each slice solves its own pencil and the forms wait
             # for certification
             rec = korn_constant_irrotational(
-                mesh, self.tol, self.ops, self.harmonics,
+                mesh, self.tol, harmonics=self.harmonics,
                 forms=None if self.case == "sliced" else self.curl_free,
             )
         elif name in ("c_m", "c_m_grad", "c_m_coexact"):
             cm, grad, coex = maxwell_constant(
-                mesh, self.tol, self.ops, self.harmonics, self.constant("c_p")
+                mesh, self.tol, harmonics=self.harmonics, grad_rec=self.constant("c_p")
             )
             self._cache.update({"c_m": cm, "c_m_grad": grad, "c_m_coexact": coex})
             return self._cache[name]
         elif name == "c_direct":
-            rec = direct_main_constant(mesh, self.tol, self.ops, self.pencil,
+            rec = direct_main_constant(mesh, self.tol, pencil=self.pencil,
                                        **self.direct_seed())
         else:
             raise KeyError(name)
@@ -593,14 +586,14 @@ class Workspace:
         cf = self.curl_free
         sym = assemble("tensor_symF", self.ops.edge_space, coeff=weight)
         forms = cf._replace(sym=_reduce(cf.basis, sym))
-        rec = korn_constant_irrotational(self.mesh, self.tol, self.ops, self.harmonics,
+        rec = korn_constant_irrotational(self.mesh, self.tol, harmonics=self.harmonics,
                                          name="c_k_F", forms=forms)
         return WeightedWork(c_F, mu, rec)
 
     @cached_property
     def curl_free(self):
         """CurlFreeForms of the mesh's curl-free tensors, built on first use."""
-        return curl_free_forms(self.ops, self.harmonics, self.pencil)
+        return curl_free_forms(self.harmonics, self.pencil)
 
     @cached_property
     def curl_incidence(self):
@@ -739,7 +732,7 @@ class _Chain:
     """
 
     def __init__(self, T, ws):
-        split = hodge.helmholtz_split_tensor(T, ws.harmonics, ws.ops)
+        split = hodge.helmholtz_split_tensor(T, harmonics=ws.harmonics)
         self.R, S = split.parts()
         self.y = split.coords
         self.t = T.stacked()

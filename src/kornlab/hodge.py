@@ -100,11 +100,15 @@ def _operators_for(edge_space):
 
 @dataclass
 class HarmonicBasis:
-    space: DofSpace
+    ops: EdgeOperators = field(repr=False)  # the search ran on these; users read them here
     fields: np.ndarray  # (L, free) mass-orthonormal rows
     # smallest pair of the same pencil above the kernel, from the same search:
     # the coexact Maxwell eigenpair, the only one maxwell_constant reads
     coexact: linalg.EigenResult = field(repr=False)
+
+    @property
+    def space(self):
+        return self.ops.edge_space
 
     @property
     def dim(self):
@@ -122,24 +126,25 @@ class HarmonicBasis:
         )
 
 
-def harmonic_basis(mesh, ops=None, tol=1e-10):
+def harmonic_basis(mesh, *, tol=1e-10):
     """Mass-orthonormal basis of curl-free fields orthogonal to gradients.
 
-    The search also yields the smallest eigenpair above the kernel, which
-    is the coexact Maxwell pair; the basis carries it as .coexact.  tol is
-    the eigensolver tolerance of the search.
+    The search runs on the edge_operators of mesh, which the basis keeps
+    as .ops.  It also yields the smallest eigenpair above the kernel,
+    which is the coexact Maxwell pair; the basis carries it as .coexact.
+    tol is the eigensolver tolerance of the search.
     """
-    ops = ops or edge_operators(mesh)
+    ops = edge_operators(mesh)
     M = ops.mass
     raw, coexact = _harmonic_search(ops, tol)
     if raw.shape[1] == 0:
-        return HarmonicBasis(ops.edge_space, np.zeros((0, ops.edge_space.free_count)), coexact)
+        return HarmonicBasis(ops, np.zeros((0, ops.edge_space.free_count)), coexact)
     fields = np.column_stack([_clean_harmonic(ops, raw[:, j]) for j in range(raw.shape[1])])
     # mass re-orthonormalization after the cleanup
     gram = fields.T @ (M @ fields)
     L = np.linalg.cholesky(0.5 * (gram + gram.T))
     fields = fields @ np.linalg.inv(L).T
-    return HarmonicBasis(ops.edge_space, fields.T, coexact)
+    return HarmonicBasis(ops, fields.T, coexact)
 
 
 def _harmonic_search(ops, tol):
@@ -224,27 +229,31 @@ class HelmholtzSplit:
         }
 
 
-def helmholtz_split(v, harmonics=None, ops=None):
+def helmholtz_split(v, *, harmonics=None):
     """Orthogonal split of an Edge0 field into gradient + harmonic + coexact.
 
     The input may live in the constrained or the unconstrained edge space;
     the gradient and harmonic summands always carry the tag-1 condition,
-    the coexact remainder absorbs everything else.
+    the coexact remainder absorbs everything else.  harmonics is the
+    harmonic_basis of the mesh, built here when not given.
     """
     if not isinstance(v, Field):
         raise TypeError("helmholtz_split expects a Field over Edge0")
     space = v.space
     coeffs = v.coeffs
-    mesh = space.mesh
-    if ops is None or ops.edge_space is not space:
-        ops = _operators_for(space)
-    if harmonics is None:
-        harmonics = harmonic_basis(mesh)
-    (u,), _, (grad,), (harm,) = _curl_free_split(ops, harmonics.fields_in(space),
-                                                 (ops.mass @ coeffs)[None])
+    ops, hf = _split_operators(space, harmonics)
+    (u,), _, (grad,), (harm,) = _curl_free_split(ops, hf, (ops.mass @ coeffs)[None])
     coex = coeffs - grad - harm
     return HelmholtzSplit(Field(space, grad), Field(space, harm), Field(space, coex),
                           ops.unpinned(u), v, ops.mass)
+
+
+def _split_operators(space, harmonics):
+    """(EdgeOperators of space, harmonic fields as rows in space): the
+    basis's own operators for its own space, fresh ones for another."""
+    harmonics = harmonics or harmonic_basis(space.mesh)
+    ops = harmonics.ops if harmonics.space is space else _operators_for(space)
+    return ops, harmonics.fields_in(space)
 
 
 def _curl_free_split(ops, hf, MV):
@@ -276,17 +285,15 @@ class TensorSplit:
         return self.curl_free, self.coexact
 
 
-def helmholtz_split_tensor(T, harmonics=None, ops=None):
+def helmholtz_split_tensor(T, *, harmonics=None):
     """Row-wise Helmholtz split; the coexact part carries Curl S = Curl T.
 
-    The three rows share one Poisson solve (see _curl_free_split).
+    The three rows share one Poisson solve (see _curl_free_split);
+    harmonics is as in helmholtz_split.
     """
-    if ops is None or ops.edge_space is not T.space:
-        ops = _operators_for(T.space)
-    if harmonics is None:
-        harmonics = harmonic_basis(T.space.mesh)
+    ops, hf = _split_operators(T.space, harmonics)
     MT = np.stack([ops.mass @ row for row in T.rows])
-    U, amps, grad, harm = _curl_free_split(ops, harmonics.fields_in(T.space), MT)
+    U, amps, grad, harm = _curl_free_split(ops, hf, MT)
     return TensorSplit(TensorField(T.space, grad + harm),
                        TensorField(T.space, T.rows - grad - harm), MT,
                        np.concatenate([*U, *amps]))
@@ -437,14 +444,3 @@ def piecewise_skew(T, slice_ids=None, mesh=None, degree=2):
     """Per-slice skew averages: (labels, skews) with skews[j] for slice j."""
     labels, means, _ = slice_means(T, slice_ids, mesh, degree)
     return labels, 0.5 * (means - np.swapaxes(means, 1, 2))
-
-
-def constant_tensor_coeffs(space, mat):
-    """Edge0 coefficients of a constant tensor field (rows are constants)."""
-    mesh = space.mesh
-    edge_vec = mesh.vertices[mesh.edges[:, 1]] - mesh.vertices[mesh.edges[:, 0]]
-    rows = np.empty((3, space.free_count))
-    for m in range(3):
-        full = edge_vec @ mat[m]
-        rows[m] = space.free_from_full(full.reshape(1, -1))
-    return rows

@@ -16,11 +16,13 @@ from kornlab.assemble import (
     evaluate_norms,
     identity_coefficient,
 )
-from kornlab.constants import Workspace, maxwell_constant, tensor_pencil
+from kornlab.constants import Workspace, tensor_pencil
 from kornlab.meshes import generate_primitive
 from kornlab.polynomials import PolyField, Poly3
 from kornlab.quadrature import barycentric, tet_rule
 from kornlab.spaces import Field, SpaceError, TensorField, build_space, interpolate
+
+from helpers import constant_tensor_coeffs
 
 
 class AnalyticField:
@@ -185,7 +187,7 @@ def test_tensor_forms_match_rowwise(cube2):
     e0 = build_space(cube2, "Edge0")
     rng = np.random.default_rng(3)
     T = TensorField(e0, rng.standard_normal((3, e0.free_count)))
-    pencil = tensor_pencil(cube2, hodge._operators_for(e0))
+    pencil = tensor_pencil(hodge._operators_for(e0))
     Mt, Kt = pencil.mass, pencil.curlcurl
     M = assemble("mass", e0)
     K = assemble("curlcurl", e0)
@@ -205,7 +207,7 @@ def test_tensor_forms_match_rowwise(cube2):
 
 
 def test_tensor_sym_constant_skew_annihilated(cube2):
-    from kornlab.hodge import SO3_BASIS, constant_tensor_coeffs
+    from kornlab.hodge import SO3_BASIS
 
     e0 = build_space(cube2, "Edge0")
     St = assemble("tensor_sym", e0)
@@ -232,11 +234,6 @@ def test_nonpolynomial_coefficient_warns(cube2):
         assemble("tensor_symF", e0, coeff=F)
 
 
-def _foreign_basis_maxwell(mesh):
-    # a basis built over its own edge operators belongs to another edge space
-    maxwell_constant(mesh, ops=hodge.edge_operators(mesh), harmonics=hodge.harmonic_basis(mesh))
-
-
 @pytest.mark.parametrize("error, name, call", [
     pytest.param(ValueError, "'divdiv'", lambda m: assemble("divdiv", build_space(m, "P1_vector")),
                  id="divdiv"),
@@ -257,8 +254,6 @@ def _foreign_basis_maxwell(mesh):
     pytest.param(SpaceError, "'P0_scalar'", lambda m: build_space(m, "P0_scalar"), id="P0_scalar"),
     pytest.param(SpaceError, "'gamma_n'", lambda m: build_space(m, "Face0", "gamma_n"),
                  id="gamma_n"),
-    pytest.param(ValueError, "harmonic basis of the edge space", _foreign_basis_maxwell,
-                 id="maxwell_foreign_basis"),
 ])
 def test_removed_parts_raise_named_errors(cube2, error, name, call):
     with pytest.raises(error) as info:

@@ -11,6 +11,8 @@ from kornlab.assemble import MatrixCoefficient, assemble, identity_coefficient
 from kornlab.meshes import Mesh, generate_primitive, validate
 from kornlab.spaces import TensorField, build_space
 
+from helpers import constant_tensor_coeffs
+
 SQRT2 = np.sqrt(2.0)
 
 
@@ -226,6 +228,27 @@ def test_maxwell_blocks(cube3_ws):
     assert cg.value == pytest.approx(cube3_ws.constant("c_p").value, rel=1e-14)
 
 
+@pytest.mark.parametrize("kind, n", [("cube_with_tunnel", 1), ("unit_cube", 2)])
+def test_maxwell_constant_takes_a_harmonic_basis_alone(kind, n):
+    # the basis carries the edge operators it was found with, so no ops
+    # argument has to agree with it (tunnel n=1: harmonic dim 1)
+    mesh = generate_primitive(kind, n)
+    basis = hodge.harmonic_basis(mesh)
+    ws = cst.Workspace(mesh)
+    assert basis.dim == ws.harmonics.dim == (kind == "cube_with_tunnel")
+    records = cst.maxwell_constant(mesh, harmonics=basis)
+    assert records == tuple(ws.constant(name) for name in ("c_m", "c_m_grad", "c_m_coexact"))
+
+
+@pytest.mark.parametrize("kind", ["unit_cube", "slab_mixed"])
+def test_korn_irrotational_takes_a_harmonic_basis_alone(kind):
+    mesh = generate_primitive(kind, 2)
+    rec = cst.korn_constant_irrotational(mesh, harmonics=hodge.harmonic_basis(mesh))
+    ref = cst.Workspace(mesh).constant("c_k_irrot")
+    assert rec == ref
+    np.testing.assert_array_equal(rec.vector, ref.vector)
+
+
 def test_maxwell_coexact_converges():
     target = 1.0 / (np.pi * SQRT2)
     m = generate_primitive("unit_cube", 4)
@@ -425,11 +448,10 @@ def test_weighted_korn_variable_coefficient():
     rec = cst.Workspace(mesh).weighted(F).record
     assert np.isfinite(rec.value) and rec.value > 0
     # dense oracle: rebuild the reduced pencil by hand
-    ops = hodge.edge_operators(mesh)
-    harm = hodge.harmonic_basis(mesh, ops)
-    sym_F = assemble("tensor_symF", ops.edge_space, coeff=F)
-    mass = cst.tensor_pencil(mesh, ops).mass
-    W = cst._curlfree_basis(ops, harm)
+    harm = hodge.harmonic_basis(mesh)
+    sym_F = assemble("tensor_symF", harm.space, coeff=F)
+    mass = cst.tensor_pencil(harm.ops).mass
+    W = cst._curlfree_basis(harm)
     import scipy.linalg as sla
 
     A = (W.T @ (sym_F @ W)).toarray()
@@ -521,7 +543,7 @@ def test_slice_skew_constraint_rows():
         for s in np.unique(mesh.slice_ids)
     ]
     J = hodge.SO3_BASIS[0] + 0.5 * hodge.SO3_BASIS[2]
-    x = hodge.constant_tensor_coeffs(space, J).reshape(-1)
+    x = constant_tensor_coeffs(space, J).reshape(-1)
     k = 0
     for j, vol in enumerate(vols):
         for S in hodge.SO3_BASIS:

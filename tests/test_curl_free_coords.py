@@ -17,6 +17,8 @@ from kornlab import hodge
 from kornlab.meshes import Mesh, generate_primitive
 from kornlab.spaces import TensorField
 
+from helpers import constant_tensor_coeffs
+
 MESHES = {
     "slab_mixed": lambda: generate_primitive("slab_mixed", 2),
     "unit_cube_untagged": lambda: generate_primitive("unit_cube", 2).retag(0),
@@ -84,10 +86,10 @@ def test_sliced_c_k_irrot_solves_the_slice_korn_pencils(monkeypatch):
     # the same value as the Edge0^3 pencil of each slice
     edge_path = []
     for sub in subs:
-        ops = hodge.edge_operators(sub)
-        forms = cst.curl_free_forms(ops, hodge.harmonic_basis(sub, ops),
-                                    cst.tensor_pencil(sub, ops))
-        edge_path.append(cst.korn_constant_irrotational(sub, forms=forms).value)
+        harmonics = hodge.harmonic_basis(sub)
+        forms = cst.curl_free_forms(harmonics, cst.tensor_pencil(harmonics.ops))
+        edge_path.append(cst.korn_constant_irrotational(sub, harmonics=harmonics,
+                                                        forms=forms).value)
     assert rec.value == pytest.approx(max(edge_path), rel=1e-13)
 
 
@@ -98,7 +100,7 @@ def test_reduced_forms_match_edge_products(workspaces, label):
     M, Asym = ws.pencil.mass, ws.pencil.sym
     for seed in range(3):
         T = ws.random_tensor(np.random.default_rng(seed))
-        split = hodge.helmholtz_split_tensor(T, ws.harmonics, ws.ops)
+        split = hodge.helmholtz_split_tensor(T, harmonics=ws.harmonics)
         R, S = split.parts()
         r, s, y = R.stacked(), S.stacked(), split.coords
         scale = float(T.stacked() @ (M @ T.stacked()))
@@ -121,7 +123,7 @@ def test_skew_fields_are_the_constant_skews(workspaces, label):
     Y, fields, images = ws.skew_fields
     e0 = ws.pencil.space
     for l, S in enumerate(hodge.SO3_BASIS):
-        const = hodge.constant_tensor_coeffs(e0, S).reshape(-1)
+        const = constant_tensor_coeffs(e0, S).reshape(-1)
         assert np.abs(fields[l] - const).max() <= 1e-13
         assert np.abs(images[l] - ws.pencil.mass @ const).max() <= 1e-13
 
@@ -135,7 +137,7 @@ def test_constant_skew_with_noise_certifies(workspaces, label, noise):
     e0 = ws.pencil.space
     skew = hodge.SO3_BASIS[0] + 0.3 * hodge.SO3_BASIS[2]
     rng = np.random.default_rng(5)
-    rows = hodge.constant_tensor_coeffs(e0, skew)
+    rows = constant_tensor_coeffs(e0, skew)
     rows = rows + noise * rng.standard_normal(rows.shape)
     cert = cst.certify_main_inequality(TensorField(e0, rows), ws)
     assert cert.case == ("sliced" if label == "tunnel" else "simply_connected")

@@ -7,6 +7,8 @@ from kornlab.hodge import SO3_BASIS
 from kornlab.meshes import Mesh, generate_primitive, refine_uniform, validate
 from kornlab.spaces import Field, TensorField, build_space, interpolate
 
+from helpers import constant_tensor_coeffs
+
 
 def betti_oracle(mesh, gamma_all):
     """Independent rank oracle: L = dim ker(curl) - rank(grad)."""
@@ -69,8 +71,8 @@ def test_harmonic_dim_refinement_invariant():
 
 def test_harmonic_field_properties():
     mesh = generate_primitive("cube_with_tunnel", 1)
-    ops = hodge.edge_operators(mesh)
-    basis = hodge.harmonic_basis(mesh, ops)
+    basis = hodge.harmonic_basis(mesh)
+    ops = basis.ops
     f0 = build_space(mesh, "Face0")
     C = assemble("curl_map", ops.edge_space, f0)
     d = basis.fields[0]
@@ -89,12 +91,12 @@ def test_per_slice_harmonic_dim_zero():
 
 def test_split_of_exact_gradient():
     mesh = generate_primitive("slab_mixed", 2)
-    ops = hodge.edge_operators(mesh)
-    basis = hodge.harmonic_basis(mesh, ops)
+    basis = hodge.harmonic_basis(mesh)
+    ops = basis.ops
     rng = np.random.default_rng(0)
     u = rng.standard_normal(ops.p1_space.free_count)
     v = Field(ops.edge_space, ops.grad @ u)
-    split = hodge.helmholtz_split(v, basis, ops)
+    split = hodge.helmholtz_split(v, harmonics=basis)
     nv = np.linalg.norm(v.coeffs)
     assert np.linalg.norm(split.grad_part.coeffs - v.coeffs) <= 1e-10 * nv
     assert np.linalg.norm(split.harmonic_part.coeffs) <= 1e-10 * nv
@@ -113,10 +115,10 @@ def test_split_constant_field_full_dirichlet():
 
 def test_split_reproduces_harmonic_basis():
     mesh = generate_primitive("cube_with_tunnel", 1)
-    ops = hodge.edge_operators(mesh)
-    basis = hodge.harmonic_basis(mesh, ops)
+    basis = hodge.harmonic_basis(mesh)
+    ops = basis.ops
     v = Field(ops.edge_space, basis.fields[0])
-    split = hodge.helmholtz_split(v, basis, ops)
+    split = hodge.helmholtz_split(v, harmonics=basis)
     assert np.linalg.norm(split.grad_part.coeffs) <= 1e-10
     assert np.linalg.norm(split.coexact_part.coeffs) <= 1e-10
     assert np.linalg.norm(split.harmonic_part.coeffs - v.coeffs) <= 1e-10
@@ -124,13 +126,13 @@ def test_split_reproduces_harmonic_basis():
 
 def test_split_properties_random():
     mesh = generate_primitive("cube_with_tunnel", 1)
-    ops = hodge.edge_operators(mesh)
-    basis = hodge.harmonic_basis(mesh, ops)
+    basis = hodge.harmonic_basis(mesh)
+    ops = basis.ops
     M = ops.mass
     rng = np.random.default_rng(8)
     for _ in range(5):
         v = Field(ops.edge_space, rng.standard_normal(ops.edge_space.free_count))
-        split = hodge.helmholtz_split(v, basis, ops)
+        split = hodge.helmholtz_split(v, harmonics=basis)
         g, h, c = (p.coeffs for p in split.parts())
         assert np.abs(g + h + c - v.coeffs).max() <= 1e-12 * np.abs(v.coeffs).max()
         for a, b in ((g, h), (g, c), (h, c)):
@@ -153,11 +155,11 @@ PINNED_SPLIT_RESIDUALS = {
 
 def test_split_residuals_lazy_and_pinned():
     mesh = generate_primitive("cube_with_tunnel", 2)
-    ops = hodge.edge_operators(mesh)
-    basis = hodge.harmonic_basis(mesh, ops)
+    basis = hodge.harmonic_basis(mesh)
+    ops = basis.ops
     assert basis.dim == 1
     v = Field(ops.edge_space, np.random.default_rng(3).standard_normal(ops.edge_space.free_count))
-    split = hodge.helmholtz_split(v, basis, ops)
+    split = hodge.helmholtz_split(v, harmonics=basis)
     assert "residuals" not in vars(split)  # not computed until read
     residuals = split.residuals
     assert residuals.keys() == PINNED_SPLIT_RESIDUALS.keys()
@@ -190,11 +192,11 @@ def test_poisson_solve_on_two_component_mesh():
 
 def test_tensor_split_orthogonality_and_curl():
     mesh = generate_primitive("slab_mixed", 2)
-    ops = hodge.edge_operators(mesh)
-    basis = hodge.harmonic_basis(mesh, ops)
+    basis = hodge.harmonic_basis(mesh)
+    ops = basis.ops
     rng = np.random.default_rng(1)
     T = TensorField(ops.edge_space, rng.standard_normal((3, ops.edge_space.free_count)))
-    split = hodge.helmholtz_split_tensor(T, basis, ops)
+    split = hodge.helmholtz_split_tensor(T, harmonics=basis)
     R, S = split.parts()
     M = ops.mass
     nT = sum(float(r @ (M @ r)) for r in T.rows)
@@ -209,13 +211,13 @@ def test_tensor_split_orthogonality_and_curl():
 
 def test_tensor_split_gradient_rows():
     mesh = generate_primitive("unit_cube", 2)
-    ops = hodge.edge_operators(mesh)
-    basis = hodge.harmonic_basis(mesh, ops)
+    basis = hodge.harmonic_basis(mesh)
+    ops = basis.ops
     rng = np.random.default_rng(2)
     rows = np.stack([ops.grad @ rng.standard_normal(ops.p1_space.free_count)
                      for _ in range(3)])
     T = TensorField(ops.edge_space, rows)
-    split = hodge.helmholtz_split_tensor(T, basis, ops)
+    split = hodge.helmholtz_split_tensor(T, harmonics=basis)
     _, S = split.parts()
     assert np.abs(S.rows).max() <= 1e-10 * np.abs(rows).max()
 
@@ -224,10 +226,10 @@ def test_project_so3_cases():
     mesh = generate_primitive("unit_cube", 2)
     e0 = build_space(mesh, "Edge0")
     J = SO3_BASIS[0]
-    T = TensorField(e0, hodge.constant_tensor_coeffs(e0, J))
+    T = TensorField(e0, constant_tensor_coeffs(e0, J))
     assert np.abs(hodge.project_so3(T) - J).max() <= 1e-13
     sym = np.array([[2.0, 1.0, 0.0], [1.0, 0.0, 0.5], [0.0, 0.5, -1.0]])
-    Ts = TensorField(e0, hodge.constant_tensor_coeffs(e0, sym))
+    Ts = TensorField(e0, constant_tensor_coeffs(e0, sym))
     assert np.abs(hodge.project_so3(Ts)).max() <= 1e-13
 
 
@@ -299,7 +301,7 @@ def test_piecewise_skew():
     e0 = build_space(mesh, "Edge0")
     J = SO3_BASIS[1]
     # constant skew: every slice average is J
-    T = TensorField(e0, hodge.constant_tensor_coeffs(e0, J))
+    T = TensorField(e0, constant_tensor_coeffs(e0, J))
     labels, skews = hodge.piecewise_skew(T)
     assert len(labels) == 2
     for s in skews:
@@ -312,7 +314,7 @@ def test_piecewise_skew():
     # single-slice equality with project_so3
     single = generate_primitive("unit_cube", 2)
     e1 = build_space(single, "Edge0")
-    T2 = TensorField(e1, hodge.constant_tensor_coeffs(e1, J))
+    T2 = TensorField(e1, constant_tensor_coeffs(e1, J))
     labels2, skews2 = hodge.piecewise_skew(T2)
     assert len(labels2) == 1
     assert np.abs(skews2[0] - hodge.project_so3(T2)).max() <= 1e-13

@@ -5,7 +5,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from kornlab import constants as cst
-from kornlab import linalg
+from kornlab import hodge, linalg
 from kornlab.assemble import assemble
 from kornlab.linalg import (
     SolverError,
@@ -167,7 +167,7 @@ def test_saddle_inverse_borders_dense_skew_rows(monkeypatch):
     # the tunnel n=2 c_direct pencil: two slices, three skew-moment rows
     # each, every row dense; all six border the factorized matrix
     mesh = generate_primitive("cube_with_tunnel", 2)
-    pencil = cst.tensor_pencil(mesh)
+    pencil = cst.tensor_pencil(hodge.edge_operators(mesh))
     A, B = (pencil.sym + pencil.curlcurl).tocsr(), pencil.mass
     n = A.shape[0]
     assert n >= linalg.DENSE_CROSSOVER

@@ -16,6 +16,8 @@ from kornlab.meshes import generate_primitive
 from kornlab.quadrature import barycentric, tet_rule
 from kornlab.spaces import TensorField, build_space
 
+from helpers import constant_tensor_coeffs
+
 
 def dense_tensor_forms(mesh, space):
     """Mass, sym and curl-curl forms over stacked edge tensors, assembled
@@ -63,7 +65,7 @@ def slab1():
 
 
 def test_dense_forms_match_assembled(slab1):
-    pencil = cst.tensor_pencil(slab1)
+    pencil = cst.tensor_pencil(hodge.edge_operators(slab1))
     M0, S0, K0 = dense_tensor_forms(slab1, pencil.space)
     M, S, K = (form.toarray() for form in (pencil.mass, pencil.sym, pencil.curlcurl))
     assert np.abs(M - M0).max() <= 1e-13
@@ -93,7 +95,7 @@ def test_direct_constant_dense_oracle_no_tags():
     M0, S0, K0 = dense_tensor_forms(mesh, space)
     D = np.column_stack(
         [
-            hodge.constant_tensor_coeffs(space, S).reshape(-1)
+            constant_tensor_coeffs(space, S).reshape(-1)
             for S in hodge.SO3_BASIS
         ]
     )
@@ -127,7 +129,7 @@ def _shifted_norm(X, skews):
     """|X - skews[j] on slice j| from evaluate_norms and the cell averages;
     on one slice the constant skew is an Edge0 tensor, subtracted as one."""
     if len(skews) == 1:
-        shift = hodge.constant_tensor_coeffs(X.space, skews[0])
+        shift = constant_tensor_coeffs(X.space, skews[0])
         return np.sqrt(evaluate_norms(TensorField(X.space, X.rows - shift), ["L2"])["L2"])
     means, vols = _cell_centroid_slice_means(X)
     sq = (evaluate_norms(X, ["L2"])["L2"]
@@ -156,7 +158,7 @@ def _check_links_against_norm_oracle(ws):
     for _ in range(5):
         T = ws.random_tensor(rng)
         cert = cst.certify_main_inequality(T, ws)
-        split = hodge.helmholtz_split_tensor(T, ws.harmonics, ws.ops)
+        split = hodge.helmholtz_split_tensor(T, harmonics=ws.harmonics)
         R, S = split.parts()
         nS = np.sqrt(evaluate_norms(S, ["L2"])["L2"])
         sym_T = np.sqrt(evaluate_norms(T, ["sym"])["sym"])

@@ -98,6 +98,34 @@ def test_seeded_direct_unit_cube_n8_needs_one_factorization(monkeypatch):
     assert rec.value == pytest.approx(1.410272155021159, rel=1e-10)
 
 
+@pytest.mark.parametrize("kind, n, tag", [("unit_cube", 2, None)]
+                         + [case[:3] for case in SEEDED.values()], ids=["unit_cube2", *SEEDED])
+def test_seeded_direct_needs_no_kernel_count(kind, n, tag, monkeypatch):
+    # lambda >= 2 sigma > 0 already rules out a kernel: the seeded solve is
+    # one eig_smallest call for one pair, the unseeded one counts the kernel
+    mesh = _mesh(kind, n, tag)
+    ws = _chain_workspace(mesh)
+    calls = []
+    count_kernel, eig_smallest = linalg.count_kernel, linalg.eig_smallest
+
+    def spy_count(*args, **kwargs):
+        calls.append("count_kernel")
+        return count_kernel(*args, **kwargs)
+
+    def spy_eig(A, B, k=1, **kwargs):
+        calls.append(("eig_smallest", k))
+        return eig_smallest(A, B, k, **kwargs)
+
+    monkeypatch.setattr(linalg, "count_kernel", spy_count)
+    monkeypatch.setattr(linalg, "eig_smallest", spy_eig)
+    rec = ws.constant("c_direct")
+    assert calls == [("eig_smallest", 1)]
+    calls.clear()
+    alone = cst.direct_main_constant(mesh, pencil=ws.pencil)
+    assert calls == ["count_kernel", ("eig_smallest", 1)]
+    assert alone.value == pytest.approx(rec.value, rel=1e-10)
+
+
 def test_start_vector_without_the_smallest_pair_still_finds_it():
     # W y made B-orthogonal to the lambda_1 eigenvector: alone it starts a
     # Krylov space that holds lambda_2 = 0.5081 (above the curl-free bound),
@@ -111,7 +139,7 @@ def test_start_vector_without_the_smallest_pair_still_finds_it():
     wy = seed["v0"]
     perp = wy - (x1 @ (B @ wy)) * x1
     assert abs(x1 @ (B @ perp)) < 1e-12 * np.sqrt(perp @ (B @ perp))
-    rec = cst.direct_main_constant(ws.mesh, ws.tol, ws.ops, ws.pencil,
+    rec = cst.direct_main_constant(ws.mesh, ws.tol, pencil=ws.pencil,
                                    bracket=seed["bracket"], v0=perp)
     assert rec.value == pytest.approx(SEEDED["unit_cube6"][3], rel=1e-10)
 

@@ -159,8 +159,8 @@ def test_workspace_coexact_pair_matches_forced_dense_deflated_solve(
     coexact = ws.constant("c_m_coexact")
 
     monkeypatch.setattr(linalg, "DENSE_CROSSOVER", FORCED_DENSE)
-    ops = hodge.edge_operators(mesh)
-    basis = hodge.harmonic_basis(mesh, ops)
+    basis = hodge.harmonic_basis(mesh)
+    ops = basis.ops
     assert basis.dim == harmonic_dim
     deflation = sp.hstack([ops.pinned_grad, sp.csc_matrix(basis.fields.T)], format="csc")
     dense = linalg.eig_smallest(ops.curlcurl, ops.mass, k=1, deflation=deflation)
