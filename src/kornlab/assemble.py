@@ -18,14 +18,16 @@ once per table pair and cached on the mesh like its geometry (keyed by
 family, constraint and folding): the canonical CSR structure, the place
 in it of every local entry, and for equal tables the permutation that
 transposes the data.  A form is then one np.bincount of its local
-matrices into that data array; a form of a space with itself averages
-the data with its transpose, so it is symmetric to the bit.  The
-component families share the scalar table: P1_vector is three P1
-components and the edge-tensor forms three Edge0 rows, so block (m, n)
-of such a form is summed into the scalar pattern and the CSR of the
-block matrix follows by index arithmetic, row (m, i) being row i of the
-blocks (m, 0), (m, 1), (m, 2) side by side.  Entries that cancel to
-exactly zero, as on the structured meshes, are dropped from the result.
+matrices into that data array (the strain forms, whose local matrices
+are nine times larger, are summed in cell chunks: _strain); a form of a
+space with itself averages the data with its transpose, so it is
+symmetric to the bit.  The component families share the scalar table:
+P1_vector is three P1 components and the edge-tensor forms three Edge0
+rows, so block (m, n) of such a form is summed into the scalar pattern
+and the CSR of the block matrix follows by index arithmetic, row (m, i)
+being row i of the blocks (m, 0), (m, 1), (m, 2) side by side.  Entries
+that cancel to exactly zero, as on the structured meshes, are dropped
+from the result.
 
 The Whitney bases are affine per cell, so each form is a polynomial of
 known degree and is integrated by the lowest rule exact for it.  The mass
@@ -202,7 +204,8 @@ class _Pattern:
     pos[e] is the place in the data array of local entry e of the (T,kr,kc)
     local matrices in C order; entries of eliminated dofs go to the spare
     slot nnz.  tperm (equal tables only) maps the data to that of the
-    transpose; it is an involution.
+    transpose; it is an involution.  indptr, indices, pos and tperm are
+    int32 when every index they hold fits, as in _block_csr.
     """
 
     shape: tuple
@@ -217,25 +220,35 @@ class _Pattern:
         return np.bincount(self.pos, weights=loc.ravel(), minlength=nnz + 1)[:nnz]
 
 
+def _index_type(*bounds):
+    """int32 when every bound (one past the largest index) fits, else int64."""
+    return np.int32 if max(bounds) < 2**31 else np.int64
+
+
 def _build_pattern(rows, cols, shape, symmetric):
     nr, nc = shape
+    spare = nr * nc  # sorts after every kept entry
+    key_type = _index_type(spare + 1)
+    rows, cols = rows.astype(key_type), cols.astype(key_type)
     rows = np.broadcast_to(rows[:, :, None], (len(rows), rows.shape[1], cols.shape[1]))
     cols = np.broadcast_to(cols[:, None, :], rows.shape)
-    key = (rows * nc + cols).ravel()
-    spare = nr * nc  # sorts after every kept entry
+    key = (rows * key_type(nc) + cols).ravel()
     key[((rows < 0) | (cols < 0)).ravel()] = spare
     order = np.argsort(key)
     key = key[order]
     first = np.ones(len(key), dtype=bool)
     first[1:] = key[1:] != key[:-1]
-    pos = np.empty(len(key), dtype=np.intp)
-    pos[order] = np.cumsum(first) - 1
-    key = key[first]
-    key = key[key < spare]
-    r, c = np.divmod(key, nc)
-    indptr = np.zeros(nr + 1, dtype=np.int64)
+    nnz = int(np.count_nonzero(first)) - bool(len(key) and key[-1] == spare)
+    idx = _index_type(nnz + 1, nc)
+    pos = np.empty(len(key), dtype=idx)
+    pos[order] = np.cumsum(first, dtype=idx) - 1
+    del order
+    key = key[first][:nnz]
+    r, c = np.divmod(key, key_type(nc))
+    indptr = np.zeros(nr + 1, dtype=idx)
     np.cumsum(np.bincount(r, minlength=nr), out=indptr[1:])
-    return _Pattern(shape, indptr, c, pos, np.argsort(c * nr + r) if symmetric else None)
+    tperm = np.argsort(c * key_type(nr) + r).astype(idx) if symmetric else None
+    return _Pattern(shape, indptr, c.astype(idx), pos, tperm)
 
 
 def _pattern(test, trial):
@@ -249,34 +262,28 @@ def _pattern(test, trial):
 
 
 def _scatter(loc, test, trial, ncomp=1):
-    """CSR matrix of the local matrices loc over the dof tables of test (rows)
-    and trial (columns), symmetrized when trial is test.
-
-    loc is (T,kr,kc), repeated on the diagonal of an ncomp x ncomp block
-    matrix, or (ncomp,ncomp,T,kr,kc), block (m, n) at loc[m, n]; rows and
-    columns are component-major (dof m * scalar count + i).
-    """
+    """CSR matrix of the local matrices loc (T,kr,kc) over the dof tables of
+    test (rows) and trial (columns), symmetrized when trial is test, on the
+    diagonal of an ncomp x ncomp block matrix whose rows and columns are
+    component-major (dof m * scalar count + i)."""
     pat = _pattern(test, trial)
-    if loc.ndim == 3:
-        blocks = dict.fromkeys(((m, m) for m in range(ncomp)), pat.data(loc))
-    else:
-        ncomp = len(loc)
-        blocks = {(m, n): pat.data(loc[m, n]) for m in range(ncomp) for n in range(ncomp)}
-    if trial is test:  # block (m, n) of the transpose is block (n, m) transposed
-        blocks = {(m, n): 0.5 * (d + blocks[n, m][pat.tperm]) for (m, n), d in blocks.items()}
-    return _block_csr(pat, blocks, ncomp)
+    d = pat.data(loc)
+    if trial is test:  # the transpose's data is d[tperm]
+        d = 0.5 * (d + d[pat.tperm])
+    return _block_csr(pat, dict.fromkeys(((m, m) for m in range(ncomp)), d), ncomp)
 
 
 def _block_csr(pat, blocks, ncomp):
     """CSR of the block matrix whose block (m, n) has data blocks[m, n] in
     pat (absent blocks are zero): row (m, i) is row i of blocks (m, n),
     n ascending, side by side."""
-    (nr, nc), p = pat.shape, pat.indptr
+    (nr, nc), p = pat.shape, pat.indptr.astype(np.int64)
     nnz = len(pat.indices)
     row_of = np.repeat(np.arange(nr), np.diff(p))  # row of each scalar entry
     row_start, row_len = p[row_of], np.diff(p)[row_of]
+    del row_of
     total = nnz * len(blocks)
-    idx = np.int32 if max(total, ncomp * nc) < 2**31 else np.int64
+    idx = _index_type(total, ncomp * nc)
     data, indices = np.empty(total), np.empty(total, dtype=idx)
     indptr = np.zeros(ncomp * nr + 1, dtype=idx)
     start = 0
@@ -285,7 +292,7 @@ def _block_csr(pat, blocks, ncomp):
         at = start + (len(ns) - 1) * row_start + np.arange(nnz)  # the entries of block ns[0]
         for n in ns:
             data[at] = blocks[m, n]
-            indices[at] = pat.indices + n * nc
+            indices[at] = pat.indices + idx(n * nc)
             at += row_len
         indptr[1 + m * nr:1 + (m + 1) * nr] = start + len(ns) * p[1:]
         start += len(ns) * nnz
@@ -399,10 +406,21 @@ def _strain_local(s):
     return out
 
 
+# cells whose strain kernel is computed and scattered at once: the (3,3,T,nb,nb)
+# local array of a whole mesh is never formed
+_STRAIN_CHUNK = 256
+
+
 def _strain(form, trial, test, geom, coeff, quad_order):
     """<sym(X F), sym(Y F)> for X, Y the gradients of P1_vector fields or
     Edge0 tensors, the dofs of tensor row m offset by m * free_count; F is
-    coeff for tensor_symF and the identity otherwise."""
+    coeff for tensor_symF and the identity otherwise.
+
+    The kernel is computed and scattered _STRAIN_CHUNK cells at a time,
+    scaling (or multiplying by F) each chunk of basis values first; np.add.at
+    sums the entries in the order of one bincount over every cell, so the
+    chunking leaves the result unchanged to the bit.
+    """
     tensor = form.startswith("tensor")
     if tensor and trial.family != "Edge0":
         raise ValueError("tensor forms need an Edge0 space")
@@ -413,20 +431,31 @@ def _strain(form, trial, test, geom, coeff, quad_order):
     # the rule weights are positive, so the kernel's factor is the basis
     # scaled by sqrt(w_q 6|t| / 2)
     scale = np.sqrt(3.0 * geom.vols[:, None] * wts)[..., None, None]
-    if coeff is not None:  # F first: with F^T h formed in place, F and h are the peak
+    F = None
+    if coeff is not None:  # F first: F and the basis values are the peak
         x = _cell_points(trial.mesh, pts)
         F = coeff(x.reshape(-1, 3)).reshape(*x.shape, 3) * scale
         del x
     h = geom.edge_values(lam) if tensor else np.repeat(geom.grads[:, None], len(wts), 1)
-    if coeff is None:
-        h *= scale
-    else:
-        for c in range(0, len(h), 256):  # F^T h in place, 256 cells at a time
-            h[c:c + 256] = h[c:c + 256] @ F[c:c + 256]
-        del F
-    loc = _strain_local(h)
-    del h  # the largest array here with a coefficient's rule
-    return _scatter(loc, test, trial)
+    pat = _pattern(test, trial)
+    nb = h.shape[2]
+    acc = np.zeros((3, 3, len(pat.indices) + 1))  # the spare slot takes eliminated dofs
+    for c in range(0, len(h), _STRAIN_CHUNK):
+        cells = slice(c, c + _STRAIN_CHUNK)
+        hs = h[cells] * scale[cells] if F is None else h[cells] @ F[cells]
+        loc = _strain_local(hs)
+        pos = pat.pos[c * nb * nb:(c + len(hs)) * nb * nb]
+        for m in range(3):
+            for n in range(3):
+                np.add.at(acc[m, n], pos, loc[m, n].ravel())
+    del h, F
+    blocks = acc[:, :, :-1]
+    if trial is test:  # block (m, n) of the transpose is block (n, m) transposed
+        for m in range(3):
+            for n in range(m, 3):
+                d = 0.5 * (blocks[m, n] + blocks[n, m][pat.tperm])
+                blocks[m, n], blocks[n, m] = d, d[pat.tperm]
+    return _block_csr(pat, {(m, n): blocks[m, n] for m in range(3) for n in range(3)}, 3)
 
 
 # --------------------------------------------------------------------------

@@ -184,29 +184,66 @@ def _curlfree_basis(harmonics):
     return blocks
 
 
+class _HalfForm:
+    """x^T A x of a symmetric sparse A from its strict upper triangle and
+    its diagonal: the terms of the full product, half of its nonzeros."""
+
+    def __init__(self, A):
+        self.upper = sp.triu(A, k=1, format="csr")
+        self.diag = A.diagonal()
+
+    def norm(self, x):
+        return float(np.sqrt(max(2.0 * (x @ (self.upper @ x)) + x @ (self.diag * x), 0.0)))
+
+    def full(self):
+        """A itself, rebuilt: equal to the matrix that was halved, entry for entry."""
+        return (self.upper + self.upper.T + sp.diags(self.diag)).tocsr()
+
+
+def _row_blocked(form):
+    """form on each of the three tensor rows: its block diagonal, three copies."""
+    return sp.block_diag([form] * 3, format="csr")
+
+
 @dataclass
 class TensorPencil:
-    space: object
-    mass: sp.csr_matrix
-    sym: sp.csr_matrix
-    curlcurl: sp.csr_matrix
+    """The mass, strain and curl-curl forms on Edge0^3 of one edge space.
+
+    Holds the edge operators ops and the strain form, the one form that
+    couples the rows, once: as its upper half and diagonal (strain, the
+    _HalfForm certification reads |sym T| through).  mass, curlcurl and sym
+    build the row-blocked Edge0^3 matrices on each read, for a solve that
+    forms its pencil from them and drops them afterwards; none is kept.
+    """
+
+    ops: object
+    strain: _HalfForm
+
+    @property
+    def space(self):
+        return self.ops.edge_space
+
+    @property
+    def mass(self):
+        return _row_blocked(self.ops.mass)
+
+    @property
+    def curlcurl(self):
+        return _row_blocked(self.ops.curlcurl)
+
+    @property
+    def sym(self):
+        return self.strain.full()
 
 
 def tensor_pencil(ops):
-    """Row-blocked mass, strain and curl-curl forms on Edge0^3.
-
-    The mass and curl-curl blocks reuse the edge matrices of ops; only the
-    strain form couples the rows and is assembled here.  Every integrand
-    is a polynomial of degree at most 2, integrated exactly by the rule of
-    that degree.
+    """The TensorPencil of the edge operators ops: the strain form
+    tensor_sym on their edge space, assembled here and kept as its upper
+    half; the mass and curl-curl blocks are the edge matrices of ops.
+    Every integrand is a polynomial of degree at most 2, integrated exactly
+    by the rule of that degree.
     """
-    e0 = ops.edge_space
-    return TensorPencil(
-        e0,
-        sp.block_diag([ops.mass] * 3, format="csr"),
-        assemble("tensor_sym", e0),
-        sp.block_diag([ops.curlcurl] * 3, format="csr"),
-    )
+    return TensorPencil(ops, _HalfForm(assemble("tensor_sym", ops.edge_space)))
 
 
 # the curl-free basis W of _curlfree_basis, the reduced strain and mass forms
@@ -220,7 +257,11 @@ def _reduce(W, form):
 
 
 def curl_free_forms(harmonics, pencil):
-    """CurlFreeForms of the curl-free tensors, with the strain form of pencil."""
+    """CurlFreeForms of the curl-free tensors, with the strain form of pencil.
+
+    The row-blocked mass and the full strain form are built for the
+    reductions and dropped once those are formed.
+    """
     W = _curlfree_basis(harmonics)
     MW = pencil.mass @ W
     return CurlFreeForms(W, _reduce(W, pencil.sym), (W.T @ MW).tocsr(), MW.tocsr())
@@ -359,8 +400,8 @@ def direct_main_constant(mesh, tol=DEFAULT_EIG_TOL, *, pencil=None, deflate=True
                          bracket=None, v0=None):
     """Optimal constant in |T| <= c (|sym T|^2 + |Curl T|^2)^(1/2).
 
-    Full tensor pencil over the constrained edge tensors.  Without a
-    tag-1 part the per-slice skew moments are removed by the rows of
+    Full tensor pencil over the constrained edge tensors, A = Sym + CC and
+    B = M formed from pencil for this solve only.  Without a tag-1 part the per-slice skew moments are removed by the rows of
     _slice_skew_constraints (on one slice: the constant skews);
     deflate=False surfaces the kernel as an error instead.
 
@@ -504,11 +545,13 @@ class Workspace:
     Built once and handed down to every constant that needs them: the edge
     operators (mass, curl-curl, gradient incidence, the scalar space of c_p
     and the cached Poisson factorization), held by the harmonic basis that
-    c_m, c_k_irrot and the splits read them from, and the tensor pencil
-    (its mass and curl-curl blocks reuse the edge matrices; the strain
-    form is assembled once, for c_k_irrot and c_direct).  On first use it
-    also builds the curl-free basis W with the reduced forms
-    W^T Sym W and W^T M W (curl_free): the one-slice c_k_irrot pencil,
+    c_m, c_k_irrot and the splits read them from, and the tensor pencil:
+    the strain form, assembled once for c_k_irrot, c_direct and
+    certification, kept as its upper half.  It keeps no Edge0^3 matrix:
+    the row-blocked mass and curl-curl and the full strain form are built
+    by the solves that read them (c_direct, curl_free) and dropped there.
+    On first use it also builds the curl-free basis W with the reduced
+    forms W^T Sym W and W^T M W (curl_free): the one-slice c_k_irrot pencil,
     from which certification reads |R| and |sym R| in the coordinates y
     of R = W y; without a tag-1 part, the constant skews in those
     coordinates (skew_fields); and what only certification reads: the
@@ -610,20 +653,20 @@ class Workspace:
         """The Face0 space of curl_incidence and face_mass."""
         return build_space(self.mesh, "Face0")
 
-    @cached_property
+    @property
     def strain_form(self):
-        """The pencil's strain form as a _HalfForm, for |sym T| per sample."""
-        return _HalfForm(self.pencil.sym)
+        """The pencil's strain form, the _HalfForm it keeps, for |sym T| per sample."""
+        return self.pencil.strain
 
     @cached_property
     def row_curl(self):
         """The curl incidence of Edge0^3, row-blocked: one product per sample."""
-        return sp.block_diag([self.curl_incidence] * 3, format="csr")
+        return _row_blocked(self.curl_incidence)
 
     @cached_property
     def row_face_form(self):
         """The row-blocked Face0 mass as a _HalfForm, for |Curl T| per sample."""
-        return _HalfForm(sp.block_diag([self.face_mass] * 3, format="csr"))
+        return _HalfForm(_row_blocked(self.face_mass))
 
     @cached_property
     def curl_free_curl(self):
@@ -695,18 +738,6 @@ def _piecewise_shifted_norm(norm, means, volumes, skews):
 
 def _mnorm(vec, mat):
     return float(np.sqrt(max(vec @ (mat @ vec), 0.0)))
-
-
-class _HalfForm:
-    """x^T A x of a symmetric sparse A from its strict upper triangle and
-    its diagonal: the terms of the full product, half of its nonzeros."""
-
-    def __init__(self, A):
-        self.upper = sp.triu(A, k=1, format="csr")
-        self.diag = A.diagonal()
-
-    def norm(self, x):
-        return float(np.sqrt(max(2.0 * (x @ (self.upper @ x)) + x @ (self.diag * x), 0.0)))
 
 
 def _image_norm(rows, images):

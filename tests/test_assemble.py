@@ -543,3 +543,76 @@ def test_weighted_strain_form_peak_memory():
         tracemalloc.stop()
     assert basis_bytes == pytest.approx(28.3e6, rel=1e-2)
     assert peak < 2 * basis_bytes
+
+
+def test_strain_form_peak_memory():
+    # tunnel n=4: the (3,3,T,6,6) local array of the whole mesh is 7.96 MB;
+    # formed at once, it and its transposed copy raised the peak to 22.4 MB
+    # (2.8 times it); scattered 256 cells at a time, the peak is 15.3 MB:
+    # the summed block data and the matrix being built
+    mesh = generate_primitive("cube_with_tunnel", 4)
+    e0 = build_space(mesh, "Edge0", "gamma_t")
+    asm.geometry(mesh)
+    asm._pattern(e0, e0)
+    loc_bytes = 9 * mesh.num_tets * 6 * 6 * 8
+    tracemalloc.start()
+    try:
+        assemble("tensor_sym", e0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert loc_bytes == pytest.approx(7.96e6, rel=1e-2)
+    assert peak < 2.25 * loc_bytes
+
+
+def test_workspace_keeps_no_edge_tensor_matrix():
+    # what a tunnel n=4 Workspace holds after c_m and c_k_irrot: 16.4 MB
+    # when it kept the full strain form beside its upper half and the
+    # row-blocked mass and curl-curl (9.8 MB of Edge0^3 matrices), 7.6 MB
+    # with the upper half alone
+    mesh = generate_primitive("cube_with_tunnel", 4)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        ws = Workspace(mesh)
+        ws.constant("c_m")
+        ws.constant("c_k_irrot")
+        gc.collect()
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert kept < 10e6
+
+
+@pytest.mark.parametrize("mesh_name", sorted(_PARITY_MESHES))
+def test_tensor_pencil_forms_built_on_demand_match(mesh_name):
+    # the pencil keeps the strain form as its upper half; the full form and
+    # the row-blocked mass and curl-curl it builds on each read are the
+    # assembled strain form and the block diagonals of the edge matrices,
+    # entry for entry
+    mesh = _PARITY_MESHES[mesh_name]()
+    ws = Workspace(mesh)
+    assert ws.strain_form is ws.pencil.strain
+    for pencil in (ws.pencil, tensor_pencil(hodge._operators_for(build_space(mesh, "Edge0")))):
+        ops, e0 = pencil.ops, pencil.space
+        pairs = [(pencil.sym, assemble("tensor_sym", e0)),
+                 (pencil.mass, sp.block_diag([ops.mass] * 3)),
+                 (pencil.curlcurl, sp.block_diag([ops.curlcurl] * 3))]
+        for built, ref in pairs:
+            assert built.shape == ref.shape and (built != ref).nnz == 0
+    for pat in mesh.__dict__["_patterns"].values():
+        assert {a.dtype for a in (pat.indptr, pat.indices, pat.pos)} == {np.dtype(np.int32)}
+
+
+def test_pattern_index_types_follow_their_bounds():
+    # a column count with nr * nc >= 2^31 takes int64 sort keys; the pattern
+    # itself stays int32 while its entries fit, and is the same pattern
+    rng = np.random.default_rng(2)
+    table = rng.integers(-1, 30, size=(20, 4))
+    small = asm._build_pattern(table, table, (30, 30), True)
+    wide = asm._build_pattern(table, table, (30, 2**27), True)
+    for name in ("indptr", "indices", "pos", "tperm"):
+        a, b = getattr(small, name), getattr(wide, name)
+        assert a.dtype == b.dtype == np.int32 and np.array_equal(a, b), name
+    assert asm._index_type(2**31 - 1) is np.int32 and asm._index_type(2**31) is np.int64
+
