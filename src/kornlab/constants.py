@@ -45,8 +45,8 @@ class ConstantRecord:
     residual: float = None
     dim: int = None
     note: str = None
-    # the eigenvector where a later solve starts from it (c_k_irrot on one
-    # slice: the lifted pair W y on Edge0^3); not reported
+    # the eigenvector of the pencil, not reported; c_k_irrot off several
+    # slices lifts it to Edge0^3 (W y), where c_direct starts from it
     vector: np.ndarray = field(default=None, repr=False, compare=False)
 
     def as_dict(self):
@@ -74,7 +74,7 @@ def _record(name, eig, B, dim, tol, note=None):
             f"{name}: relative eigenpair residual {rel:.3e} at lambda = {lam:.6e} "
             f"exceeds {RESIDUAL_FACTOR:.0e} * max(tol, 1e-12)"
         )
-    return ConstantRecord(name, 1.0 / np.sqrt(lam), lam, res, dim, note)
+    return ConstantRecord(name, 1.0 / np.sqrt(lam), lam, res, dim, note, x)
 
 
 def _empty(name):
@@ -267,10 +267,6 @@ def curl_free_forms(harmonics, pencil):
     return CurlFreeForms(W, _reduce(W, pencil.sym), (W.T @ MW).tocsr(), MW.tocsr())
 
 
-_HANDLES_NEED_SLICES = ("a domain with harmonic fields needs at least two slices when "
-                        "the tag-1 part is empty")
-
-
 def _slice_betti1(sub):
     """First Betti number of a slice submesh (its boundary all tag 0).
 
@@ -281,64 +277,64 @@ def _slice_betti1(sub):
     return meshes.boundary_components(sub, meshes.GAMMA_N)[1] - chi
 
 
-def korn_constant_irrotational(mesh, tol=DEFAULT_EIG_TOL, *, harmonics=None,
-                               name="c_k_irrot", forms=None):
+def curl_free_constant(name, forms, tol=DEFAULT_EIG_TOL):
+    """The Edge0^3 curl-free pencil (W^T Sym W, W^T M W) of forms, a
+    CurlFreeForms with a tag-1 part (no kernel to quotient); the record
+    carries the pair lifted to Edge0^3, W y, as its vector.
+    """
+    W = forms.basis
+    if W.shape[1] == 0:
+        return _empty(name)
+    eig = linalg.eig_smallest(forms.sym, forms.mass, k=1, tol=tol)
+    return replace(_record(name, eig, forms.mass, W.shape[1], tol), vector=W @ eig.vectors[:, 0])
+
+
+def korn_constant_irrotational(mesh, tol=DEFAULT_EIG_TOL, *, harmonics=None, forms=None):
     """|T| <= c |sym T| over the curl-free constrained tensor fields.
 
-    With a tag-1 part the pencil runs on the full curl-free subspace.
-    Without one, a single slice takes the fields orthogonal to the
-    constant skews: the skew-moment rows of _slice_skew_constraints,
-    carried to the reduced coordinates by the curl-free basis.  Several
-    slices take the maximum of the slice-local constants, matching the way
-    the piecewise bound is assembled.  Each slice must be simply connected,
-    and this is checked: b1 = boundary components - chi.  A slice then has
-    no harmonic fields and a free boundary, so its curl-free tensors are
-    the gradients of its P1 vectors and the skew-moment rows deflate the
-    rotations: its pencil is korn_constant_standard of the slice, whose
-    dim counts the vertex-0 potentials, 3 (n_v - 1) per slice; a slice
-    whose strain form annihilates more than the rigid motions raises
-    KernelError naming it.  forms, when given, is curl_free_forms(harmonics,
-    tensor_pencil(harmonics.ops)) built already, or those forms with
-    another strain form (the weighted c_k_F).  On one slice the record
-    carries the pair lifted to Edge0^3, W y, as its vector.
-    Without harmonic fields, unless sliced, this is the c_k_s and c_k_t
-    pencil with its dofs reordered, and Workspace reads those two off this
-    record.
+    Where those are the gradients of the admissible P1 vectors, this is
+    korn_constant_standard: with a tag-1 part and no harmonic fields
+    (harmonics, the mesh's basis, is computed when not given), and without
+    one on each slice, a one-slice mesh being its own slice; the maximum
+    over the slices matches the piecewise bound.  A slice must be simply
+    connected (b1 = boundary components - chi, checked), so with its free
+    boundary its pencil deflates the rotations; dim counts the potentials
+    pinned at vertex 0, 3 (n_v - 1) per slice, and a strain kernel beyond
+    the rigid motions raises KernelError naming the slice.  A tag-1 part
+    with harmonic fields takes curl_free_constant on forms (curl_free_forms
+    of harmonics when not given).  Off several slices the vector is the
+    pair lifted to Edge0^3, W y: a Korn pair's kept P1 dofs are y.
     """
-    labels = mesh.slice_labels
-    if not mesh.has_gamma_t and len(labels) > 1:
-        subs = [mesh.submesh(mesh.slice_ids == s) for s in labels]
+    if mesh.has_gamma_t:
+        harmonics = harmonics or hodge.harmonic_basis(mesh)
+        if harmonics.dim:
+            forms = forms or curl_free_forms(harmonics, tensor_pencil(harmonics.ops))
+            return curl_free_constant("c_k_irrot", forms, tol)
+        rec = korn_constant_standard(mesh, tol)  # nothing deflated, no note
+    else:
+        labels = mesh.slice_labels
+        subs = [mesh] if len(labels) == 1 else [mesh.submesh(mesh.slice_ids == s) for s in labels]
         recs = []
         for s, sub in zip(labels, subs):
             b1 = _slice_betti1(sub)
             if b1:
-                raise ValueError(f"slice {s} is not simply connected (b1 = {b1}): "
-                                 + _HANDLES_NEED_SLICES)
+                raise ValueError(f"slice {s} is not simply connected (b1 = {b1}): a domain "
+                                 "with harmonic fields needs at least two slices when the "
+                                 "tag-1 part is empty")
             try:
                 recs.append(korn_constant_standard(sub, tol))
             except KernelError as exc:
                 raise KernelError(f"slice {s}: {exc}") from None
-        best = max(recs, key=lambda r: r.value)
-        return ConstantRecord(
-            name, best.value, best.eigenvalue, best.residual,
-            sum(3 * (sub.num_vertices - 1) for sub in subs),
-            f"max over {len(labels)} slice pencils",
-        )
-
-    harmonics = harmonics or hodge.harmonic_basis(mesh)
-    if not mesh.has_gamma_t and harmonics.dim > 0:
-        raise ValueError(_HANDLES_NEED_SLICES)
-    forms = forms or curl_free_forms(harmonics, tensor_pencil(harmonics.ops))
-    W = forms.basis
-    if W.shape[1] == 0:
-        return _empty(name)
-    constraints = note = None
-    if not mesh.has_gamma_t:
-        constraints = _slice_skew_constraints(harmonics.space) @ W
-        note = "deflated: constant skew tensors"
-    eig = linalg.eig_smallest(forms.sym, forms.mass, k=1, constraints=constraints, tol=tol)
-    rec = _record(name, eig, forms.mass, W.shape[1], tol, note)
-    rec.vector = W @ eig.vectors[:, 0]
+        dim = sum(3 * (sub.num_vertices - 1) for sub in subs)
+        if len(subs) > 1:
+            best = max(recs, key=lambda r: r.value)
+            return ConstantRecord("c_k_irrot", best.value, best.eigenvalue, best.residual, dim,
+                                  f"max over {len(labels)} slice pencils")
+        rec = replace(recs[0], dim=dim, note="deflated: constant skew tensors")
+    rec = replace(rec, name="c_k_irrot")
+    if rec.vector is not None:  # each row the gradient of one component
+        grad = (harmonics.ops if harmonics else hodge.edge_operators(mesh)).pinned_grad
+        rec.vector = (grad @ rec.vector.reshape(3, -1).T).T.reshape(-1)
     return rec
 
 
@@ -388,8 +384,10 @@ def _slice_skew_constraints(space):
     annihilate are the ones L2-orthogonal to the constant skews on every
     slice.  On one slice they are the rows (M d)^T of the constant skew
     tensors d, so they also stand for a B-orthogonal deflation of them.
-    Row (j, l) holds S^l[m] @ Q_j in block m, Q_j the three rows of slice j
-    in hodge.slice_moments, the matrix certification averages with.
+    c_direct is their one user; c_k_irrot deflates the rotations of each
+    slice's P1 pencil.  Row (j, l) holds S^l[m] @ Q_j in block m, Q_j the
+    three rows of slice j in hodge.slice_moments, the matrix certification
+    averages with.
     """
     labels, Q, _ = hodge.slice_moments(space)
     Q = Q.reshape(len(labels), 3, space.free_count)
@@ -410,12 +408,13 @@ def direct_main_constant(mesh, tol=DEFAULT_EIG_TOL, *, pencil=None, deflate=True
     by the main estimate, upper = 1/c_k_irrot^2 on one slice (None
     otherwise), since curl-free fields are admissible.  The solve then
     takes one shift-invert pass (linalg.seeded) at sigma = (1 -
-    BRACKET_MARGIN) lower / 2, started from v0 (the curl-free pair W y, or
-    None for a random vector).  It returns the eigenvalue lambda nearest
-    sigma.  When lambda >= 2 sigma, every eigenvalue mu in [0, lambda)
-    would lie nearer (sigma - mu <= sigma <= lambda - sigma), so lambda is
-    the smallest one (so no kernel count runs) and the estimate holds: the
-    result certifies itself and assumes nothing.  lambda < 2 sigma violates
+    BRACKET_MARGIN) lower / 2, started from v0 (the c_k_irrot pair lifted
+    to Edge0^3, W y, or None for a random vector).  It returns the
+    eigenvalue lambda nearest sigma.  When lambda >= 2 sigma, every
+    eigenvalue mu in [0, lambda) would lie nearer (sigma - mu <= sigma <=
+    lambda - sigma), so lambda is the smallest one (so no kernel count
+    runs) and the estimate holds: the result certifies itself and assumes
+    nothing.  lambda < 2 sigma violates
     the main estimate (lambda_1 <= lambda), and lambda above (1 +
     BRACKET_MARGIN) upper means the solve missed the smallest pair; both
     raise linalg.SolverError.
@@ -546,14 +545,15 @@ class Workspace:
     operators (mass, curl-curl, gradient incidence, the scalar space of c_p
     and the cached Poisson factorization), held by the harmonic basis that
     c_m, c_k_irrot and the splits read them from, and the tensor pencil:
-    the strain form, assembled once for c_k_irrot, c_direct and
-    certification, kept as its upper half.  It keeps no Edge0^3 matrix:
+    the strain form, assembled once for c_direct, certification and the
+    curl-free forms, kept as its upper half.  It keeps no Edge0^3 matrix:
     the row-blocked mass and curl-curl and the full strain form are built
     by the solves that read them (c_direct, curl_free) and dropped there.
-    On first use it also builds the curl-free basis W with the reduced
-    forms W^T Sym W and W^T M W (curl_free): the one-slice c_k_irrot pencil,
-    from which certification reads |R| and |sym R| in the coordinates y
-    of R = W y; without a tag-1 part, the constant skews in those
+    Only where they are read it builds the curl-free basis W with the
+    reduced forms W^T Sym W and W^T M W (curl_free): the c_k_irrot pencil
+    of a tag-1 part with harmonic fields, the c_k_F pencil, and the forms
+    certification reads |R| and |sym R| off in the coordinates y of
+    R = W y; without a tag-1 part, the constant skews in those
     coordinates (skew_fields); and what only certification reads: the
     curl incidence and the Face0 mass (curl_incidence, face_mass) and the
     forms each sample reads |sym T| and |Curl T| through (strain_form,
@@ -564,9 +564,10 @@ class Workspace:
     Without harmonic fields the complex is exact: the curl-free tensors are
     the gradients of the admissible P1 vectors, and the tag-1 part has at
     most one component (dim H^1(Omega, Gamma_t) >= components - 1).  So,
-    unless sliced, the c_k_irrot pencil is the c_k_s and c_k_t pencil with
-    its dofs reordered, and those two are read off its pair (each record
-    keeps its own space's dim): one Korn eigensolve per report.
+    unless sliced, c_k_irrot solves the c_k_s pencil, which is also the
+    c_k_t pencil with its dofs reordered, and those two are read off its
+    pair (each record keeps its own space's dim): one Korn eigensolve per
+    report.
     c_direct is solved from the bracket and start vector that c_k_irrot and
     c_m give it (direct_seed).
     """
@@ -587,22 +588,19 @@ class Workspace:
             rec = poincare_constant(mesh, self.tol, ops=self.ops)
         elif (name == "c_k_s" or name == "c_k_t" and mesh.has_gamma_t) and not (
                 self.harmonics.dim or self.case == "sliced"):
-            irrot = self.constant("c_k_irrot")  # the same pencil, dofs reordered
-            pv = build_space(mesh, "P1_vector", "gamma_t", component_constant=name == "c_k_t")
+            irrot = self.constant("c_k_irrot")  # the c_k_s pencil, translations pinned
+            # c_k_s adds vertex 0's three dofs without a tag-1 part, c_k_t its component's
+            dim = irrot.dim + 3 * (name == "c_k_t" or not mesh.has_gamma_t)
             rec = _empty(name) if irrot.eigenvalue is None else replace(
-                irrot, name=name, dim=pv.free_count, vector=None,
-                note="equal to c_k_irrot: harmonic dim 0")
+                irrot, name=name, dim=dim, vector=None, note="equal to c_k_irrot: harmonic dim 0")
         elif name == "c_k_s":
             rec = korn_constant_standard(mesh, self.tol)
         elif name == "c_k_t":
             rec = korn_constant_tangential(mesh, self.tol)
-        elif name == "c_k_irrot":
-            # sliced, each slice solves its own pencil and the forms wait
-            # for certification
+        elif name == "c_k_irrot":  # harmonic fields read the forms certification shares
             rec = korn_constant_irrotational(
                 mesh, self.tol, harmonics=self.harmonics,
-                forms=None if self.case == "sliced" else self.curl_free,
-            )
+                forms=self.curl_free if mesh.has_gamma_t and self.harmonics.dim else None)
         elif name in ("c_m", "c_m_grad", "c_m_coexact"):
             cm, grad, coex = maxwell_constant(
                 mesh, self.tol, harmonics=self.harmonics, grad_rec=self.constant("c_p")
@@ -620,17 +618,15 @@ class Workspace:
     def weighted(self, weight):
         """The WeightedWork of a MatrixCoefficient F (needs a tag-1 part).
 
-        c_k_F is the c_k_irrot pencil with the F-weighted strain form
-        W^T Sym_F W in place of W^T Sym W.
+        c_k_F is the Edge0^3 curl-free pencil with the F-weighted strain
+        form W^T Sym_F W in place of W^T Sym W.
         """
         c_F, mu = matrix_coefficient_norm(weight, self.mesh)  # validates det F > 0
         if not self.mesh.has_gamma_t:
             raise ValueError("the weighted constant needs a nonempty tag-1 part")
         cf = self.curl_free
         sym = assemble("tensor_symF", self.ops.edge_space, coeff=weight)
-        forms = cf._replace(sym=_reduce(cf.basis, sym))
-        rec = korn_constant_irrotational(self.mesh, self.tol, harmonics=self.harmonics,
-                                         name="c_k_F", forms=forms)
+        rec = curl_free_constant("c_k_F", cf._replace(sym=_reduce(cf.basis, sym)), self.tol)
         return WeightedWork(c_F, mu, rec)
 
     @cached_property
@@ -702,9 +698,10 @@ class Workspace:
         """The bracket and start vector of the c_direct solve, from the chain.
 
         The main estimate gives c_direct <= c_hat (c_tilde when sliced), so
-        lambda_1 >= 1/c_bound^2.  On one slice the lifted c_k_irrot pair W y
-        is an admissible curl-free field whose Rayleigh quotient is
-        1/c_k_irrot^2, so lambda_1 is at most that, and W y starts the
+        lambda_1 >= 1/c_bound^2.  On one slice the c_k_irrot pair lifted to
+        Edge0^3, W y (from the P1 Korn pair where the curl-free tensors are
+        gradients), is an admissible curl-free field whose Rayleigh quotient
+        is 1/c_k_irrot^2, so lambda_1 is at most that, and W y starts the
         solve.  Sliced, or with an empty curl-free space, there is no such
         pair: no upper bound, and a random start vector.
         """

@@ -480,6 +480,8 @@ def read_mesh(path):
             count = int(parts[1])
         except ValueError as exc:
             raise MalformedHeader(f"bad count in '{name}' section") from exc
+        if count < 0:
+            raise MalformedHeader(f"negative count {count} in '{name}' section")
         pos += 1
         if pos + count > len(rows):
             raise MalformedHeader(f"truncated '{name}' section")

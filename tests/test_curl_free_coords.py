@@ -6,14 +6,15 @@ off the reduced forms in the coordinates y that the split hands back, and
 without a tag-1 part it subtracts the constant skews in those coordinates.
 A slice of a sliced mesh is simply connected (b1 = boundary components -
 chi, checked) with a free boundary, so its c_k_irrot pencil is the P1
-vector Korn pencil of the slice.
+vector Korn pencil of the slice; so is the pencil of a mesh without
+harmonic fields, its curl-free tensors being gradients.
 """
 
 import numpy as np
 import pytest
 
 from kornlab import constants as cst
-from kornlab import hodge
+from kornlab import hodge, linalg
 from kornlab.meshes import Mesh, generate_primitive
 from kornlab.spaces import TensorField
 
@@ -82,15 +83,58 @@ def test_sliced_c_k_irrot_solves_the_slice_korn_pencils(monkeypatch):
     assert calls == ["korn_constant_standard"] * len(mesh.slice_labels)
     subs = [mesh.submesh(mesh.slice_ids == s) for s in mesh.slice_labels]
     assert rec.dim == sum(3 * (sub.num_vertices - 1) for sub in subs)
-    monkeypatch.undo()
-    # the same value as the Edge0^3 pencil of each slice
-    edge_path = []
-    for sub in subs:
-        harmonics = hodge.harmonic_basis(sub)
-        forms = cst.curl_free_forms(harmonics, cst.tensor_pencil(harmonics.ops))
-        edge_path.append(cst.korn_constant_irrotational(sub, harmonics=harmonics,
-                                                        forms=forms).value)
-    assert rec.value == pytest.approx(max(edge_path), rel=1e-13)
+    assert rec.vector is None
+
+
+def _edge_pencil(mesh):
+    """(constant, dim) of the Edge0^3 curl-free pencil W^T Sym W, W^T M W of
+    a mesh without harmonic fields, solved here: without a tag-1 part the
+    constant skews are removed by their moment rows, carried to the
+    coordinates of W."""
+    h = hodge.harmonic_basis(mesh)
+    assert h.dim == 0
+    forms = cst.curl_free_forms(h, cst.tensor_pencil(h.ops))
+    W = forms.basis
+    rows = None if mesh.has_gamma_t else cst._slice_skew_constraints(h.space) @ W
+    eig = linalg.eig_smallest(forms.sym, forms.mass, k=1, constraints=rows)
+    return 1.0 / np.sqrt(eig.values[0]), W.shape[1]
+
+
+GRADIENT_MESHES = {
+    "unit_cube2": ("unit_cube", 2, None),
+    "unit_cube2_untagged": ("unit_cube", 2, 0),
+    "unit_cube4": ("unit_cube", 4, None),
+    "unit_cube4_untagged": ("unit_cube", 4, 0),
+    "slab_mixed2": ("slab_mixed", 2, None),
+    "tunnel2_sliced": ("cube_with_tunnel", 2, None),
+}
+
+
+@pytest.mark.parametrize("kind, n, tag", list(GRADIENT_MESHES.values()),
+                         ids=list(GRADIENT_MESHES))
+def test_c_k_irrot_on_gradients_matches_the_edge_pencil(kind, n, tag):
+    # where the curl-free tensors are gradients (no harmonic fields, or a
+    # slice) c_k_irrot solves the P1 Korn pencil; the Edge0^3 pencil of
+    # the same tensors is the independent reference, slice by slice
+    mesh = generate_primitive(kind, n)
+    mesh = mesh if tag is None else mesh.retag(tag)
+    ws = cst.Workspace(mesh)
+    rec = ws.constant("c_k_irrot")
+    if ws.case == "sliced":
+        subs = [mesh.submesh(mesh.slice_ids == s) for s in mesh.slice_labels]
+    else:
+        subs = [mesh]
+    refs = [_edge_pencil(sub) for sub in subs]
+    assert rec.value == pytest.approx(max(v for v, _ in refs), rel=1e-12)
+    assert rec.dim == sum(dim for _, dim in refs)
+    if ws.case != "sliced":
+        # the lifted pair W y is admissible with the curl-free quotient
+        v = rec.vector
+        quotient = v @ (ws.pencil.sym @ v) / (v @ (ws.pencil.mass @ v))
+        assert quotient == pytest.approx(rec.eigenvalue, rel=1e-12)
+        if not mesh.has_gamma_t:
+            rows = cst._slice_skew_constraints(ws.pencil.space)
+            assert np.abs(rows @ v).max() <= 1e-12 * np.sqrt(v @ (ws.pencil.mass @ v))
 
 
 @pytest.mark.parametrize("label", list(MESHES))

@@ -1,0 +1,81 @@
+"""Every constant is a property of the domain, not of its description.
+
+Renumbering the vertices, the cells and the boundary triangles of a mesh
+changes which vertex is pinned, the order of every dof and of every
+assembly sum, and leaves each constant unchanged.  Scaling the mesh by s
+scales the Poincare and Maxwell constants by s and leaves the Korn
+constants alone.  c_direct mixes the two length scales and is left out of
+the scaling check (see ROADMAP, the scale-robust c_direct).
+"""
+
+import numpy as np
+import pytest
+
+from kornlab import constants as cst
+from kornlab.meshes import Mesh, generate_primitive
+
+NAMES = ("c_p", "c_k_s", "c_k_t", "c_k_irrot", "c_m", "c_m_grad", "c_m_coexact")
+SCALED = ("c_p", "c_m", "c_m_grad", "c_m_coexact")  # the others are invariant
+MESHES = {
+    "unit_cube3": ("unit_cube", 3, None),
+    "unit_cube3_untagged": ("unit_cube", 3, 0),
+    "slab_mixed3": ("slab_mixed", 3, None),
+    "tunnel2_tagged": ("cube_with_tunnel", 2, 1),
+    "tunnel2_untagged": ("cube_with_tunnel", 2, 0),
+}
+
+
+def _mesh(label):
+    kind, n, tag = MESHES[label]
+    mesh = generate_primitive(kind, n)
+    return mesh if tag is None else mesh.retag(tag)
+
+
+def _constants(mesh, names):
+    ws = cst.Workspace(mesh)
+    return {name: ws.constant(name).value for name in names
+            if name != "c_k_t" or mesh.has_gamma_t}
+
+
+@pytest.fixture(scope="module")
+def reference():
+    cache = {}
+
+    def get(label):
+        if label not in cache:
+            cache[label] = _constants(_mesh(label), NAMES + ("c_direct",))
+        return cache[label]
+
+    return get
+
+
+def _renumbered(mesh, rng):
+    """The same mesh with its vertices, cells and boundary triangles in a
+    random order."""
+    perm = rng.permutation(mesh.num_vertices)  # new vertex i is old perm[i]
+    new_of_old = np.empty_like(perm)
+    new_of_old[perm] = np.arange(len(perm))
+    cells = rng.permutation(mesh.num_tets)
+    tris = rng.permutation(len(mesh.btris))
+    return Mesh(mesh.vertices[perm], new_of_old[mesh.tets][cells], mesh.slice_ids[cells],
+                new_of_old[mesh.btris][tris], mesh.btri_tags[tris])
+
+
+@pytest.mark.parametrize("label", list(MESHES))
+def test_constants_invariant_under_renumbering(label, reference):
+    ref = reference(label)
+    mesh = _renumbered(_mesh(label), np.random.default_rng(7))
+    got = _constants(mesh, NAMES + ("c_direct",))
+    assert got.keys() == ref.keys()
+    for name, value in got.items():
+        assert value == pytest.approx(ref[name], rel=1e-12), name
+
+
+@pytest.mark.parametrize("label", list(MESHES))
+@pytest.mark.parametrize("s", [1e-4, 1e-2, 1e2, 1e4])
+def test_constants_scale_with_the_mesh(label, s, reference):
+    ref = reference(label)
+    got = _constants(_mesh(label).transformed(matrix=s * np.eye(3)), NAMES)
+    for name, value in got.items():
+        expected = ref[name] * (s if name in SCALED else 1.0)
+        assert value == pytest.approx(expected, rel=1e-12), name

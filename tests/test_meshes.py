@@ -104,6 +104,21 @@ def test_read_bad_header(tmp_path):
         read_mesh(p)
 
 
+@pytest.mark.parametrize("name", ["vertices", "tets", "btris"])
+def test_read_negative_section_count_names_the_section(tmp_path, name):
+    # a negative count once walked the read position backwards and surfaced
+    # as a misleading error about a later section
+    m = generate_primitive("unit_cube", 1)
+    path = tmp_path / "t.msh"
+    write_mesh(m, path)
+    lines = path.read_text().splitlines()
+    k = next(i for i, ln in enumerate(lines) if ln.split()[0] == name)
+    lines[k] = f"{name} -{1 + (name == 'tets')}"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(MalformedHeader, match=f"negative count .* in '{name}' section"):
+        read_mesh(path)
+
+
 def test_read_index_out_of_range(tmp_path):
     m = generate_primitive("unit_cube", 1)
     path = tmp_path / "t.msh"

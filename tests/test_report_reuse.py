@@ -9,6 +9,7 @@ the coexact Maxwell pair.
 import importlib
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from kornlab import constants as cst
@@ -119,3 +120,41 @@ def test_report_measures_kernels_by_eigensolve(monkeypatch):
     report = cst.compute_report(generate_primitive("unit_cube", 4).retag(0))
     assert report["c_k_s"]["note"] == "equal to c_k_irrot: harmonic dim 0"
     assert calls == {"eig_smallest": 4}
+
+
+def _two_plates(n):
+    """unit_cube with the tag-1 part on the planes x = 0 and x = 1: harmonic dim 1."""
+    m = generate_primitive("unit_cube", n)
+    x = m.vertices[m.btris][:, :, 0]
+    return m.retag((np.all(x < 1e-12, axis=1) | np.all(x > 1 - 1e-12, axis=1)).astype(int))
+
+
+@pytest.mark.parametrize(
+    "make, samples, builds",
+    [(lambda: generate_primitive("unit_cube", 3), 0, 0),
+     (lambda: generate_primitive("unit_cube", 3).retag(0), 0, 0),
+     (lambda: generate_primitive("slab_mixed", 3), 0, 0),
+     (lambda: generate_primitive("cube_with_tunnel", 2), 2, 1),
+     (lambda: generate_primitive("cube_with_tunnel", 2).retag(1), 2, 1),
+     (lambda: _two_plates(2), 2, 1)],
+    ids=["unit_cube3", "unit_cube3_untagged", "slab_mixed3", "tunnel2_sliced",
+         "tunnel2_tagged", "two_plates2"],
+)
+def test_report_builds_curl_free_forms_only_where_read(make, samples, builds, monkeypatch):
+    # the curl-free tensors of a report without harmonic fields beside a
+    # tag-1 part are gradients, solved on the P1 Korn pencil; only
+    # certification and a harmonic c_k_irrot read the Edge0^3 reductions,
+    # built once and shared between them
+    mesh = make()
+    calls = []
+    real = cst.curl_free_forms
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cst, "curl_free_forms", spy)
+    report = cst.compute_report(mesh, certify_samples=samples)
+    assert len(calls) == builds
+    if samples:
+        assert report["verdicts"]["all_true"]
