@@ -104,7 +104,7 @@ def poincare_constant(mesh, tol=DEFAULT_EIG_TOL, *, ops=None):
 
 
 def _pin_vertex0(space, *forms):
-    """(kept-dof mask, the forms without the free dofs of vertex 0).
+    """The forms without the free dofs of vertex 0.
 
     The translations lie in the kernel of both Korn forms; pinning vertex 0,
     as EdgeOperators.pinned_grad pins the potentials, removes them and
@@ -112,7 +112,20 @@ def _pin_vertex0(space, *forms):
     """
     keep = np.ones(space.free_count, dtype=bool)
     keep[space.dof_map[:, 0]] = False
-    return keep, *(F[keep][:, keep] for F in forms)
+    return tuple(F[keep][:, keep] for F in forms)
+
+
+def _vertex0_rotations(mesh):
+    """The rotations about vertex 0, pinned there: one row per generator S^l.
+
+    Row l holds the P1 interpolant of x -> S^l (x - x_0) on every vertex
+    but vertex 0, where it vanishes, one component after the other.  Without
+    a tag-1 part these are the kept dofs of P1_vector (_pin_vertex0), and
+    the pinned potentials of the three tensor rows whose gradients are the
+    rows of the constant skew S^l.
+    """
+    x = mesh.vertices[1:] - mesh.vertices[0]
+    return np.stack([(x @ S.T).T.reshape(-1) for S in SO3_BASIS])
 
 
 def korn_constant_standard(mesh, tol=DEFAULT_EIG_TOL):
@@ -132,9 +145,8 @@ def korn_constant_standard(mesh, tol=DEFAULT_EIG_TOL):
     if not mesh.has_gamma_t:
         if pv.free_count <= 6:
             return _empty("c_k_s")
-        keep, A, B = _pin_vertex0(pv, A, B)
-        x = mesh.vertices - mesh.vertices[0]
-        deflation = np.column_stack([pv.free_from_full((x @ S.T).T)[keep] for S in SO3_BASIS])
+        A, B = _pin_vertex0(pv, A, B)
+        deflation = _vertex0_rotations(mesh).T
     eig = linalg.eig_smallest(A, B, k=1, deflation=deflation, tol=tol)
     lam = float(eig.values[0])
     if lam <= KERNEL_REL_TOL * A.diagonal().sum() / B.diagonal().sum():
@@ -159,7 +171,7 @@ def korn_constant_tangential(mesh, tol=DEFAULT_EIG_TOL):
     pv = build_space(mesh, "P1_vector", "gamma_t", component_constant=True)
     if pv.free_count <= 3:  # nothing beyond the pinned translations
         return _empty("c_k_t")
-    _, A, B = _pin_vertex0(pv, assemble("symgrad", pv), assemble("grad", pv))
+    A, B = _pin_vertex0(pv, assemble("symgrad", pv), assemble("grad", pv))
     eig = linalg.eig_smallest(A, B, k=1, tol=tol)
     return _record("c_k_t", eig, B, pv.free_count, tol, "constants quotiented")
 
@@ -541,14 +553,19 @@ WeightedWork = namedtuple("WeightedWork", "c_F mu record")
 class Workspace:
     """Mesh-bound bundle of operators, harmonic basis and constants.
 
-    Built once and handed down to every constant that needs them: the edge
-    operators (mass, curl-curl, gradient incidence, the scalar space of c_p
-    and the cached Poisson factorization), held by the harmonic basis that
-    c_m, c_k_irrot and the splits read them from, and the tensor pencil:
-    the strain form, assembled once for c_direct, certification and the
-    curl-free forms, kept as its upper half.  It keeps no Edge0^3 matrix:
-    the row-blocked mass and curl-curl and the full strain form are built
-    by the solves that read them (c_direct, curl_free) and dropped there.
+    Construction builds the edge operators (mass, curl-curl, gradient
+    incidence and the scalar space of c_p) and runs the one harmonic
+    eigensolve; the harmonic basis holds the operators, and c_m, c_k_irrot
+    and the splits read them from it.  Everything else is built by its
+    first reader and kept, and handed to every later one: the Poisson
+    factor of the edge operators at the first Helmholtz split
+    (certification), and the tensor pencil (pencil), whose strain form is
+    assembled once for c_direct, certification and the curl-free forms and
+    kept as its upper half.  So c_p, c_m and the Korn constants (but
+    c_k_irrot on a tag-1 part with harmonic fields) assemble no strain form
+    and factor no Poisson matrix.  It keeps no Edge0^3 matrix: the
+    row-blocked mass and curl-curl and the full strain form are built by
+    the solves that read them (c_direct, curl_free) and dropped there.
     Only where they are read it builds the curl-free basis W with the
     reduced forms W^T Sym W and W^T M W (curl_free): the c_k_irrot pencil
     of a tag-1 part with harmonic fields, the c_k_F pencil, and the forms
@@ -577,7 +594,6 @@ class Workspace:
         self.tol = tol
         self.harmonics = hodge.harmonic_basis(mesh, tol=tol)
         self.ops = self.harmonics.ops
-        self.pencil = tensor_pencil(self.ops)
         self._cache = {}
 
     def constant(self, name):
@@ -630,6 +646,12 @@ class Workspace:
         return WeightedWork(c_F, mu, rec)
 
     @cached_property
+    def pencil(self):
+        """The TensorPencil of the edge operators: the strain form is
+        assembled here, on the first read (c_direct, curl_free, strain_form)."""
+        return tensor_pencil(self.ops)
+
+    @cached_property
     def curl_free(self):
         """CurlFreeForms of the mesh's curl-free tensors, built on first use."""
         return curl_free_forms(self.harmonics, self.pencil)
@@ -679,18 +701,14 @@ class Workspace:
     def skew_fields(self):
         """(Y, W Y, M W Y) of the constant skews S^l, one row per generator.
 
-        Row m of S^l is the gradient of x -> S^l[m] . x, so without a tag-1
-        part S^l = W y_l exactly, y_l holding those potentials pinned at
-        vertex 0 and no harmonic amplitude: Y has rows y_l, W Y the Edge0^3
-        fields and M W Y their mass images.
+        Row m of S^l is the gradient of x -> S^l[m] . (x - x_0), so without
+        a tag-1 part S^l = W y_l exactly, y_l holding those potentials
+        pinned at vertex 0 (_vertex0_rotations) and no harmonic amplitude:
+        Y has rows y_l, W Y the Edge0^3 fields and M W Y their mass images.
         """
         cf = self.curl_free
-        npot = self.ops.pinned_grad.shape[1]
-        Y = np.zeros((3, cf.basis.shape[1]))
-        for l, S in enumerate(SO3_BASIS):
-            for m in range(3):
-                f = self.ops.p1_space.free_from_full(self.mesh.vertices @ S[m])
-                Y[l, m * npot:(m + 1) * npot] = f[1:] - f[0]
+        rot = _vertex0_rotations(self.mesh)
+        Y = np.pad(rot, ((0, 0), (0, cf.basis.shape[1] - rot.shape[1])))
         fields, images = (np.ascontiguousarray((F @ Y.T).T) for F in (cf.basis, cf.mass_image))
         return Y, fields, images
 
@@ -718,8 +736,8 @@ class Workspace:
         return "simply_connected" if len(self.mesh.slice_labels) == 1 else "sliced"
 
     def random_tensor(self, rng):
-        n = self.pencil.space.free_count
-        return TensorField(self.pencil.space, rng.standard_normal((3, n)))
+        space = self.ops.edge_space
+        return TensorField(space, rng.standard_normal((3, space.free_count)))
 
 
 def _piecewise_shifted_norm(norm, means, volumes, skews):

@@ -2,13 +2,16 @@
 
 The harmonic space is the kernel of the curl-curl form inside the
 mass-orthogonal complement of the discrete gradients; its dimension is a
-topological quantity (a Betti number in the pure-tag cases).  Splits are
-computed per row for tensor fields.  The gradient parts come from the
-Poisson matrix G^T M G on the pinned potentials, which each EdgeOperators
-assembles and factors once, on first use; every later split costs
-triangular solves.  The tensor split also hands back the coordinates of
-its curl-free part (the pinned potentials and the harmonic amplitudes of
-every row), so its norms can be read off reduced forms.
+topological quantity (a Betti number in the pure-tag cases).  One
+eigensolve with the gradients deflated gives its basis and the coexact
+Maxwell pair, as the eigensolver returns them: no Poisson solve and no
+re-orthonormalization follow.  Splits are computed per row for tensor
+fields.  The gradient parts come from the Poisson matrix G^T M G on the
+pinned potentials, which each EdgeOperators assembles and factors once,
+at its first split; every later split costs triangular solves.  The
+tensor split also hands back the coordinates of its curl-free part (the
+pinned potentials and the harmonic amplitudes of every row), so its
+norms can be read off reduced forms.
 """
 
 from dataclasses import dataclass, field
@@ -21,7 +24,6 @@ from . import linalg
 from .assemble import assemble, geometry
 from .spaces import DofSpace, Field, TensorField, build_space
 
-HARMONIC_CAP = linalg.KERNEL_CAP  # largest harmonic dimension the search resolves
 # kernel threshold of the harmonic search relative to tr(curlcurl) / tr(mass);
 # on the built-in meshes the kernel lies below 1e-15 and the rest of the
 # spectrum above 1e-2 of that ratio
@@ -127,65 +129,28 @@ class HarmonicBasis:
 
 
 def harmonic_basis(mesh, *, tol=1e-10):
-    """Mass-orthonormal basis of curl-free fields orthogonal to gradients.
+    """Mass-orthonormal basis of the harmonic fields: one kernel count.
 
-    The search runs on the edge_operators of mesh, which the basis keeps
-    as .ops.  It also yields the smallest eigenpair above the kernel,
-    which is the coexact Maxwell pair; the basis carries it as .coexact.
-    tol is the eigensolver tolerance of the search.
+    The harmonic fields are the kernel of the curl-curl pencil in the
+    mass-orthogonal complement of the pinned gradients.  Those span a
+    kernel of curl-curl and are deflated: above the crossover the
+    eigensolver factors curl-curl alone and projects them out after each
+    solve (see linalg._eig_sparse).  linalg.count_kernel counts the
+    eigenvalues below HARMONIC_REL_TOL relative to tr(curlcurl) / tr(mass)
+    from k0 = 2, so harmonic dimensions 0 and 1 take one eigensolve, 2 and
+    3 a second one at k = 4.  Its vectors are mass-orthonormal and
+    mass-orthogonal to the gradients: the first dim are the fields, and
+    pair dim is the coexact Maxwell pair (.coexact).  The basis keeps the
+    edge_operators of mesh as .ops; tol is the eigensolver tolerance.
     """
     ops = edge_operators(mesh)
-    M = ops.mass
-    raw, coexact = _harmonic_search(ops, tol)
-    if raw.shape[1] == 0:
-        return HarmonicBasis(ops, np.zeros((0, ops.edge_space.free_count)), coexact)
-    fields = np.column_stack([_clean_harmonic(ops, raw[:, j]) for j in range(raw.shape[1])])
-    # mass re-orthonormalization after the cleanup
-    gram = fields.T @ (M @ fields)
-    L = np.linalg.cholesky(0.5 * (gram + gram.T))
-    fields = fields @ np.linalg.inv(L).T
-    return HarmonicBasis(ops, fields.T, coexact)
-
-
-def _harmonic_search(ops, tol):
-    """Near-kernel of the curl-curl pencil in the gradient complement.
-
-    linalg.count_kernel (batches from 2 up to HARMONIC_CAP) counts the
-    eigenvalues below HARMONIC_REL_TOL relative to tr(curlcurl) / tr(mass).
-    Only kernel_dim + 1 pairs are read: harmonic dimensions 0 and 1 take
-    one eigensolve, 2 and 3 a second one at k = 4.
-    The pinned gradients are deflated: they span a kernel of curl-curl, so
-    above the crossover the eigensolver factors the curl-curl matrix alone
-    and projects them out mass-orthogonally after each solve, with no
-    border row per potential (see linalg._eig_sparse).
-    Returns (kernel vectors, the first pair above the threshold).  That
-    pair is mass-orthogonal to the gradients and to the kernel vectors,
-    hence to the cleaned harmonic fields: it is the coexact Maxwell pair.
-    """
     A, M = ops.curlcurl, ops.mass
     ratio = A.diagonal().sum() / max(M.diagonal().sum(), 1e-300)
     threshold = HARMONIC_REL_TOL * max(ratio, 1e-300)
-    eig, kernel_dim = linalg.count_kernel(A, M, threshold, k0=2, cap_name="HARMONIC_CAP",
-                                          deflation=ops.pinned_grad, tol=tol)
-    pair = slice(kernel_dim, kernel_dim + 1)
-    return eig.vectors[:, :kernel_dim], linalg.EigenResult(
-        eig.values[pair], eig.vectors[:, pair], eig.residuals[pair]
-    )
-
-
-def _clean_harmonic(ops, d):
-    """Re-project residual gradient content out of a kernel candidate.
-
-    The gradient projection leaves the (already tiny) curl untouched since
-    curl o grad vanishes identically on the incidence level.
-    """
-    return d - ops.pinned_grad @ _poisson_solve(ops, ops.mass @ d)
-
-
-def _poisson_solve(ops, weighted_rhs):
-    """Solve (Gp^T M Gp) u = Gp^T (M v) for the pinned potential u, with
-    the factorization cached on ops; Gp is ops.pinned_grad."""
-    return ops.poisson(ops.grad_t @ weighted_rhs)
+    eig, dim = linalg.count_kernel(A, M, threshold, k0=2, deflation=ops.pinned_grad, tol=tol)
+    pair = slice(dim, dim + 1)
+    return HarmonicBasis(ops, eig.vectors[:, :dim].T, linalg.EigenResult(
+        eig.values[pair], eig.vectors[:, pair], eig.residuals[pair]))
 
 
 @dataclass

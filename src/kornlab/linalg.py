@@ -38,7 +38,9 @@ random vector mixed in.  The seed is a context, not a keyword of
 eig_smallest, so any solver that stands in for eig_smallest keeps its
 signature.  Kernel dimensions are counted in one way, at every size:
 count_kernel asks eig_smallest for more eigenvalues until one lies above
-a threshold.
+a threshold.  Both paths return B-orthonormal vectors, B-orthogonal to
+the deflated ones, so a kernel basis (the harmonic fields of hodge) is
+the counted vectors themselves.
 """
 
 import contextlib
@@ -150,13 +152,14 @@ def seeded(shift, v0=None):
         _seed.reset(token)
 
 
-def count_kernel(A, B, threshold, k0=1, cap_name="KERNEL_CAP", **solve):
+def count_kernel(A, B, threshold, k0=1, **solve):
     """(eig, number of eigenvalues <= threshold) of the pencil, at every size.
 
     Asks eig_smallest (with the deflation, constraints and tol in solve)
     for k = k0, 2 k0, ... pairs until one lies above the absolute
-    threshold, so a pencil without kernel costs one solve.  A kernel that
-    fills KERNEL_CAP pairs raises SolverError (naming the cap as cap_name)
+    threshold, so a pencil without kernel costs one solve.  eig holds every
+    pair of the last request, kernel and next pair alike, as eig_smallest
+    returned them.  A kernel that fills KERNEL_CAP pairs raises SolverError
     instead of returning a count that may be short.
     """
     k = k0
@@ -167,7 +170,7 @@ def count_kernel(A, B, threshold, k0=1, cap_name="KERNEL_CAP", **solve):
             return eig, kernel_dim
         if k >= KERNEL_CAP:
             raise SolverError(f"all {k} computed eigenvalues are below the kernel threshold "
-                              f"{threshold:.3e}; the count stops at {cap_name} = {KERNEL_CAP}")
+                              f"{threshold:.3e}; the count stops at KERNEL_CAP = {KERNEL_CAP}")
         k *= 2
 
 

@@ -2,6 +2,24 @@
 
 import numpy as np
 
+from kornlab.meshes import generate_primitive
+
+
+def two_plates(n):
+    """unit_cube with the tag-1 part on the planes x = 0 and x = 1: harmonic dim 1."""
+    m = generate_primitive("unit_cube", n)
+    x = m.vertices[m.btris][:, :, 0]
+    return m.retag((np.all(x < 1e-12, axis=1) | np.all(x > 1 - 1e-12, axis=1)).astype(int))
+
+
+def three_patches(n):
+    """unit_cube with three disjoint tag-1 patches, the faces x = 0, x = 1 and
+    a square in the middle of z = 0: H^1(Omega, Gamma_t) has dimension 3 - 1."""
+    m = generate_primitive("unit_cube", n)
+    c = m.vertices[m.btris].mean(axis=1)
+    patch = np.isclose(c[:, 2], 0) & np.all(np.abs(c[:, :2] - 0.5) < 0.25, axis=1)
+    return m.retag((np.isclose(c[:, 0], 0) | np.isclose(c[:, 0], 1) | patch).astype(np.int64))
+
 
 def constant_tensor_coeffs(space, mat):
     """Edge0 coefficients of a constant tensor field (rows are constants)."""

@@ -11,7 +11,7 @@ from kornlab.assemble import MatrixCoefficient, assemble, identity_coefficient
 from kornlab.meshes import Mesh, generate_primitive, validate
 from kornlab.spaces import TensorField, build_space
 
-from helpers import constant_tensor_coeffs
+from helpers import constant_tensor_coeffs, two_plates
 
 SQRT2 = np.sqrt(2.0)
 
@@ -107,18 +107,8 @@ def test_korn_tangential_equals_standard_for_connected_boundary(cube3_ws):
     assert t == pytest.approx(s, rel=1e-10)
 
 
-def _two_plates(n):
-    """unit_cube with the tag-1 part on the planes x = 0 and x = 1."""
-    m = generate_primitive("unit_cube", n)
-    coords = m.vertices[m.btris]
-    tags = np.zeros(len(m.btris), dtype=int)
-    tags[np.all(np.abs(coords[:, :, 0]) < 1e-12, axis=1)] = 1
-    tags[np.all(np.abs(coords[:, :, 0] - 1) < 1e-12, axis=1)] = 1
-    return m.retag(tags)
-
-
 def test_korn_tangential_two_plates_exceeds_standard():
-    m = _two_plates(2)
+    m = two_plates(2)
     s = cst.korn_constant_standard(m).value
     t = cst.korn_constant_tangential(m).value
     assert t >= s * (1 - 1e-10)
@@ -175,7 +165,7 @@ def test_workspace_carries_korn_vector_constants_from_c_k_irrot(kind, n, tag, mo
 @pytest.mark.parametrize("plates", [True, False], ids=["two_plates2", "tunnel2_sliced"])
 def test_workspace_solves_korn_vector_constants_separately_otherwise(plates):
     # harmonic fields (two tag-1 components) or slices: the quotients differ
-    mesh = _two_plates(2) if plates else generate_primitive("cube_with_tunnel", 2)
+    mesh = two_plates(2) if plates else generate_primitive("cube_with_tunnel", 2)
     ws = cst.Workspace(mesh)
     assert ws.harmonics.dim > 0
     s = ws.constant("c_k_s")

@@ -7,7 +7,7 @@ from kornlab.hodge import SO3_BASIS
 from kornlab.meshes import Mesh, generate_primitive, refine_uniform, validate
 from kornlab.spaces import Field, TensorField, build_space, interpolate
 
-from helpers import constant_tensor_coeffs
+from helpers import constant_tensor_coeffs, three_patches, two_plates
 
 
 def betti_oracle(mesh, gamma_all):
@@ -47,12 +47,7 @@ def test_harmonic_dimension(kind, n, gamma_all, expected):
 def test_harmonic_dim_mixed_tags_rank_oracle():
     # two opposite plates tagged: relative cohomology of dimension one,
     # cross-checked by integer matrix ranks
-    m = generate_primitive("unit_cube", 2)
-    coords = m.vertices[m.btris]
-    tags = np.zeros(len(m.btris), dtype=np.int64)
-    tags[np.all(np.abs(coords[:, :, 0]) < 1e-12, axis=1)] = 1
-    tags[np.all(np.abs(coords[:, :, 0] - 1) < 1e-12, axis=1)] = 1
-    m = m.retag(tags)
+    m = two_plates(2)
     basis = hodge.harmonic_basis(m)
     e0 = build_space(m, "Edge0", "gamma_t")
     p1 = build_space(m, "P1_scalar", "gamma_t")
@@ -69,16 +64,35 @@ def test_harmonic_dim_refinement_invariant():
     assert hodge.harmonic_basis(mesh).dim == hodge.harmonic_basis(fine).dim == 1
 
 
-def test_harmonic_field_properties():
-    mesh = generate_primitive("cube_with_tunnel", 1)
+@pytest.mark.parametrize(
+    "make, dim, dense",
+    [(lambda: generate_primitive("cube_with_tunnel", 1), 1, True),
+     (lambda: two_plates(2), 1, True),
+     (lambda: generate_primitive("cube_with_tunnel", 2), 1, False),
+     (lambda: generate_primitive("cube_with_tunnel", 4), 1, False),
+     (lambda: three_patches(4), 2, False)],
+    ids=["tunnel1", "two_plates2", "tunnel2", "tunnel4", "three_patches4"],
+)
+def test_harmonic_field_properties(make, dim, dense):
+    # the fields are the eigenvectors as the search returns them: mass-
+    # orthonormal, free of gradients and mass-orthogonal to the coexact pair
+    mesh = make()
     basis = hodge.harmonic_basis(mesh)
     ops = basis.ops
-    f0 = build_space(mesh, "Face0")
-    C = assemble("curl_map", ops.edge_space, f0)
-    d = basis.fields[0]
-    assert np.abs(C @ d).max() <= 1e-12
-    assert np.abs(ops.grad.T @ (ops.mass @ d)).max() <= 1e-12
-    assert d @ (ops.mass @ d) == pytest.approx(1.0, abs=1e-10)
+    M, G = ops.mass, ops.pinned_grad
+    assert basis.dim == dim
+    assert (ops.edge_space.free_count < linalg.DENSE_CROSSOVER) == dense
+    H = basis.fields
+    assert np.abs(H @ (M @ H.T) - np.eye(dim)).max() <= 1e-13
+    # |G^T M h| against |G|_M |h|_M, |G|_M^2 = tr(G^T M G): mass cosines
+    # with the pinned gradients
+    g_norm = np.sqrt((G.multiply(M @ G)).sum())
+    for h in H:
+        assert np.linalg.norm(G.T @ (M @ h)) <= 1e-13 * g_norm * np.sqrt(h @ (M @ h))
+    c = basis.coexact.vectors[:, 0]
+    assert np.abs(H @ (M @ c)).max() <= 1e-13 * np.sqrt(c @ (M @ c))
+    C = assemble("curl_map", ops.edge_space, build_space(mesh, "Face0"))
+    assert np.abs(C @ H.T).max() <= 1e-12
 
 
 def test_per_slice_harmonic_dim_zero():
@@ -186,7 +200,7 @@ def test_poisson_solve_on_two_component_mesh():
     assert w[0] <= 1e-12 * w[-1]
     rhs = ops.mass @ np.random.default_rng(0).standard_normal(ops.edge_space.free_count)
     reference = G @ np.linalg.lstsq(K, G.T @ rhs, rcond=None)[0]
-    grad = ops.pinned_grad @ hodge._poisson_solve(ops, rhs)
+    grad = ops.pinned_grad @ ops.poisson(ops.grad_t @ rhs)
     assert np.linalg.norm(grad - reference) <= 1e-12 * np.linalg.norm(reference)
 
 
@@ -341,15 +355,15 @@ def test_piecewise_skew_per_slice_values():
 
 def test_harmonic_sparse_search_raises_at_cap(monkeypatch):
     # a kernel filling every requested eigenvalue must not come back truncated
-    ops = hodge.edge_operators(generate_primitive("unit_cube", 2))
-    n = ops.edge_space.free_count
+    mesh = generate_primitive("unit_cube", 2)
+    n = hodge.edge_operators(mesh).edge_space.free_count
 
     def all_below(A, B, k=1, **kwargs):
         return linalg.EigenResult(np.zeros(k), np.zeros((n, k)))
 
     monkeypatch.setattr(linalg, "eig_smallest", all_below)
-    with pytest.raises(linalg.SolverError, match="HARMONIC_CAP = 32"):
-        hodge._harmonic_search(ops, 1e-10)
+    with pytest.raises(linalg.SolverError, match="KERNEL_CAP = 32"):
+        hodge.harmonic_basis(mesh)
 
 
 @pytest.mark.parametrize("kind, n, dim", [("cube_with_tunnel", 2, 1), ("unit_cube", 4, 0)])
@@ -389,12 +403,8 @@ def test_harmonic_search_asks_for_two_pairs(kind, n, dim, monkeypatch):
 
 
 def test_harmonic_dimension_two_takes_one_more_solve(monkeypatch):
-    # three disjoint tag-1 patches (the faces x = 0, x = 1 and a square in
-    # the middle of z = 0): H^1(Omega, Gamma_t) has dimension 3 - 1
-    mesh = generate_primitive("unit_cube", 4)
-    c = mesh.vertices[mesh.btris].mean(axis=1)
-    patch = np.isclose(c[:, 2], 0) & np.all(np.abs(c[:, :2] - 0.5) < 0.25, axis=1)
-    mesh = mesh.retag((np.isclose(c[:, 0], 0) | np.isclose(c[:, 0], 1) | patch).astype(np.int64))
+    # three disjoint tag-1 patches: H^1(Omega, Gamma_t) has dimension 3 - 1
+    mesh = three_patches(4)
     requested = _spy_requests(monkeypatch)
     assert hodge.harmonic_basis(mesh).dim == 2
     assert requested == [2, 4]

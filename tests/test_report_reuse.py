@@ -1,9 +1,10 @@
 """A constants report builds each form and each space once per Workspace.
 
-The Workspace holds the edge operators, the harmonic basis and the tensor
-pencil; every constant reads them instead of assembling its own copy, the
-Maxwell gradient block reuses c_p, and the harmonic search also yields
-the coexact Maxwell pair.
+The Workspace holds the edge operators and the harmonic basis, and builds
+the tensor pencil and the Poisson factor for their first reader; every
+constant reads them instead of assembling its own copy, the Maxwell
+gradient block reuses c_p, and the harmonic search also yields the
+coexact Maxwell pair.
 """
 
 import importlib
@@ -15,6 +16,8 @@ import pytest
 from kornlab import constants as cst
 from kornlab import hodge, linalg
 from kornlab.meshes import generate_primitive
+
+from helpers import two_plates
 
 asm = importlib.import_module("kornlab.assemble")  # the package exports the function too
 spaces = importlib.import_module("kornlab.spaces")
@@ -57,6 +60,35 @@ def test_report_assembles_each_form_once(kind, n, monkeypatch):
     assert repeats == {}
     assert [form for form, _, _ in calls].count("tensor_sym") == 1
     assert len(poincare) == 1
+
+
+@pytest.mark.parametrize("make", [lambda: generate_primitive("cube_with_tunnel", 2).retag(0),
+                                  lambda: generate_primitive("unit_cube", 3)],
+                         ids=["tunnel2_untagged", "unit_cube3"])
+def test_workspace_builds_strain_form_and_poisson_factor_for_first_reader(make, monkeypatch):
+    # the Korn, Poincare and Maxwell constants read neither the strain form
+    # nor the Poisson factor, so a Workspace builds them only for c_direct,
+    # the curl-free forms and certification
+    calls = _spy_assemble(monkeypatch)
+    factored = []
+    real_solver = linalg.spd_solver
+
+    def spy_solver(A):
+        factored.append(A.shape)
+        return real_solver(A)
+
+    monkeypatch.setattr(linalg, "spd_solver", spy_solver)
+    mesh = make()
+    ws = cst.Workspace(mesh)
+    for name in ("c_p", "c_k_s", "c_k_t", "c_k_irrot", "c_m"):
+        if name != "c_k_t" or mesh.has_gamma_t:
+            ws.constant(name)
+    ws.random_tensor(np.random.default_rng(0))
+    assert ws.harmonics.dim == (0 if mesh.has_gamma_t else 1)
+    assert [form for form, _, _ in calls].count("tensor_sym") == 0
+    assert factored == []
+    ws.constant("c_direct")
+    assert [form for form, _, _ in calls].count("tensor_sym") == 1
 
 
 @pytest.mark.parametrize("kind, n", [("slab_mixed", 2), ("unit_cube", 4)])
@@ -122,13 +154,6 @@ def test_report_measures_kernels_by_eigensolve(monkeypatch):
     assert calls == {"eig_smallest": 4}
 
 
-def _two_plates(n):
-    """unit_cube with the tag-1 part on the planes x = 0 and x = 1: harmonic dim 1."""
-    m = generate_primitive("unit_cube", n)
-    x = m.vertices[m.btris][:, :, 0]
-    return m.retag((np.all(x < 1e-12, axis=1) | np.all(x > 1 - 1e-12, axis=1)).astype(int))
-
-
 @pytest.mark.parametrize(
     "make, samples, builds",
     [(lambda: generate_primitive("unit_cube", 3), 0, 0),
@@ -136,7 +161,7 @@ def _two_plates(n):
      (lambda: generate_primitive("slab_mixed", 3), 0, 0),
      (lambda: generate_primitive("cube_with_tunnel", 2), 2, 1),
      (lambda: generate_primitive("cube_with_tunnel", 2).retag(1), 2, 1),
-     (lambda: _two_plates(2), 2, 1)],
+     (lambda: two_plates(2), 2, 1)],
     ids=["unit_cube3", "unit_cube3_untagged", "slab_mixed3", "tunnel2_sliced",
          "tunnel2_tagged", "two_plates2"],
 )

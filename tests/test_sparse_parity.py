@@ -148,8 +148,8 @@ def test_mid_size_pencils_sparse_matches_forced_dense(kind, n, harmonic_dim, mon
 def test_workspace_coexact_pair_matches_forced_dense_deflated_solve(
         kind, n, retag, harmonic_dim, monkeypatch):
     # the Workspace reads c_m_coexact off the harmonic search, whose vectors
-    # are orthogonal to the raw kernel vectors; the reference deflates the
-    # pinned gradients and the cleaned harmonic fields, on the dense path
+    # are orthogonal to the harmonic fields it returns; the reference
+    # deflates the pinned gradients and those fields, on the dense path
     mesh = generate_primitive(kind, n)
     if retag is not None:
         mesh = mesh.retag(retag)
@@ -190,10 +190,11 @@ def test_projected_harmonic_search_matches_bordered_reference(kind, n, retag, ha
     mesh = generate_primitive(kind, n)
     if retag is not None:
         mesh = mesh.retag(retag)
-    ops = hodge.edge_operators(mesh)
+    basis = hodge.harmonic_basis(mesh)
+    ops = basis.ops
     A, M, Gp = ops.curlcurl, ops.mass, ops.pinned_grad
     assert A.shape[0] >= linalg.DENSE_CROSSOVER
-    kernel, coexact = hodge._harmonic_search(ops, 1e-10)
+    kernel, coexact = basis.fields.T, basis.coexact
     threshold = hodge.HARMONIC_REL_TOL * A.diagonal().sum() / M.diagonal().sum()
     ref_vals, _ = _bordered_search(ops, 4)
     ref_dim = int(np.sum(ref_vals <= threshold))
