@@ -45,8 +45,8 @@ class ConstantRecord:
     residual: float = None
     dim: int = None
     note: str = None
-    # the eigenvector of the pencil, not reported; c_k_irrot off several
-    # slices lifts it to Edge0^3 (W y), where c_direct starts from it
+    # the pair of the pencil solved, not reported: kept P1 dofs or curl-free
+    # coordinates y; only Workspace.direct_seed lifts one to Edge0^3 (W y)
     vector: np.ndarray = field(default=None, repr=False, compare=False)
 
     def as_dict(self):
@@ -128,36 +128,40 @@ def _vertex0_rotations(mesh):
     return np.stack([(x @ S.T).T.reshape(-1) for S in SO3_BASIS])
 
 
-def korn_constant_standard(mesh, tol=DEFAULT_EIG_TOL):
-    """|grad v| <= c |sym grad v| over the constrained vector fields.
+def _p1_korn(name, mesh, tol, component_constant=False):
+    """Record name of the P1 Korn pencil (symgrad, grad), on the vector
+    space folded per tag-1 component when component_constant.
 
-    Without a tag-1 boundary part the translations are pinned at vertex 0
-    and the rotations x -> S (x - x_0) about it are deflated B-orthogonally,
-    which restricts to fields whose gradients are orthogonal to the
-    constant skews.
+    Vertex 0 is pinned wherever the translations stay in the space, and
+    without a tag-1 part the rotations about it are deflated too.  Any field
+    the strain form annihilates beyond those makes the constant infinite and
+    raises KernelError.  The pair is in the kept dofs, one component after
+    the other; dim counts every free dof.
     """
-    pv = build_space(mesh, "P1_vector", "gamma_t")
-    if pv.free_count == 0:
-        return _empty("c_k_s")
-    A = assemble("symgrad", pv)
-    B = assemble("grad", pv)
-    deflation = None
-    if not mesh.has_gamma_t:
-        if pv.free_count <= 6:
-            return _empty("c_k_s")
+    pv = build_space(mesh, "P1_vector", "gamma_t", component_constant=component_constant)
+    rigid = not mesh.has_gamma_t
+    pinned = component_constant or rigid
+    note = ("constants quotiented" if component_constant else
+            "deflated: translations and rotations; strain kernel dim 6" if rigid else None)
+    if pv.free_count <= 3 * pinned + 3 * rigid:
+        return _empty(name)
+    A, B = assemble("symgrad", pv), assemble("grad", pv)
+    if pinned:
         A, B = _pin_vertex0(pv, A, B)
-        deflation = _vertex0_rotations(mesh).T
+    deflation = _vertex0_rotations(mesh).T if rigid else None
     eig = linalg.eig_smallest(A, B, k=1, deflation=deflation, tol=tol)
     lam = float(eig.values[0])
     if lam <= KERNEL_REL_TOL * A.diagonal().sum() / B.diagonal().sum():
-        # the strain form annihilates the six rigid modes, pinned and
-        # deflated; any other field it annihilates makes the constant infinite
-        raise KernelError(f"c_k_s: the strain form has a kernel beyond the rigid motions "
+        raise KernelError(f"{name}: the strain form has a kernel beyond the rigid motions "
                           f"(lambda_min = {lam:.3e})")
-    note = None
-    if deflation is not None:
-        note = "deflated: translations and rotations; strain kernel dim 6"
-    return _record("c_k_s", eig, B, pv.free_count, tol, note)
+    return _record(name, eig, B, pv.free_count, tol, note)
+
+
+def korn_constant_standard(mesh, tol=DEFAULT_EIG_TOL):
+    """|grad v| <= c |sym grad v| over the constrained vector fields; without
+    a tag-1 part, over those whose gradients are orthogonal to the constant
+    skews (the rotations x -> S (x - x_0) deflated, _p1_korn)."""
+    return _p1_korn("c_k_s", mesh, tol)
 
 
 def korn_constant_tangential(mesh, tol=DEFAULT_EIG_TOL):
@@ -168,12 +172,7 @@ def korn_constant_tangential(mesh, tol=DEFAULT_EIG_TOL):
     """
     if not mesh.has_gamma_t:
         raise ValueError("the tangential constant needs a nonempty tag-1 part")
-    pv = build_space(mesh, "P1_vector", "gamma_t", component_constant=True)
-    if pv.free_count <= 3:  # nothing beyond the pinned translations
-        return _empty("c_k_t")
-    A, B = _pin_vertex0(pv, assemble("symgrad", pv), assemble("grad", pv))
-    eig = linalg.eig_smallest(A, B, k=1, tol=tol)
-    return _record("c_k_t", eig, B, pv.free_count, tol, "constants quotiented")
+    return _p1_korn("c_k_t", mesh, tol, component_constant=True)
 
 
 # --------------------------------------------------------------------------
@@ -292,13 +291,13 @@ def _slice_betti1(sub):
 def curl_free_constant(name, forms, tol=DEFAULT_EIG_TOL):
     """The Edge0^3 curl-free pencil (W^T Sym W, W^T M W) of forms, a
     CurlFreeForms with a tag-1 part (no kernel to quotient); the record
-    carries the pair lifted to Edge0^3, W y, as its vector.
+    carries the pair in the coordinates y of R = W y.
     """
-    W = forms.basis
-    if W.shape[1] == 0:
+    dim = forms.basis.shape[1]
+    if dim == 0:
         return _empty(name)
     eig = linalg.eig_smallest(forms.sym, forms.mass, k=1, tol=tol)
-    return replace(_record(name, eig, forms.mass, W.shape[1], tol), vector=W @ eig.vectors[:, 0])
+    return _record(name, eig, forms.mass, dim, tol)
 
 
 def korn_constant_irrotational(mesh, tol=DEFAULT_EIG_TOL, *, harmonics=None, forms=None):
@@ -314,8 +313,8 @@ def korn_constant_irrotational(mesh, tol=DEFAULT_EIG_TOL, *, harmonics=None, for
     pinned at vertex 0, 3 (n_v - 1) per slice, and a strain kernel beyond
     the rigid motions raises KernelError naming the slice.  A tag-1 part
     with harmonic fields takes curl_free_constant on forms (curl_free_forms
-    of harmonics when not given).  Off several slices the vector is the
-    pair lifted to Edge0^3, W y: a Korn pair's kept P1 dofs are y.
+    of harmonics when not given).  The record carries the pair of the
+    pencil it solved, none off several slices: a Korn pair's kept dofs are y.
     """
     if mesh.has_gamma_t:
         harmonics = harmonics or hodge.harmonic_basis(mesh)
@@ -343,11 +342,7 @@ def korn_constant_irrotational(mesh, tol=DEFAULT_EIG_TOL, *, harmonics=None, for
             return ConstantRecord("c_k_irrot", best.value, best.eigenvalue, best.residual, dim,
                                   f"max over {len(labels)} slice pencils")
         rec = replace(recs[0], dim=dim, note="deflated: constant skew tensors")
-    rec = replace(rec, name="c_k_irrot")
-    if rec.vector is not None:  # each row the gradient of one component
-        grad = (harmonics.ops if harmonics else hodge.edge_operators(mesh)).pinned_grad
-        rec.vector = (grad @ rec.vector.reshape(3, -1).T).T.reshape(-1)
-    return rec
+    return replace(rec, name="c_k_irrot")
 
 
 def maxwell_constant(mesh, tol=DEFAULT_EIG_TOL, *, harmonics=None, grad_rec=None):
@@ -586,7 +581,7 @@ class Workspace:
     pair (each record keeps its own space's dim): one Korn eigensolve per
     report.
     c_direct is solved from the bracket and start vector that c_k_irrot and
-    c_m give it (direct_seed).
+    c_m give it (direct_seed, which lifts the c_k_irrot pair to Edge0^3).
     """
 
     def __init__(self, mesh, tol=DEFAULT_EIG_TOL):
@@ -716,18 +711,20 @@ class Workspace:
         """The bracket and start vector of the c_direct solve, from the chain.
 
         The main estimate gives c_direct <= c_hat (c_tilde when sliced), so
-        lambda_1 >= 1/c_bound^2.  On one slice the c_k_irrot pair lifted to
-        Edge0^3, W y (from the P1 Korn pair where the curl-free tensors are
-        gradients), is an admissible curl-free field whose Rayleigh quotient
-        is 1/c_k_irrot^2, so lambda_1 is at most that, and W y starts the
-        solve.  Sliced, or with an empty curl-free space, there is no such
-        pair: no upper bound, and a random start vector.
+        lambda_1 >= 1/c_bound^2.  On one slice the c_k_irrot pair y (the kept
+        P1 dofs of a Korn pair, where the curl-free tensors are gradients) is
+        lifted here to Edge0^3, W y: an admissible curl-free field of Rayleigh
+        quotient 1/c_k_irrot^2, so lambda_1 is at most that, and W y starts
+        the solve.  Sliced, or with an empty curl-free space, there is no
+        such pair: no upper bound, and a random start vector.
         """
         c_k = self.constant("c_k_irrot")
         c_hat, c_tilde = derived_bounds(c_k.value, self.constant("c_m").value)
         c_bound = c_tilde if self.case == "sliced" else c_hat
-        upper = c_k.eigenvalue if c_k.vector is not None else None
-        return dict(bracket=(1.0 / c_bound**2, upper), v0=c_k.vector)
+        upper = v0 = None
+        if c_k.vector is not None:
+            upper, v0 = c_k.eigenvalue, _curlfree_basis(self.harmonics) @ c_k.vector
+        return dict(bracket=(1.0 / c_bound**2, upper), v0=v0)
 
     @property
     def case(self):
@@ -817,6 +814,7 @@ def certify_main_inequality(T, ws):
     T| off the upper half of the strain form (ws.strain_form), the slice
     averages of T and R (d, e) are two dense products with the cached
     hodge.slice_moments, and the operators of the Workspace are only read.
+    A T of another mesh or edge space raises ValueError.
 
     Without a tag-1 part the global skew average K of R is subtracted
     before any norm is taken: R - K = W (y - y_K) and T - K = t - W y_K,
@@ -825,6 +823,10 @@ def certify_main_inequality(T, ws):
     cancellation.  Several slices then shift by the per-slice skews minus
     K, through the slice averages.
     """
+    space = T.space
+    if not (space.mesh is ws.mesh and space.family == "Edge0" and space.constrain == "gamma_t"):
+        raise ValueError("certify_main_inequality needs T on the Workspace's mesh and its "
+                         "constrained edge space (Edge0, 'gamma_t')")
     cf = ws.curl_free
     chain = _Chain(T, ws)  # (a)
     R, curl_T = chain.R, chain.curl_T

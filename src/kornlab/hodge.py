@@ -117,7 +117,10 @@ class HarmonicBasis:
         return len(self.fields)
 
     def fields_in(self, space):
-        """Coefficients zero-extended into another Edge0 space (same mesh)."""
+        """Coefficients zero-extended into another Edge0 space of the same mesh."""
+        if space.mesh is not self.space.mesh or space.family != "Edge0":
+            raise ValueError("HarmonicBasis.fields_in extends only into an Edge0 space "
+                             "of its own mesh")
         if space is self.space or self.dim == 0:
             return self.fields if self.dim else np.zeros((0, space.free_count))
         return np.stack(
@@ -217,8 +220,8 @@ def _split_operators(space, harmonics):
     """(EdgeOperators of space, harmonic fields as rows in space): the
     basis's own operators for its own space, fresh ones for another."""
     harmonics = harmonics or harmonic_basis(space.mesh)
-    ops = harmonics.ops if harmonics.space is space else _operators_for(space)
-    return ops, harmonics.fields_in(space)
+    hf = harmonics.fields_in(space)  # refuses a space of another mesh
+    return (harmonics.ops if harmonics.space is space else _operators_for(space)), hf
 
 
 def _curl_free_split(ops, hf, MV):

@@ -99,10 +99,3 @@ def write_csv(path, header, rows):
         out = csv.writer(fh, quoting=csv.QUOTE_MINIMAL, lineterminator="\n")
         out.writerow(header)
         out.writerows([_csv_cell(x) for x in row] for row in rows)
-
-
-def parse_json(text):
-    """Inverse of dumps_json for round-trip checks (standard JSON)."""
-    import json
-
-    return json.loads(text)

@@ -10,7 +10,7 @@ import pytest
 from kornlab import constants, hodge
 from kornlab.cli import EXIT_ERROR, EXIT_INVALID, EXIT_OK, EXIT_USAGE, build_parser, run
 from kornlab.meshes import generate_primitive, read_mesh, write_mesh
-from kornlab.reports import dumps_json, emit_report, format_float, parse_json
+from kornlab.reports import dumps_json, emit_report, format_float
 
 
 def test_gen_writes_kornmesh(tmp_path):
@@ -370,7 +370,7 @@ def test_emit_report_formats(tmp_path):
     rep = {"a": 1.5, "b": {"c": [1, 2.25]}, "d": None, "e": True, "f": "x"}
     jpath = tmp_path / "r.json"
     emit_report(rep, jpath, "json")
-    assert parse_json(jpath.read_text()) == {
+    assert json.loads(jpath.read_text()) == {
         "a": 1.5, "b": {"c": [1, 2.25]}, "d": None, "e": True, "f": "x"
     }
     cpath = tmp_path / "r.csv"

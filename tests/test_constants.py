@@ -360,6 +360,25 @@ def test_certify_gradient_rows(slab2_ws):
     assert cert.links["coexact_estimate"]["lhs"] <= 1e-10
 
 
+def test_certify_refuses_a_field_of_another_mesh(slab2_ws):
+    # same topology, so the shapes agree: certified against the forms of
+    # the original mesh it failed (margins down to -0.66) without an error
+    stretched = cst.Workspace(slab2_ws.mesh.transformed(matrix=np.diag([1.0, 1.0, 40.0])))
+    T = stretched.random_tensor(np.random.default_rng(0))
+    assert cst.certify_main_inequality(T, stretched).verdict
+    with pytest.raises(ValueError, match="the Workspace's mesh and its constrained edge space"):
+        cst.certify_main_inequality(T, slab2_ws)
+
+
+def test_certify_refuses_a_field_of_the_unconstrained_edge_space(slab2_ws):
+    # it failed only in a numpy broadcast of two dof counts
+    space = build_space(slab2_ws.mesh, "Edge0")
+    assert space.free_count != slab2_ws.ops.edge_space.free_count
+    T = TensorField(space, np.random.default_rng(0).standard_normal((3, space.free_count)))
+    with pytest.raises(ValueError, match="the Workspace's mesh and its constrained edge space"):
+        cst.certify_main_inequality(T, slab2_ws)
+
+
 def test_certify_random_fields(slab2_ws):
     rng = np.random.default_rng(2)
     for _ in range(10):

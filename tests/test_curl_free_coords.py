@@ -14,11 +14,11 @@ import numpy as np
 import pytest
 
 from kornlab import constants as cst
-from kornlab import hodge, linalg
+from kornlab import hodge, linalg, meshes
 from kornlab.meshes import Mesh, generate_primitive
 from kornlab.spaces import TensorField
 
-from helpers import constant_tensor_coeffs
+from helpers import constant_tensor_coeffs, three_patches, two_plates
 
 MESHES = {
     "slab_mixed": lambda: generate_primitive("slab_mixed", 2),
@@ -128,13 +128,58 @@ def test_c_k_irrot_on_gradients_matches_the_edge_pencil(kind, n, tag):
     assert rec.value == pytest.approx(max(v for v, _ in refs), rel=1e-12)
     assert rec.dim == sum(dim for _, dim in refs)
     if ws.case != "sliced":
-        # the lifted pair W y is admissible with the curl-free quotient
-        v = rec.vector
+        # the pair lifted to Edge0^3, W y, is admissible with the curl-free quotient
+        v = cst._curlfree_basis(ws.harmonics) @ rec.vector
         quotient = v @ (ws.pencil.sym @ v) / (v @ (ws.pencil.mass @ v))
         assert quotient == pytest.approx(rec.eigenvalue, rel=1e-12)
         if not mesh.has_gamma_t:
             rows = cst._slice_skew_constraints(ws.pencil.space)
             assert np.abs(rows @ v).max() <= 1e-12 * np.sqrt(v @ (ws.pencil.mass @ v))
+
+
+def test_standalone_c_k_irrot_builds_no_edge_operators(monkeypatch):
+    # untagged: the P1 Korn pencil alone, its pair left in the kept P1 dofs
+    calls = []
+    real = hodge.edge_operators
+    monkeypatch.setattr(hodge, "edge_operators", lambda mesh: calls.append(mesh) or real(mesh))
+    mesh = generate_primitive("unit_cube", 3).retag(0)
+    rec = cst.korn_constant_irrotational(mesh)
+    assert calls == []
+    assert rec.vector.shape == (3 * (mesh.num_vertices - 1),)
+
+
+def _disk_tunnel(n):
+    """cube_with_tunnel with the tag-1 part a disk: the z = 0 cells at x < 1, y < 1."""
+    m = generate_primitive("cube_with_tunnel", n)
+    c = m.vertices[m.btris].mean(axis=1)
+    return m.retag((np.isclose(c[:, 2], 0) & (c[:, 0] < 1) & (c[:, 1] < 1)).astype(np.int64))
+
+
+@pytest.mark.parametrize("make", [lambda: two_plates(2), lambda: two_plates(3),
+                                  lambda: three_patches(4)],
+                         ids=["two_plates2", "two_plates3", "three_patches4"])
+def test_c_k_irrot_equals_c_k_t_where_every_harmonic_field_is_a_gradient(make):
+    # a simply connected domain whose tag-1 part has k components: its k - 1
+    # harmonic fields are gradients of functions constant per component, so
+    # the curl-free tensors are grad v with v constant per component and the
+    # Edge0^3 pencil of c_k_irrot has the constant of the P1 c_k_t pencil
+    mesh = make()
+    ws = cst.Workspace(mesh)
+    components = meshes.boundary_components(mesh, meshes.GAMMA_T)[1]
+    assert ws.harmonics.dim == components - 1 > 0
+    irrot, tangential = ws.constant("c_k_irrot"), ws.constant("c_k_t")
+    assert irrot.note is None and tangential.note == "constants quotiented"
+    assert irrot.value == pytest.approx(tangential.value, rel=1e-12)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_c_k_irrot_exceeds_c_k_t_around_a_tunnel(n):
+    # the harmonic field looping around the tunnel is no gradient: the
+    # curl-free tensors are more than the gradients of c_k_t's fields
+    # (6.5744 vs 5.9739 at n=1, 9.3933 vs 8.9933 at n=2)
+    ws = cst.Workspace(_disk_tunnel(n))
+    assert ws.harmonics.dim == 1
+    assert ws.constant("c_k_irrot").value > 1.04 * ws.constant("c_k_t").value
 
 
 @pytest.mark.parametrize("label", list(MESHES))

@@ -138,6 +138,18 @@ def test_split_reproduces_harmonic_basis():
     assert np.linalg.norm(split.harmonic_part.coeffs - v.coeffs) <= 1e-10
 
 
+def test_split_refuses_the_harmonic_basis_of_another_mesh():
+    # the same edges on a stretched copy: the coefficients were copied
+    # across and the harmonic part was off by 1.66 (its norm 0.45)
+    mesh = generate_primitive("cube_with_tunnel", 1)
+    basis = hodge.harmonic_basis(mesh)
+    other = build_space(mesh.transformed(matrix=np.diag([1.0, 1.0, 5.0])), "Edge0", "gamma_t")
+    assert other.free_count == basis.space.free_count
+    v = Field(other, np.random.default_rng(0).standard_normal(other.free_count))
+    with pytest.raises(ValueError, match="an Edge0 space of its own mesh"):
+        hodge.helmholtz_split(v, harmonics=basis)
+
+
 def test_split_properties_random():
     mesh = generate_primitive("cube_with_tunnel", 1)
     basis = hodge.harmonic_basis(mesh)

@@ -17,6 +17,8 @@ from kornlab import constants as cst
 from kornlab import linalg
 from kornlab.meshes import generate_primitive
 
+from helpers import three_patches
+
 # references: dense LAPACK on the QR-constrained pencil, and for n=8 ARPACK
 # shift-invert on the saddle-point operator, both from an implementation
 # independent of kornlab.linalg (perfbench/oracle.py, refs.json)
@@ -81,12 +83,32 @@ def test_seeded_direct_is_one_factorization_and_one_pass(kind, n, tag, ref, monk
     if ws.case == "sliced":
         assert v0 is None and c_k.vector is None
     else:
-        assert v0 is c_k.vector
+        assert v0.tobytes() == (cst._curlfree_basis(ws.harmonics) @ c_k.vector).tobytes()
         # W y is admissible with the curl-free Rayleigh quotient 1/c_k_irrot^2
         Av0 = (ws.pencil.sym + ws.pencil.curlcurl) @ v0
         quotient = v0 @ Av0 / (v0 @ (ws.pencil.mass @ v0))
         assert quotient == pytest.approx(c_k.eigenvalue, rel=1e-10)
         assert rec.eigenvalue <= c_k.eigenvalue * (1 + cst.BRACKET_MARGIN)
+
+
+@pytest.mark.parametrize("make", [lambda: generate_primitive("unit_cube", 4),
+                                  lambda: generate_primitive("unit_cube", 4).retag(0),
+                                  lambda: three_patches(4)],
+                         ids=["unit_cube4", "unit_cube4_untagged", "three_patches4"])
+def test_direct_seed_lifts_the_c_k_irrot_pair(make):
+    # the record keeps its own pencil's pair (kept P1 dofs of the Korn
+    # pencil, curl-free coordinates y of the Edge0^3 one); direct_seed lifts
+    # it to W y, bit for bit the rows of a Korn pair mapped through the
+    # pinned gradients, or y through the basis of the curl-free forms
+    ws = _chain_workspace(make())
+    c_k = ws.constant("c_k_irrot")
+    v0 = ws.direct_seed()["v0"]
+    if ws.harmonics.dim:
+        lifted = ws.curl_free.basis @ c_k.vector
+    else:  # each row the gradient of one component
+        lifted = (ws.ops.pinned_grad @ c_k.vector.reshape(3, -1).T).T.reshape(-1)
+    assert v0.tobytes() == lifted.tobytes()
+    assert v0.tobytes() == (cst._curlfree_basis(ws.harmonics) @ c_k.vector).tobytes()
 
 
 def test_seeded_direct_unit_cube_n8_needs_one_factorization(monkeypatch):
