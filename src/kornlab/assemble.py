@@ -529,7 +529,7 @@ def evaluate_norms(obj, which, quad_order=None):
     geom = geometry(mesh)
     pts, wts, lam = _quad(deg, quad_order)
     w_phys = 6.0 * np.einsum("t,q->tq", geom.vols, wts)
-    q = _pointwise(obj, mesh, geom, lam, pts)
+    q = _pointwise(obj, mesh, geom, lam, pts, values=any(r != "curl" for r in requested))
 
     out = {}
     for req in requested:
@@ -566,11 +566,10 @@ def evaluate_norms(obj, which, quad_order=None):
         elif kind == "vector" and name == "curl" and "curl" in q:
             sq = np.sum(q["curl"] ** 2, axis=-1)
         elif kind == "tensor":
-            Tv = q["value"]
             if name == "sym":
-                sq = np.sum(_sym(Tv) ** 2, axis=(-2, -1))
+                sq = np.sum(_sym(q["value"]) ** 2, axis=(-2, -1))
             elif name == "dev_alpha":
-                sq = np.sum(dev_alpha(_sym(Tv), alpha) ** 2, axis=(-2, -1))
+                sq = np.sum(dev_alpha(_sym(q["value"]), alpha) ** 2, axis=(-2, -1))
             elif name == "curl" and "curl" in q:
                 sq = np.sum(q["curl"] ** 2, axis=(-2, -1))
             else:
@@ -581,21 +580,24 @@ def evaluate_norms(obj, which, quad_order=None):
     return out
 
 
-def _pointwise(obj, mesh, geom, lam, pts):
-    """Pointwise quantities per cell and quadrature point."""
+def _pointwise(obj, mesh, geom, lam, pts, values=True):
+    """Pointwise quantities per cell and quadrature point; an edge tensor
+    field forms its point values only when values (a curl-only request
+    reads the per-cell curls alone)."""
     Q = len(lam)
     if isinstance(obj, TensorField):
-        W = geom.edge_values(lam)
         full = np.stack(
             [obj.space.full_from_free(obj.rows[m])[0] for m in range(3)]
         )
         c = full[:, mesh.tet_edges]  # (3,T,6)
-        vals = np.einsum("mte,tqed->tqmd", c, W)
         curl = np.broadcast_to(
             np.einsum("mte,ted->tmd", c, geom.edge_curls())[:, None],
             (c.shape[1], Q, 3, 3),
         )
-        return {"kind": "tensor", "value": vals, "curl": curl}
+        q = {"kind": "tensor", "curl": curl}
+        if values:
+            q["value"] = np.einsum("mte,tqed->tqmd", c, geom.edge_values(lam))
+        return q
     if isinstance(obj, Field):
         space = obj.space
         full = space.full_from_free(obj.coeffs)

@@ -17,7 +17,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import hodge, linalg, meshes
-from .assemble import DEFAULT_QUAD_DEGREE, assemble, tet_rule
+from .assemble import DEFAULT_QUAD_DEGREE, assemble, evaluate_norms, tet_rule
 from .hodge import SO3_BASIS
 from .spaces import TensorField, build_space
 
@@ -406,9 +406,18 @@ def direct_main_constant(mesh, tol=DEFAULT_EIG_TOL, *, pencil=None, deflate=True
     """Optimal constant in |T| <= c (|sym T|^2 + |Curl T|^2)^(1/2).
 
     Full tensor pencil over the constrained edge tensors, A = Sym + CC and
-    B = M formed from pencil for this solve only.  Without a tag-1 part the per-slice skew moments are removed by the rows of
+    B = M formed from pencil for this solve only.  Without a tag-1 part the
+    per-slice skew moments are removed by the rows of
     _slice_skew_constraints (on one slice: the constant skews);
     deflate=False surfaces the kernel as an error instead.
+
+    The eigenvalue reported, bracketed and gated is the Rayleigh quotient
+    (|sym x|^2 + |Curl x|^2) / |x|^2_M of the returned vector x, with
+    |sym x| off the upper half of the strain form and |Curl x|^2 summed
+    from the per-cell curls (assemble.evaluate_norms); the residual gate
+    reads the pair (x, quotient).  The quotient of the formed A would lose
+    the curl-free part of x to rounding once CC dwarfs Sym, as it does on
+    a mesh scaled by s, where CC grows as s^-2.
 
     bracket, when given, is (lower, upper) for the smallest eigenvalue,
     from the chain of estimates (Workspace.direct_seed): lower = 1/c_bound^2
@@ -450,7 +459,14 @@ def direct_main_constant(mesh, tol=DEFAULT_EIG_TOL, *, pencil=None, deflate=True
         sigma = 0.5 * (1.0 - BRACKET_MARGIN) * bracket[0]
         with linalg.seeded(sigma, v0):
             eig = linalg.eig_smallest(A, B, k=1, constraints=constraints, tol=tol)
-        lam = float(eig.values[0])
+    # lambda is the quotient of x with the curl read per cell, not off the
+    # formed A: the curl of a near-gradient x is exact to rounding in x
+    x = eig.vectors[:, 0]
+    curl_sq = evaluate_norms(TensorField(pencil.space, x.reshape(3, -1)), ("curl",))["curl"]
+    lam = (pencil.strain.norm(x)**2 + curl_sq) / float(x @ (B @ x))
+    x = x[:, None]
+    eig = linalg.EigenResult([lam], x, linalg._residuals(A, B, [lam], x, constraints))
+    if bracket is not None:
         if lam < 2.0 * sigma:
             raise linalg.SolverError(
                 f"c_direct: lambda = {lam:.12e} lies below the lower bound "
@@ -540,6 +556,10 @@ class CertificationRecord:
         return {k: v["margin"] for k, v in self.links.items()}
 
 
+# the curl incidence C: Edge0 -> Face0 (C^T M_f C is the curl-curl form) and
+# the Face0 mass M_f as a _HalfForm, both row-blocked
+CurlPair = namedtuple("CurlPair", "incidence face_mass")
+
 # the weighted constant of one coefficient F: c_F and mu
 # (matrix_coefficient_norm) and the c_k_F record
 WeightedWork = namedtuple("WeightedWork", "c_F mu record")
@@ -558,20 +578,19 @@ class Workspace:
     assembled once for c_direct, certification and the curl-free forms and
     kept as its upper half.  So c_p, c_m and the Korn constants (but
     c_k_irrot on a tag-1 part with harmonic fields) assemble no strain form
-    and factor no Poisson matrix.  It keeps no Edge0^3 matrix: the
-    row-blocked mass and curl-curl and the full strain form are built by
-    the solves that read them (c_direct, curl_free) and dropped there.
-    Only where they are read it builds the curl-free basis W with the
-    reduced forms W^T Sym W and W^T M W (curl_free): the c_k_irrot pencil
-    of a tag-1 part with harmonic fields, the c_k_F pencil, and the forms
-    certification reads |R| and |sym R| off in the coordinates y of
-    R = W y; without a tag-1 part, the constant skews in those
-    coordinates (skew_fields); and what only certification reads: the
-    curl incidence and the Face0 mass (curl_incidence, face_mass) and the
-    forms each sample reads |sym T| and |Curl T| through (strain_form,
-    row_curl, row_face_form, curl_free_curl).  The harmonic search runs at
-    tol and also yields the coexact Maxwell pair, so c_m_coexact needs no
-    eigensolve of its own.
+    and factor no Poisson matrix.  The row-blocked mass and curl-curl and
+    the full strain form are built by the solves that read them (c_direct,
+    curl_free) and dropped there.  Only where they are read it builds the
+    curl-free basis W with the reduced forms W^T Sym W and W^T M W
+    (curl_free): the c_k_irrot pencil of a tag-1 part with harmonic
+    fields, the c_k_F pencil, and the forms certification reads |R| and
+    |sym R| off in the coordinates y of R = W y; without a tag-1 part, the
+    constant skews in those coordinates (skew_fields).  The one Edge0^3
+    pair it keeps is what only certification reads: the row-blocked curl
+    incidence C and Face0 mass (curl), built with the Face0 space on the
+    first certified sample, and C W (curl_free_curl).  The harmonic search
+    runs at tol and also yields the coexact Maxwell pair, so c_m_coexact
+    needs no eigensolve of its own.
     Constants are cached by name, and the Maxwell gradient block reuses c_p.
     Without harmonic fields the complex is exact: the curl-free tensors are
     the gradients of the admissible P1 vectors, and the tag-1 part has at
@@ -643,7 +662,7 @@ class Workspace:
     @cached_property
     def pencil(self):
         """The TensorPencil of the edge operators: the strain form is
-        assembled here, on the first read (c_direct, curl_free, strain_form)."""
+        assembled here, on the first read (c_direct, curl_free, certification)."""
         return tensor_pencil(self.ops)
 
     @cached_property
@@ -652,34 +671,12 @@ class Workspace:
         return curl_free_forms(self.harmonics, self.pencil)
 
     @cached_property
-    def curl_incidence(self):
-        """The curl incidence C: Edge0 -> Face0 (C^T M_f C is the curl-curl form)."""
-        return assemble("curl_map", self.ops.edge_space, self.face_space)
-
-    @cached_property
-    def face_mass(self):
-        """The Face0 mass M_f."""
-        return assemble("mass", self.face_space)
-
-    @cached_property
-    def face_space(self):
-        """The Face0 space of curl_incidence and face_mass."""
-        return build_space(self.mesh, "Face0")
-
-    @property
-    def strain_form(self):
-        """The pencil's strain form, the _HalfForm it keeps, for |sym T| per sample."""
-        return self.pencil.strain
-
-    @cached_property
-    def row_curl(self):
-        """The curl incidence of Edge0^3, row-blocked: one product per sample."""
-        return _row_blocked(self.curl_incidence)
-
-    @cached_property
-    def row_face_form(self):
-        """The row-blocked Face0 mass as a _HalfForm, for |Curl T| per sample."""
-        return _HalfForm(_row_blocked(self.face_mass))
+    def curl(self):
+        """The CurlPair of Edge0^3, built with the Face0 space on the first
+        certified sample: |Curl T| = |C t| in the Face0 mass."""
+        faces = build_space(self.mesh, "Face0")
+        incidence = _row_blocked(assemble("curl_map", self.ops.edge_space, faces))
+        return CurlPair(incidence, _HalfForm(_row_blocked(assemble("mass", faces))))
 
     @cached_property
     def curl_free_curl(self):
@@ -688,7 +685,7 @@ class Workspace:
         C G = 0 on the incidence level, so the gradient columns vanish
         exactly and only the harmonic columns keep entries.
         """
-        CW = (self.row_curl @ self.curl_free.basis).tocsr()
+        CW = (self.curl.incidence @ self.curl_free.basis).tocsr()
         CW.eliminate_zeros()
         return CW
 
@@ -757,64 +754,28 @@ def _image_norm(rows, images):
     return float(np.sqrt(max(np.vdot(rows, images), 0.0)))
 
 
-class _Chain:
-    """The links of one certification chain on a tensor field T, in order.
-
-    Holds the Helmholtz split T = R + S with its mass norms and |Curl T|,
-    and starts with link (a): the mass-orthogonality of R and S relative to
-    |T|^2 (the size at which a defect would perturb the Pythagoras step).
-    Only the field-dependent work runs per field: one split, which hands
-    back M T and the coordinates y of R = W y, so M S = M T - (M W) y
-    (ws.curl_free) and the links read |R| and |sym R| off the reduced
-    forms; the incidence image C t (row-blocked), which the curl_transfer
-    link reads too, and |Curl T|^2 = (C t)^T M_f (C t).  That Face0 mass
-    norm stays nonnegative where t^T CC t is pure rounding (rows within
-    rounding of gradients), and C^T M_f C is the curl-curl form.
-    Degenerate links (both sides at rounding level) are measured against
-    the size of T instead of a vanishing right-hand side.
-    """
-
-    def __init__(self, T, ws):
-        split = hodge.helmholtz_split_tensor(T, harmonics=ws.harmonics)
-        self.R, S = split.parts()
-        self.y = split.coords
-        self.t = T.stacked()
-        self.mass_t = split.mass_T.reshape(-1)
-        mass_s = self.mass_t - ws.curl_free.mass_image @ self.y
-        self.nT = _image_norm(self.t, self.mass_t)
-        self.nS = _image_norm(S.stacked(), mass_s)
-        self.curl_image = ws.row_curl @ self.t
-        self.curl_T = ws.row_face_form.norm(self.curl_image)
-        self.floor = 1e-6 * max(self.nT, 1e-300)
-        self.links = {}
-        self.inner_RS = float(np.vdot(self.R.rows, mass_s))
-        self.equality("orthogonality", abs(self.inner_RS) / max(self.nT**2, 1e-300))
-
-    def ineq(self, name, lhs, rhs):
-        margin = (rhs - lhs) / max(abs(rhs), self.floor)
-        self.links[name] = {"lhs": lhs, "rhs": rhs, "margin": margin}
-
-    def equality(self, name, resid):
-        self.links[name] = {"lhs": resid, "rhs": 0.0, "margin": -resid}
-
-    def record(self, case, shift):
-        """The verdict demands every margin >= -DEFAULT_SLACK."""
-        failed = [k for k, v in self.links.items() if v["margin"] < -DEFAULT_SLACK]
-        return CertificationRecord(case, self.links, shift, not failed, failed)
-
-
 def certify_main_inequality(T, ws):
     """Replicate the proof chain on one tensor field and report margins.
 
-    Links: (a) split orthogonality, (b) curl preservation, (c) the coexact
-    estimate, (d) the Korn link on the curl-free part, (e) the assembled
-    bound.  Margins are relative; the verdict demands all >= -DEFAULT_SLACK.
-    A field costs one Helmholtz split and one-vector sparse products: |R|,
-    |sym R| and |Curl R| read off the reduced forms of ws.curl_free, |sym
-    T| off the upper half of the strain form (ws.strain_form), the slice
-    averages of T and R (d, e) are two dense products with the cached
-    hodge.slice_moments, and the operators of the Workspace are only read.
+    Links: (a) split orthogonality, relative to |T|^2 (the size at which a
+    defect would perturb the Pythagoras step), (b) curl preservation, (c)
+    the coexact estimate, (d) the Korn link on the curl-free part, (e) the
+    assembled bound.  Margins are relative; the verdict demands all >=
+    -DEFAULT_SLACK.  Degenerate links (both sides at rounding level) are
+    measured against the size of T instead of a vanishing right-hand side.
     A T of another mesh or edge space raises ValueError.
+
+    A field costs one Helmholtz split and one-vector sparse products, and
+    the operators of the Workspace are only read.  The split hands back
+    M T and the coordinates y of R = W y, so M S = M T - (M W) y and |R|,
+    |sym R| and |Curl R| read off the reduced forms of ws.curl_free.  The
+    incidence image C t (ws.curl, row-blocked), which link (b) reads too,
+    gives |Curl T|^2 = (C t)^T M_f (C t): C^T M_f C is the curl-curl form,
+    and this Face0 mass norm stays nonnegative where t^T CC t is pure
+    rounding (rows within rounding of gradients).  |sym T| reads off the
+    upper half of the strain form (ws.pencil.strain), and the slice
+    averages of T and R (d, e) are two dense products with the cached
+    hodge.slice_moments.
 
     Without a tag-1 part the global skew average K of R is subtracted
     before any norm is taken: R - K = W (y - y_K) and T - K = t - W y_K,
@@ -828,29 +789,45 @@ def certify_main_inequality(T, ws):
         raise ValueError("certify_main_inequality needs T on the Workspace's mesh and its "
                          "constrained edge space (Edge0, 'gamma_t')")
     cf = ws.curl_free
-    chain = _Chain(T, ws)  # (a)
-    R, curl_T = chain.R, chain.curl_T
+    split = hodge.helmholtz_split_tensor(T, harmonics=ws.harmonics)
+    R, S = split.parts()
+    y, t = split.coords, T.stacked()
+    mass_t = split.mass_T.reshape(-1)
+    mass_s = mass_t - cf.mass_image @ y
+    nT = _image_norm(t, mass_t)
+    curl_image = ws.curl.incidence @ t
+    curl_T = ws.curl.face_mass.norm(curl_image)
+    floor = 1e-6 * max(nT, 1e-300)
+    links = {}
+
+    def ineq(name, lhs, rhs):
+        links[name] = {"lhs": lhs, "rhs": rhs, "margin": (rhs - lhs) / max(abs(rhs), floor)}
+
+    def equality(name, resid):
+        links[name] = {"lhs": resid, "rhs": 0.0, "margin": -resid}
+
+    # (a) the parts are mass-orthogonal
+    equality("orthogonality", abs(float(np.vdot(R.rows, mass_s))) / max(nT**2, 1e-300))
 
     # (b) the coexact part carries the whole curl (incidence level, so the
     # gradient columns of C W vanish exactly)
-    inc_R = np.linalg.norm(ws.curl_free_curl @ chain.y)
-    inc_T = np.linalg.norm(chain.curl_image)
-    inc_floor = 1e-6 * max(np.linalg.norm(chain.t), 1e-300)
-    chain.equality("curl_transfer", inc_R / max(inc_T, inc_floor))
+    inc_R = np.linalg.norm(ws.curl_free_curl @ y)
+    inc_floor = 1e-6 * max(np.linalg.norm(t), 1e-300)
+    equality("curl_transfer", inc_R / max(np.linalg.norm(curl_image), inc_floor))
 
     # (c) coexact estimate, also with the full Maxwell constant
-    chain.ineq("coexact_estimate", chain.nS, ws.constant("c_m_coexact").value * curl_T)
+    nS = _image_norm(S.stacked(), mass_s)
+    ineq("coexact_estimate", nS, ws.constant("c_m_coexact").value * curl_T)
     c_m = ws.constant("c_m").value
-    chain.ineq("coexact_estimate_cm", chain.nS, c_m * curl_T)
+    ineq("coexact_estimate_cm", nS, c_m * curl_T)
 
     # (d) Korn link on the curl-free part; without a tag-1 part R and T are
     # shifted by the skew average of R on every slice
     case = ws.case
     c_k = ws.constant("c_k_irrot").value
-    y, t = chain.y, chain.t
     if case == "tangential":
         shift = np.zeros((3, 3))
-        lhs_d, lhs_e = _mnorm(y, cf.mass), chain.nT
+        lhs_d, lhs_e = _mnorm(y, cf.mass), nT
     else:
         _, means_R, slice_vols = hodge.slice_means(R)
         _, means_T, _ = hodge.slice_means(T)
@@ -860,27 +837,27 @@ def certify_main_inequality(T, ws):
         Y, WY, MWY = ws.skew_fields
         y, t = y - k @ Y, t - k @ WY
         lhs_d = _mnorm(y, cf.mass)
-        lhs_e = _image_norm(t, chain.mass_t - k @ MWY)
+        lhs_e = _image_norm(t, mass_t - k @ MWY)
         if case == "sliced":
             lhs_d = _piecewise_shifted_norm(lhs_d, means_R - K, slice_vols, skews - K)
             lhs_e = _piecewise_shifted_norm(lhs_e, means_T - K, slice_vols, skews - K)
         shift = skews[0] if case == "simply_connected" else skews
-    chain.ineq("korn_link", lhs_d, c_k * _mnorm(y, cf.sym))
+    ineq("korn_link", lhs_d, c_k * _mnorm(y, cf.sym))
 
     # (e) assembled bound; a piecewise shift loses the orthogonality, so the
     # weaker combined constant applies on several slices
-    sym_T = ws.strain_form.norm(t)
-    seminorm = float(np.sqrt(sym_T**2 + curl_T**2))
+    seminorm = float(np.sqrt(ws.pencil.strain.norm(t)**2 + curl_T**2))
     c_hat, c_tilde = derived_bounds(c_k, c_m)
-    chain.ineq("assembled_bound", lhs_e, (c_tilde if case == "sliced" else c_hat) * seminorm)
+    ineq("assembled_bound", lhs_e, (c_tilde if case == "sliced" else c_hat) * seminorm)
     if case == "simply_connected":
         # the skew average of T equals the one of its curl-free part (on
         # several slices they differ: the coexact part has zero mean only
         # globally)
         s_T = 0.5 * (means_T[0] - means_T[0].T)
         denom = max(np.linalg.norm(s_T), np.linalg.norm(shift), 1e-300)
-        chain.equality("skew_consistency", float(np.linalg.norm(s_T - shift)) / denom)
-    return chain.record(case, shift)
+        equality("skew_consistency", float(np.linalg.norm(s_T - shift)) / denom)
+    failed = [name for name, link in links.items() if link["margin"] < -DEFAULT_SLACK]
+    return CertificationRecord(case, links, shift, not failed, failed)
 
 
 # --------------------------------------------------------------------------

@@ -204,6 +204,9 @@ def test_tensor_forms_match_rowwise(cube2):
     assert float(x @ (St @ x)) <= float(x @ (Mt @ x)) * (1 + 1e-12)
     norms = evaluate_norms(T, ["L2", "sym", "curl"])
     assert norms["sym"] == pytest.approx(float(x @ (St @ x)), rel=1e-11)
+    assert norms["curl"] == pytest.approx(float(x @ (Kt @ x)), rel=1e-12)
+    # a curl-only request forms no point values and sums the same curls
+    assert evaluate_norms(T, ["curl"]) == {"curl": norms["curl"]}
 
 
 def test_tensor_sym_constant_skew_annihilated(cube2):
@@ -592,7 +595,6 @@ def test_tensor_pencil_forms_built_on_demand_match(mesh_name):
     # entry for entry
     mesh = _PARITY_MESHES[mesh_name]()
     ws = Workspace(mesh)
-    assert ws.strain_form is ws.pencil.strain
     for pencil in (ws.pencil, tensor_pencil(hodge._operators_for(build_space(mesh, "Edge0")))):
         ops, e0 = pencil.ops, pencil.space
         pairs = [(pencil.sym, assemble("tensor_sym", e0)),

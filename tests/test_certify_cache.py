@@ -107,10 +107,11 @@ def test_certification_factors_poisson_once(workspaces, label, monkeypatch):
         assert calls == ["helmholtz_split_tensor"]
 
 
-@pytest.mark.parametrize("noise", [1e-12, 1e-10])
+@pytest.mark.parametrize("noise", [0.0, 1e-12, 1e-10])
 def test_gradient_rows_with_noise_certify(workspaces, noise):
     # t^T CC t is pure rounding for rows within noise of gradients; |Curl T|
-    # read as the Face0 mass norm of the incidence images C t_m is not
+    # read as the Face0 mass norm of the incidence images C t_m is not.
+    # Exact gradient rows (noise 0) have S and Curl T at rounding level
     ws = workspaces["slab_tangential"]
     ops = ws.ops
     rng = np.random.default_rng(3)

@@ -386,19 +386,10 @@ def test_certify_random_fields(slab2_ws):
         assert cert.verdict, cert.failed
 
 
-def _two_plate_mesh(n=2):
-    m = generate_primitive("unit_cube", n)
-    coords = m.vertices[m.btris]
-    tags = np.zeros(len(m.btris), dtype=np.int64)
-    tags[np.all(np.abs(coords[:, :, 0]) < 1e-12, axis=1)] = 1
-    tags[np.all(np.abs(coords[:, :, 0] - 1) < 1e-12, axis=1)] = 1
-    return m.retag(tags)
-
-
 def test_certify_with_mixed_tag_harmonic_sector():
     # two opposite plates: the curl-free space gains one harmonic field
     # (relative cohomology), and the chain must still certify
-    ws = cst.Workspace(_two_plate_mesh(2))
+    ws = cst.Workspace(two_plates(2))
     assert ws.harmonics.dim == 1
     rng = np.random.default_rng(5)
     for _ in range(10):

@@ -194,15 +194,16 @@ def test_reduced_forms_match_edge_products(workspaces, label):
         r, s, y = R.stacked(), S.stacked(), split.coords
         scale = float(T.stacked() @ (M @ T.stacked()))
         assert np.abs(cf.basis @ y - r).max() <= 1e-14 * np.abs(r).max()
-        chain = cst._Chain(T, ws)
+        # the orthogonality link holds |<R, S>| / |T|^2, the coexact one |S|
+        links = cst.certify_main_inequality(T, ws).links
         for reduced, edge in ((y @ (cf.mass @ y), r @ (M @ r)),
                               (y @ (cf.sym @ y), r @ (Asym @ r)),
-                              (chain.inner_RS, r @ (M @ s)),
-                              (chain.nS**2, s @ (M @ s)),
-                              (ws.strain_form.norm(T.stacked())**2,
+                              (links["orthogonality"]["lhs"] * scale, abs(r @ (M @ s))),
+                              (links["coexact_estimate"]["lhs"]**2, s @ (M @ s)),
+                              (ws.pencil.strain.norm(T.stacked())**2,
                                T.stacked() @ (Asym @ T.stacked()))):
             assert abs(reduced - edge) <= 1e-13 * scale
-        curl_R = np.concatenate([ws.curl_incidence @ row for row in R.rows])
+        curl_R = ws.curl.incidence @ r
         assert np.abs(ws.curl_free_curl @ y - curl_R).max() <= 1e-13 * np.sqrt(scale)
 
 

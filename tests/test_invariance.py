@@ -4,14 +4,16 @@ Renumbering the vertices, the cells and the boundary triangles of a mesh
 changes which vertex is pinned, the order of every dof and of every
 assembly sum, and leaves each constant unchanged.  Scaling the mesh by s
 scales the Poincare and Maxwell constants by s and leaves the Korn
-constants alone.  c_direct mixes the two length scales and is left out of
-the scaling check (see ROADMAP, the scale-robust c_direct).
+constants alone.  c_direct mixes the two length scales: its pencil on the
+scaled mesh weights the curl-curl form by s^-2, so it is checked against
+references of the scaled pencil instead.
 """
 
 import numpy as np
 import pytest
 
 from kornlab import constants as cst
+from kornlab import linalg
 from kornlab.meshes import Mesh, generate_primitive
 
 NAMES = ("c_p", "c_k_s", "c_k_t", "c_k_irrot", "c_m", "c_m_grad", "c_m_coexact")
@@ -79,3 +81,24 @@ def test_constants_scale_with_the_mesh(label, s, reference):
     for name, value in got.items():
         expected = ref[name] * (s if name in SCALED else 1.0)
         assert value == pytest.approx(expected, rel=1e-12), name
+
+
+# c_direct of the tagged unit_cube n=2 scaled by s: mpmath at 40 digits, with
+# the curl-curl form C^T M_f C of the integer curl_map
+DIRECT_REFERENCES = {1.0: 1.343285097376533, 1e-2: 1.34164095123841, 1e-3: 1.341640788147259}
+
+
+@pytest.mark.parametrize("s", list(DIRECT_REFERENCES))
+def test_c_direct_on_a_scaled_mesh(s):
+    # s^-2 CC dwarfs Sym at small s; the quotient reads the curl per cell,
+    # so the formed pencil's rounding does not reach c_direct
+    mesh = generate_primitive("unit_cube", 2).transformed(matrix=s * np.eye(3))
+    value = cst.Workspace(mesh).constant("c_direct").value
+    assert value == pytest.approx(DIRECT_REFERENCES[s], rel=1e-10)
+
+
+def test_c_direct_below_the_resolved_scale_raises():
+    # at s = 1e-4 the returned vector itself is off: the residual gate names it
+    mesh = generate_primitive("unit_cube", 2).transformed(matrix=1e-4 * np.eye(3))
+    with pytest.raises(linalg.SolverError, match="residual"):
+        cst.Workspace(mesh).constant("c_direct")

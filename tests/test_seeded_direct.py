@@ -182,12 +182,13 @@ def _stubbed_direct(monkeypatch, pick):
 
 @pytest.mark.parametrize("share", [0.25, 0.75])
 def test_pair_below_the_main_estimate_raises(monkeypatch, share):
-    # below the shift (lower / 2) and between the shift and the bound
-    def below(eig, lower):
-        return linalg.EigenResult(np.array([share * lower]), eig.vectors[:, :1],
-                                  eig.residuals[:1])
-
-    ws = _stubbed_direct(monkeypatch, below)
+    # lambda_1 at share * lower: below the shift (lower / 2) and between the
+    # shift and the bound.  c_direct reads the quotient of the returned
+    # vector, so the bound is made too high, as a wrong c_k_irrot or c_m
+    # would make it, and the true pair is returned (78 dofs, dense)
+    ws = _chain_workspace(generate_primitive("unit_cube", 2))
+    lam = cst.direct_main_constant(ws.mesh, pencil=ws.pencil).eigenvalue
+    monkeypatch.setattr(ws, "direct_seed", lambda: dict(bracket=(lam / share, None), v0=None))
     with pytest.raises(linalg.SolverError, match="below the lower bound"):
         ws.constant("c_direct")
 
