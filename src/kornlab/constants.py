@@ -216,43 +216,19 @@ def _row_blocked(form):
     return sp.block_diag([form] * 3, format="csr")
 
 
-@dataclass
-class TensorPencil:
-    """The mass, strain and curl-curl forms on Edge0^3 of one edge space.
-
-    Holds the edge operators ops and the strain form, the one form that
-    couples the rows, once: as its upper half and diagonal (strain, the
-    _HalfForm certification reads |sym T| through).  mass, curlcurl and sym
-    build the row-blocked Edge0^3 matrices on each read, for a solve that
-    forms its pencil from them and drops them afterwards; none is kept.
-    """
-
-    ops: object
-    strain: _HalfForm
-
-    @property
-    def space(self):
-        return self.ops.edge_space
-
-    @property
-    def mass(self):
-        return _row_blocked(self.ops.mass)
-
-    @property
-    def curlcurl(self):
-        return _row_blocked(self.ops.curlcurl)
-
-    @property
-    def sym(self):
-        return self.strain.full()
+# the forms on Edge0^3 of one edge space, each held once: the edge operators
+# ops (the mass and curl-curl of every row) and the strain form, the one form
+# that couples the rows, as its upper half and diagonal (strain, the _HalfForm
+# certification reads |sym T| through); only c_direct's solve forms the
+# full Edge0^3 matrices from them
+TensorPencil = namedtuple("TensorPencil", "ops strain")
 
 
 def tensor_pencil(ops):
     """The TensorPencil of the edge operators ops: the strain form
     tensor_sym on their edge space, assembled here and kept as its upper
-    half; the mass and curl-curl blocks are the edge matrices of ops.
-    Every integrand is a polynomial of degree at most 2, integrated exactly
-    by the rule of that degree.
+    half.  Every integrand is a polynomial of degree at most 2, integrated
+    exactly by the rule of that degree.
     """
     return TensorPencil(ops, _HalfForm(assemble("tensor_sym", ops.edge_space)))
 
@@ -263,19 +239,20 @@ def tensor_pencil(ops):
 CurlFreeForms = namedtuple("CurlFreeForms", "basis sym mass mass_image")
 
 
-def _reduce(W, form):
-    return (W.T @ (form @ W)).tocsr()
-
-
 def curl_free_forms(harmonics, pencil):
     """CurlFreeForms of the curl-free tensors, with the strain form of pencil.
 
-    The row-blocked mass and the full strain form are built for the
-    reductions and dropped once those are formed.
+    The strain form reduces through its half: with U its strict upper
+    triangle and D its diagonal, W^T Sym W = S + S^T + W^T diag(D) W for
+    S = W^T (U W).  M W is formed one tensor row at a time from the Edge0
+    mass.  So neither the full strain form nor the row-blocked mass is built.
     """
     W = _curlfree_basis(harmonics)
-    MW = pencil.mass @ W
-    return CurlFreeForms(W, _reduce(W, pencil.sym), (W.T @ MW).tocsr(), MW.tocsr())
+    strain, n = pencil.strain, pencil.ops.edge_space.free_count
+    S = W.T @ (strain.upper @ W)
+    sym = (S + S.T + W.T @ (sp.diags(strain.diag) @ W)).tocsr()
+    MW = sp.vstack([pencil.ops.mass @ W[m * n:(m + 1) * n] for m in range(3)], format="csr")
+    return CurlFreeForms(W, sym, (W.T @ MW).tocsr(), MW)
 
 
 def _slice_betti1(sub):
@@ -406,7 +383,9 @@ def direct_main_constant(mesh, tol=DEFAULT_EIG_TOL, *, pencil=None, deflate=True
     """Optimal constant in |T| <= c (|sym T|^2 + |Curl T|^2)^(1/2).
 
     Full tensor pencil over the constrained edge tensors, A = Sym + CC and
-    B = M formed from pencil for this solve only.  Without a tag-1 part the
+    B = M on Edge0^3: the one solve that forms these matrices, Sym from the
+    half strain form of pencil and CC and M as the block diagonals of its
+    edge operators, and drops them with the solve.  Without a tag-1 part the
     per-slice skew moments are removed by the rows of
     _slice_skew_constraints (on one slice: the constant skews);
     deflate=False surfaces the kernel as an error instead.
@@ -436,12 +415,13 @@ def direct_main_constant(mesh, tol=DEFAULT_EIG_TOL, *, pencil=None, deflate=True
     raise linalg.SolverError.
     """
     pencil = pencil or tensor_pencil(hodge.edge_operators(mesh))
-    A = (pencil.sym + pencil.curlcurl).tocsr()
-    B = pencil.mass
+    ops, space = pencil.ops, pencil.ops.edge_space
+    A = (pencil.strain.full() + _row_blocked(ops.curlcurl)).tocsr()
+    B = _row_blocked(ops.mass)
     nslices = len(mesh.slice_labels)
     constraints = note = None
     if not mesh.has_gamma_t and deflate:
-        constraints = _slice_skew_constraints(pencil.space)
+        constraints = _slice_skew_constraints(space)
         note = ("deflated: constant skew tensors" if nslices == 1
                 else f"deflated: per-slice skew moments ({nslices} slices)")
     if bracket is None:
@@ -462,7 +442,7 @@ def direct_main_constant(mesh, tol=DEFAULT_EIG_TOL, *, pencil=None, deflate=True
     # lambda is the quotient of x with the curl read per cell, not off the
     # formed A: the curl of a near-gradient x is exact to rounding in x
     x = eig.vectors[:, 0]
-    curl_sq = evaluate_norms(TensorField(pencil.space, x.reshape(3, -1)), ("curl",))["curl"]
+    curl_sq = evaluate_norms(TensorField(space, x.reshape(3, -1)), ("curl",))["curl"]
     lam = (pencil.strain.norm(x)**2 + curl_sq) / float(x @ (B @ x))
     x = x[:, None]
     eig = linalg.EigenResult([lam], x, linalg._residuals(A, B, [lam], x, constraints))
@@ -479,7 +459,7 @@ def direct_main_constant(mesh, tol=DEFAULT_EIG_TOL, *, pencil=None, deflate=True
                 f"c_direct: lambda = {lam:.12e} lies above the curl-free bound "
                 f"{upper:.12e}; the solve missed the smallest pair"
             )
-    return _record("c_direct", eig, B, 3 * pencil.space.free_count, tol, note)
+    return _record("c_direct", eig, B, 3 * space.free_count, tol, note)
 
 
 # --------------------------------------------------------------------------
@@ -579,10 +559,10 @@ class Workspace:
     kept as its upper half.  So c_p, c_m and the Korn constants (but
     c_k_irrot on a tag-1 part with harmonic fields) assemble no strain form
     and factor no Poisson matrix.  The row-blocked mass and curl-curl and
-    the full strain form are built by the solves that read them (c_direct,
-    curl_free) and dropped there.  Only where they are read it builds the
-    curl-free basis W with the reduced forms W^T Sym W and W^T M W
-    (curl_free): the c_k_irrot pencil of a tag-1 part with harmonic
+    the full strain form exist only inside c_direct's solve.  Only where
+    they are read it builds the curl-free basis W with the reduced forms
+    W^T Sym W and W^T M W (curl_free, reduced through the strain half and
+    the Edge0 mass): the c_k_irrot pencil of a tag-1 part with harmonic
     fields, the c_k_F pencil, and the forms certification reads |R| and
     |sym R| off in the coordinates y of R = W y; without a tag-1 part, the
     constant skews in those coordinates (skew_fields).  The one Edge0^3
@@ -656,13 +636,15 @@ class Workspace:
             raise ValueError("the weighted constant needs a nonempty tag-1 part")
         cf = self.curl_free
         sym = assemble("tensor_symF", self.ops.edge_space, coeff=weight)
-        rec = curl_free_constant("c_k_F", cf._replace(sym=_reduce(cf.basis, sym)), self.tol)
+        sym = (cf.basis.T @ (sym @ cf.basis)).tocsr()
+        rec = curl_free_constant("c_k_F", cf._replace(sym=sym), self.tol)
         return WeightedWork(c_F, mu, rec)
 
     @cached_property
     def pencil(self):
         """The TensorPencil of the edge operators: the strain form is
-        assembled here, on the first read (c_direct, curl_free, certification)."""
+        assembled here, on the first read (c_direct, curl_free, certification),
+        and kept as its upper half."""
         return tensor_pencil(self.ops)
 
     @cached_property

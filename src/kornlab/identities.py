@@ -10,6 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .hodge import SO3_BASIS
 from .polynomials import Poly3, PolyField, dot_integral, norm_sq
 
 N_DIM = 3
@@ -295,11 +296,7 @@ def embed_skew_vector(v):
 # projection algebra on the cube
 # --------------------------------------------------------------------------
 
-SO3_POLY_BASIS = [
-    [[0.0, 0.0, 0.0], [0.0, 0.0, -1.0], [0.0, 1.0, 0.0]],
-    [[0.0, 0.0, 1.0], [0.0, 0.0, 0.0], [-1.0, 0.0, 0.0]],
-    [[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]],
-]
+SO3_POLY_BASIS = SO3_BASIS  # the three so(3) generators, defined once in hodge
 
 
 def _mean_matrix(T):

@@ -2,6 +2,7 @@
 
 import numpy as np
 
+from kornlab import constants, linalg
 from kornlab.meshes import generate_primitive
 
 
@@ -30,3 +31,32 @@ def constant_tensor_coeffs(space, mat):
         full = edge_vec @ mat[m]
         rows[m] = space.free_from_full(full.reshape(1, -1))
     return rows
+
+
+class _Captured(Exception):
+    pass
+
+
+def direct_pencil(mesh, pencil=None):
+    """(A, B, constraints) as constants.direct_main_constant(mesh, pencil=pencil)
+    hands them to linalg.eig_smallest: the pencil c_direct forms, its solve
+    stopped at the first call."""
+    captured = {}
+
+    def capture(A, B, k=1, constraints=None, **_):
+        captured.update(A=A, B=B, constraints=constraints)
+        raise _Captured
+
+    saved, linalg.eig_smallest = linalg.eig_smallest, capture
+    try:
+        constants.direct_main_constant(mesh, pencil=pencil)
+    except _Captured:
+        pass
+    finally:
+        linalg.eig_smallest = saved
+    return captured["A"], captured["B"], captured["constraints"]
+
+
+def mass_sq(ops, x):
+    """|x|^2 of a stacked Edge0^3 vector x in the mass of the edge operators ops."""
+    return float(sum(r @ (ops.mass @ r) for r in x.reshape(3, -1)))

@@ -22,7 +22,7 @@ from kornlab.polynomials import PolyField, Poly3
 from kornlab.quadrature import barycentric, tet_rule
 from kornlab.spaces import Field, SpaceError, TensorField, build_space, interpolate
 
-from helpers import constant_tensor_coeffs
+from helpers import constant_tensor_coeffs, direct_pencil
 
 
 class AnalyticField:
@@ -188,23 +188,22 @@ def test_tensor_forms_match_rowwise(cube2):
     rng = np.random.default_rng(3)
     T = TensorField(e0, rng.standard_normal((3, e0.free_count)))
     pencil = tensor_pencil(hodge._operators_for(e0))
-    Mt, Kt = pencil.mass, pencil.curlcurl
+    A, Mt, _ = direct_pencil(cube2, pencil)  # c_direct's Sym + CC and mass
     M = assemble("mass", e0)
     K = assemble("curlcurl", e0)
     x = T.stacked()
+    curl_sq = float(x @ (A @ x)) - pencil.strain.norm(x)**2
     assert float(x @ (Mt @ x)) == pytest.approx(
         sum(float(r @ (M @ r)) for r in T.rows), rel=1e-13
     )
-    assert float(x @ (Kt @ x)) == pytest.approx(
-        sum(float(r @ (K @ r)) for r in T.rows), rel=1e-13
-    )
+    assert curl_sq == pytest.approx(sum(float(r @ (K @ r)) for r in T.rows), rel=1e-13)
     # sym + skew decomposition: |T|^2 = |sym T|^2 + |skew T|^2 pointwise,
     # so the sym form is dominated by the mass form
     St = assemble("tensor_sym", e0)
     assert float(x @ (St @ x)) <= float(x @ (Mt @ x)) * (1 + 1e-12)
     norms = evaluate_norms(T, ["L2", "sym", "curl"])
     assert norms["sym"] == pytest.approx(float(x @ (St @ x)), rel=1e-11)
-    assert norms["curl"] == pytest.approx(float(x @ (Kt @ x)), rel=1e-12)
+    assert norms["curl"] == pytest.approx(curl_sq, rel=1e-12)
     # a curl-only request forms no point values and sums the same curls
     assert evaluate_norms(T, ["curl"]) == {"curl": norms["curl"]}
 
@@ -589,17 +588,18 @@ def test_workspace_keeps_no_edge_tensor_matrix():
 
 @pytest.mark.parametrize("mesh_name", sorted(_PARITY_MESHES))
 def test_tensor_pencil_forms_built_on_demand_match(mesh_name):
-    # the pencil keeps the strain form as its upper half; the full form and
-    # the row-blocked mass and curl-curl it builds on each read are the
-    # assembled strain form and the block diagonals of the edge matrices,
-    # entry for entry
+    # the pencil keeps the strain form as its upper half, which rebuilds the
+    # assembled strain form; c_direct forms A = Sym + CC and B = M from it
+    # and the block diagonals of the edge matrices, entry for entry
     mesh = _PARITY_MESHES[mesh_name]()
     ws = Workspace(mesh)
     for pencil in (ws.pencil, tensor_pencil(hodge._operators_for(build_space(mesh, "Edge0")))):
-        ops, e0 = pencil.ops, pencil.space
-        pairs = [(pencil.sym, assemble("tensor_sym", e0)),
-                 (pencil.mass, sp.block_diag([ops.mass] * 3)),
-                 (pencil.curlcurl, sp.block_diag([ops.curlcurl] * 3))]
+        ops = pencil.ops
+        sym = assemble("tensor_sym", ops.edge_space)
+        A, B, _ = direct_pencil(mesh, pencil)
+        pairs = [(pencil.strain.full(), sym),
+                 (A, sym + sp.block_diag([ops.curlcurl] * 3)),
+                 (B, sp.block_diag([ops.mass] * 3))]
         for built, ref in pairs:
             assert built.shape == ref.shape and (built != ref).nnz == 0
     for pat in mesh.__dict__["_patterns"].values():

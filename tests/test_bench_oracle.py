@@ -1,13 +1,16 @@
-"""The benchmark oracle's standalone c_direct call, run on a small mesh.
+"""The benchmark oracle's calls into kornlab, run on small meshes.
 
-perfbench/oracle.py regenerates the benchmark references; its cross_check
-captures the pencil of constants.direct_main_constant(mesh) and solves it
-by dense LAPACK and by ARPACK.  Running it here keeps that call working
-whenever a signature it relies on changes.
+perfbench/oracle.py regenerates the benchmark references: reference_values
+runs a Workspace with linalg.eig_smallest swapped for its own solvers, and
+cross_check captures the pencil of constants.direct_main_constant(mesh) and
+solves it by dense LAPACK and by ARPACK.  Running both here keeps those
+calls working whenever a signature or a solve they rely on changes.
 """
 
 import importlib.util
 from pathlib import Path
+
+import pytest
 
 from kornlab import constants, linalg
 from kornlab.meshes import generate_primitive
@@ -28,3 +31,20 @@ def test_cross_check_of_the_standalone_direct_constant():
                                                constants, linalg)
     assert dense > 0 and rel <= 1e-10
     assert linalg.eig_smallest is eig_smallest  # the capture is undone
+
+
+@pytest.mark.parametrize("kind, n", [("unit_cube", 2), ("cube_with_tunnel", 1)])
+def test_reference_values_swap_in_the_oracle_solvers(kind, n):
+    # every eigenvalue comes from the oracle: a constant whose solve no
+    # longer goes through linalg.eig_smallest would record method "none"
+    mesh = generate_primitive(kind, n)
+    names = ["c_p", "c_k_s"] + ["c_k_t"] * mesh.has_gamma_t + ["c_k_irrot", "c_m", "c_direct"]
+    eig_smallest = linalg.eig_smallest
+    refs = _oracle().reference_values(f"{kind}/n{n}", mesh, names, constants, linalg)
+    assert linalg.eig_smallest is eig_smallest
+    ws = constants.Workspace(mesh)
+    for name, ref in refs.items():
+        value = ws.constant(name).value
+        assert abs(ref["value"] - value) <= 1e-10 * abs(value), name
+    for name in ("c_p", "c_k_s", "c_direct"):
+        assert refs[name]["method"] != "none", name

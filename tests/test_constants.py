@@ -343,7 +343,7 @@ def test_direct_gradient_rows_reduce_to_korn(slab2_ws):
 
 def test_certify_zero_field(slab2_ws):
     T = TensorField(
-        slab2_ws.pencil.space, np.zeros((3, slab2_ws.pencil.space.free_count))
+        slab2_ws.ops.edge_space, np.zeros((3, slab2_ws.ops.edge_space.free_count))
     )
     cert = cst.certify_main_inequality(T, slab2_ws)
     assert cert.verdict
@@ -455,7 +455,7 @@ def test_weighted_korn_variable_coefficient():
     # dense oracle: rebuild the reduced pencil by hand
     harm = hodge.harmonic_basis(mesh)
     sym_F = assemble("tensor_symF", harm.space, coeff=F)
-    mass = cst.tensor_pencil(harm.ops).mass
+    mass = sp.block_diag([harm.ops.mass] * 3, format="csr")
     W = cst._curlfree_basis(harm)
     import scipy.linalg as sla
 

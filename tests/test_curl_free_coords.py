@@ -10,15 +10,19 @@ vector Korn pencil of the slice; so is the pencil of a mesh without
 harmonic fields, its curl-free tensors being gradients.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from kornlab import constants as cst
 from kornlab import hodge, linalg, meshes
+from kornlab.assemble import assemble
 from kornlab.meshes import Mesh, generate_primitive
 from kornlab.spaces import TensorField
 
-from helpers import constant_tensor_coeffs, three_patches, two_plates
+from helpers import constant_tensor_coeffs, mass_sq, three_patches, two_plates
 
 MESHES = {
     "slab_mixed": lambda: generate_primitive("slab_mixed", 2),
@@ -130,11 +134,11 @@ def test_c_k_irrot_on_gradients_matches_the_edge_pencil(kind, n, tag):
     if ws.case != "sliced":
         # the pair lifted to Edge0^3, W y, is admissible with the curl-free quotient
         v = cst._curlfree_basis(ws.harmonics) @ rec.vector
-        quotient = v @ (ws.pencil.sym @ v) / (v @ (ws.pencil.mass @ v))
+        quotient = ws.pencil.strain.norm(v)**2 / mass_sq(ws.ops, v)
         assert quotient == pytest.approx(rec.eigenvalue, rel=1e-12)
         if not mesh.has_gamma_t:
-            rows = cst._slice_skew_constraints(ws.pencil.space)
-            assert np.abs(rows @ v).max() <= 1e-12 * np.sqrt(v @ (ws.pencil.mass @ v))
+            rows = cst._slice_skew_constraints(ws.ops.edge_space)
+            assert np.abs(rows @ v).max() <= 1e-12 * np.sqrt(mass_sq(ws.ops, v))
 
 
 def test_standalone_c_k_irrot_builds_no_edge_operators(monkeypatch):
@@ -182,11 +186,54 @@ def test_c_k_irrot_exceeds_c_k_t_around_a_tunnel(n):
     assert ws.constant("c_k_irrot").value > 1.04 * ws.constant("c_k_t").value
 
 
+@pytest.mark.parametrize("make", [lambda: generate_primitive("cube_with_tunnel", 2),
+                                  lambda: two_plates(2)], ids=["tunnel2", "two_plates2"])
+def test_curl_free_forms_reduce_through_the_strain_half(make, monkeypatch):
+    # neither the full strain form nor a row-blocked Edge0 matrix is built;
+    # the forms equal W^T Sym W and the row-blocked M W, entry by entry
+    # within rounding of the largest entry
+    ws = cst.Workspace(make())
+    built = []
+    full, row_blocked = cst._HalfForm.full, cst._row_blocked
+    monkeypatch.setattr(cst._HalfForm, "full",
+                        lambda self: built.append("full") or full(self))
+    monkeypatch.setattr(cst, "_row_blocked",
+                        lambda form: built.append("_row_blocked") or row_blocked(form))
+    cf = ws.curl_free
+    assert built == []
+    W = cf.basis
+    MW = row_blocked(ws.ops.mass) @ W
+    refs = {"sym": W.T @ (full(ws.pencil.strain) @ W), "mass": W.T @ MW, "mass_image": MW}
+    for name, ref in refs.items():
+        form = getattr(cf, name)
+        assert form.shape == ref.shape
+        assert abs(form - ref).max() <= 1e-13 * abs(ref).max(), name
+
+
+def test_curl_free_forms_peak_memory():
+    # tunnel n=4: the strain half is 3.2 MB; the bound separates a build
+    # through the half and the Edge0 mass (a peak of 1.8 times it) from one
+    # through the full strain form and the row-blocked mass (4.5 times)
+    ws = cst.Workspace(generate_primitive("cube_with_tunnel", 4))
+    half = ws.pencil.strain
+    half_bytes = half.diag.nbytes + sum(a.nbytes for a in (half.upper.data, half.upper.indices,
+                                                           half.upper.indptr))
+    tracemalloc.start()
+    try:
+        ws.curl_free
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * half_bytes
+
+
 @pytest.mark.parametrize("label", list(MESHES))
 def test_reduced_forms_match_edge_products(workspaces, label):
     ws = workspaces[label]
     cf = ws.curl_free
-    M, Asym = ws.pencil.mass, ws.pencil.sym
+    # Edge0^3 references, assembled here: the reduced forms never build them
+    M = sp.block_diag([ws.ops.mass] * 3, format="csr")
+    Asym = assemble("tensor_sym", ws.ops.edge_space)
     for seed in range(3):
         T = ws.random_tensor(np.random.default_rng(seed))
         split = hodge.helmholtz_split_tensor(T, harmonics=ws.harmonics)
@@ -211,11 +258,12 @@ def test_reduced_forms_match_edge_products(workspaces, label):
 def test_skew_fields_are_the_constant_skews(workspaces, label):
     ws = workspaces[label]
     Y, fields, images = ws.skew_fields
-    e0 = ws.pencil.space
+    e0 = ws.ops.edge_space
     for l, S in enumerate(hodge.SO3_BASIS):
-        const = constant_tensor_coeffs(e0, S).reshape(-1)
-        assert np.abs(fields[l] - const).max() <= 1e-13
-        assert np.abs(images[l] - ws.pencil.mass @ const).max() <= 1e-13
+        const = constant_tensor_coeffs(e0, S)
+        assert np.abs(fields[l] - const.reshape(-1)).max() <= 1e-13
+        image = np.concatenate([ws.ops.mass @ row for row in const])
+        assert np.abs(images[l] - image).max() <= 1e-13
 
 
 @pytest.mark.parametrize("label", ["unit_cube_untagged", "tunnel"])
@@ -224,7 +272,7 @@ def test_constant_skew_with_noise_certifies(workspaces, label, noise):
     # |X|^2 - 2 <X, S> + |S|^2 and t^T Asym t cancelled here; the global
     # skew is now subtracted in the curl-free coordinates first
     ws = workspaces[label]
-    e0 = ws.pencil.space
+    e0 = ws.ops.edge_space
     skew = hodge.SO3_BASIS[0] + 0.3 * hodge.SO3_BASIS[2]
     rng = np.random.default_rng(5)
     rows = constant_tensor_coeffs(e0, skew)

@@ -4,8 +4,7 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from kornlab import constants as cst
-from kornlab import hodge, linalg
+from kornlab import linalg
 from kornlab.assemble import assemble
 from kornlab.linalg import (
     SolverError,
@@ -17,6 +16,8 @@ from kornlab.linalg import (
 )
 from kornlab.meshes import generate_primitive
 from kornlab.spaces import build_space
+
+from helpers import direct_pencil
 
 
 def test_solve_identity():
@@ -167,11 +168,10 @@ def test_saddle_inverse_borders_dense_skew_rows(monkeypatch):
     # the tunnel n=2 c_direct pencil: two slices, three skew-moment rows
     # each, every row dense; all six border the factorized matrix
     mesh = generate_primitive("cube_with_tunnel", 2)
-    pencil = cst.tensor_pencil(hodge.edge_operators(mesh))
-    A, B = (pencil.sym + pencil.curlcurl).tocsr(), pencil.mass
+    A, B, rows = direct_pencil(mesh)
     n = A.shape[0]
     assert n >= linalg.DENSE_CROSSOVER
-    C = linalg._saddle_rows(B, None, cst._slice_skew_constraints(pencil.space), n)
+    C = linalg._saddle_rows(B, None, rows, n)
     assert C.shape == (6, n) and np.diff(C.indptr).min() > 0.05 * n
     factored = []
     real = linalg._factor

@@ -16,7 +16,7 @@ from kornlab.meshes import generate_primitive
 from kornlab.quadrature import barycentric, tet_rule
 from kornlab.spaces import TensorField, build_space
 
-from helpers import constant_tensor_coeffs
+from helpers import constant_tensor_coeffs, direct_pencil
 
 
 def dense_tensor_forms(mesh, space):
@@ -65,9 +65,12 @@ def slab1():
 
 
 def test_dense_forms_match_assembled(slab1):
+    # the mass and Sym + CC that c_direct forms, and the strain half
     pencil = cst.tensor_pencil(hodge.edge_operators(slab1))
-    M0, S0, K0 = dense_tensor_forms(slab1, pencil.space)
-    M, S, K = (form.toarray() for form in (pencil.mass, pencil.sym, pencil.curlcurl))
+    M0, S0, K0 = dense_tensor_forms(slab1, pencil.ops.edge_space)
+    A, B, _ = direct_pencil(slab1, pencil)
+    M, S = B.toarray(), pencil.strain.full().toarray()
+    K = A.toarray() - S
     assert np.abs(M - M0).max() <= 1e-13
     assert np.abs(S - S0).max() <= 1e-13
     assert np.abs(K - K0).max() <= 1e-12

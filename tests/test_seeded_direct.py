@@ -17,7 +17,7 @@ from kornlab import constants as cst
 from kornlab import linalg
 from kornlab.meshes import generate_primitive
 
-from helpers import three_patches
+from helpers import direct_pencil, three_patches
 
 # references: dense LAPACK on the QR-constrained pencil, and for n=8 ARPACK
 # shift-invert on the saddle-point operator, both from an implementation
@@ -85,8 +85,8 @@ def test_seeded_direct_is_one_factorization_and_one_pass(kind, n, tag, ref, monk
     else:
         assert v0.tobytes() == (cst._curlfree_basis(ws.harmonics) @ c_k.vector).tobytes()
         # W y is admissible with the curl-free Rayleigh quotient 1/c_k_irrot^2
-        Av0 = (ws.pencil.sym + ws.pencil.curlcurl) @ v0
-        quotient = v0 @ Av0 / (v0 @ (ws.pencil.mass @ v0))
+        A, B, _ = direct_pencil(ws.mesh, ws.pencil)
+        quotient = v0 @ (A @ v0) / (v0 @ (B @ v0))
         assert quotient == pytest.approx(c_k.eigenvalue, rel=1e-10)
         assert rec.eigenvalue <= c_k.eigenvalue * (1 + cst.BRACKET_MARGIN)
 
@@ -154,8 +154,7 @@ def test_start_vector_without_the_smallest_pair_still_finds_it():
     # the random share of the start vector brings lambda_1 back
     ws = _chain_workspace(generate_primitive("unit_cube", 6))
     seed = ws.direct_seed()
-    A = (ws.pencil.sym + ws.pencil.curlcurl).tocsr()
-    B = ws.pencil.mass
+    A, B, _ = direct_pencil(ws.mesh, ws.pencil)
     x1 = linalg.eig_smallest(A, B, k=1, tol=1e-12).vectors[:, 0]
     x1 = x1 / np.sqrt(x1 @ (B @ x1))
     wy = seed["v0"]
