@@ -388,7 +388,11 @@ def direct_main_constant(mesh, tol=DEFAULT_EIG_TOL, *, pencil=None, deflate=True
     edge operators, and drops them with the solve.  Without a tag-1 part the
     per-slice skew moments are removed by the rows of
     _slice_skew_constraints (on one slice: the constant skews);
-    deflate=False surfaces the kernel as an error instead.
+    deflate=False surfaces the kernel as an error instead.  That is the one
+    pencil with a kernel: there linalg.count_kernel counts it below
+    KERNEL_REL_TOL tr A / tr B, which scales with the mesh as the pencil
+    does, and KernelError names its dimension.  Every other call without
+    a bracket is one k=1 eig_smallest.
 
     The eigenvalue reported, bracketed and gated is the Rayleigh quotient
     (|sym x|^2 + |Curl x|^2) / |x|^2_M of the returned vector x, with
@@ -407,9 +411,9 @@ def direct_main_constant(mesh, tol=DEFAULT_EIG_TOL, *, pencil=None, deflate=True
     to Edge0^3, W y, or None for a random vector).  It returns the
     eigenvalue lambda nearest sigma.  When lambda >= 2 sigma, every
     eigenvalue mu in [0, lambda) would lie nearer (sigma - mu <= sigma <=
-    lambda - sigma), so lambda is the smallest one (so no kernel count
-    runs) and the estimate holds: the result certifies itself and assumes
-    nothing.  lambda < 2 sigma violates
+    lambda - sigma), so lambda is the smallest one and the estimate
+    holds: the result certifies itself and assumes nothing.  lambda <
+    2 sigma violates
     the main estimate (lambda_1 <= lambda), and lambda above (1 +
     BRACKET_MARGIN) upper means the solve missed the smallest pair; both
     raise linalg.SolverError.
@@ -424,20 +428,19 @@ def direct_main_constant(mesh, tol=DEFAULT_EIG_TOL, *, pencil=None, deflate=True
         constraints = _slice_skew_constraints(space)
         note = ("deflated: constant skew tensors" if nslices == 1
                 else f"deflated: per-slice skew moments ({nslices} slices)")
-    if bracket is None:
-        scale = A.diagonal().sum() / max(B.diagonal().sum(), 1e-300)
-        eig, kernel_dim = linalg.count_kernel(
-            A, B, KERNEL_REL_TOL * max(scale, 1.0), constraints=constraints, tol=tol,
-        )
+    if not (mesh.has_gamma_t or deflate):  # the one pencil with a kernel
+        scale = A.diagonal().sum() / B.diagonal().sum()
+        eig, kernel_dim = linalg.count_kernel(A, B, KERNEL_REL_TOL * scale, tol=tol)
         if kernel_dim:
             raise KernelError(
                 "the semi-norm pencil has undeflated kernel fields "
                 f"(lambda_min = {eig.values[0]:.3e}); kernel dimension {kernel_dim}; "
                 "constant skew tensors span the kernel"
             )
+    elif bracket is None:
+        eig = linalg.eig_smallest(A, B, k=1, constraints=constraints, tol=tol)
     else:
-        sigma = 0.5 * (1.0 - BRACKET_MARGIN) * bracket[0]
-        with linalg.seeded(sigma, v0):
+        with linalg.seeded(0.5 * (1.0 - BRACKET_MARGIN) * bracket[0], v0):
             eig = linalg.eig_smallest(A, B, k=1, constraints=constraints, tol=tol)
     # lambda is the quotient of x with the curl read per cell, not off the
     # formed A: the curl of a near-gradient x is exact to rounding in x
@@ -447,10 +450,11 @@ def direct_main_constant(mesh, tol=DEFAULT_EIG_TOL, *, pencil=None, deflate=True
     x = x[:, None]
     eig = linalg.EigenResult([lam], x, linalg._residuals(A, B, [lam], x, constraints))
     if bracket is not None:
-        if lam < 2.0 * sigma:
+        lower = (1.0 - BRACKET_MARGIN) * bracket[0]
+        if lam < lower:
             raise linalg.SolverError(
                 f"c_direct: lambda = {lam:.12e} lies below the lower bound "
-                f"{2.0 * sigma:.12e} of the main estimate; c_direct exceeds the "
+                f"{lower:.12e} of the main estimate; c_direct exceeds the "
                 "derived bound, or c_k_irrot or c_m is wrong"
             )
         upper = bracket[1]

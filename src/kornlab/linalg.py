@@ -1,11 +1,19 @@
 """Sparse symmetric solves, generalized eigenproblems and null spaces.
 
 Every sparse factorization is one call, _factor: SuperLU in symmetric mode
-(diagonal pivots, minimum-degree ordering of K^T + K), which on these
-symmetric matrices fills less than the default COLAMD ordering with
-partial pivoting.  Threshold pivoting stays on (a diagonal pivot below
-0.1 of its column is swapped out): bordered constraint rows form a zero
-diagonal block, and without pivoting those solves lose all accuracy.
+with diagonal pivots only (diag_pivot_thresh=0) and a minimum-degree
+ordering of K^T + K, which on these symmetric matrices fills less than the
+default COLAMD ordering with partial pivoting.  So every factor is
+P K P^T = L U with U = D L^T to rounding: an LDL^T factorization whose fill
+is the ordering's at every shift, and whose pivots D give the inertia of K
+(Sylvester's law).  SuperLU takes an off-diagonal pivot only where a
+diagonal entry is exactly zero.  The bordered constraint rows form a zero
+diagonal block, but minimum degree orders those dense rows last, where their
+pivots are the Schur complement -C (A - sigma B)^{-1} C^T.  A kernel that
+A and B share (B not positive definite, outside eig_smallest's contract)
+leaves near-zero pivots instead, and solves that lose all accuracy:
+_saddle_inverse checks the backward error of one solve after each
+bordered factorization and raises SolverError.
 Relaxed supernodes are off (relax=1): the default relaxation merges small
 subtrees of the elimination tree into supernodes, which on these
 finite-element matrices makes factorizations and solves above a few
@@ -55,8 +63,10 @@ import scipy.sparse.linalg as spla
 DENSE_CROSSOVER = 256  # eigenproblems: dense LAPACK below, shift-invert ARPACK above
 _SEED = 20260314  # fixed start vectors keep reports reproducible
 _START_MIX = 1e-4  # share of the random vector in a given start vector: no direction is missing
-_PIVOT_THRESH = 0.1  # symmetric-mode LU: a smaller diagonal pivot is swapped out
 _RELAX = 1  # SuperLU supernode relaxation: 1 turns it off
+# a bordered factor whose solve has a larger normwise backward error is not
+# trusted; the c_direct factors of the ladder meshes read below 1e-14
+_BACKWARD_TOL = 1e-10
 KERNEL_CAP = 32  # count_kernel stops doubling its batch here
 # a deflation column d with |A d| above this share of |A|_F |d| is not in ker A;
 # the deflation bases kornlab builds read below 1e-16
@@ -88,8 +98,8 @@ def _factor(K, what):
     """
     K = K.tocsc()
     try:
-        return spla.splu(K, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=_PIVOT_THRESH,
-                         relax=_RELAX, options=dict(SymmetricMode=True))
+        return spla.splu(K, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0, relax=_RELAX,
+                         options=dict(SymmetricMode=True))
     except RuntimeError as exc:
         raise SolverError(f"the {what} is singular: {exc}")
     except MemoryError:
@@ -240,15 +250,26 @@ def _saddle_rows(B, deflation, constraints, n):
     return sp.vstack(rows, format="csr") if rows else None
 
 
+def _backward_error(K, lu):
+    """Normwise backward error |r - K z| / (|K| |z| + |r|), in the infinity
+    norm, of the solve z = lu.solve(r) with the seeded random vector r."""
+    r = np.random.default_rng(_SEED).standard_normal(K.shape[0])
+    z = lu.solve(r)
+    return np.abs(r - K @ z).max() / (spla.norm(K, np.inf) * np.abs(z).max() + np.abs(r).max())
+
+
 def _saddle_inverse(A, B, sigma, C):
     """x -> (A - sigma B)^{-1} x on {C x = 0}: the OPinv of shift-invert ARPACK.
 
     The constraint rows C border the matrix [[A - sigma B, C^T], [C, 0]],
     factored once by _factor; without rows A - sigma B is factored alone.
-    The rows (skew moments, the reduced rows of c_k_irrot) are few and
-    dense, and against the factors of A - sigma B alone they change the
-    fill little: +1.5% for the six skew rows of the cube_with_tunnel n=4
-    c_direct matrix, -7% for the three of the untagged unit_cube n=8 one.
+    A bordered factor whose solve has a backward error above _BACKWARD_TOL
+    raises SolverError (see the module docstring).  The rows (the skew
+    moments of c_direct) are few and dense, and against the factors of
+    A - sigma B alone they change the fill little: +1.6% for the six skew
+    rows of the cube_with_tunnel n=4 c_direct matrix, -7.0% for the three
+    of the untagged unit_cube n=8 one (at sigma = L/2; with diagonal pivots
+    the fill does not depend on sigma).
     """
     n = A.shape[0]
     K = (A - sigma * B).tocsc()  # already CSC: _factor makes no second copy
@@ -257,6 +278,12 @@ def _saddle_inverse(A, B, sigma, C):
         return lambda x: lu.solve(np.ravel(x))
     K = sp.bmat([[K, C.T], [C, None]], format="csc")
     lu = _factor(K, "saddle-point matrix")
+    err = _backward_error(K, lu)
+    if err > _BACKWARD_TOL:
+        raise SolverError(
+            f"a solve with the {K.shape[0]}x{K.shape[0]} saddle-point matrix has backward "
+            f"error {err:.1e} under diagonal pivots: is B positive definite? A kernel "
+            "shared by A and B spoils the factor even where constraint rows exclude it")
     pad = np.zeros(K.shape[0] - n)
     return lambda x: lu.solve(np.concatenate([np.ravel(x), pad]))[:n]
 

@@ -302,6 +302,21 @@ def test_direct_constant_kernel_error_above_dense_max():
         cst.direct_main_constant(m, deflate=False)
 
 
+@pytest.mark.parametrize("s", [1e-4, 1e-5])
+def test_direct_constant_alone_counts_no_kernel_on_a_tagged_mesh(s):
+    # a tag-1 part excludes every constant skew: the pencil has no kernel,
+    # so the standalone solve counts none.  A kernel threshold that grows as
+    # s^-2 (the curl-curl part of tr A / tr B) once passed lambda_min =
+    # 0.5556 here and raised a false KernelError; the residual gate's
+    # SolverError is the true answer at these scales, as through a Workspace
+    mesh = generate_primitive("unit_cube", 2).transformed(matrix=s * np.eye(3))
+    assert mesh.has_gamma_t
+    try:
+        cst.direct_main_constant(mesh)
+    except linalg.SolverError as exc:
+        assert "residual" in str(exc)
+
+
 def test_direct_constant_residual_is_projected():
     # the per-slice skew-moment constraints add a Lagrange term C^T mu to
     # A x - lambda B x (8.8e-4 here on the dense path); the reported

@@ -2,7 +2,9 @@
 
 Renumbering the vertices, the cells and the boundary triangles of a mesh
 changes which vertex is pinned, the order of every dof and of every
-assembly sum, and leaves each constant unchanged.  Scaling the mesh by s
+assembly sum, and leaves each constant unchanged: a property over
+permutations drawn by hypothesis, on the dense and the sparse solver
+path alike.  Scaling the mesh by s
 scales the Poincare and Maxwell constants by s and leaves the Korn
 constants alone.  c_direct mixes the two length scales: its pencil on the
 scaled mesh weights the curl-curl form by s^-2, so it is checked against
@@ -11,6 +13,8 @@ references of the scaled pencil instead.
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from kornlab import constants as cst
 from kornlab import linalg
@@ -25,6 +29,10 @@ MESHES = {
     "tunnel2_tagged": ("cube_with_tunnel", 2, 1),
     "tunnel2_untagged": ("cube_with_tunnel", 2, 0),
 }
+# DENSE_CROSSOVER routes every pencil through dense LAPACK at the first
+# value and every pencil above 16 dofs through shift-invert ARPACK at the
+# second, as in test_sparse_parity
+PATHS = {"dense": 10**9, "sparse": 16}
 
 
 def _mesh(label):
@@ -51,26 +59,33 @@ def reference():
     return get
 
 
-def _renumbered(mesh, rng):
-    """The same mesh with its vertices, cells and boundary triangles in a
-    random order."""
-    perm = rng.permutation(mesh.num_vertices)  # new vertex i is old perm[i]
+def _renumbered(mesh, vertices, cells, tris):
+    """The same mesh with its vertices, cells and boundary triangles in the
+    given orders: new vertex i is old vertices[i], and so on."""
+    perm = np.asarray(vertices)
     new_of_old = np.empty_like(perm)
     new_of_old[perm] = np.arange(len(perm))
-    cells = rng.permutation(mesh.num_tets)
-    tris = rng.permutation(len(mesh.btris))
+    cells, tris = np.asarray(cells), np.asarray(tris)
     return Mesh(mesh.vertices[perm], new_of_old[mesh.tets][cells], mesh.slice_ids[cells],
                 new_of_old[mesh.btris][tris], mesh.btri_tags[tris])
 
 
 @pytest.mark.parametrize("label", list(MESHES))
-def test_constants_invariant_under_renumbering(label, reference):
+@given(data=st.data())
+def test_constants_invariant_under_renumbering(label, reference, data):
     ref = reference(label)
-    mesh = _renumbered(_mesh(label), np.random.default_rng(7))
-    got = _constants(mesh, NAMES + ("c_direct",))
-    assert got.keys() == ref.keys()
-    for name, value in got.items():
-        assert value == pytest.approx(ref[name], rel=1e-12), name
+    mesh = _mesh(label)
+    mesh = _renumbered(mesh, *(data.draw(st.permutations(range(size)), label=what)
+                               for what, size in (("vertices", mesh.num_vertices),
+                                                  ("cells", mesh.num_tets),
+                                                  ("tris", len(mesh.btris)))))
+    for path, crossover in PATHS.items():
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(linalg, "DENSE_CROSSOVER", crossover)
+            got = _constants(mesh, NAMES + ("c_direct",))
+        assert got.keys() == ref.keys()
+        for name, value in got.items():
+            assert value == pytest.approx(ref[name], rel=1e-12), (path, name)
 
 
 @pytest.mark.parametrize("label", list(MESHES))

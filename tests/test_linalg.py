@@ -89,11 +89,13 @@ def test_cholesky_solver_rejects_nonfinite_rhs():
             solve_spd(A, rhs)
 
 
-def test_saddle_inverse_accurate_with_zero_diagonal_block(monkeypatch):
-    # the unpinned slab_mixed n=4 c_k_t pencil bordered by the rows D of the
-    # three translations: [[A - sigma B, D^T], [D, 0]] has a zero diagonal
-    # block, which symmetric-mode LU only solves accurately with threshold
-    # pivoting on
+def test_saddle_inverse_raises_where_a_and_b_share_a_kernel():
+    # the unpinned slab_mixed n=4 c_k_t pencil, outside eig_smallest's
+    # contract: the three translations lie in ker A and ker B.  Bordered by
+    # their rows D, [[A - sigma B, D^T], [D, 0]] is nonsingular, but under
+    # diagonal pivots its smallest pivot is 1e-16 and a solve has backward
+    # error 0.17; the check after factoring names it instead of returning a
+    # wrong operator
     mesh = generate_primitive("slab_mixed", 4)
     pv = build_space(mesh, "P1_vector", "gamma_t", component_constant=True)
     A, B = assemble("symgrad", pv), assemble("grad", pv)
@@ -104,30 +106,16 @@ def test_saddle_inverse_accurate_with_zero_diagonal_block(monkeypatch):
         bordered[m, pv.dof_map[m]] = 1.0  # translation e_m: 1 at every dof of component m
     bordered = bordered.tocsr()
     assert abs(B @ bordered.T).max() <= 1e-12 * abs(B).max()  # translations lie in ker(B)
-    factored = []
-    real = spla.splu
-
-    def capture(K, *args, **kwargs):
-        factored.append((K, real(K, *args, **kwargs)))
-        return factored[-1][1]
-
-    monkeypatch.setattr(spla, "splu", capture)
     sigma = -1e-3 * A.diagonal().sum() / B.diagonal().sum()
-    op = linalg._saddle_inverse(A, B, sigma, bordered)
-    (K, lu), = factored
-    assert K.shape == (n + 3, n + 3)
-    rng = np.random.default_rng(5)
-    for _ in range(3):
-        rhs = rng.standard_normal(n + 3)
-        z = lu.solve(rhs)
-        assert np.linalg.norm(K @ z - rhs) <= 1e-12 * np.linalg.norm(rhs)
-        x = rng.standard_normal(n)
-        y = op(x)
-        assert np.linalg.norm(bordered @ y) <= 1e-12 * np.linalg.norm(y)
+    with pytest.raises(SolverError, match=r"306x306 saddle-point matrix has backward error "
+                                          r".*is B positive definite\?"):
+        linalg._saddle_inverse(A, B, sigma, bordered)
+    with pytest.raises(SolverError, match="is B positive definite"):
+        eig_smallest(A, B, k=1, constraints=bordered)
 
 
 def test_saddle_inverse_factor_options(monkeypatch):
-    # symmetric mode, minimum degree on K^T + K, threshold pivoting, and no
+    # symmetric mode, minimum degree on K^T + K, diagonal pivots only, and no
     # relaxed supernodes
     options = []
     real = spla.splu
@@ -144,7 +132,7 @@ def test_saddle_inverse_factor_options(monkeypatch):
     (kwargs,) = options
     assert kwargs["relax"] == 1
     assert kwargs["permc_spec"] == "MMD_AT_PLUS_A"
-    assert kwargs["diag_pivot_thresh"] == linalg._PIVOT_THRESH > 0
+    assert kwargs["diag_pivot_thresh"] == 0
     assert kwargs["options"] == {"SymmetricMode": True}
 
 
