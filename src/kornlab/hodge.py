@@ -12,6 +12,14 @@ at its first split; every later split costs triangular solves.  The
 tensor split also hands back the coordinates of its curl-free part (the
 pinned potentials and the harmonic amplitudes of every row), so its
 norms can be read off reduced forms.
+
+Averages have one path.  The slice averages of a tensor field over Edge0
+(slice_means), their skews (piecewise_skew) and the projection onto the
+constant skews (project_so3, the skew of the volume average) are dense
+products with one matrix, the per-slice first moments of the edge space
+(slice_moments), built once per mesh and constraint and read by
+certification and by the skew-moment rows of c_direct too.  project_rigid
+averages a P1 vector field cell by cell.
 """
 
 from dataclasses import dataclass, field
@@ -272,32 +280,75 @@ def helmholtz_split_tensor(T, *, harmonics=None):
 # --------------------------------------------------------------------------
 
 
-def _analytic_cell_means(func, mesh, degree):
-    """Cell averages of an analytic function, by quadrature of the given degree.
+def _skew(A):
+    return 0.5 * (A - np.swapaxes(A, -1, -2))
 
-    The function need not be polynomial, so the degree is raised to the
-    DEFAULT_QUAD_DEGREE floor.
+
+def slice_moments(space):
+    """(labels, Q, volumes): the per-slice first moments of an Edge0 space.
+
+    Q has three rows per slice of the mesh: Q[3 j + d] @ x is the integral
+    over slice j of component d of the field with free coefficients x
+    (exact: the basis is linear per cell, so the centroid value times the
+    volume).  Built by _slice_moments and cached on the mesh per constraint
+    of the space; every slice average and skew, and the skew-moment rows of
+    c_direct, read it.
     """
-    from .assemble import DEFAULT_QUAD_DEGREE, _cell_points, _quad
-
-    pts, wts, _ = _quad(max(degree, DEFAULT_QUAD_DEGREE), None)
-    x = _cell_points(mesh, pts)
-    vals = np.asarray(func(x.reshape(-1, 3)), dtype=float)
-    vals = vals.reshape(x.shape[0], x.shape[1], *vals.shape[1:])
-    return 6.0 * np.tensordot(wts, vals, axes=(0, 1))  # reference weights sum to 1/6
+    mesh = space.mesh
+    key = f"_slice_moments_{space.constrain}"
+    if key not in mesh.__dict__:
+        mesh.__dict__[key] = _slice_moments(space)
+    return mesh.__dict__[key]
 
 
-def _analytic_mean(func, mesh, degree=2):
-    vols = geometry(mesh).vols
-    return np.tensordot(vols, _analytic_cell_means(func, mesh, degree), axes=1) / vols.sum()
+def _slice_moments(space):
+    mesh = space.mesh
+    geom = geometry(mesh)
+    labels, which = np.unique(mesh.slice_ids, return_inverse=True)
+    nslices, nedges = len(labels), mesh.num_edges
+    # edge basis at the cell centroids times the cell volume: (T,6,3)
+    vals = geom.vols[:, None, None] * geom.edge_values(np.full((1, 4), 0.25))[:, 0]
+    key = (which[:, None] * nedges + mesh.tet_edges).ravel()
+    acc = np.stack([np.bincount(key, vals[..., d].ravel(), nslices * nedges)
+                    for d in range(3)], axis=1).reshape(nslices, nedges, 3)
+    free = space.dof_map[0]
+    keep = free >= 0
+    Q = np.zeros((nslices, 3, space.free_count))
+    Q[:, :, free[keep]] = np.swapaxes(acc[:, keep], 1, 2)
+    return labels, Q.reshape(3 * nslices, -1), np.bincount(which, geom.vols, nslices)
 
 
-def project_so3(T, mesh=None, degree=2):
+def _slice_sums(T):
+    """(labels, sums, volumes): sums[j] (3,3) the integral of T over slice j."""
+    if not isinstance(T, TensorField):
+        raise TypeError("slice averages expect a TensorField over Edge0")
+    labels, Q, volumes = slice_moments(T.space)
+    sums = (Q @ T.rows.T).reshape(len(labels), 3, 3)  # [j, d, m]
+    return labels, np.swapaxes(sums, 1, 2), volumes
+
+
+def slice_means(T):
+    """Per-slice volume averages of a TensorField: (labels, means, volumes),
+    means[j] (3,3)."""
+    labels, sums, volumes = _slice_sums(T)
+    return labels, sums / volumes[:, None, None], volumes
+
+
+def piecewise_skew(T):
+    """Per-slice skew averages: (labels, skews) with skews[j] for slice j."""
+    labels, means, _ = slice_means(T)
+    return labels, _skew(means)
+
+
+def project_so3(T):
     """Skew part of the volume average: the projection onto constant skews.
 
-    The one-slice case of piecewise_skew (every cell carries label 0).
+    The skew of the per-slice integrals summed over the slices and divided
+    by the total volume: the global skew average K that certification
+    subtracts, read off the cached slice moments.
     """
-    return piecewise_skew(T, 0, mesh, degree)[1][0]
+    _, sums, volumes = _slice_sums(T)
+    return _skew(sums.sum(axis=0) / volumes.sum())
 
 
 @dataclass
@@ -313,29 +364,22 @@ class RigidProjection:
         return pts @ self.spin.T + self.offset
 
 
-def project_rigid(v, mesh=None, degree=2):
-    """Projection onto infinitesimal rigid motions x -> S x + b.
+def project_rigid(v):
+    """Projection of a P1_vector Field onto infinitesimal rigid motions x -> S x + b.
 
-    v is a P1_vector Field or an analytic object (.value/.jacobian).
     The returned residuals certify grad(v - r) _|_ so(3) and (v - r) _|_ R^3.
     """
-    if isinstance(v, Field):
-        mesh = v.space.mesh
-        vols = geometry(mesh).vols
-        full = v.space.full_from_free(v.coeffs)  # (3,V)
-        u = full[:, mesh.tets]
-        J = np.einsum("mti,tid->tmd", u, geometry(mesh).grads)
-        mean_jac = np.tensordot(vols, J, axes=(0, 0)) / vols.sum()
-        cent_vals = np.einsum("mti->tm", u) / 4.0
-        mean_val = vols @ cent_vals / vols.sum()
-    else:
-        if mesh is None:
-            raise ValueError("analytic input needs a mesh")
-        mean_jac = _analytic_mean(v.jacobian, mesh, degree)
-        mean_val = _analytic_mean(v.value, mesh, degree)
-    centroid = _analytic_mean(lambda x: x, mesh, degree=1)
-    vol = geometry(mesh).vols.sum()
-    spin = 0.5 * (mean_jac - mean_jac.T)
+    if not (isinstance(v, Field) and v.space.family == "P1_vector"):
+        raise TypeError("project_rigid expects a Field over P1_vector")
+    mesh = v.space.mesh
+    geom = geometry(mesh)
+    vol = geom.vols.sum()
+    u = v.space.full_from_free(v.coeffs)[:, mesh.tets]  # (3,T,4)
+    mean_jac = np.tensordot(geom.vols, np.einsum("mti,tid->tmd", u, geom.grads),
+                            axes=(0, 0)) / vol
+    mean_val = geom.vols @ (np.einsum("mti->tm", u) / 4.0) / vol
+    centroid = geom.vols @ mesh.vertices[mesh.tets].mean(axis=1) / vol
+    spin = _skew(mean_jac)
     offset = mean_val - spin @ centroid
     # exactness of the projection, computable from the averages alone
     res_so3 = max(
@@ -343,72 +387,3 @@ def project_rigid(v, mesh=None, degree=2):
     )
     res_r3 = float(np.linalg.norm((mean_val - (spin @ centroid + offset)) * vol))
     return RigidProjection(spin, mean_val, offset, centroid, res_so3, res_r3)
-
-
-def slice_moments(space, slice_ids=None):
-    """(labels, Q, volumes): the per-slice first moments of an Edge0 space.
-
-    Q has three rows per slice: Q[3 j + d] @ x is the integral over slice j
-    of component d of the field with free coefficients x (exact: the basis
-    is linear per cell, so the centroid value times the volume).
-    slice_ids is a label per cell, or one label for every cell; by default
-    the mesh's own, whose moments are cached on the mesh per constraint of
-    the space.
-    """
-    mesh = space.mesh
-    if slice_ids is not None:
-        return _slice_moments(space, np.broadcast_to(slice_ids, (mesh.num_tets,)))
-    key = f"_slice_moments_{space.constrain}"
-    if key not in mesh.__dict__:
-        mesh.__dict__[key] = _slice_moments(space, mesh.slice_ids)
-    return mesh.__dict__[key]
-
-
-def _slice_moments(space, ids):
-    mesh = space.mesh
-    geom = geometry(mesh)
-    labels, which = np.unique(ids, return_inverse=True)
-    nslices, nedges = len(labels), mesh.num_edges
-    # edge basis at the cell centroids times the cell volume: (T,6,3)
-    vals = geom.vols[:, None, None] * geom.edge_values(np.full((1, 4), 0.25))[:, 0]
-    key = (which[:, None] * nedges + mesh.tet_edges).ravel()
-    acc = np.stack([np.bincount(key, vals[..., d].ravel(), nslices * nedges)
-                    for d in range(3)], axis=1).reshape(nslices, nedges, 3)
-    free = space.dof_map[0]
-    keep = free >= 0
-    Q = np.zeros((nslices, 3, space.free_count))
-    Q[:, :, free[keep]] = np.swapaxes(acc[:, keep], 1, 2)
-    return labels, Q.reshape(3 * nslices, -1), np.bincount(which, geom.vols, nslices)
-
-
-def slice_means(T, slice_ids=None, mesh=None, degree=2):
-    """Per-slice volume averages: (labels, means, volumes), means[j] (3,3).
-
-    T is a TensorField (averaged through slice_moments) or an analytic
-    evaluator (n,3) -> (n,3,3); analytic inputs may be discontinuous across
-    slices.  slice_ids is a label per cell, or one label for every cell; by
-    default the mesh's own.
-    """
-    if isinstance(T, TensorField):
-        labels, Q, volumes = slice_moments(T.space, slice_ids)
-        sums = (Q @ T.rows.T).reshape(len(labels), 3, 3)  # [j, d, m]
-        return labels, np.swapaxes(sums, 1, 2) / volumes[:, None, None], volumes
-    if mesh is None:
-        raise ValueError("analytic input needs a mesh")
-    cell_means = _analytic_cell_means(T, mesh, degree)
-    vols = geometry(mesh).vols
-    ids = mesh.slice_ids if slice_ids is None else np.broadcast_to(slice_ids, vols.shape)
-    labels = np.unique(ids)
-    volumes = np.zeros(len(labels))
-    means = np.zeros((len(labels), 3, 3))
-    for j, lab in enumerate(labels):
-        sel = ids == lab
-        volumes[j] = vols[sel].sum()
-        means[j] = np.einsum("t,tab->ab", vols[sel], cell_means[sel]) / volumes[j]
-    return labels, means, volumes
-
-
-def piecewise_skew(T, slice_ids=None, mesh=None, degree=2):
-    """Per-slice skew averages: (labels, skews) with skews[j] for slice j."""
-    labels, means, _ = slice_means(T, slice_ids, mesh, degree)
-    return labels, 0.5 * (means - np.swapaxes(means, 1, 2))

@@ -7,7 +7,8 @@ default COLAMD ordering with partial pivoting.  So every factor is
 P K P^T = L U with U = D L^T to rounding: an LDL^T factorization whose fill
 is the ordering's at every shift, and whose pivots D give the inertia of K
 (Sylvester's law).  SuperLU takes an off-diagonal pivot only where a
-diagonal entry is exactly zero.  The bordered constraint rows form a zero
+diagonal entry is exactly zero; _factor refuses such a factor
+(perm_r != perm_c) with SolverError.  The bordered constraint rows form a zero
 diagonal block, but minimum degree orders those dense rows last, where their
 pivots are the Schur complement -C (A - sigma B)^{-1} C^T.  A kernel that
 A and B share (B not positive definite, outside eig_smallest's contract)
@@ -93,13 +94,15 @@ def _as_csr(A):
 def _factor(K, what):
     """SuperLU factors of the symmetric sparse matrix K (see the module docstring).
 
-    A zero pivot (an exactly singular K), or factors that do not fit in
-    memory, raise SolverError; what names K in the message.
+    A zero pivot (an exactly singular K), factors that do not fit in
+    memory, or an off-diagonal pivot (perm_r != perm_c: not an LDL^T, so
+    its pivots say nothing of the inertia) raise SolverError; what names K
+    in the message.
     """
     K = K.tocsc()
     try:
-        return spla.splu(K, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0, relax=_RELAX,
-                         options=dict(SymmetricMode=True))
+        lu = spla.splu(K, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0, relax=_RELAX,
+                       options=dict(SymmetricMode=True))
     except RuntimeError as exc:
         raise SolverError(f"the {what} is singular: {exc}")
     except MemoryError:
@@ -107,6 +110,11 @@ def _factor(K, what):
             f"the LU factors of the {K.shape[0]}x{K.shape[0]} {what} "
             f"({K.nnz} nonzeros) do not fit in memory"
         )
+    if not np.array_equal(lu.perm_r, lu.perm_c):
+        raise SolverError(
+            f"the {K.shape[0]}x{K.shape[0]} {what} took an off-diagonal pivot (perm_r != "
+            "perm_c): a zero diagonal entry where the factor must be an LDL^T")
+    return lu
 
 
 def spd_solver(A):
@@ -263,6 +271,9 @@ def _saddle_inverse(A, B, sigma, C):
 
     The constraint rows C border the matrix [[A - sigma B, C^T], [C, 0]],
     factored once by _factor; without rows A - sigma B is factored alone.
+    Minimum degree orders dense rows last, where their pivots are Schur
+    complements; rows with no more entries than the densest row of
+    A - sigma B are stored densely (explicit zeros) so they come last too.
     A bordered factor whose solve has a backward error above _BACKWARD_TOL
     raises SolverError (see the module docstring).  The rows (the skew
     moments of c_direct) are few and dense, and against the factors of
@@ -276,6 +287,12 @@ def _saddle_inverse(A, B, sigma, C):
     if C is None:
         lu = _factor(K, "shifted matrix")
         return lambda x: lu.solve(np.ravel(x))
+    if C.getnnz(axis=1).min() <= K.getnnz(axis=1).max():
+        # a constraint row no denser than K may be ordered before every
+        # unknown it couples to, where its diagonal is still an exact zero
+        # (an off-diagonal pivot): stored with every column, it comes last
+        rows, cols = np.indices(C.shape).reshape(2, -1)
+        C = sp.csr_matrix((C.toarray().ravel(), (rows, cols)), shape=C.shape)
     K = sp.bmat([[K, C.T], [C, None]], format="csc")
     lu = _factor(K, "saddle-point matrix")
     err = _backward_error(K, lu)

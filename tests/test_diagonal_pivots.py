@@ -74,3 +74,11 @@ def test_bordered_fill_does_not_depend_on_the_shift(kind, n, monkeypatch):
         assert np.array_equal(lu.perm_r, lu.perm_c)
         assert abs(lu.nnz - fill[0]) <= 1e-3 * fill[0]
         assert linalg._backward_error(K, lu) <= 1e-14
+
+
+def test_an_off_diagonal_pivot_is_refused():
+    # [[0, 1], [1, 0]] has a zero diagonal: SuperLU swaps its columns
+    # (perm_r = [0, 1], perm_c = [1, 0]), an accurate LU but no LDL^T
+    K = sp.csr_matrix(np.array([[0.0, 1.0], [1.0, 0.0]]))
+    with pytest.raises(linalg.SolverError, match="2x2 swap matrix took an off-diagonal pivot"):
+        linalg._factor(K, "swap matrix")

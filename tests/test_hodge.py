@@ -259,21 +259,40 @@ def test_project_so3_cases():
     assert np.abs(hodge.project_so3(Ts)).max() <= 1e-13
 
 
+def _linear_rows(space, B):
+    """TensorField with row m the Edge0 field x -> B[m] x x, whose average
+    over a region with centroid c is B[m] x c."""
+    return TensorField(space, np.stack([interpolate(lambda x, b=b: np.cross(b, x), space).coeffs
+                                        for b in B]))
+
+
+def _centroid(mesh, cells):
+    vols = mesh.tet_volumes()[cells]
+    return vols @ mesh.vertices[mesh.tets[cells]].mean(axis=1) / vols.sum()
+
+
 def test_project_so3_linear_analytic():
+    # rows b_m x x: the volume average over the unit cube is b_m x (1/2, 1/2, 1/2)
     mesh = generate_primitive("unit_cube", 2)
-    J = SO3_BASIS[2]
+    B = np.random.default_rng(5).standard_normal((3, 3))
+    mean = np.cross(B, np.full(3, 0.5))
+    S = hodge.project_so3(_linear_rows(build_space(mesh, "Edge0"), B))
+    assert np.abs(S - 0.5 * (mean - mean.T)).max() <= 1e-13
+
+
+def test_averages_take_fields_only():
+    mesh = generate_primitive("unit_cube", 2)
 
     def field(pts):
-        return pts[:, 0][:, None, None] * J[None]
+        return np.broadcast_to(SO3_BASIS[0], (len(pts), 3, 3))
 
-    S = hodge.project_so3(field, mesh=mesh, degree=1)
-    assert np.abs(S - 0.5 * J).max() <= 1e-13
-
-
-class _Analytic:
-    def __init__(self, value, jacobian):
-        self.value = value
-        self.jacobian = jacobian
+    for average in (hodge.project_so3, hodge.slice_means, hodge.piecewise_skew,
+                    hodge.project_rigid):
+        with pytest.raises(TypeError):
+            average(field)
+    e0 = build_space(mesh, "Edge0")
+    with pytest.raises(TypeError):
+        hodge.project_rigid(TensorField(e0, constant_tensor_coeffs(e0, SO3_BASIS[0])))
 
 
 def test_project_rigid_reproduces_rigid_motion():
@@ -302,24 +321,12 @@ def test_project_rigid_symmetric_gradient():
 
 def test_project_rigid_orthogonality_residuals():
     mesh = generate_primitive("unit_cube", 2)
-
-    def value(x):
-        return np.column_stack(
-            [x[:, 0] ** 2 + x[:, 1], x[:, 2] * x[:, 0], x[:, 1] ** 2]
-        )
-
-    def jacobian(x):
-        out = np.zeros((len(x), 3, 3))
-        out[:, 0, 0] = 2 * x[:, 0]
-        out[:, 0, 1] = 1.0
-        out[:, 1, 0] = x[:, 2]
-        out[:, 1, 2] = x[:, 0]
-        out[:, 2, 1] = 2 * x[:, 1]
-        return out
-
-    proj = hodge.project_rigid(_Analytic(value, jacobian), mesh=mesh, degree=2)
+    v = interpolate(lambda x: np.column_stack(
+        [x[:, 0] ** 2 + x[:, 1], x[:, 2] * x[:, 0], x[:, 1] ** 2]), build_space(mesh, "P1_vector"))
+    proj = hodge.project_rigid(v)
     assert proj.residual_so3 <= 1e-13
     assert proj.residual_r3 <= 1e-13
+    assert np.abs(proj.centroid - 0.5).max() <= 1e-15
 
 
 def test_piecewise_skew():
@@ -332,11 +339,6 @@ def test_piecewise_skew():
     assert len(labels) == 2
     for s in skews:
         assert np.abs(s - J).max() <= 1e-12
-    # +J on slice 0, -J on slice 1, built cellwise
-    from kornlab.assemble import geometry
-
-    geom = geometry(mesh)
-    sign = np.where(mesh.slice_ids == labels[0], 1.0, -1.0)
     # single-slice equality with project_so3
     single = generate_primitive("unit_cube", 2)
     e1 = build_space(single, "Edge0")
@@ -347,22 +349,20 @@ def test_piecewise_skew():
 
 
 def test_piecewise_skew_per_slice_values():
-    # discontinuous analytic tensor: +J on slice 0, -J on slice 1
+    # rows b_m x x have the slice average b_m x c_j on slice j (centroid c_j),
+    # a different skew on each slice of the tunnel
     mesh = generate_primitive("cube_with_tunnel", 1)
-    J = SO3_BASIS[2]
-    slice0 = mesh.slice_ids == np.unique(mesh.slice_ids)[0]
-    cells0 = mesh.tets[slice0]
-    centers = {tuple(np.round(mesh.vertices[c].mean(axis=0), 6)) for c in cells0}
-
-    def field(pts):
-        # sign by plan-view position: slice 0 is the L at y <= 1 plus (0,1)
-        x, y = pts[:, 0], pts[:, 1]
-        in0 = (y <= 1.0 + 1e-9) | ((x <= 1.0 + 1e-9) & (y <= 2.0 + 1e-9))
-        return np.where(in0[:, None, None], J[None], -J[None])
-
-    labels, skews = hodge.piecewise_skew(field, mesh=mesh, degree=1)
-    assert np.abs(skews[0] - J).max() <= 1e-12
-    assert np.abs(skews[1] + J).max() <= 1e-12
+    B = np.random.default_rng(6).standard_normal((3, 3))
+    T = _linear_rows(build_space(mesh, "Edge0"), B)
+    labels, skews = hodge.piecewise_skew(T)
+    assert len(labels) == 2
+    for lab, skew in zip(labels, skews):
+        mean = np.cross(B, _centroid(mesh, mesh.slice_ids == lab))
+        assert np.abs(skew - 0.5 * (mean - mean.T)).max() <= 1e-12
+    # project_so3 is the volume average of the slice skews
+    _, _, vols = hodge.slice_means(T)
+    assert np.abs(hodge.project_so3(T) - np.tensordot(vols, skews, axes=1) / vols.sum()).max() \
+        <= 1e-13
 
 
 def test_harmonic_sparse_search_raises_at_cap(monkeypatch):

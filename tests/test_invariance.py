@@ -4,16 +4,17 @@ Renumbering the vertices, the cells and the boundary triangles of a mesh
 changes which vertex is pinned, the order of every dof and of every
 assembly sum, and leaves each constant unchanged: a property over
 permutations drawn by hypothesis, on the dense and the sparse solver
-path alike.  Scaling the mesh by s
-scales the Poincare and Maxwell constants by s and leaves the Korn
-constants alone.  c_direct mixes the two length scales: its pencil on the
-scaled mesh weights the curl-curl form by s^-2, so it is checked against
-references of the scaled pencil instead.
+path alike.  Scaling the mesh by s scales the Poincare and Maxwell
+constants by s and leaves the Korn constants and the harmonic dimension
+alone: at fixed scales, and as a property over s drawn log-uniformly from
+[1e-4, 1e4] on both solver paths.  c_direct mixes the two length scales:
+its pencil on the scaled mesh weights the curl-curl form by s^-2, so it is
+checked against references of the scaled pencil instead.
 """
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kornlab import constants as cst
@@ -96,6 +97,57 @@ def test_constants_scale_with_the_mesh(label, s, reference):
     for name, value in got.items():
         expected = ref[name] * (s if name in SCALED else 1.0)
         assert value == pytest.approx(expected, rel=1e-12), name
+
+
+SCALE_MESHES = {
+    "unit_cube2": ("unit_cube", 2, None),
+    "unit_cube2_untagged": ("unit_cube", 2, 0),
+    "tunnel2_sliced": ("cube_with_tunnel", 2, None),
+}
+
+
+@pytest.fixture(scope="module")
+def unscaled():
+    cache = {}
+
+    def get(label, path):
+        if (label, path) not in cache:
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(linalg, "DENSE_CROSSOVER", PATHS[path])
+                ws = cst.Workspace(_scale_mesh(label))
+                cache[label, path] = (_constants(ws.mesh, NAMES), ws.harmonics.dim)
+        return cache[label, path]
+
+    return get
+
+
+def _scale_mesh(label):
+    kind, n, tag = SCALE_MESHES[label]
+    mesh = generate_primitive(kind, n)
+    return mesh if tag is None else mesh.retag(tag)
+
+
+@pytest.mark.parametrize("path", list(PATHS))
+@pytest.mark.parametrize("label", list(SCALE_MESHES))
+@settings(max_examples=5)
+@given(exponent=st.floats(-4.0, 4.0))
+@example(exponent=-4.0)
+@example(exponent=4.0)
+def test_constants_scale_as_a_property(label, path, unscaled, exponent):
+    # s log-uniform in [1e-4, 1e4]: c_p and the Maxwell constants scale by s,
+    # the Korn constants stay put, and so does the harmonic dimension
+    s = 10.0**exponent
+    ref, dim = unscaled(label, path)
+    mesh = _scale_mesh(label).transformed(matrix=s * np.eye(3))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(linalg, "DENSE_CROSSOVER", PATHS[path])
+        ws = cst.Workspace(mesh)
+        got = _constants(mesh, NAMES)
+        assert ws.harmonics.dim == dim
+    assert got.keys() == ref.keys()
+    for name, value in got.items():
+        expected = ref[name] * (s if name in SCALED else 1.0)
+        assert value == pytest.approx(expected, rel=1e-10), (s, name)
 
 
 # c_direct of the tagged unit_cube n=2 scaled by s: mpmath at 40 digits, with

@@ -201,3 +201,32 @@ def test_missed_smallest_pair_raises(monkeypatch):
     # the second pair (0.7204) lies above the curl-free bound (0.5556)
     with pytest.raises(linalg.SolverError, match="missed the smallest pair"):
         ws.constant("c_direct")
+
+
+def test_a_real_solve_shifted_above_lambda_1_is_refused(monkeypatch):
+    # the gate of a shift near lambda_1 on a real seeded solve: on slab_mixed
+    # n=6 the shift (1 - 2e-3) U, U = 1/c_k_irrot^2, lies above lambda_1, and
+    # shift-invert returns the pair nearest it.  The lower bound that puts the
+    # shift there (sigma = (1 - BRACKET_MARGIN) lower / 2) refuses that pair
+    ws = _chain_workspace(generate_primitive("slab_mixed", 6))
+    lam_1 = ws.constant("c_direct").eigenvalue
+    seed = ws.direct_seed()
+    upper = seed["bracket"][1]
+    sigma = (1.0 - 2e-3) * upper
+    lower = 2.0 * sigma / (1.0 - cst.BRACKET_MARGIN)
+    calls = _spy_solver(monkeypatch)
+    returned = []
+    arpack = linalg._arpack
+
+    def keep(*args):
+        vals, vecs = arpack(*args)
+        returned.extend(vals)
+        return vals, vecs
+
+    monkeypatch.setattr(linalg, "_arpack", keep)
+    with pytest.raises(linalg.SolverError, match="below the lower bound"):
+        cst.direct_main_constant(ws.mesh, pencil=ws.pencil, bracket=(lower, upper),
+                                 v0=seed["v0"])
+    assert calls["sigma"] == [pytest.approx(sigma, rel=1e-15)]
+    assert lam_1 == pytest.approx(0.0775650, rel=1e-6) and lam_1 < sigma
+    assert returned == [pytest.approx(0.0809088, rel=1e-6)]
