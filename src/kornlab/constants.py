@@ -6,6 +6,9 @@ Because the gradient of the scalar space lies exactly inside the edge
 space and the Helmholtz splits are mass-orthogonal, the chain of
 estimates behind the main inequality transfers verbatim to the discrete
 level; certify_main_inequality re-checks every link on a concrete field.
+No constant counts a kernel: each pencil has its kernel pinned, deflated or
+constrained away and asks for one pair.  The one kernel count, the
+harmonic dimension, is hodge.harmonic_basis's.
 """
 
 import hashlib
@@ -378,8 +381,7 @@ def _slice_skew_constraints(space):
     return np.einsum("lmd,jdn->jlmn", SO3_BASIS, Q).reshape(3 * len(labels), -1)
 
 
-def direct_main_constant(mesh, tol=DEFAULT_EIG_TOL, *, pencil=None, deflate=True,
-                         bracket=None, v0=None):
+def direct_main_constant(mesh, tol=DEFAULT_EIG_TOL, *, pencil=None, bracket=None, v0=None):
     """Optimal constant in |T| <= c (|sym T|^2 + |Curl T|^2)^(1/2).
 
     Full tensor pencil over the constrained edge tensors, A = Sym + CC and
@@ -387,12 +389,9 @@ def direct_main_constant(mesh, tol=DEFAULT_EIG_TOL, *, pencil=None, deflate=True
     half strain form of pencil and CC and M as the block diagonals of its
     edge operators, and drops them with the solve.  Without a tag-1 part the
     per-slice skew moments are removed by the rows of
-    _slice_skew_constraints (on one slice: the constant skews);
-    deflate=False surfaces the kernel as an error instead.  That is the one
-    pencil with a kernel: there linalg.count_kernel counts it below
-    KERNEL_REL_TOL tr A / tr B, which scales with the mesh as the pencil
-    does, and KernelError names its dimension.  Every other call without
-    a bracket is one k=1 eig_smallest.
+    _slice_skew_constraints (on one slice: the constant skews, which
+    annihilate both sym T and Curl T), so the pencil has no kernel.  A call
+    without a bracket is one k=1 eig_smallest.
 
     The eigenvalue reported, bracketed and gated is the Rayleigh quotient
     (|sym x|^2 + |Curl x|^2) / |x|^2_M of the returned vector x, with
@@ -424,20 +423,11 @@ def direct_main_constant(mesh, tol=DEFAULT_EIG_TOL, *, pencil=None, deflate=True
     B = _row_blocked(ops.mass)
     nslices = len(mesh.slice_labels)
     constraints = note = None
-    if not mesh.has_gamma_t and deflate:
+    if not mesh.has_gamma_t:
         constraints = _slice_skew_constraints(space)
         note = ("deflated: constant skew tensors" if nslices == 1
                 else f"deflated: per-slice skew moments ({nslices} slices)")
-    if not (mesh.has_gamma_t or deflate):  # the one pencil with a kernel
-        scale = A.diagonal().sum() / B.diagonal().sum()
-        eig, kernel_dim = linalg.count_kernel(A, B, KERNEL_REL_TOL * scale, tol=tol)
-        if kernel_dim:
-            raise KernelError(
-                "the semi-norm pencil has undeflated kernel fields "
-                f"(lambda_min = {eig.values[0]:.3e}); kernel dimension {kernel_dim}; "
-                "constant skew tensors span the kernel"
-            )
-    elif bracket is None:
+    if bracket is None:
         eig = linalg.eig_smallest(A, B, k=1, constraints=constraints, tol=tol)
     else:
         with linalg.seeded(0.5 * (1.0 - BRACKET_MARGIN) * bracket[0], v0):

@@ -2,13 +2,15 @@
 
 The harmonic space is the kernel of the curl-curl form inside the
 mass-orthogonal complement of the discrete gradients; its dimension is a
-topological quantity (a Betti number in the pure-tag cases).  One
-eigensolve with the gradients deflated gives its basis and the coexact
-Maxwell pair, as the eigensolver returns them: no Poisson solve and no
-re-orthonormalization follow.  Splits are computed per row for tensor
-fields.  The gradient parts come from the Poisson matrix G^T M G on the
-pinned potentials, which each EdgeOperators assembles and factors once,
-at its first split; every later split costs triangular solves.  The
+topological quantity (a Betti number in the pure-tag cases).
+harmonic_basis counts it, the one kernel count of kornlab: it asks the
+eigensolver, with the gradients deflated, for twice as many pairs until
+one lies above the threshold.  The last solve gives the basis and the
+coexact Maxwell pair, as the eigensolver returns them: no Poisson solve
+and no re-orthonormalization follow.  Splits are computed per row for
+tensor fields.  The gradient parts come from the Poisson matrix G^T M G
+on the pinned potentials, which each EdgeOperators assembles and factors
+once, at its first split; every later split costs triangular solves.  The
 tensor split also hands back the coordinates of its curl-free part (the
 pinned potentials and the harmonic amplitudes of every row), so its
 norms can be read off reduced forms.
@@ -36,6 +38,7 @@ from .spaces import DofSpace, Field, TensorField, build_space
 # on the built-in meshes the kernel lies below 1e-15 and the rest of the
 # spectrum above 1e-2 of that ratio
 HARMONIC_REL_TOL = 1e-8
+KERNEL_CAP = 32  # the harmonic search stops doubling its batch here
 
 SO3_BASIS = np.array(
     [
@@ -146,10 +149,12 @@ def harmonic_basis(mesh, *, tol=1e-10):
     mass-orthogonal complement of the pinned gradients.  Those span a
     kernel of curl-curl and are deflated: above the crossover the
     eigensolver factors curl-curl alone and projects them out after each
-    solve (see linalg._eig_sparse).  linalg.count_kernel counts the
-    eigenvalues below HARMONIC_REL_TOL relative to tr(curlcurl) / tr(mass)
-    from k0 = 2, so harmonic dimensions 0 and 1 take one eigensolve, 2 and
-    3 a second one at k = 4.  Its vectors are mass-orthonormal and
+    solve (see linalg._eig_sparse).  The count asks linalg.eig_smallest for
+    k = 2, 4, ... pairs until one lies above HARMONIC_REL_TOL relative to
+    tr(curlcurl) / tr(mass), so harmonic dimensions 0 and 1 take one
+    eigensolve, 2 and 3 a second one at k = 4; a kernel that fills
+    KERNEL_CAP pairs raises linalg.SolverError instead of returning a count
+    that may be short.  The vectors are mass-orthonormal and
     mass-orthogonal to the gradients: the first dim are the fields, and
     pair dim is the coexact Maxwell pair (.coexact).  The basis keeps the
     edge_operators of mesh as .ops; tol is the eigensolver tolerance.
@@ -158,7 +163,17 @@ def harmonic_basis(mesh, *, tol=1e-10):
     A, M = ops.curlcurl, ops.mass
     ratio = A.diagonal().sum() / max(M.diagonal().sum(), 1e-300)
     threshold = HARMONIC_REL_TOL * max(ratio, 1e-300)
-    eig, dim = linalg.count_kernel(A, M, threshold, k0=2, deflation=ops.pinned_grad, tol=tol)
+    k = 2
+    while True:
+        eig = linalg.eig_smallest(A, M, k=k, deflation=ops.pinned_grad, tol=tol)
+        dim = int(np.sum(eig.values <= threshold))
+        if dim < len(eig.values):
+            break
+        if k >= KERNEL_CAP:
+            raise linalg.SolverError(
+                f"all {k} computed eigenvalues are below the kernel threshold "
+                f"{threshold:.3e}; the count stops at KERNEL_CAP = {KERNEL_CAP}")
+        k *= 2
     pair = slice(dim, dim + 1)
     return HarmonicBasis(ops, eig.vectors[:, :dim].T, linalg.EigenResult(
         eig.values[pair], eig.vectors[:, pair], eig.residuals[pair]))
@@ -357,8 +372,6 @@ class RigidProjection:
     mean_value: np.ndarray  # volume average of v
     offset: np.ndarray  # b = mean - spin @ centroid
     centroid: np.ndarray
-    residual_so3: float
-    residual_r3: float
 
     def rigid(self, pts):
         return pts @ self.spin.T + self.offset
@@ -367,7 +380,8 @@ class RigidProjection:
 def project_rigid(v):
     """Projection of a P1_vector Field onto infinitesimal rigid motions x -> S x + b.
 
-    The returned residuals certify grad(v - r) _|_ so(3) and (v - r) _|_ R^3.
+    spin is the skew part of the mean gradient and offset matches the mean
+    value, so grad(v - r) _|_ so(3) and (v - r) _|_ R^3 hold by construction.
     """
     if not (isinstance(v, Field) and v.space.family == "P1_vector"):
         raise TypeError("project_rigid expects a Field over P1_vector")
@@ -380,10 +394,4 @@ def project_rigid(v):
     mean_val = geom.vols @ (np.einsum("mti->tm", u) / 4.0) / vol
     centroid = geom.vols @ mesh.vertices[mesh.tets].mean(axis=1) / vol
     spin = _skew(mean_jac)
-    offset = mean_val - spin @ centroid
-    # exactness of the projection, computable from the averages alone
-    res_so3 = max(
-        abs(float(np.tensordot(mean_jac - spin, S))) * vol for S in SO3_BASIS
-    )
-    res_r3 = float(np.linalg.norm((mean_val - (spin @ centroid + offset)) * vol))
-    return RigidProjection(spin, mean_val, offset, centroid, res_so3, res_r3)
+    return RigidProjection(spin, mean_val, mean_val - spin @ centroid, centroid)

@@ -45,11 +45,9 @@ estimates) and runs its solve inside seeded(shift, v0): then sigma is
 that shift and the pass starts from v0 with a small share of the seeded
 random vector mixed in.  The seed is a context, not a keyword of
 eig_smallest, so any solver that stands in for eig_smallest keeps its
-signature.  Kernel dimensions are counted in one way, at every size:
-count_kernel asks eig_smallest for more eigenvalues until one lies above
-a threshold.  Both paths return B-orthonormal vectors, B-orthogonal to
+signature.  Both paths return B-orthonormal vectors, B-orthogonal to
 the deflated ones, so a kernel basis (the harmonic fields of hodge) is
-the counted vectors themselves.
+the returned vectors themselves.
 """
 
 import contextlib
@@ -68,7 +66,6 @@ _RELAX = 1  # SuperLU supernode relaxation: 1 turns it off
 # a bordered factor whose solve has a larger normwise backward error is not
 # trusted; the c_direct factors of the ladder meshes read below 1e-14
 _BACKWARD_TOL = 1e-10
-KERNEL_CAP = 32  # count_kernel stops doubling its batch here
 # a deflation column d with |A d| above this share of |A|_F |d| is not in ker A;
 # the deflation bases kornlab builds read below 1e-16
 _KERNEL_RTOL = 1e-12
@@ -168,28 +165,6 @@ def seeded(shift, v0=None):
         yield
     finally:
         _seed.reset(token)
-
-
-def count_kernel(A, B, threshold, k0=1, **solve):
-    """(eig, number of eigenvalues <= threshold) of the pencil, at every size.
-
-    Asks eig_smallest (with the deflation, constraints and tol in solve)
-    for k = k0, 2 k0, ... pairs until one lies above the absolute
-    threshold, so a pencil without kernel costs one solve.  eig holds every
-    pair of the last request, kernel and next pair alike, as eig_smallest
-    returned them.  A kernel that fills KERNEL_CAP pairs raises SolverError
-    instead of returning a count that may be short.
-    """
-    k = k0
-    while True:
-        eig = eig_smallest(A, B, k=k, **solve)
-        kernel_dim = int(np.sum(eig.values <= threshold))
-        if kernel_dim < len(eig.values):
-            return eig, kernel_dim
-        if k >= KERNEL_CAP:
-            raise SolverError(f"all {k} computed eigenvalues are below the kernel threshold "
-                              f"{threshold:.3e}; the count stops at KERNEL_CAP = {KERNEL_CAP}")
-        k *= 2
 
 
 def _eig_dense(A, B, k, deflation, constraints, tol):

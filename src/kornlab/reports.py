@@ -9,6 +9,8 @@ import csv
 
 import numpy as np
 
+INDENT = 2  # spaces per JSON nesting level
+
 
 def format_float(x):
     if isinstance(x, float) and (np.isnan(x) or np.isinf(x)):
@@ -16,9 +18,9 @@ def format_float(x):
     return f"{x:.17g}"
 
 
-def _json_value(obj, parts, indent, level):
-    pad = " " * (indent * level)
-    pad_in = " " * (indent * (level + 1))
+def _json_value(obj, parts, level):
+    pad = " " * (INDENT * level)
+    pad_in = " " * (INDENT * (level + 1))
     if obj is None:
         parts.append("null")
     elif isinstance(obj, bool):
@@ -37,7 +39,7 @@ def _json_value(obj, parts, indent, level):
         parts.append("{\n")
         for i, (k, v) in enumerate(obj.items()):
             parts.append(f'{pad_in}"{k}": ')
-            _json_value(v, parts, indent, level + 1)
+            _json_value(v, parts, level + 1)
             parts.append(",\n" if i + 1 < len(obj) else "\n")
         parts.append(pad + "}")
     elif isinstance(obj, (list, tuple, np.ndarray)):
@@ -48,16 +50,16 @@ def _json_value(obj, parts, indent, level):
         parts.append("[\n")
         for i, v in enumerate(seq):
             parts.append(pad_in)
-            _json_value(v, parts, indent, level + 1)
+            _json_value(v, parts, level + 1)
             parts.append(",\n" if i + 1 < len(seq) else "\n")
         parts.append(pad + "]")
     else:
         raise TypeError(f"cannot serialize {type(obj)!r}")
 
 
-def dumps_json(obj, indent=2):
+def dumps_json(obj):
     parts = []
-    _json_value(obj, parts, indent, 0)
+    _json_value(obj, parts, 0)
     return "".join(parts) + "\n"
 
 

@@ -163,14 +163,15 @@ def _fold_representatives(mesh):
 # --------------------------------------------------------------------------
 
 _SEG_GAUSS = np.polynomial.legendre.leggauss(4)  # exact to degree 7 on edges
+BC_TOL = 1e-12  # largest boundary-condition violation interpolate accepts
 
 
-def interpolate(func, space, bc_tol=1e-12):
+def interpolate(func, space):
     """Canonical-dof interpolant of an analytic field.
 
     func maps (n,3) points to values: scalars for P1_scalar, 3-vectors for
     P1_vector and Edge0.  Raises when the field violates the space's
-    boundary condition by more than bc_tol.
+    boundary condition by more than BC_TOL.
     """
     mesh = space.mesh
     fam = space.family
@@ -191,4 +192,4 @@ def interpolate(func, space, bc_tol=1e-12):
         full = dofs.reshape(1, -1)
     else:
         raise SpaceError(f"cannot interpolate into {fam}")
-    return Field(space, space.free_from_full(full, check_bc=bc_tol))
+    return Field(space, space.free_from_full(full, check_bc=BC_TOL))

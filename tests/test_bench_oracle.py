@@ -27,10 +27,15 @@ def _oracle():
 
 def test_cross_check_of_the_standalone_direct_constant():
     eig_smallest = linalg.eig_smallest
-    dense, arpack, rel = _oracle().cross_check(generate_primitive("unit_cube", 2),
-                                               constants, linalg)
+    mesh = generate_primitive("unit_cube", 2)
+    dense, arpack, rel = _oracle().cross_check(mesh, constants, linalg)
     assert dense > 0 and rel <= 1e-10
     assert linalg.eig_smallest is eig_smallest  # the capture is undone
+    # cross_check captures the first eig_smallest call of the standalone
+    # c_direct: that call must still solve the c_direct pencil, not another
+    # pencil that c_direct solves on its way
+    direct = constants.direct_main_constant(mesh).eigenvalue
+    assert abs(dense - direct) <= 1e-10 * direct
 
 
 @pytest.mark.parametrize("kind, n", [("unit_cube", 2), ("cube_with_tunnel", 1)])

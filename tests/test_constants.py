@@ -286,20 +286,26 @@ def test_direct_constant_bounded_by_derived(cube3_ws, slab2_ws, tunnel_ws):
     assert cd <= c_tilde * (1 + 1e-8)
 
 
-def test_direct_constant_kernel_error_without_deflation():
-    m = generate_primitive("unit_cube", 2).retag(0)
-    # 294 dofs: sparse eigen path; the kernel is counted by the eigensolve
-    with pytest.raises(cst.KernelError, match="kernel dimension 3;"):
-        cst.direct_main_constant(m, deflate=False)
-
-
-def test_direct_constant_kernel_error_above_dense_max():
-    # 3345 dofs: the error text keeps its kernel dimension above 2000, the
-    # retired limit for dense factorizations
-    m = generate_primitive("unit_cube", 5).retag(0)
-    assert 3 * build_space(m, "Edge0", "gamma_t").free_count > 2000
-    with pytest.raises(cst.KernelError, match="kernel dimension 3;"):
-        cst.direct_main_constant(m, deflate=False)
+@pytest.mark.parametrize("n, path", [(2, "dense"), (2, "sparse"), (5, "sparse")],
+                         ids=["n2_dense", "n2_sparse", "n5_sparse"])
+def test_undeflated_direct_pencil_has_the_constant_skews_as_kernel(n, path, monkeypatch):
+    # the paper's remark for Gamma_t empty: the constant skews annihilate sym
+    # and Curl alike, so the Edge0^3 pencil Sym + CC against M, without the
+    # skew-moment rows of c_direct, has exactly them as its kernel
+    ws = cst.Workspace(generate_primitive("unit_cube", n).retag(0))
+    A = ws.pencil.strain.full() + sp.block_diag([ws.ops.curlcurl] * 3)
+    B = sp.block_diag([ws.ops.mass] * 3, format="csr")
+    assert A.shape[0] >= linalg.DENSE_CROSSOVER  # 294 and 3345 dofs: sparse
+    if path == "dense":
+        monkeypatch.setattr(linalg, "DENSE_CROSSOVER", 10**9)
+    eig = linalg.eig_smallest(A, B, k=4)
+    threshold = cst.KERNEL_REL_TOL * A.diagonal().sum() / B.diagonal().sum()
+    assert np.sum(eig.values <= threshold) == 3
+    V = eig.vectors[:, :3]  # B-orthonormal
+    _, WY, MWY = ws.skew_fields
+    for w, Bw in zip(WY, MWY):
+        r = w - V @ (V.T @ Bw)
+        assert np.sqrt(r @ (B @ r) / (w @ Bw)) <= 1e-10
 
 
 @pytest.mark.parametrize("s", [1e-4, 1e-5])

@@ -319,13 +319,30 @@ def test_project_rigid_symmetric_gradient():
     assert np.allclose(proj.offset, [0.5, -0.5, 0.0], atol=1e-13)
 
 
+def _rigid_pairings(v, spin, offset):
+    """Largest relative pairings of w = v - I(r), r(x) = spin x + offset:
+    w with the interpolated translations in the P1_vector mass form, and
+    grad w with the interpolated rotations in its grad form."""
+    pv = v.space
+    M, K = assemble("mass", pv), assemble("grad", pv)
+    w = v.coeffs - interpolate(lambda x: x @ spin.T + offset, pv).coeffs
+    trans = [interpolate(lambda x, e=e: np.tile(e, (len(x), 1)), pv).coeffs for e in np.eye(3)]
+    rots = [interpolate(lambda x, S=S: x @ S.T, pv).coeffs for S in SO3_BASIS]
+    return max([abs(t @ (M @ w)) / np.sqrt((t @ (M @ t)) * (v.coeffs @ (M @ v.coeffs)))
+                for t in trans]
+               + [abs(r @ (K @ w)) / np.sqrt((r @ (K @ r)) * (v.coeffs @ (K @ v.coeffs)))
+                  for r in rots])
+
+
 def test_project_rigid_orthogonality_residuals():
+    # v - r _|_ R^3 and grad(v - r) _|_ so(3), read off the assembled forms
     mesh = generate_primitive("unit_cube", 2)
     v = interpolate(lambda x: np.column_stack(
         [x[:, 0] ** 2 + x[:, 1], x[:, 2] * x[:, 0], x[:, 1] ** 2]), build_space(mesh, "P1_vector"))
     proj = hodge.project_rigid(v)
-    assert proj.residual_so3 <= 1e-13
-    assert proj.residual_r3 <= 1e-13
+    assert _rigid_pairings(v, proj.spin, proj.offset) <= 1e-13
+    assert _rigid_pairings(v, proj.spin, proj.offset + 1e-3) > 1e-4
+    assert _rigid_pairings(v, proj.spin + 1e-3 * SO3_BASIS[0], proj.offset) > 1e-4
     assert np.abs(proj.centroid - 0.5).max() <= 1e-15
 
 

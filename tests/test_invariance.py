@@ -9,17 +9,22 @@ constants by s and leaves the Korn constants and the harmonic dimension
 alone: at fixed scales, and as a property over s drawn log-uniformly from
 [1e-4, 1e4] on both solver paths.  c_direct mixes the two length scales:
 its pencil on the scaled mesh weights the curl-curl form by s^-2, so it is
-checked against references of the scaled pencil instead.
+checked against references of the scaled pencil instead, at fixed scales
+and as the same property.
 """
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
+import scipy.sparse as sp
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kornlab import constants as cst
-from kornlab import linalg
+from kornlab import hodge, linalg
+from kornlab.assemble import evaluate_norms
 from kornlab.meshes import Mesh, generate_primitive
+from kornlab.spaces import TensorField
 
 NAMES = ("c_p", "c_k_s", "c_k_t", "c_k_irrot", "c_m", "c_m_grad", "c_m_coexact")
 SCALED = ("c_p", "c_m", "c_m_grad", "c_m_coexact")  # the others are invariant
@@ -169,3 +174,43 @@ def test_c_direct_below_the_resolved_scale_raises():
     mesh = generate_primitive("unit_cube", 2).transformed(matrix=1e-4 * np.eye(3))
     with pytest.raises(linalg.SolverError, match="residual"):
         cst.Workspace(mesh).constant("c_direct")
+
+
+@pytest.fixture(scope="module")
+def direct_reference():
+    """s -> c_direct of the tagged unit_cube n=2 scaled by s, from the unscaled
+    pencil (Sym + s^-2 CC, M) solved densely.  Its eigenvalue is read as the
+    factored quotient (|sym x|^2 + s^-2 |Curl x|^2) / |x|^2_M of its vector,
+    the curl summed per cell: the formed pencil's own eigenvalue loses the
+    curl-free part of x to rounding (3e-8 off at s = 1e-3)."""
+    ops = hodge.edge_operators(generate_primitive("unit_cube", 2))
+    pencil = cst.tensor_pencil(ops)
+    Sym = pencil.strain.full().toarray()
+    CC, M = (sp.block_diag([form] * 3).toarray() for form in (ops.curlcurl, ops.mass))
+
+    def get(s):
+        x = sla.eigh(Sym + s**-2.0 * CC, M, subset_by_index=[0, 0])[1][:, 0]
+        curl_sq = evaluate_norms(TensorField(ops.edge_space, x.reshape(3, -1)), ("curl",))["curl"]
+        return 1.0 / np.sqrt((pencil.strain.norm(x)**2 + s**-2.0 * curl_sq) / (x @ M @ x))
+
+    return get
+
+
+@pytest.mark.parametrize("path", list(PATHS))
+@settings(max_examples=5)
+@given(exponent=st.floats(-4.0, 4.0))
+@example(exponent=-4.0)
+@example(exponent=4.0)
+def test_c_direct_scales_as_a_property(path, direct_reference, exponent):
+    # s log-uniform in [1e-4, 1e4]: the Workspace's c_direct on the scaled
+    # mesh is the scaled pencil's, or the residual gate names a vector that
+    # rounding has spoiled
+    s = 10.0**exponent
+    mesh = generate_primitive("unit_cube", 2).transformed(matrix=s * np.eye(3))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(linalg, "DENSE_CROSSOVER", PATHS[path])
+        try:
+            value = cst.Workspace(mesh).constant("c_direct").value
+        except linalg.SolverError:
+            return
+    assert value == pytest.approx(direct_reference(s), rel=1e-10), s

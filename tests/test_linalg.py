@@ -1,10 +1,12 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from kornlab import linalg
+from kornlab import hodge, linalg
 from kornlab.assemble import assemble
 from kornlab.linalg import (
     SolverError,
@@ -326,8 +328,9 @@ def test_sparse_deflation_outside_the_kernel_raises():
         eig_smallest(A, B, k=1, deflation=D)
 
 
-def _count_diagonal_kernel(crossover, k0, monkeypatch):
-    """count_kernel on a pencil with a 3-dim kernel: (count, batches)."""
+def _harmonic_search(A, monkeypatch, crossover=linalg.DENSE_CROSSOVER):
+    """hodge.harmonic_basis run on the pencil (A, I) with nothing deflated:
+    (basis, the batch sizes it asked eig_smallest for)."""
     monkeypatch.setattr(linalg, "DENSE_CROSSOVER", crossover)
     requested = []
     real = linalg.eig_smallest
@@ -337,28 +340,23 @@ def _count_diagonal_kernel(crossover, k0, monkeypatch):
         return real(A, B, k=k, **kwargs)
 
     monkeypatch.setattr(linalg, "eig_smallest", spy)
-    n = 40
-    A = sp.diags(np.concatenate([[0.0, 0.0, 0.0], 1.0 + np.arange(n - 3)])).tocsr()
-    eig, nker = linalg.count_kernel(A, sp.identity(n, format="csr"), 1e-8, k0=k0)
-    assert np.abs(eig.values[:3]).max() <= 1e-12
-    assert eig.values[3] == pytest.approx(1.0, rel=1e-10)
-    return nker, requested
-
-
-@pytest.mark.parametrize("crossover", [linalg.DENSE_CROSSOVER, 16], ids=["dense", "sparse"])
-def test_count_kernel_diagonal_pencil(crossover, monkeypatch):
-    # batches k = 1, 2, 4, and the fourth value is the first above the threshold
-    nker, requested = _count_diagonal_kernel(crossover, 1, monkeypatch)
-    assert nker == 3
-    assert requested == [1, 2, 4]
+    ops = SimpleNamespace(curlcurl=sp.csr_matrix(A), mass=sp.identity(A.shape[0], format="csr"),
+                          pinned_grad=None)
+    monkeypatch.setattr(hodge, "edge_operators", lambda mesh: ops)
+    return hodge.harmonic_basis(None), requested
 
 
 @pytest.mark.parametrize("crossover", [linalg.DENSE_CROSSOVER, 16], ids=["dense", "sparse"])
 def test_count_kernel_from_two_pairs(crossover, monkeypatch):
-    # the harmonic search's first batch: k = 2, then 4
-    nker, requested = _count_diagonal_kernel(crossover, 2, monkeypatch)
-    assert nker == 3
+    # the harmonic search, the one kernel count: k = 2, then 4, and the
+    # fourth value is the first above the threshold
+    n = 40
+    A = sp.diags(np.concatenate([[0.0, 0.0, 0.0], 1.0 + np.arange(n - 3)]))
+    basis, requested = _harmonic_search(A, monkeypatch, crossover)
+    assert basis.dim == 3
     assert requested == [2, 4]
+    assert np.abs(basis.fields @ (A @ basis.fields.T)).max() <= 1e-12
+    assert basis.coexact.values[0] == pytest.approx(1.0, rel=1e-10)
 
 
 def _dense_pencil(case, n=60):
@@ -403,10 +401,11 @@ def test_dense_path_computes_only_the_pairs_it_returns(case, monkeypatch):
     assert np.abs(full.values - w).max() <= 1e-12 * w[-1]
 
 
-def test_count_kernel_raises_at_cap():
-    # an all-kernel pencil must not come back as a short count
+def test_count_kernel_raises_at_cap(monkeypatch):
+    # an all-kernel pencil must not come back as a short count: the
+    # harmonic search doubles its batch up to KERNEL_CAP and raises there
     with pytest.raises(SolverError, match="KERNEL_CAP = 32"):
-        linalg.count_kernel(np.zeros((20, 20)), np.eye(20), 1e-8)
+        _harmonic_search(np.zeros((20, 20)), monkeypatch)
 
 
 def test_null_space_dims():

@@ -129,17 +129,12 @@ def test_seeded_direct_needs_no_kernel_count(kind, n, tag, monkeypatch):
     mesh = _mesh(kind, n, tag)
     ws = _chain_workspace(mesh)
     calls = []
-    count_kernel, eig_smallest = linalg.count_kernel, linalg.eig_smallest
-
-    def spy_count(*args, **kwargs):
-        calls.append("count_kernel")
-        return count_kernel(*args, **kwargs)
+    eig_smallest = linalg.eig_smallest
 
     def spy_eig(A, B, k=1, **kwargs):
         calls.append(("eig_smallest", k))
         return eig_smallest(A, B, k, **kwargs)
 
-    monkeypatch.setattr(linalg, "count_kernel", spy_count)
     monkeypatch.setattr(linalg, "eig_smallest", spy_eig)
     rec = ws.constant("c_direct")
     assert calls == [("eig_smallest", 1)]
