@@ -30,17 +30,15 @@ that cancel to exactly zero, as on the structured meshes, are dropped
 from the result.
 
 The Whitney bases are affine per cell, so each form is a polynomial of
-known degree and is integrated by the lowest rule exact for it.  The mass
-forms and the edge-tensor strain forms are quadratic and take the 4-point
-rule, and tensor_symF with a coefficient of degree d takes degree 2 + 2d;
-the P1 gradients are constant, so symgrad takes the 1-point rule.  Only
-integrands that are not known to be polynomial (a coefficient or an
-analytic field without a degree) take the DEFAULT_QUAD_DEGREE floor.
-The quad_order argument of assemble and evaluate_norms raises the rule
-further; it matters only for those.
+known degree and is integrated exactly, by the lowest rule exact for it.
+The mass forms and the edge-tensor strain forms are quadratic and take
+the 4-point rule, and tensor_symF with a coefficient of degree d takes
+degree 2 + 2d; the P1 gradients are constant, so symgrad takes the
+1-point rule.  A MatrixCoefficient states its degree, an integer >= 0;
+the squared norms of evaluate_norms, of lowest-order fields only, are
+quadratic and take the 4-point rule.  There is no other rule.
 """
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,30 +48,26 @@ from .meshes import locate_rows
 from .quadrature import barycentric, tet_rule
 from .spaces import Field, TensorField
 
-# rule degree for integrands that are not known to be polynomial; polynomial
-# forms integrate at their own degree
-DEFAULT_QUAD_DEGREE = 4
-
 _LOC_EDGES = np.array([(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
 _LOC_FACES = np.array([(1, 2, 3), (0, 2, 3), (0, 1, 3), (0, 1, 2)])
-
-
-class QuadratureWarning(UserWarning):
-    pass
 
 
 @dataclass
 class MatrixCoefficient:
     """Pointwise 3x3 matrix field F with det F > 0.
 
-    evaluator maps (n,3) points to (n,3,3) matrices; degree is the
-    polynomial degree per cell (None for non-polynomial evaluators, which
-    integrate at DEFAULT_QUAD_DEGREE, or at assemble's quad_order when that
-    is higher, with a warning).
+    evaluator maps (n,3) points to (n,3,3) matrices; degree, an integer
+    >= 0, is its polynomial degree per cell, which sets the exact rule of
+    tensor_symF.
     """
 
     evaluator: callable
-    degree: int | None = 0
+    degree: int
+
+    def __post_init__(self):
+        d = self.degree
+        if isinstance(d, bool) or not isinstance(d, (int, np.integer)) or d < 0:
+            raise ValueError(f"coefficient degree must be an integer >= 0, got {d!r}")
 
     def __call__(self, pts):
         out = np.asarray(self.evaluator(pts), dtype=float)
@@ -301,8 +295,8 @@ def _block_csr(pat, blocks, ncomp):
     return mat
 
 
-def _quad(degree, quad_order):
-    pts, wts = tet_rule(degree if quad_order is None else max(degree, quad_order))
+def _quad(degree):
+    pts, wts = tet_rule(degree)
     return pts, wts, barycentric(pts)
 
 
@@ -326,7 +320,7 @@ def _mass_local(vals, wts, vols):
                                                  optimize=True)
 
 
-def assemble(form, trial, test=None, coeff=None, quad_order=None):
+def assemble(form, trial, test=None, coeff=None):
     """Assemble a bilinear form into a CSR matrix over free dofs.
 
     Forms (families in the module docstring): mass, grad, symgrad,
@@ -344,17 +338,17 @@ def assemble(form, trial, test=None, coeff=None, quad_order=None):
     if form == "curl_map":
         return _curl_map(trial, test)
     if form in ("symgrad", "tensor_sym", "tensor_symF"):
-        return _strain(form, trial, test, geom, coeff, quad_order)
+        return _strain(form, trial, test, geom, coeff)
 
     fam = trial.family
     if form == "mass":
         if fam in ("P1_scalar", "P1_vector"):
             loc = _p1_mass_local(geom)
         elif fam == "Edge0":
-            pts, wts, lam = _quad(2, quad_order)
+            pts, wts, lam = _quad(2)
             loc = _mass_local(geom.edge_values(lam), wts, geom.vols)
         elif fam == "Face0":
-            pts, wts, lam = _quad(2, quad_order)
+            pts, wts, lam = _quad(2)
             loc = _mass_local(geom.face_values(lam), wts, geom.vols)
         else:
             raise ValueError(f"mass undefined for {fam}")
@@ -372,22 +366,6 @@ def assemble(form, trial, test=None, coeff=None, quad_order=None):
     else:
         raise ValueError(f"unknown form {form!r}")
     return _scatter(loc, test, trial, trial.ncomp)
-
-
-def _coeff_quaddeg(coeff, base):
-    """Rule degree of a strain form of degree base weighted by coeff on both
-    sides: base + 2d, with d the coefficient's degree."""
-    if coeff is None:
-        return base
-    if coeff.degree is None:
-        warnings.warn(
-            "non-polynomial coefficient: integrating at degree "
-            f"{DEFAULT_QUAD_DEGREE} (or assemble's quad_order, if higher), "
-            "result is approximate",
-            QuadratureWarning,
-        )
-        return DEFAULT_QUAD_DEGREE
-    return base + 2 * coeff.degree
 
 
 def _strain_local(s):
@@ -411,7 +389,7 @@ def _strain_local(s):
 _STRAIN_CHUNK = 256
 
 
-def _strain(form, trial, test, geom, coeff, quad_order):
+def _strain(form, trial, test, geom, coeff):
     """<sym(X F), sym(Y F)> for X, Y the gradients of P1_vector fields or
     Edge0 tensors, the dofs of tensor row m offset by m * free_count; F is
     coeff for tensor_symF and the identity otherwise.
@@ -427,7 +405,8 @@ def _strain(form, trial, test, geom, coeff, quad_order):
     if not tensor and trial.family != "P1_vector":
         raise ValueError(f"{form} needs P1_vector")
     coeff = coeff if form == "tensor_symF" else None
-    pts, wts, lam = _quad(_coeff_quaddeg(coeff, 2 if tensor else 0), quad_order)
+    # degree 2 (tensor) or 0 (symgrad), plus 2d for F on both sides
+    pts, wts, lam = _quad((2 if tensor else 0) + (0 if coeff is None else 2 * coeff.degree))
     # the rule weights are positive, so the kernel's factor is the basis
     # scaled by sqrt(w_q 6|t| / 2)
     scale = np.sqrt(3.0 * geom.vols[:, None] * wts)[..., None, None]
@@ -512,24 +491,23 @@ def _sym(mat):
     return 0.5 * (mat + np.swapaxes(mat, -2, -1))
 
 
-def evaluate_norms(obj, which, quad_order=None):
-    """Squared norms of a discrete or analytic field over its mesh.
+def evaluate_norms(field, which):
+    """Squared norms of a lowest-order field over its mesh, integrated exactly.
 
     which: iterable of 'L2', 'grad', 'sym', 'curl', 'div' or
-    ('dev_alpha', alpha).  obj is a Field, a TensorField, or an analytic
-    object exposing .mesh, .value(pts) and, for derivative norms,
-    .jacobian(pts); a .degree attribute makes the quadrature exact.
+    ('dev_alpha', alpha).  field is a Field (P1_scalar, P1_vector or
+    Edge0) or a TensorField; its values are affine per cell, so every
+    squared norm is quadratic and takes the 4-point rule.  Any other
+    input raises TypeError.
     """
+    if not isinstance(field, (Field, TensorField)):
+        raise TypeError(f"evaluate_norms takes a Field or a TensorField, "
+                        f"not {type(field).__name__}")
     requested = list(which)
-    if isinstance(obj, (Field, TensorField)):
-        mesh, deg = obj.space.mesh, 2  # lowest-order fields are affine per cell
-    else:
-        degree = getattr(obj, "degree", None)
-        mesh, deg = obj.mesh, DEFAULT_QUAD_DEGREE if degree is None else 2 * degree
-    geom = geometry(mesh)
-    pts, wts, lam = _quad(deg, quad_order)
+    geom = geometry(field.space.mesh)
+    _, wts, lam = _quad(2)
     w_phys = 6.0 * np.einsum("t,q->tq", geom.vols, wts)
-    q = _pointwise(obj, mesh, geom, lam, pts, values=any(r != "curl" for r in requested))
+    q = _pointwise(field, geom, lam, values=any(r != "curl" for r in requested))
 
     out = {}
     for req in requested:
@@ -539,9 +517,9 @@ def evaluate_norms(obj, which, quad_order=None):
         if name == "L2":
             v = q["value"]
             sq = v**2 if v.ndim == 2 else np.sum(v**2, axis=tuple(range(2, v.ndim)))
-        elif kind == "scalar" and name == "grad" and "grad" in q:
+        elif kind == "P1_scalar" and name == "grad":
             sq = np.sum(q["grad"] ** 2, axis=-1)
-        elif kind == "vector" and "jac" in q:
+        elif kind == "P1_vector":
             J = q["jac"]
             if name == "grad":
                 sq = np.sum(J**2, axis=(-2, -1))
@@ -563,31 +541,31 @@ def evaluate_norms(obj, which, quad_order=None):
                 sq = np.sum(dev_alpha(_sym(J), alpha) ** 2, axis=(-2, -1))
             else:
                 raise ValueError(f"unknown norm {name!r}")
-        elif kind == "vector" and name == "curl" and "curl" in q:
+        elif kind == "Edge0" and name == "curl":
             sq = np.sum(q["curl"] ** 2, axis=-1)
         elif kind == "tensor":
             if name == "sym":
                 sq = np.sum(_sym(q["value"]) ** 2, axis=(-2, -1))
             elif name == "dev_alpha":
                 sq = np.sum(dev_alpha(_sym(q["value"]), alpha) ** 2, axis=(-2, -1))
-            elif name == "curl" and "curl" in q:
+            elif name == "curl":
                 sq = np.sum(q["curl"] ** 2, axis=(-2, -1))
             else:
                 raise ValueError(f"norm {name!r} undefined for tensor fields")
         else:
-            raise ValueError(f"norm {name!r} undefined for this input")
+            raise ValueError(f"norm {name!r} undefined for {kind} fields")
         out[key] = float(np.sum(w_phys * sq))
     return out
 
 
-def _pointwise(obj, mesh, geom, lam, pts, values=True):
-    """Pointwise quantities per cell and quadrature point; an edge tensor
-    field forms its point values only when values (a curl-only request
-    reads the per-cell curls alone)."""
-    Q = len(lam)
-    if isinstance(obj, TensorField):
+def _pointwise(field, geom, lam, values=True):
+    """Pointwise quantities per cell and rule point, keyed by kind (the
+    field's family, or tensor); an edge tensor field forms its point values
+    only when values (a curl-only request reads the per-cell curls alone)."""
+    mesh, Q = field.space.mesh, len(lam)
+    if isinstance(field, TensorField):
         full = np.stack(
-            [obj.space.full_from_free(obj.rows[m])[0] for m in range(3)]
+            [field.space.full_from_free(field.rows[m])[0] for m in range(3)]
         )
         c = full[:, mesh.tet_edges]  # (3,T,6)
         curl = np.broadcast_to(
@@ -598,51 +576,31 @@ def _pointwise(obj, mesh, geom, lam, pts, values=True):
         if values:
             q["value"] = np.einsum("mte,tqed->tqmd", c, geom.edge_values(lam))
         return q
-    if isinstance(obj, Field):
-        space = obj.space
-        full = space.full_from_free(obj.coeffs)
-        fam = space.family
-        if fam == "P1_scalar":
-            u = full[0][mesh.tets]
-            grad = np.einsum("ti,tid->td", u, geom.grads)
-            return {
-                "kind": "scalar",
-                "value": np.einsum("qi,ti->tq", lam, u),
-                "grad": np.broadcast_to(grad[:, None], (len(u), Q, 3)),
-            }
-        if fam == "P1_vector":
-            u = full[:, mesh.tets]
-            J = np.einsum("mti,tid->tmd", u, geom.grads)
-            return {
-                "kind": "vector",
-                "value": np.einsum("qi,mti->tqm", lam, u),
-                "jac": np.broadcast_to(J[:, None], (J.shape[0], Q, 3, 3)),
-            }
-        if fam == "Edge0":
-            c = full[0][mesh.tet_edges]
-            W = geom.edge_values(lam)
-            curl = np.einsum("te,ted->td", c, geom.edge_curls())
-            return {
-                "kind": "vector",
-                "value": np.einsum("te,tqed->tqd", c, W),
-                "curl": np.broadcast_to(curl[:, None], (len(c), Q, 3)),
-            }
-        raise ValueError(fam)
-    # analytic object
-    x = _cell_points(mesh, pts)
-    flat = x.reshape(-1, 3)
-    vals = np.asarray(obj.value(flat), dtype=float)
-    T = x.shape[0]
-    if vals.ndim == 1:
-        q = {"kind": "scalar", "value": vals.reshape(T, Q)}
-    elif vals.shape[-1] == 3 and vals.ndim == 2:
-        q = {"kind": "vector", "value": vals.reshape(T, Q, 3)}
-    else:
-        q = {"kind": "tensor", "value": vals.reshape(T, Q, 3, 3)}
-    if hasattr(obj, "jacobian"):
-        jac = np.asarray(obj.jacobian(flat), dtype=float)
-        if q["kind"] == "scalar":
-            q["grad"] = jac.reshape(T, Q, 3)
-        else:
-            q["jac"] = jac.reshape(T, Q, 3, 3)
-    return q
+    full = field.space.full_from_free(field.coeffs)
+    fam = field.space.family
+    if fam == "P1_scalar":
+        u = full[0][mesh.tets]
+        grad = np.einsum("ti,tid->td", u, geom.grads)
+        return {
+            "kind": fam,
+            "value": np.einsum("qi,ti->tq", lam, u),
+            "grad": np.broadcast_to(grad[:, None], (len(u), Q, 3)),
+        }
+    if fam == "P1_vector":
+        u = full[:, mesh.tets]
+        J = np.einsum("mti,tid->tmd", u, geom.grads)
+        return {
+            "kind": fam,
+            "value": np.einsum("qi,mti->tqm", lam, u),
+            "jac": np.broadcast_to(J[:, None], (J.shape[0], Q, 3, 3)),
+        }
+    if fam == "Edge0":
+        c = full[0][mesh.tet_edges]
+        W = geom.edge_values(lam)
+        curl = np.einsum("te,ted->td", c, geom.edge_curls())
+        return {
+            "kind": fam,
+            "value": np.einsum("te,tqed->tqd", c, W),
+            "curl": np.broadcast_to(curl[:, None], (len(c), Q, 3)),
+        }
+    raise ValueError(fam)

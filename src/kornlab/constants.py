@@ -20,7 +20,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import hodge, linalg, meshes
-from .assemble import DEFAULT_QUAD_DEGREE, assemble, evaluate_norms, tet_rule
+from .assemble import assemble, evaluate_norms, tet_rule
 from .hodge import SO3_BASIS
 from .spaces import TensorField, build_space
 
@@ -297,7 +297,7 @@ def korn_constant_irrotational(mesh, tol=DEFAULT_EIG_TOL, *, harmonics=None, for
     pencil it solved, none off several slices: a Korn pair's kept dofs are y.
     """
     if mesh.has_gamma_t:
-        harmonics = harmonics or hodge.harmonic_basis(mesh)
+        harmonics = harmonics or hodge.harmonic_basis(mesh, tol=tol)
         if harmonics.dim:
             forms = forms or curl_free_forms(harmonics, tensor_pencil(harmonics.ops))
             return curl_free_constant("c_k_irrot", forms, tol)
@@ -415,7 +415,9 @@ def direct_main_constant(mesh, tol=DEFAULT_EIG_TOL, *, pencil=None, bracket=None
     2 sigma violates
     the main estimate (lambda_1 <= lambda), and lambda above (1 +
     BRACKET_MARGIN) upper means the solve missed the smallest pair; both
-    raise linalg.SolverError.
+    raise linalg.SolverError.  So does _record's residual gate, and each of
+    the three names the mesh diameter: CC grows as s^-2 on a mesh scaled by
+    s, so a small enough mesh is one the solve cannot resolve.
     """
     pencil = pencil or tensor_pencil(hodge.edge_operators(mesh))
     ops, space = pencil.ops, pencil.ops.edge_space
@@ -439,21 +441,28 @@ def direct_main_constant(mesh, tol=DEFAULT_EIG_TOL, *, pencil=None, bracket=None
     lam = (pencil.strain.norm(x)**2 + curl_sq) / float(x @ (B @ x))
     x = x[:, None]
     eig = linalg.EigenResult([lam], x, linalg._residuals(A, B, [lam], x, constraints))
-    if bracket is not None:
-        lower = (1.0 - BRACKET_MARGIN) * bracket[0]
-        if lam < lower:
-            raise linalg.SolverError(
-                f"c_direct: lambda = {lam:.12e} lies below the lower bound "
-                f"{lower:.12e} of the main estimate; c_direct exceeds the "
-                "derived bound, or c_k_irrot or c_m is wrong"
-            )
-        upper = bracket[1]
-        if upper is not None and lam > (1.0 + BRACKET_MARGIN) * upper:
-            raise linalg.SolverError(
-                f"c_direct: lambda = {lam:.12e} lies above the curl-free bound "
-                f"{upper:.12e}; the solve missed the smallest pair"
-            )
-    return _record("c_direct", eig, B, 3 * space.free_count, tol, note)
+    try:
+        if bracket is not None:
+            lower = (1.0 - BRACKET_MARGIN) * bracket[0]
+            if lam < lower:
+                raise linalg.SolverError(
+                    f"c_direct: lambda = {lam:.12e} lies below the lower bound "
+                    f"{lower:.12e} of the main estimate; c_direct exceeds the "
+                    "derived bound, or c_k_irrot or c_m is wrong"
+                )
+            upper = bracket[1]
+            if upper is not None and lam > (1.0 + BRACKET_MARGIN) * upper:
+                raise linalg.SolverError(
+                    f"c_direct: lambda = {lam:.12e} lies above the curl-free bound "
+                    f"{upper:.12e}; the solve missed the smallest pair"
+                )
+        return _record("c_direct", eig, B, 3 * space.free_count, tol, note)
+    except linalg.SolverError as exc:  # the diameter: its hull's farthest vertex pair
+        from scipy.spatial import ConvexHull
+        from scipy.spatial.distance import pdist
+
+        hull = mesh.vertices[ConvexHull(mesh.vertices).vertices]
+        raise linalg.SolverError(f"{exc} (mesh diameter {pdist(hull).max():.3e})") from None
 
 
 # --------------------------------------------------------------------------
@@ -467,8 +476,7 @@ def matrix_coefficient_norm(F, mesh):
     extrema of per-cell affine coefficients)."""
     from .assemble import _cell_points
 
-    deg = F.degree if F.degree is not None else DEFAULT_QUAD_DEGREE
-    pts, _ = tet_rule(max(deg, 2))
+    pts, _ = tet_rule(max(F.degree, 2))
     x = _cell_points(mesh, pts).reshape(-1, 3)
     x = np.vstack([x, mesh.vertices])
     vals = F(x)

@@ -126,7 +126,9 @@ def spd_solver(A):
 
 
 def solve_spd(A, rhs):
-    """Solve A x = rhs once for symmetric positive definite A (see spd_solver)."""
+    """Solve A x = rhs once for symmetric positive definite A (see spd_solver).
+
+    Nothing in src/ calls it; perfbench/spans.py WRAPPED names it."""
     return spd_solver(A)(rhs)
 
 
@@ -362,7 +364,9 @@ def _eig_sparse(A, B, k, deflation, constraints, tol):
 
 
 def null_space(A, rel_tol=1e-8):
-    """Orthonormal basis of the numerical kernel of a symmetric PSD matrix."""
+    """Orthonormal basis of the numerical kernel of a symmetric PSD matrix.
+
+    Nothing in src/ calls it; perfbench/spans.py WRAPPED names it."""
     A = _as_csr(A)
     w, V = np.linalg.eigh(A.toarray())
     lam_max = max(w.max(), 0.0)
@@ -371,7 +375,10 @@ def null_space(A, rel_tol=1e-8):
 
 
 def null_space_gen(A, B, rel_tol=1e-8, constraints=None):
-    """B-orthonormal basis of the near-kernel of pencil (A, B) on {Cx=0}."""
+    """B-orthonormal basis of the near-kernel of pencil (A, B) on {Cx=0}.
+
+    Nothing in src/ calls it; perfbench/spans.py WRAPPED and
+    perfbench/oracle.py Substitute name it."""
     A = _as_csr(A)
     B = _as_csr(B)
     n = A.shape[0]

@@ -9,45 +9,17 @@ import scipy.sparse as sp
 
 from kornlab import hodge
 from kornlab.assemble import (
-    DEFAULT_QUAD_DEGREE,
     MatrixCoefficient,
-    QuadratureWarning,
     assemble,
     evaluate_norms,
     identity_coefficient,
 )
 from kornlab.constants import Workspace, tensor_pencil
 from kornlab.meshes import generate_primitive
-from kornlab.polynomials import PolyField, Poly3
 from kornlab.quadrature import barycentric, tet_rule
 from kornlab.spaces import Field, SpaceError, TensorField, build_space, interpolate
 
 from helpers import constant_tensor_coeffs, direct_pencil
-
-
-class AnalyticField:
-    """Adapter exposing value/jacobian evaluators over a mesh."""
-
-    def __init__(self, mesh, value, jacobian=None, degree=None):
-        self.mesh = mesh
-        self.value = value
-        if jacobian is not None:
-            self.jacobian = jacobian
-        if degree is not None:
-            self.degree = degree
-
-
-def poly_adapter(mesh, field):
-    J = field.jacobian()
-
-    def jac(pts):
-        out = np.empty((len(pts), 3, 3))
-        for i in range(3):
-            for j in range(3):
-                out[:, i, j] = J[i][j](pts)
-        return out
-
-    return AnalyticField(mesh, field.value, jac, degree=field.degree)
 
 
 @pytest.fixture(scope="module")
@@ -130,39 +102,36 @@ def test_edge_curl_matches_face_interpolant(cube2):
 
 
 def test_evaluate_norms_linear_field(cube2):
-    v = AnalyticField(
-        cube2,
-        value=lambda x: x,
-        jacobian=lambda x: np.broadcast_to(np.eye(3), (len(x), 3, 3)).copy(),
-        degree=1,
-    )
-    norms = evaluate_norms(v, ["L2", "div", "sym", ("dev_alpha", 1.0 / 3.0)])
+    # x -> x is exact in P1: |x|^2 = 1, grad = I, div = 3, curl = 0
+    v = interpolate(lambda x: x, build_space(cube2, "P1_vector"))
+    norms = evaluate_norms(v, ["L2", "grad", "div", "sym", "curl", ("dev_alpha", 1.0 / 3.0)])
+    assert norms["L2"] == pytest.approx(1.0, rel=1e-13)
+    assert norms["grad"] == pytest.approx(3.0, rel=1e-13)
     assert norms["div"] == pytest.approx(9.0, rel=1e-13)
     assert norms["sym"] == pytest.approx(3.0, rel=1e-13)
+    assert norms["curl"] == pytest.approx(0.0, abs=1e-13)
     assert norms["dev_alpha(0.333333)"] == pytest.approx(0.0, abs=1e-13)
 
 
 def test_evaluate_norms_constant_field(cube2):
-    v = AnalyticField(
-        cube2,
-        value=lambda x: np.tile([2.0, -1.0, 0.5], (len(x), 1)),
-        jacobian=lambda x: np.zeros((len(x), 3, 3)),
-        degree=0,
-    )
+    v = interpolate(lambda x: np.tile([2.0, -1.0, 0.5], (len(x), 1)),
+                    build_space(cube2, "P1_vector"))
     norms = evaluate_norms(v, ["L2", "grad", "sym", "curl", "div"])
     assert norms["L2"] == pytest.approx(5.25, rel=1e-13)
     for k in ("grad", "sym", "curl", "div"):
         assert norms[k] == pytest.approx(0.0, abs=1e-14)
 
 
-def test_evaluate_norms_bubble_identity(cube2):
-    # high-order quadrature oracle for the partial-integration identity
-    rng = np.random.default_rng(11)
-    v = PolyField([Poly3.constant(1.0), Poly3.zero(), Poly3.zero()], bubble_flag=True)
-    adapter = poly_adapter(cube2, v)
-    norms = evaluate_norms(adapter, ["sym", "grad", "div"], quad_order=12)
-    resid = norms["sym"] - 0.5 * (norms["grad"] + norms["div"])
-    assert abs(resid) <= 1e-13 * norms["sym"]
+def test_evaluate_norms_takes_fields_only(cube2):
+    # an analytic evaluator is refused: every norm is of a lowest-order field
+    class Analytic:
+        mesh, degree = cube2, 1
+
+        def value(self, pts):
+            return pts
+
+    with pytest.raises(TypeError, match="Analytic"):
+        evaluate_norms(Analytic(), ["L2"])
 
 
 def test_evaluate_norms_undefined_norm(cube2):
@@ -225,15 +194,15 @@ def test_symF_scaling(cube2):
     assert abs((4.0 * A - B).toarray()).max() < 1e-12
 
 
-def test_nonpolynomial_coefficient_warns(cube2):
-    e0 = build_space(cube2, "Edge0", "gamma_t")
-    F = MatrixCoefficient(
-        lambda pts: np.broadcast_to(np.eye(3), (len(pts), 3, 3))
-        * (2.0 + np.sin(pts[:, 0]))[:, None, None],
-        degree=None,
-    )
-    with pytest.warns(UserWarning):
-        assemble("tensor_symF", e0, coeff=F)
+def test_coefficient_degree_is_checked_at_construction():
+    # a coefficient without an integer degree >= 0 has no exact rule
+    def evaluator(pts):
+        return np.broadcast_to(np.eye(3), (len(pts), 3, 3))
+
+    for degree in (None, -1, 1.5, True):
+        with pytest.raises(ValueError, match=f"got {degree!r}$"):
+            MatrixCoefficient(evaluator, degree=degree)
+    assert MatrixCoefficient(evaluator, degree=np.int64(2)).degree == 2
 
 
 @pytest.mark.parametrize("error, name, call", [
@@ -310,11 +279,6 @@ def test_forms_request_their_exact_rule(cube2, monkeypatch):
     for name in ("c_p", "c_k_s", "c_k_t", "c_k_irrot", "c_m", "c_direct"):
         ws.constant(name)
     assert degrees and max(degrees) == 2
-    degrees.clear()
-    F = MatrixCoefficient(_affine_coefficient().evaluator, degree=None)
-    with pytest.warns(QuadratureWarning):
-        assemble("tensor_symF", build_space(cube2, "Edge0"), coeff=F)
-    assert degrees == [DEFAULT_QUAD_DEGREE]
     # the P1 gradients are constant per cell; a coefficient of degree d
     # raises the edge-tensor rule to 2 + 2d
     degrees.clear()
@@ -330,13 +294,13 @@ def test_weighted_strain_forms_match_pointwise_reference():
     mesh = generate_primitive("slab_mixed", 2)
     F = _affine_coefficient()
     geom = asm.geometry(mesh)
-    pts, wts, lam = asm._quad(8, None)
+    pts, wts, lam = asm._quad(8)
     w = 6.0 * geom.vols[:, None] * wts
     Fq = F(asm._cell_points(mesh, pts).reshape(-1, 3)).reshape(*w.shape, 3, 3)
     rng = np.random.default_rng(5)
     e0 = build_space(mesh, "Edge0", "gamma_t")
     T = TensorField(e0, rng.standard_normal((3, e0.free_count)))
-    X = asm._pointwise(T, mesh, geom, lam, pts)["value"]
+    X = asm._pointwise(T, geom, lam)["value"]
     ref = float(np.sum(w * np.sum(asm._sym(X @ Fq) ** 2, axis=(-2, -1))))
     A = assemble("tensor_symF", e0, coeff=F)
     x = T.stacked()
@@ -345,6 +309,7 @@ def test_weighted_strain_forms_match_pointwise_reference():
 
 @pytest.mark.parametrize("kind, n", [("unit_cube", 2), ("cube_with_tunnel", 1)])
 def test_default_rule_exact_for_polynomial_forms(kind, n):
+    # against the reference scatter of the same forms at the degree-8 rule
     mesh = generate_primitive(kind, n)
     e0, f0 = build_space(mesh, "Edge0"), build_space(mesh, "Face0")
     pv = build_space(mesh, "P1_vector", "gamma_t")
@@ -358,18 +323,8 @@ def test_default_rule_exact_for_polynomial_forms(kind, n):
     ]
     for form, space, coeff in cases:
         default = assemble(form, space, coeff=coeff).toarray()
-        fine = assemble(form, space, coeff=coeff, quad_order=8).toarray()
+        fine = _ref_assemble(form, space, coeff=coeff, degree=8).toarray()
         assert np.abs(default - fine).max() <= 1e-13 * np.abs(fine).max(), form
-
-
-def test_nonpolynomial_analytic_integrands_keep_the_floor(cube2):
-    # values of the degree-4 rule; the 4-point rule misses them by ~5e-5
-    def field(pts):
-        return np.exp(pts[:, 0] - 2.0 * pts[:, 1] * pts[:, 2])[:, None, None] * _A[None]
-
-    norms = evaluate_norms(AnalyticField(cube2, field), ["L2", "sym"])
-    assert norms["L2"] == pytest.approx(12.946192466479328, rel=1e-14)
-    assert norms["sym"] == pytest.approx(8.468443858534414, rel=1e-14)
 
 
 # --------------------------------------------------------------------------
@@ -403,20 +358,22 @@ def _ref_vector_block(loc4):
     return out
 
 
-def _ref_assemble(form, trial, test=None, coeff=None):
+def _ref_assemble(form, trial, test=None, coeff=None, degree=None):
     """The forms as full component-major local matrices through _ref_scatter;
     divdiv and curlcurl of P1 vectors are kept here for the Dirichlet
-    identity."""
+    identity.  The Edge0/Face0 mass and strain forms take the rule of
+    degree when given, else the lowest exact one."""
     test = trial if test is None else test
     geom = asm.geometry(trial.mesh)
     vols, g, fam = geom.vols[:, None, None], geom.grads, trial.family
     rows, cols = _ref_local_dofs(test), _ref_local_dofs(trial)
     nr, nc = test.free_count, trial.free_count
-    pts4, wts4 = tet_rule(2)
+    mass_pts, mass_wts = tet_rule(2 if degree is None else degree)
     if form in ("symgrad", "tensor_sym", "tensor_symF"):
         tensor = form.startswith("tensor")
         coeff = coeff if form == "tensor_symF" else None
-        pts, wts = tet_rule((2 if tensor else 0) + (0 if coeff is None else 2 * coeff.degree))
+        exact = (2 if tensor else 0) + (0 if coeff is None else 2 * coeff.degree)
+        pts, wts = tet_rule(exact if degree is None else degree)
         h = geom.edge_values(barycentric(pts)) if tensor else np.repeat(g[:, None], len(wts), 1)
         if coeff is not None:
             x = asm._cell_points(trial.mesh, pts)
@@ -443,8 +400,8 @@ def _ref_assemble(form, trial, test=None, coeff=None):
         if fam == "P1_vector" and form in ("mass", "grad"):
             loc = _ref_vector_block(loc)
     elif form == "mass" and fam in ("Edge0", "Face0"):
-        W = (geom.edge_values if fam == "Edge0" else geom.face_values)(barycentric(pts4))
-        loc = 6.0 * vols * np.einsum("q,tqed,tqfd->tef", wts4, W, W)
+        W = (geom.edge_values if fam == "Edge0" else geom.face_values)(barycentric(mass_pts))
+        loc = 6.0 * vols * np.einsum("q,tqed,tqfd->tef", mass_wts, W, W)
     else:  # Edge0 curl-curl
         c = geom.edge_curls()
         loc = vols * np.einsum("ted,tfd->tef", c, c)

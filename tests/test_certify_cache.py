@@ -129,17 +129,22 @@ def _gradient_rows(ops, rng):
 # an exactly curl-free T has S = T - R and Curl T at rounding level, so the
 # coexact links divide the rounding of the Poisson solve by the 1e-6 |T|
 # floor; it grows with the solve's condition, and so with the mesh
-@pytest.mark.parametrize("make", [lambda: generate_primitive("cube_with_tunnel", 3),
+@pytest.mark.parametrize("make", [lambda: generate_primitive("cube_with_tunnel", 2),
+                                  lambda: generate_primitive("cube_with_tunnel", 3),
+                                  lambda: generate_primitive("cube_with_tunnel", 4),
                                   lambda: generate_primitive("unit_cube", 4).retag(0),
+                                  lambda: generate_primitive("unit_cube", 6).retag(0),
                                   lambda: generate_primitive("unit_cube", 2),
                                   lambda: generate_primitive("unit_cube", 4),
                                   lambda: generate_primitive("slab_mixed", 2),
                                   lambda: generate_primitive("slab_mixed", 4)],
-                         ids=["tunnel3", "unit_cube4_untagged", "unit_cube2", "unit_cube4",
+                         ids=["tunnel2", "tunnel3", "tunnel4", "unit_cube4_untagged",
+                              "unit_cube6_untagged", "unit_cube2", "unit_cube4",
                               "slab_mixed2", "slab_mixed4"])
 def test_exact_gradient_rows_certify(make):
-    # worst margins (coexact_estimate): -4.74e-9 on tunnel n=3, -1.08e-9 on
-    # untagged unit_cube n=4, against the -1e-8 slack.  With a tag-1 part
+    # worst margins (coexact_estimate): -1.49e-9, -4.74e-9 and -4.08e-9 on
+    # tunnel n=2, 3 and 4, -1.08e-9 and -7.44e-9 on untagged unit_cube n=4 and 6,
+    # against the -1e-8 slack.  With a tag-1 part
     # (the tangential case, no skew shift) -1.89e-10 and -9.35e-11 on
     # unit_cube n=2 and 4, -1.65e-10 and -1.35e-10 on slab_mixed n=2 and 4
     ws = cst.Workspace(make())

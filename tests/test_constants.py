@@ -244,6 +244,24 @@ def test_korn_irrotational_takes_a_harmonic_basis_alone(kind):
     np.testing.assert_array_equal(rec.vector, ref.vector)
 
 
+def test_korn_irrotational_alone_searches_harmonics_at_its_tol(monkeypatch):
+    # called alone on a tag-1 mesh, c_k_irrot finds its harmonic basis (the
+    # k=2 curl-curl solve) at its own tol, as maxwell_constant does
+    calls = []
+    real = linalg.eig_smallest
+
+    def spy(A, B, k=1, deflation=None, constraints=None, tol=1e-10):
+        calls.append((k, tol))
+        return real(A, B, k=k, deflation=deflation, constraints=constraints, tol=tol)
+
+    monkeypatch.setattr(linalg, "eig_smallest", spy)
+    mesh = two_plates(2)
+    for constant in (cst.korn_constant_irrotational, cst.maxwell_constant):
+        calls.clear()
+        constant(mesh, 1e-6)
+        assert (2, 1e-6) in calls and {tol for _, tol in calls} == {1e-6}, constant
+
+
 def test_maxwell_coexact_converges():
     target = 1.0 / (np.pi * SQRT2)
     m = generate_primitive("unit_cube", 4)

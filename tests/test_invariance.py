@@ -176,6 +176,37 @@ def test_c_direct_below_the_resolved_scale_raises():
         cst.Workspace(mesh).constant("c_direct")
 
 
+def _diameter_clause(s):
+    """The clause c_direct's errors end with on unit_cube scaled by s."""
+    return f" (mesh diameter {s * np.sqrt(3.0):.3e})"
+
+
+@pytest.mark.parametrize("how", ["standalone", "workspace"])
+@pytest.mark.parametrize("s", [1e-4, 1e-5])
+def test_c_direct_errors_name_the_mesh_diameter(s, how):
+    # below the resolved scale the residual gate (s = 1e-4, and s = 1e-5
+    # alone) or the curl-free bound (s = 1e-5 through a Workspace) raises,
+    # and the error says how small the mesh is
+    mesh = generate_primitive("unit_cube", 2).transformed(matrix=s * np.eye(3))
+    with pytest.raises(linalg.SolverError) as info:
+        if how == "standalone":
+            cst.direct_main_constant(mesh)
+        else:
+            cst.Workspace(mesh).constant("c_direct")
+    text = str(info.value)
+    assert text.startswith("c_direct: ") and text.endswith(_diameter_clause(s)), text
+    assert "residual" in text or "missed the smallest pair" in text, text
+
+
+def test_c_direct_lower_bound_error_names_the_mesh_diameter():
+    # a bracket above the smallest eigenvalue (about 0.556) breaks the main
+    # estimate's check
+    mesh = generate_primitive("unit_cube", 2).transformed(matrix=1e-2 * np.eye(3))
+    with pytest.raises(linalg.SolverError, match="lies below the lower bound") as info:
+        cst.direct_main_constant(mesh, bracket=(2.0, None))
+    assert str(info.value).endswith(_diameter_clause(1e-2))
+
+
 @pytest.fixture(scope="module")
 def direct_reference():
     """s -> c_direct of the tagged unit_cube n=2 scaled by s, from the unscaled
@@ -204,13 +235,14 @@ def direct_reference():
 def test_c_direct_scales_as_a_property(path, direct_reference, exponent):
     # s log-uniform in [1e-4, 1e4]: the Workspace's c_direct on the scaled
     # mesh is the scaled pencil's, or the residual gate names a vector that
-    # rounding has spoiled
+    # rounding has spoiled, and the mesh diameter
     s = 10.0**exponent
     mesh = generate_primitive("unit_cube", 2).transformed(matrix=s * np.eye(3))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(linalg, "DENSE_CROSSOVER", PATHS[path])
         try:
             value = cst.Workspace(mesh).constant("c_direct").value
-        except linalg.SolverError:
+        except linalg.SolverError as exc:
+            assert str(exc).endswith(_diameter_clause(s)), exc
             return
     assert value == pytest.approx(direct_reference(s), rel=1e-10), s

@@ -34,9 +34,9 @@ def _spy_assemble(monkeypatch):
     calls = []
     real = asm.assemble
 
-    def spy(form, trial, test=None, coeff=None, quad_order=None):
+    def spy(form, trial, test=None, coeff=None):
         calls.append((form, _space_key(trial), _space_key(test)))
-        return real(form, trial, test, coeff=coeff, quad_order=quad_order)
+        return real(form, trial, test, coeff=coeff)
 
     for module in (asm, cst, hodge):
         monkeypatch.setattr(module, "assemble", spy)
