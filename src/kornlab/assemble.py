@@ -3,9 +3,11 @@
 The discrete gradient and curl are incidence matrices, so grad P1 lands
 exactly in Edge0 and curl Edge0 exactly in Face0; every quadratic form
 needed by the inequality eigenproblems is assembled here: mass (P1,
-Edge0, Face0), grad (P1), curlcurl (Edge0), the strain forms symgrad
-(P1_vector), tensor_sym and tensor_symF (three Edge0 rows, row m offset by
-m times the free count), and the incidences mixed_grad and curl_map.  The
+Edge0, Face0), grad (P1), the strain forms symgrad (P1_vector), tensor_sym
+and tensor_symF (three Edge0 rows, row m offset by m times the free
+count), and the incidences mixed_grad and curl_map.  There is no
+curl-curl form: it is C^T M_f C of the curl_map C and the Face0 mass M_f
+(hodge.EdgeOperators), so the gradients are its exact kernel.  The
 three strain forms are <sym(X F), sym(Y F)> for P1 gradients or edge
 tensors X, Y (F the identity, or the coefficient of tensor_symF) and share
 one kernel; a tensor mass or curl-curl form is the block diagonal of the
@@ -115,7 +117,7 @@ class _Geometry:
         )
 
     def edge_curls(self):
-        """curl of the Whitney edge basis, constant per cell: (T,6,3)."""
+        """curl of the Whitney edge basis per cell, (T,6,3): evaluate_norms's reference."""
         ga = np.take_along_axis(self.grads, self.edge_loc[:, :, 0, None], axis=1)
         gb = np.take_along_axis(self.grads, self.edge_loc[:, :, 1, None], axis=1)
         return 2.0 * np.cross(ga, gb)
@@ -324,7 +326,7 @@ def assemble(form, trial, test=None, coeff=None):
     """Assemble a bilinear form into a CSR matrix over free dofs.
 
     Forms (families in the module docstring): mass, grad, symgrad,
-    curlcurl, tensor_sym, tensor_symF, mixed_grad, curl_map.  trial/test
+    tensor_sym, tensor_symF, mixed_grad, curl_map.  trial/test
     are DofSpaces over the same mesh (test defaults to trial); coeff is
     the MatrixCoefficient of tensor_symF.
     """
@@ -357,12 +359,6 @@ def assemble(form, trial, test=None, coeff=None):
             loc = _p1_stiff_local(geom)
         else:
             raise ValueError(f"grad undefined for {fam}")
-    elif form == "curlcurl":
-        if fam == "Edge0":
-            c = geom.edge_curls()
-            loc = geom.vols[:, None, None] * np.einsum("ted,tfd->tef", c, c)
-        else:
-            raise ValueError(f"curlcurl undefined for {fam}")
     else:
         raise ValueError(f"unknown form {form!r}")
     return _scatter(loc, test, trial, trial.ncomp)
@@ -507,7 +503,7 @@ def evaluate_norms(field, which):
     geom = geometry(field.space.mesh)
     _, wts, lam = _quad(2)
     w_phys = 6.0 * np.einsum("t,q->tq", geom.vols, wts)
-    q = _pointwise(field, geom, lam, values=any(r != "curl" for r in requested))
+    q = _pointwise(field, geom, lam)
 
     out = {}
     for req in requested:
@@ -558,10 +554,9 @@ def evaluate_norms(field, which):
     return out
 
 
-def _pointwise(field, geom, lam, values=True):
+def _pointwise(field, geom, lam):
     """Pointwise quantities per cell and rule point, keyed by kind (the
-    field's family, or tensor); an edge tensor field forms its point values
-    only when values (a curl-only request reads the per-cell curls alone)."""
+    field's family, or tensor)."""
     mesh, Q = field.space.mesh, len(lam)
     if isinstance(field, TensorField):
         full = np.stack(
@@ -572,10 +567,8 @@ def _pointwise(field, geom, lam, values=True):
             np.einsum("mte,ted->tmd", c, geom.edge_curls())[:, None],
             (c.shape[1], Q, 3, 3),
         )
-        q = {"kind": "tensor", "curl": curl}
-        if values:
-            q["value"] = np.einsum("mte,tqed->tqmd", c, geom.edge_values(lam))
-        return q
+        value = np.einsum("mte,tqed->tqmd", c, geom.edge_values(lam))
+        return {"kind": "tensor", "value": value, "curl": curl}
     full = field.space.full_from_free(field.coeffs)
     fam = field.space.family
     if fam == "P1_scalar":

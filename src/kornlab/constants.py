@@ -20,7 +20,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import hodge, linalg, meshes
-from .assemble import assemble, evaluate_norms, tet_rule
+from .assemble import assemble, tet_rule
 from .hodge import SO3_BASIS
 from .spaces import TensorField, build_space
 
@@ -395,11 +395,11 @@ def direct_main_constant(mesh, tol=DEFAULT_EIG_TOL, *, pencil=None, bracket=None
 
     The eigenvalue reported, bracketed and gated is the Rayleigh quotient
     (|sym x|^2 + |Curl x|^2) / |x|^2_M of the returned vector x, with
-    |sym x| off the upper half of the strain form and |Curl x|^2 summed
-    from the per-cell curls (assemble.evaluate_norms); the residual gate
-    reads the pair (x, quotient).  The quotient of the formed A would lose
-    the curl-free part of x to rounding once CC dwarfs Sym, as it does on
-    a mesh scaled by s, where CC grows as s^-2.
+    |sym x| off the upper half of the strain form and |Curl x|^2 off the
+    curl pair of the edge operators (EdgeOperators.curl_sq); the residual
+    gate reads the pair (x, quotient).  The quotient of the formed A would
+    lose the curl-free part of x to rounding once CC dwarfs Sym, as it does
+    on a mesh scaled by s, where CC grows as s^-2.
 
     bracket, when given, is (lower, upper) for the smallest eigenvalue,
     from the chain of estimates (Workspace.direct_seed): lower = 1/c_bound^2
@@ -434,11 +434,9 @@ def direct_main_constant(mesh, tol=DEFAULT_EIG_TOL, *, pencil=None, bracket=None
     else:
         with linalg.seeded(0.5 * (1.0 - BRACKET_MARGIN) * bracket[0], v0):
             eig = linalg.eig_smallest(A, B, k=1, constraints=constraints, tol=tol)
-    # lambda is the quotient of x with the curl read per cell, not off the
-    # formed A: the curl of a near-gradient x is exact to rounding in x
+    # lambda is x's quotient, not off the formed A: C x is exact to rounding in x
     x = eig.vectors[:, 0]
-    curl_sq = evaluate_norms(TensorField(space, x.reshape(3, -1)), ("curl",))["curl"]
-    lam = (pencil.strain.norm(x)**2 + curl_sq) / float(x @ (B @ x))
+    lam = (pencil.strain.norm(x)**2 + ops.curl_sq(x.reshape(3, -1))[1]) / float(x @ (B @ x))
     x = x[:, None]
     eig = linalg.EigenResult([lam], x, linalg._residuals(A, B, [lam], x, constraints))
     try:
@@ -538,10 +536,6 @@ class CertificationRecord:
         return {k: v["margin"] for k, v in self.links.items()}
 
 
-# the curl incidence C: Edge0 -> Face0 (C^T M_f C is the curl-curl form) and
-# the Face0 mass M_f as a _HalfForm, both row-blocked
-CurlPair = namedtuple("CurlPair", "incidence face_mass")
-
 # the weighted constant of one coefficient F: c_F and mu
 # (matrix_coefficient_norm) and the c_k_F record
 WeightedWork = namedtuple("WeightedWork", "c_F mu record")
@@ -550,8 +544,8 @@ WeightedWork = namedtuple("WeightedWork", "c_F mu record")
 class Workspace:
     """Mesh-bound bundle of operators, harmonic basis and constants.
 
-    Construction builds the edge operators (mass, curl-curl, gradient
-    incidence and the scalar space of c_p) and runs the one harmonic
+    Construction builds the edge operators (mass, gradient incidence, curl
+    pair, curl-curl and the scalar space of c_p) and runs the one harmonic
     eigensolve; the harmonic basis holds the operators, and c_m, c_k_irrot
     and the splits read them from it.  Everything else is built by its
     first reader and kept, and handed to every later one: the Poisson
@@ -567,12 +561,11 @@ class Workspace:
     the Edge0 mass): the c_k_irrot pencil of a tag-1 part with harmonic
     fields, the c_k_F pencil, and the forms certification reads |R| and
     |sym R| off in the coordinates y of R = W y; without a tag-1 part, the
-    constant skews in those coordinates (skew_fields).  The one Edge0^3
-    pair it keeps is what only certification reads: the row-blocked curl
-    incidence C and Face0 mass (curl), built with the Face0 space on the
-    first certified sample, and C W (curl_free_curl).  The harmonic search
-    runs at tol and also yields the coexact Maxwell pair, so c_m_coexact
-    needs no eigensolve of its own.
+    constant skews in those coordinates (skew_fields), and C W
+    (curl_free_curl).  Certification reads the curl pair of the edge
+    operators one tensor row at a time.  The harmonic search runs at tol
+    and also yields the coexact Maxwell pair, so c_m_coexact needs no
+    eigensolve of its own.
     Constants are cached by name, and the Maxwell gradient block reuses c_p.
     Without harmonic fields the complex is exact: the curl-free tensors are
     the gradients of the admissible P1 vectors, and the tag-1 part has at
@@ -655,21 +648,13 @@ class Workspace:
         return curl_free_forms(self.harmonics, self.pencil)
 
     @cached_property
-    def curl(self):
-        """The CurlPair of Edge0^3, built with the Face0 space on the first
-        certified sample: |Curl T| = |C t| in the Face0 mass."""
-        faces = build_space(self.mesh, "Face0")
-        incidence = _row_blocked(assemble("curl_map", self.ops.edge_space, faces))
-        return CurlPair(incidence, _HalfForm(_row_blocked(assemble("mass", faces))))
-
-    @cached_property
     def curl_free_curl(self):
-        """C W, the curl incidence of the curl-free basis, row-blocked.
+        """C W, the curl incidence of the edge operators on each row of W.
 
         C G = 0 on the incidence level, so the gradient columns vanish
         exactly and only the harmonic columns keep entries.
         """
-        CW = (self.curl.incidence @ self.curl_free.basis).tocsr()
+        CW = (_row_blocked(self.ops.curl) @ self.curl_free.basis).tocsr()
         CW.eliminate_zeros()
         return CW
 
@@ -753,10 +738,9 @@ def certify_main_inequality(T, ws):
     the operators of the Workspace are only read.  The split hands back
     M T and the coordinates y of R = W y, so M S = M T - (M W) y and |R|,
     |sym R| and |Curl R| read off the reduced forms of ws.curl_free.  The
-    incidence image C t (ws.curl, row-blocked), which link (b) reads too,
-    gives |Curl T|^2 = (C t)^T M_f (C t): C^T M_f C is the curl-curl form,
-    and this Face0 mass norm stays nonnegative where t^T CC t is pure
-    rounding (rows within rounding of gradients).  |sym T| reads off the
+    incidence images C t_m of the rows, which link (b) reads too, give
+    |Curl T|^2 = sum_m (C t_m)^T M_f (C t_m) (ws.ops.curl_sq), which stays
+    nonnegative where t^T CC t is pure rounding.  |sym T| reads off the
     upper half of the strain form (ws.pencil.strain), and the slice
     averages of T and R (d, e) are two dense products with the cached
     hodge.slice_moments.
@@ -779,8 +763,8 @@ def certify_main_inequality(T, ws):
     mass_t = split.mass_T.reshape(-1)
     mass_s = mass_t - cf.mass_image @ y
     nT = _image_norm(t, mass_t)
-    curl_image = ws.curl.incidence @ t
-    curl_T = ws.curl.face_mass.norm(curl_image)
+    curl_image, curl_sq = ws.ops.curl_sq(T.rows)
+    curl_T = float(np.sqrt(curl_sq))
     floor = 1e-6 * max(nT, 1e-300)
     links = {}
 

@@ -1,19 +1,20 @@
 """Harmonic fields, Helmholtz decompositions and explicit projections.
 
-The harmonic space is the kernel of the curl-curl form inside the
-mass-orthogonal complement of the discrete gradients; its dimension is a
-topological quantity (a Betti number in the pure-tag cases).
+The harmonic space is the kernel of the curl-curl form C^T M_f C inside the
+mass-orthogonal complement of the discrete gradients (its exact kernel); its
+dimension is a topological quantity (a Betti number in the pure-tag cases).
 harmonic_basis counts it, the one kernel count of kornlab: it asks the
 eigensolver, with the gradients deflated, for twice as many pairs until
 one lies above the threshold.  The last solve gives the basis and the
-coexact Maxwell pair, as the eigensolver returns them: no Poisson solve
-and no re-orthonormalization follow.  Splits are computed per row for
-tensor fields.  The gradient parts come from the Poisson matrix G^T M G
-on the pinned potentials, which each EdgeOperators assembles and factors
-once, at its first split; every later split costs triangular solves.  The
-tensor split also hands back the coordinates of its curl-free part (the
-pinned potentials and the harmonic amplitudes of every row), so its
-norms can be read off reduced forms.
+coexact Maxwell pair, as the eigensolver returns them (the pair's
+eigenvalue re-read as its vector's quotient through the curl pair): no
+Poisson solve and no re-orthonormalization follow.  Splits are computed
+per row for tensor fields.  The gradient parts come from the Poisson
+matrix G^T M G on the pinned potentials, which each EdgeOperators
+assembles and factors once, at its first split; every later split costs
+triangular solves.  The tensor split also hands back the coordinates of
+its curl-free part (the pinned potentials and the harmonic amplitudes of
+every row), so its norms can be read off reduced forms.
 
 Averages have one path.  The slice averages of a tensor field over Edge0
 (slice_means), their skews (piecewise_skew) and the projection onto the
@@ -58,13 +59,30 @@ class EdgeOperators:
     pinned_grad is the one place where the constant potentials are
     removed: the Poisson factor, the harmonic search (which also yields the
     coexact Maxwell pair) and the curl-free tensor basis all read it.
+    The curl has one mechanism, the curl pair: the integer incidence C onto
+    the unconstrained Face0 space and its mass M_f.  C grad = 0, so the
+    gradients are the exact kernel of curlcurl = C^T M_f C at every cell
+    shape; every curl norm is |C t| in M_f (curl_sq).
     """
 
     edge_space: DofSpace
     p1_space: DofSpace
     mass: sp.csr_matrix
-    curlcurl: sp.csr_matrix
     grad: sp.csr_matrix  # P1 -> Edge0 incidence
+    curl: sp.csr_matrix  # Edge0 -> Face0 incidence
+    face_mass: sp.csr_matrix  # the Face0 mass M_f
+
+    @cached_property
+    def curlcurl(self):
+        """C^T M_f C averaged with its transpose, so symmetric to the bit; only exact
+        zeros are left out (dropping an entry by size would break the kernel)."""
+        CC = self.curl.T @ (self.face_mass @ self.curl)
+        return (0.5 * (CC + CC.T)).tocsr()
+
+    def curl_sq(self, rows):
+        """(C t_m, sum_m (C t_m)^T M_f (C t_m)) of Edge0 rows t_m, never below 0."""
+        images = np.stack([self.curl @ r for r in rows])
+        return images, max(float(np.vdot(images, [self.face_mass @ c for c in images])), 0.0)
 
     @cached_property
     def pinned_grad(self):
@@ -102,12 +120,14 @@ def edge_operators(mesh):
 
 def _operators_for(edge_space):
     p1 = build_space(edge_space.mesh, "P1_scalar", "gamma_t")
+    faces = build_space(edge_space.mesh, "Face0")
     return EdgeOperators(
         edge_space,
         p1,
         assemble("mass", edge_space),
-        assemble("curlcurl", edge_space),
         assemble("mixed_grad", p1, edge_space),
+        assemble("curl_map", edge_space, faces),
+        assemble("mass", faces),
     )
 
 
@@ -174,9 +194,11 @@ def harmonic_basis(mesh, *, tol=1e-10):
                 f"all {k} computed eigenvalues are below the kernel threshold "
                 f"{threshold:.3e}; the count stops at KERNEL_CAP = {KERNEL_CAP}")
         k *= 2
-    pair = slice(dim, dim + 1)
-    return HarmonicBasis(ops, eig.vectors[:, :dim].T, linalg.EigenResult(
-        eig.values[pair], eig.vectors[:, pair], eig.residuals[pair]))
+    # coexact eigenvalue: |C x|^2_f / |x|^2_M, free of the formed CC's rounding
+    x = eig.vectors[:, dim:dim + 1]
+    lam = np.array([ops.curl_sq(x.T)[1] / float(x[:, 0] @ (M @ x[:, 0]))])
+    return HarmonicBasis(ops, eig.vectors[:, :dim].T,
+                         linalg.EigenResult(lam, x, linalg._residuals(A, M, lam, x)))
 
 
 @dataclass

@@ -3,7 +3,7 @@
 import numpy as np
 
 from kornlab import constants, linalg
-from kornlab.meshes import generate_primitive
+from kornlab.meshes import Mesh, generate_primitive
 
 
 def two_plates(n):
@@ -20,6 +20,25 @@ def three_patches(n):
     c = m.vertices[m.btris].mean(axis=1)
     patch = np.isclose(c[:, 2], 0) & np.all(np.abs(c[:, :2] - 0.5) < 0.25, axis=1)
     return m.retag((np.isclose(c[:, 0], 0) | np.isclose(c[:, 0], 1) | patch).astype(np.int64))
+
+
+def sliver(ratio, n=5):
+    """unit_cube n with the vertex (2, 2, 2) / n moved toward the centroid of
+    the opposite face of one of its cells, until that cell's volume is
+    ratio h^3 (h = 1/n; the Kuhn cells read 1/6).  The cell is the first
+    whose long diagonal does not end at the vertex (no corner differs from
+    it in every coordinate), so the face holds the diagonal.  The
+    neighbour sharing the face's plane flattens alike, and every other
+    cell keeps at least a third of its volume."""
+    m = generate_primitive("unit_cube", n)
+    v = int(np.flatnonzero(np.all(np.isclose(m.vertices, 2 / n), axis=1))[0])
+    cells = np.flatnonzero(np.any(m.tets == v, axis=1))
+    far = np.all(~np.isclose(m.vertices[m.tets[cells]], m.vertices[v]), axis=2)
+    t = int(cells[~far.any(axis=1)][0])
+    face = m.vertices[m.tets[t][m.tets[t] != v]].mean(axis=0)
+    x = m.vertices.copy()
+    x[v] = face + ratio / (n**3 * m.tet_volumes()[t]) * (x[v] - face)
+    return Mesh(x, m.tets, m.slice_ids, m.btris, m.btri_tags)
 
 
 def constant_tensor_coeffs(space, mat):

@@ -69,8 +69,7 @@ def test_dirichlet_matrix_identity(cube2):
 
 def test_forms_symmetric_to_the_bit(cube2):
     e0 = build_space(cube2, "Edge0")
-    for form in ("mass", "curlcurl"):
-        A = assemble(form, e0)
+    for A in (assemble("mass", e0), hodge._operators_for(e0).curlcurl):
         assert (A - A.T).nnz == 0
     pv = build_space(cube2, "P1_vector")
     for form in ("mass", "grad", "symgrad"):
@@ -146,7 +145,7 @@ def test_discrete_norms_match_matrices(cube2):
     rng = np.random.default_rng(2)
     v = Field(e0, rng.standard_normal(e0.free_count))
     M = assemble("mass", e0)
-    K = assemble("curlcurl", e0)
+    K = hodge._operators_for(e0).curlcurl  # C^T M_f C against the per-cell curls
     norms = evaluate_norms(v, ["L2", "curl"])
     assert norms["L2"] == pytest.approx(float(v.coeffs @ (M @ v.coeffs)), rel=1e-12)
     assert norms["curl"] == pytest.approx(float(v.coeffs @ (K @ v.coeffs)), rel=1e-12)
@@ -159,7 +158,7 @@ def test_tensor_forms_match_rowwise(cube2):
     pencil = tensor_pencil(hodge._operators_for(e0))
     A, Mt, _ = direct_pencil(cube2, pencil)  # c_direct's Sym + CC and mass
     M = assemble("mass", e0)
-    K = assemble("curlcurl", e0)
+    K = pencil.ops.curlcurl
     x = T.stacked()
     curl_sq = float(x @ (A @ x)) - pencil.strain.norm(x)**2
     assert float(x @ (Mt @ x)) == pytest.approx(
@@ -219,9 +218,12 @@ def test_coefficient_degree_is_checked_at_construction():
     pytest.param(ValueError, "'symF'", lambda m: assemble("symF", build_space(m, "P1_vector"),
                                                           coeff=identity_coefficient()),
                  id="symF"),
-    pytest.param(ValueError, "curlcurl undefined for P1_vector",
+    # curl-curl is C^T M_f C of the edge operators, not an assembled form
+    pytest.param(ValueError, "unknown form 'curlcurl'",
                  lambda m: assemble("curlcurl", build_space(m, "P1_vector")),
                  id="curlcurl_P1_vector"),
+    pytest.param(ValueError, "unknown form 'curlcurl'",
+                 lambda m: assemble("curlcurl", build_space(m, "Edge0")), id="curlcurl_Edge0"),
     pytest.param(SpaceError, "'P0_scalar'", lambda m: build_space(m, "P0_scalar"), id="P0_scalar"),
     pytest.param(SpaceError, "'gamma_n'", lambda m: build_space(m, "Face0", "gamma_n"),
                  id="gamma_n"),
@@ -418,8 +420,7 @@ def _parity_cases(mesh):
     F = _affine_coefficient()
     cases = [(form, s, s, None) for form in ("mass", "grad") for s in (p1, p1_all, pv, folded)]
     cases += [("symgrad", s, s, None) for s in (pv, folded)]
-    cases += [(form, s, s, None) for s in (e0, e0_all)
-              for form in ("mass", "curlcurl", "tensor_sym")]
+    cases += [(form, s, s, None) for s in (e0, e0_all) for form in ("mass", "tensor_sym")]
     cases += [("tensor_symF", e0, e0, F), ("mass", f0, f0, None)]
     # rectangular pairs: rows from one constraint, columns from another
     cases += [("grad", p1, p1_all, None), ("symgrad", pv, folded, None),
@@ -447,6 +448,13 @@ def test_pattern_assembly_matches_coo_scatter(mesh_name):
         assert abs(A - ref).max() <= 1e-14 * abs(ref).max(), label
         if test is trial:
             assert (A != A.T).nnz == 0, label
+    # the curl-curl form of the edge operators, C^T M_f C, against the
+    # per-cell curls
+    for e0 in (build_space(mesh, "Edge0", "gamma_t"), build_space(mesh, "Edge0")):
+        A, ref = hodge._operators_for(e0).curlcurl, _ref_assemble("curlcurl", e0)
+        assert A.format == "csr" and A.has_canonical_format and A.shape == ref.shape
+        assert abs(A - ref).max() <= 1e-14 * abs(ref).max(), e0.constrain
+        assert (A != A.T).nnz == 0, e0.constrain
 
 
 def test_edge_values_match_the_product_formula(cube2):
@@ -465,8 +473,8 @@ def test_edge_values_match_the_product_formula(cube2):
 
 
 def test_workspace_builds_the_edge_pattern_once(monkeypatch):
-    # Edge0 mass, curl-curl and the strain form share one pattern; every
-    # pattern of the report is built once
+    # the Edge0 mass and the strain form share one pattern; every pattern
+    # of the report is built once
     built = []
     real = asm._build_pattern
 

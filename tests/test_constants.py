@@ -57,6 +57,31 @@ def test_korn_standard_bound(cube3_ws):
     assert rec.value <= SQRT2 * (1 + 1e-12)
 
 
+# A conforming discrete eigenvalue is at least the continuum one, so each
+# discrete constant lies below its closed form: the Dirichlet eigenvalue
+# 3 pi^2 of the cube, pi^2/4 of the slab (Dirichlet at z=0 only), and Korn's
+# identity on every mesh whose whole boundary is tag 1.  The last size of
+# each row puts the pencil above linalg.DENSE_CROSSOVER.
+CEILINGS = {
+    ("c_p", "unit_cube", None): ((2, 4, 8), 1.0 / (np.pi * np.sqrt(3.0))),
+    ("c_p", "slab_mixed", None): ((2, 4, 6), 2.0 / np.pi),
+    ("c_k_s", "unit_cube", None): ((2, 4, 6), SQRT2),
+    ("c_k_s", "cube_with_tunnel", 1): ((2, 4), SQRT2),
+}
+SOLVERS = {"c_p": cst.poincare_constant, "c_k_s": cst.korn_constant_standard}
+
+
+@pytest.mark.parametrize("name, kind, tag, n", [(*key, n) for key, (sizes, _) in CEILINGS.items()
+                                                for n in sizes])
+def test_constants_lie_below_their_closed_forms(name, kind, tag, n):
+    sizes, ceiling = CEILINGS[name, kind, tag]
+    mesh = generate_primitive(kind, n)
+    rec = SOLVERS[name](mesh if tag is None else mesh.retag(tag))
+    assert 0 < rec.value <= ceiling
+    if n == sizes[-1]:
+        assert rec.dim > linalg.DENSE_CROSSOVER
+
+
 def test_korn_standard_monotone_to_sqrt2():
     vals = [
         cst.korn_constant_standard(generate_primitive("unit_cube", n)).value

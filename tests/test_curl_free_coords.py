@@ -250,7 +250,7 @@ def test_reduced_forms_match_edge_products(workspaces, label):
                               (ws.pencil.strain.norm(T.stacked())**2,
                                T.stacked() @ (Asym @ T.stacked()))):
             assert abs(reduced - edge) <= 1e-13 * scale
-        curl_R = ws.curl.incidence @ r
+        curl_R = np.concatenate([ws.ops.curl @ row for row in r.reshape(3, -1)])
         assert np.abs(ws.curl_free_curl @ y - curl_R).max() <= 1e-13 * np.sqrt(scale)
 
 

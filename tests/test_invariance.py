@@ -10,7 +10,9 @@ alone: at fixed scales, and as a property over s drawn log-uniformly from
 [1e-4, 1e4] on both solver paths.  c_direct mixes the two length scales:
 its pencil on the scaled mesh weights the curl-curl form by s^-2, so it is
 checked against references of the scaled pencil instead, at fixed scales
-and as the same property.
+and as the same property.  A rigid motion (an orthogonal map, with or
+without a reflection, and a shift) moves no constant: a property over
+maps drawn by hypothesis, on both solver paths.
 """
 
 import numpy as np
@@ -19,6 +21,7 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.spatial.transform import Rotation
 
 from kornlab import constants as cst
 from kornlab import hodge, linalg
@@ -42,7 +45,7 @@ PATHS = {"dense": 10**9, "sparse": 16}
 
 
 def _mesh(label):
-    kind, n, tag = MESHES[label]
+    kind, n, tag = {**MESHES, **SCALE_MESHES}[label]
     mesh = generate_primitive(kind, n)
     return mesh if tag is None else mesh.retag(tag)
 
@@ -119,17 +122,11 @@ def unscaled():
         if (label, path) not in cache:
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(linalg, "DENSE_CROSSOVER", PATHS[path])
-                ws = cst.Workspace(_scale_mesh(label))
+                ws = cst.Workspace(_mesh(label))
                 cache[label, path] = (_constants(ws.mesh, NAMES), ws.harmonics.dim)
         return cache[label, path]
 
     return get
-
-
-def _scale_mesh(label):
-    kind, n, tag = SCALE_MESHES[label]
-    mesh = generate_primitive(kind, n)
-    return mesh if tag is None else mesh.retag(tag)
 
 
 @pytest.mark.parametrize("path", list(PATHS))
@@ -143,7 +140,7 @@ def test_constants_scale_as_a_property(label, path, unscaled, exponent):
     # the Korn constants stay put, and so does the harmonic dimension
     s = 10.0**exponent
     ref, dim = unscaled(label, path)
-    mesh = _scale_mesh(label).transformed(matrix=s * np.eye(3))
+    mesh = _mesh(label).transformed(matrix=s * np.eye(3))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(linalg, "DENSE_CROSSOVER", PATHS[path])
         ws = cst.Workspace(mesh)
@@ -155,6 +152,23 @@ def test_constants_scale_as_a_property(label, path, unscaled, exponent):
         assert value == pytest.approx(expected, rel=1e-10), (s, name)
 
 
+@pytest.mark.parametrize("label", ["unit_cube3", "unit_cube3_untagged", "tunnel2_sliced"])
+@given(rotvec=st.tuples(*[st.floats(-np.pi, np.pi)] * 3), reflect=st.booleans(),
+       shift=st.tuples(*[st.floats(-100.0, 100.0)] * 3))
+@example(rotvec=(0.3, -1.2, 2.0), reflect=True, shift=(5.0, -3.0, 100.0))
+def test_constants_invariant_under_rigid_motions(label, reference, rotvec, reflect, shift):
+    # x -> Q x + shift with Q a rotation, times a reflection when reflect
+    Q = Rotation.from_rotvec(rotvec).as_matrix() @ np.diag([1.0, 1.0, -1.0 if reflect else 1.0])
+    mesh = _mesh(label).transformed(matrix=Q, shift=shift)
+    for path, crossover in PATHS.items():
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(linalg, "DENSE_CROSSOVER", crossover)
+            got = _constants(mesh, NAMES + ("c_direct",))
+        assert got.keys() == reference(label).keys()
+        for name, value in got.items():
+            assert value == pytest.approx(reference(label)[name], rel=1e-12), (path, name)
+
+
 # c_direct of the tagged unit_cube n=2 scaled by s: mpmath at 40 digits, with
 # the curl-curl form C^T M_f C of the integer curl_map
 DIRECT_REFERENCES = {1.0: 1.343285097376533, 1e-2: 1.34164095123841, 1e-3: 1.341640788147259}
@@ -162,8 +176,8 @@ DIRECT_REFERENCES = {1.0: 1.343285097376533, 1e-2: 1.34164095123841, 1e-3: 1.341
 
 @pytest.mark.parametrize("s", list(DIRECT_REFERENCES))
 def test_c_direct_on_a_scaled_mesh(s):
-    # s^-2 CC dwarfs Sym at small s; the quotient reads the curl per cell,
-    # so the formed pencil's rounding does not reach c_direct
+    # s^-2 CC dwarfs Sym at small s; the quotient reads the curl through
+    # the incidence, so the formed pencil's rounding does not reach c_direct
     mesh = generate_primitive("unit_cube", 2).transformed(matrix=s * np.eye(3))
     value = cst.Workspace(mesh).constant("c_direct").value
     assert value == pytest.approx(DIRECT_REFERENCES[s], rel=1e-10)

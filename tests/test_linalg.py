@@ -1,3 +1,4 @@
+import functools
 from types import SimpleNamespace
 
 import numpy as np
@@ -329,8 +330,9 @@ def test_sparse_deflation_outside_the_kernel_raises():
 
 
 def _harmonic_search(A, monkeypatch, crossover=linalg.DENSE_CROSSOVER):
-    """hodge.harmonic_basis run on the pencil (A, I) with nothing deflated:
-    (basis, the batch sizes it asked eig_smallest for)."""
+    """hodge.harmonic_basis run on the pencil (A, I) with nothing deflated,
+    A diagonal: (basis, the batch sizes it asked eig_smallest for).  The
+    curl pair is C = sqrt(A) with the identity for the face mass."""
     monkeypatch.setattr(linalg, "DENSE_CROSSOVER", crossover)
     requested = []
     real = linalg.eig_smallest
@@ -340,8 +342,10 @@ def _harmonic_search(A, monkeypatch, crossover=linalg.DENSE_CROSSOVER):
         return real(A, B, k=k, **kwargs)
 
     monkeypatch.setattr(linalg, "eig_smallest", spy)
-    ops = SimpleNamespace(curlcurl=sp.csr_matrix(A), mass=sp.identity(A.shape[0], format="csr"),
-                          pinned_grad=None)
+    eye = sp.identity(A.shape[0], format="csr")
+    ops = SimpleNamespace(curlcurl=sp.csr_matrix(A), mass=eye, pinned_grad=None,
+                          curl=sp.diags(np.sqrt(A.diagonal()), format="csr"), face_mass=eye)
+    ops.curl_sq = functools.partial(hodge.EdgeOperators.curl_sq, ops)
     monkeypatch.setattr(hodge, "edge_operators", lambda mesh: ops)
     return hodge.harmonic_basis(None), requested
 

@@ -277,3 +277,21 @@ def test_transformed_rotation_keeps_orientation():
     m2 = m.transformed(matrix=R, shift=[1.0, -2.0, 0.5])
     assert np.all(m2.tet_volumes() > 0)
     assert m2.tet_volumes().sum() == pytest.approx(1.0, rel=1e-13)
+
+
+@pytest.mark.parametrize("kind, n", [("unit_cube", 4), ("unit_cube", 6), ("slab_mixed", 4),
+                                     ("slab_mixed", 6), ("cube_with_tunnel", 2),
+                                     ("cube_with_tunnel", 4)])
+def test_ladder_meshes_get_no_shape_advisory(kind, n):
+    # the Kuhn cells read volume / (longest edge)^3 = 3.2e-2, and so do the
+    # cells of their uniform refinement
+    mesh = generate_primitive(kind, n)
+    for m in (mesh, mesh.retag(0), refine_uniform(mesh)):
+        assert validate(m) == []
+
+
+def test_tetless_mesh_gets_no_shape_advisory(tmp_path):
+    # no cell, so no flattest cell to advise on
+    p = tmp_path / "tetless.msh"
+    p.write_text("kornmesh 1\nvertices 4\n0 0 0\n1 0 0\n0 1 0\n0 0 1\ntets 0\nbtris 0\n")
+    assert validate(read_mesh(p)) == []
