@@ -25,6 +25,10 @@ EXIT_INVALID = 2
 EXIT_USAGE = 64
 
 
+class GalerkinViolation(RuntimeError):
+    """A constant fell between nested meshes, where the finer space holds the coarser."""
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -185,7 +189,11 @@ def _load_mesh(args):
         mesh = meshes.generate_primitive(args.primitive, args.n)
     else:
         raise ValueError("one mesh source required (--mesh or --primitive)")
-    return _apply_selector(mesh, getattr(args, "gamma_t", None))
+    mesh = _apply_selector(mesh, getattr(args, "gamma_t", None))
+    if getattr(args, "mesh", None):  # the advisories read_mesh leaves out, on the tags used
+        for w in meshes.validate(mesh):
+            print(f"warning: {w}", file=sys.stderr)
+    return mesh
 
 
 def _cmd_gen(args):
@@ -362,6 +370,14 @@ def _cmd_study(args):
         summary.append((f"summary_{name}", trend, "", "", "", "", ""))
     reports.write_csv(args.out, header, rows + summary)
     print(f"wrote {args.out}")
+    if all(b % a == 0 for a, b in zip(args.levels, args.levels[1:])):  # nested levels
+        rel = max(args.tol, 1e-12)
+        for col, name in ((2, "c_p"), (3, "c_k_s"), (4, "c_m_grad")):
+            for a, b in zip(rows, rows[1:]):
+                if b[col] < a[col] * (1.0 - rel):
+                    raise GalerkinViolation(
+                        f"{name} fell from {a[col]:.12g} at n={a[0]} to {b[col]:.12g} at "
+                        f"n={b[0]} on nested meshes, where it can only grow")
     return EXIT_OK
 
 

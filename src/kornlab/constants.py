@@ -22,9 +22,9 @@ import scipy.sparse as sp
 from . import hodge, linalg, meshes
 from .assemble import assemble, tet_rule
 from .hodge import SO3_BASIS
+from .linalg import DEFAULT_EIG_TOL
 from .spaces import TensorField, build_space
 
-DEFAULT_EIG_TOL = 1e-10
 DEFAULT_SLACK = 1e-8  # certification margins absorb eigensolver error
 KERNEL_REL_TOL = 1e-10
 # largest relative eigenpair residual |A x - lambda B x| / (lambda |B x|) a
@@ -183,21 +183,6 @@ def korn_constant_tangential(mesh, tol=DEFAULT_EIG_TOL):
 # --------------------------------------------------------------------------
 
 
-def _curlfree_basis(harmonics):
-    """Sparse map W from (3 scalar potentials + harmonic amplitudes) to Edge0^3.
-
-    Columns: per tensor row the discrete gradients of the potentials
-    (harmonics.ops.pinned_grad, which removes the per-row constant), then
-    the harmonic fields per row.  A constraint row c on Edge0^3 acts on the
-    reduced coordinates as c @ W.
-    """
-    blocks = sp.block_diag([harmonics.ops.pinned_grad] * 3, format="csc")
-    if harmonics.dim:
-        hb = sp.block_diag([sp.csc_matrix(harmonics.fields.T)] * 3, format="csc")
-        return sp.hstack([blocks, hb], format="csc")
-    return blocks
-
-
 class _HalfForm:
     """x^T A x of a symmetric sparse A from its strict upper triangle and
     its diagonal: the terms of the full product, half of its nonzeros."""
@@ -219,6 +204,12 @@ def _row_blocked(form):
     return sp.block_diag([form] * 3, format="csr")
 
 
+def _row_images(form, W):
+    """The row-blocked form times W, formed one row block W_m at a time."""
+    n = form.shape[1]
+    return sp.vstack([form @ W[m * n:(m + 1) * n] for m in range(3)], format="csr")
+
+
 # the forms on Edge0^3 of one edge space, each held once: the edge operators
 # ops (the mass and curl-curl of every row) and the strain form, the one form
 # that couples the rows, as its upper half and diagonal (strain, the _HalfForm
@@ -236,25 +227,26 @@ def tensor_pencil(ops):
     return TensorPencil(ops, _HalfForm(assemble("tensor_sym", ops.edge_space)))
 
 
-# the curl-free basis W of _curlfree_basis, the reduced strain and mass forms
-# W^T Sym W and W^T M W, and the mass image M W: every norm of a curl-free
-# tensor R = W y reads off them in the coordinates y
+# the curl-free basis W (HarmonicBasis.curl_free_basis), the reduced strain
+# and mass forms W^T Sym W and W^T M W, and the mass image M W: every norm of
+# a curl-free tensor R = W y reads off them in the coordinates y
 CurlFreeForms = namedtuple("CurlFreeForms", "basis sym mass mass_image")
 
 
 def curl_free_forms(harmonics, pencil):
     """CurlFreeForms of the curl-free tensors, with the strain form of pencil.
 
-    The strain form reduces through its half: with U its strict upper
-    triangle and D its diagonal, W^T Sym W = S + S^T + W^T diag(D) W for
-    S = W^T (U W).  M W is formed one tensor row at a time from the Edge0
-    mass.  So neither the full strain form nor the row-blocked mass is built.
+    W is harmonics.curl_free_basis.  The strain form reduces through its
+    half: with U its strict upper triangle and D its diagonal, W^T Sym W =
+    S + S^T + W^T diag(D) W for S = W^T (U W).  M W is formed one tensor
+    row at a time (_row_images).  So neither the full strain form nor the
+    row-blocked mass is built.
     """
-    W = _curlfree_basis(harmonics)
-    strain, n = pencil.strain, pencil.ops.edge_space.free_count
+    W = harmonics.curl_free_basis
+    strain = pencil.strain
     S = W.T @ (strain.upper @ W)
     sym = (S + S.T + W.T @ (sp.diags(strain.diag) @ W)).tocsr()
-    MW = sp.vstack([pencil.ops.mass @ W[m * n:(m + 1) * n] for m in range(3)], format="csr")
+    MW = _row_images(pencil.ops.mass, W)
     return CurlFreeForms(W, sym, (W.T @ MW).tocsr(), MW)
 
 
@@ -555,17 +547,17 @@ class Workspace:
     kept as its upper half.  So c_p, c_m and the Korn constants (but
     c_k_irrot on a tag-1 part with harmonic fields) assemble no strain form
     and factor no Poisson matrix.  The row-blocked mass and curl-curl and
-    the full strain form exist only inside c_direct's solve.  Only where
-    they are read it builds the curl-free basis W with the reduced forms
-    W^T Sym W and W^T M W (curl_free, reduced through the strain half and
-    the Edge0 mass): the c_k_irrot pencil of a tag-1 part with harmonic
-    fields, the c_k_F pencil, and the forms certification reads |R| and
-    |sym R| off in the coordinates y of R = W y; without a tag-1 part, the
-    constant skews in those coordinates (skew_fields), and C W
-    (curl_free_curl).  Certification reads the curl pair of the edge
-    operators one tensor row at a time.  The harmonic search runs at tol
-    and also yields the coexact Maxwell pair, so c_m_coexact needs no
-    eigensolve of its own.
+    the full strain form exist only inside c_direct's solve.  The one
+    curl-free basis W is harmonics.curl_free_basis.  Only where they are
+    read it builds the reduced forms W^T Sym W and W^T M W (curl_free,
+    reduced through the strain half and the Edge0 mass): the c_k_irrot
+    pencil of a tag-1 part with harmonic fields, the c_k_F pencil, and the
+    forms certification reads |R| and |sym R| off in the coordinates y of
+    R = W y; without a tag-1 part, the constant skews in those coordinates
+    (skew_fields), and C W (curl_free_curl).  Certification reads the curl
+    pair of the edge operators one tensor row at a time.  The harmonic
+    search runs at tol and also yields the coexact Maxwell pair, so
+    c_m_coexact needs no eigensolve of its own.
     Constants are cached by name, and the Maxwell gradient block reuses c_p.
     Without harmonic fields the complex is exact: the curl-free tensors are
     the gradients of the admissible P1 vectors, and the tag-1 part has at
@@ -649,14 +641,10 @@ class Workspace:
 
     @cached_property
     def curl_free_curl(self):
-        """C W, the curl incidence of the edge operators on each row of W.
-
+        """C W, the curl incidence of the edge operators on each row of W:
         C G = 0 on the incidence level, so the gradient columns vanish
-        exactly and only the harmonic columns keep entries.
-        """
-        CW = (_row_blocked(self.ops.curl) @ self.curl_free.basis).tocsr()
-        CW.eliminate_zeros()
-        return CW
+        exactly and only the harmonic columns keep entries."""
+        return _row_images(self.ops.curl, self.curl_free.basis)
 
     @cached_property
     def skew_fields(self):
@@ -676,7 +664,7 @@ class Workspace:
     def direct_seed(self):
         """The bracket and start vector of the c_direct solve, from the chain.
 
-        The main estimate gives c_direct <= c_hat (c_tilde when sliced), so
+        The main estimate gives c_direct <= c_bound (derived_bound), so
         lambda_1 >= 1/c_bound^2.  On one slice the c_k_irrot pair y (the kept
         P1 dofs of a Korn pair, where the curl-free tensors are gradients) is
         lifted here to Edge0^3, W y: an admissible curl-free field of Rayleigh
@@ -685,12 +673,19 @@ class Workspace:
         such pair: no upper bound, and a random start vector.
         """
         c_k = self.constant("c_k_irrot")
-        c_hat, c_tilde = derived_bounds(c_k.value, self.constant("c_m").value)
-        c_bound = c_tilde if self.case == "sliced" else c_hat
         upper = v0 = None
         if c_k.vector is not None:
-            upper, v0 = c_k.eigenvalue, _curlfree_basis(self.harmonics) @ c_k.vector
-        return dict(bracket=(1.0 / c_bound**2, upper), v0=v0)
+            upper, v0 = c_k.eigenvalue, self.harmonics.curl_free_basis @ c_k.vector
+        return dict(bracket=(1.0 / self.derived_bound[1]**2, upper), v0=v0)
+
+    @property
+    def derived_bound(self):
+        """(name, value) of the combined constant of the main estimate in
+        this case: c_tilde when sliced (a piecewise skew shift loses the
+        orthogonality), c_hat otherwise."""
+        c_hat, c_tilde = derived_bounds(self.constant("c_k_irrot").value,
+                                        self.constant("c_m").value)
+        return ("c_tilde", c_tilde) if self.case == "sliced" else ("c_hat", c_hat)
 
     @property
     def case(self):
@@ -736,14 +731,14 @@ def certify_main_inequality(T, ws):
 
     A field costs one Helmholtz split and one-vector sparse products, and
     the operators of the Workspace are only read.  The split hands back
-    M T and the coordinates y of R = W y, so M S = M T - (M W) y and |R|,
-    |sym R| and |Curl R| read off the reduced forms of ws.curl_free.  The
-    incidence images C t_m of the rows, which link (b) reads too, give
-    |Curl T|^2 = sum_m (C t_m)^T M_f (C t_m) (ws.ops.curl_sq), which stays
-    nonnegative where t^T CC t is pure rounding.  |sym T| reads off the
-    upper half of the strain form (ws.pencil.strain), and the slice
-    averages of T and R (d, e) are two dense products with the cached
-    hodge.slice_moments.
+    M T and the coordinates y of R = grad + harmonic = W y, so M S = M T -
+    (M W) y and |R|, |sym R| and |Curl R| read off the reduced forms of
+    ws.curl_free.  The incidence images C t_m of the rows, which link (b)
+    reads too, give |Curl T|^2 = sum_m (C t_m)^T M_f (C t_m)
+    (ws.ops.curl_sq), which stays nonnegative where t^T CC t is pure
+    rounding.  |sym T| reads off the upper half of the strain form
+    (ws.pencil.strain), and the slice averages of T and R (d, e) are two
+    dense products with the cached hodge.slice_moments.
 
     Without a tag-1 part the global skew average K of R is subtracted
     before any norm is taken: R - K = W (y - y_K) and T - K = t - W y_K,
@@ -758,9 +753,10 @@ def certify_main_inequality(T, ws):
                          "constrained edge space (Edge0, 'gamma_t')")
     cf = ws.curl_free
     split = hodge.helmholtz_split_tensor(T, harmonics=ws.harmonics)
-    R, S = split.parts()
+    grad, harm, S = split.parts()
+    R = TensorField(space, grad.rows + harm.rows)
     y, t = split.coords, T.stacked()
-    mass_t = split.mass_T.reshape(-1)
+    mass_t = split.mass_images.reshape(-1)
     mass_s = mass_t - cf.mass_image @ y
     nT = _image_norm(t, mass_t)
     curl_image, curl_sq = ws.ops.curl_sq(T.rows)
@@ -815,8 +811,7 @@ def certify_main_inequality(T, ws):
     # (e) assembled bound; a piecewise shift loses the orthogonality, so the
     # weaker combined constant applies on several slices
     seminorm = float(np.sqrt(ws.pencil.strain.norm(t)**2 + curl_T**2))
-    c_hat, c_tilde = derived_bounds(c_k, c_m)
-    ineq("assembled_bound", lhs_e, (c_tilde if case == "sliced" else c_hat) * seminorm)
+    ineq("assembled_bound", lhs_e, ws.derived_bound[1] * seminorm)
     if case == "simply_connected":
         # the skew average of T equals the one of its curl-free part (on
         # several slices they differ: the coexact part has zero mean only
@@ -848,9 +843,7 @@ def compute_report(mesh, tol=DEFAULT_EIG_TOL, weight=None, certify_samples=0, se
     names = ("c_p", "c_k_s", "c_k_t", "c_k_irrot", "c_m", "c_m_grad", "c_m_coexact", "c_direct")
     records = {n: ws.constant(n) for n in names if n != "c_k_t" or mesh.has_gamma_t}
 
-    c_hat, c_tilde = derived_bounds(
-        records["c_k_irrot"].value, records["c_m"].value
-    )
+    c_hat, c_tilde = derived_bounds(records["c_k_irrot"].value, records["c_m"].value)
     report = {
         "mesh": {
             "id": mesh_digest(mesh),
@@ -875,15 +868,13 @@ def compute_report(mesh, tol=DEFAULT_EIG_TOL, weight=None, certify_samples=0, se
     # norm equivalence |T|_{HCurl} vs the semi-norm, from the c_direct eigenvalue
     lam = records["c_direct"].eigenvalue
     report["norm_equivalence"] = float(np.sqrt(lam / (1.0 + lam)))
-    bound = c_hat if ws.case != "sliced" else c_tilde
+    bound_name, bound = ws.derived_bound
     report["tightness"] = records["c_direct"].value / bound
     report["orderings"] = _orderings(records, c_hat, mesh.has_gamma_t)
     report["orderings"]["direct_le_derived"] = bool(
         records["c_direct"].value <= bound * (1.0 + DEFAULT_SLACK)
     )
-    report["orderings"]["derived_bound_used"] = (
-        "c_tilde" if ws.case == "sliced" else "c_hat"
-    )
+    report["orderings"]["derived_bound_used"] = bound_name
 
     if wt is not None:
         report["c_F"] = wt.c_F

@@ -8,13 +8,14 @@ eigensolver, with the gradients deflated, for twice as many pairs until
 one lies above the threshold.  The last solve gives the basis and the
 coexact Maxwell pair, as the eigensolver returns them (the pair's
 eigenvalue re-read as its vector's quotient through the curl pair): no
-Poisson solve and no re-orthonormalization follow.  Splits are computed
-per row for tensor fields.  The gradient parts come from the Poisson
-matrix G^T M G on the pinned potentials, which each EdgeOperators
-assembles and factors once, at its first split; every later split costs
-triangular solves.  The tensor split also hands back the coordinates of
-its curl-free part (the pinned potentials and the harmonic amplitudes of
-every row), so its norms can be read off reduced forms.
+Poisson solve and no re-orthonormalization follow.  helmholtz_split is
+the one Helmholtz split, row by row: a Field is one row, a TensorField
+three.  The gradient parts come from the Poisson matrix G^T M G on the
+pinned potentials, which each EdgeOperators assembles and factors once, at
+its first split; every later split costs triangular solves.  The split
+also hands back the coordinates y of its curl-free part (the pinned
+potentials and the harmonic amplitudes of every row): for a tensor R = W y,
+W the HarmonicBasis's curl_free_basis, so its norms read off reduced forms.
 
 Averages have one path.  The slice averages of a tensor field over Edge0
 (slice_means), their skews (piecewise_skew) and the projection onto the
@@ -109,10 +110,6 @@ class EdgeOperators:
         """Gp^T as its own CSR matrix, built once for every Poisson right-hand side."""
         return self.pinned_grad.T.tocsr()
 
-    def unpinned(self, u):
-        """A pinned potential on every vertex: the pinned vertex 0 carries 0."""
-        return u if self.pinned_grad is self.grad else np.r_[0.0, u]
-
 
 def edge_operators(mesh):
     return _operators_for(build_space(mesh, "Edge0", "gamma_t"))
@@ -133,6 +130,8 @@ def _operators_for(edge_space):
 
 @dataclass
 class HarmonicBasis:
+    """Harmonic fields, the operators of their search and the one curl-free basis W."""
+
     ops: EdgeOperators = field(repr=False)  # the search ran on these; users read them here
     fields: np.ndarray  # (L, free) mass-orthonormal rows
     # smallest pair of the same pencil above the kernel, from the same search:
@@ -161,8 +160,19 @@ class HarmonicBasis:
             ]
         )
 
+    @cached_property
+    def curl_free_basis(self):
+        """W, the sparse map R = W y from a tensor split's coords y to Edge0^3.
 
-def harmonic_basis(mesh, *, tol=1e-10):
+        Columns: per tensor row the gradients of the pinned potentials
+        (ops.pinned_grad), then the harmonic fields per row.  A constraint
+        row c on Edge0^3 acts on y as c @ W.
+        """
+        blocks = (self.ops.pinned_grad, sp.csc_matrix(self.fields.T))
+        return sp.hstack([sp.block_diag([B] * 3, format="csc") for B in blocks], format="csc")
+
+
+def harmonic_basis(mesh, *, tol=linalg.DEFAULT_EIG_TOL):
     """Mass-orthonormal basis of the harmonic fields: one kernel count.
 
     The harmonic fields are the kernel of the curl-curl pencil in the
@@ -203,11 +213,14 @@ def harmonic_basis(mesh, *, tol=1e-10):
 
 @dataclass
 class HelmholtzSplit:
-    grad_part: Field
-    harmonic_part: Field
-    coexact_part: Field
-    potential: np.ndarray
-    source: Field = field(repr=False)  # the field that was split
+    grad_part: Field | TensorField  # every part of the input's kind
+    harmonic_part: Field | TensorField
+    coexact_part: Field | TensorField
+    mass_images: np.ndarray = field(repr=False)  # M v_m of the rows v_m of the input
+    # coordinates y of grad + harmonic: the pinned potentials of the rows,
+    # then their harmonic amplitudes (HarmonicBasis.curl_free_basis)
+    coords: np.ndarray = field(repr=False)
+    source: Field | TensorField = field(repr=False)  # the field that was split
     mass: sp.csr_matrix = field(repr=False)
 
     def parts(self):
@@ -222,15 +235,15 @@ class HelmholtzSplit:
         M = self.mass
 
         def mdot(a, b):
-            return float(a @ (M @ b))
+            return sum(float(x @ (M @ y)) for x, y in zip(a, b))
 
-        grad, harm, coex = (p.coeffs for p in self.parts())
+        grad, harm, coex = (_rows(p) for p in self.parts())
         nrm = {p: np.sqrt(max(mdot(x, x), 0.0)) for p, x in
                (("g", grad), ("h", harm), ("c", coex))}
         # pairs with a vanishing factor are orthogonal by convention; measure
         # against the input size so noise-level parts cannot inflate the ratio
-        coeffs = self.source.coeffs
-        floor = 1e-6 * max(np.sqrt(max(mdot(coeffs, coeffs), 0.0)), 1e-300)
+        rows = _rows(self.source)
+        floor = 1e-6 * max(np.sqrt(max(mdot(rows, rows), 0.0)), 1e-300)
 
         def rel(a, b, na, nb):
             return abs(mdot(a, b)) / max(max(na, floor) * max(nb, floor), 1e-300)
@@ -242,74 +255,40 @@ class HelmholtzSplit:
         }
 
 
+def _rows(v):
+    """The rows of a Field (its coefficients) or of a TensorField."""
+    return v.coeffs[None] if isinstance(v, Field) else v.rows
+
+
 def helmholtz_split(v, *, harmonics=None):
-    """Orthogonal split of an Edge0 field into gradient + harmonic + coexact.
+    """Orthogonal split of each row of an Edge0 Field or TensorField into
+    gradient + harmonic + coexact.
 
     The input may live in the constrained or the unconstrained edge space;
     the gradient and harmonic summands always carry the tag-1 condition,
-    the coexact remainder absorbs everything else.  harmonics is the
-    harmonic_basis of the mesh, built here when not given.
+    the coexact remainder absorbs everything else (Curl S = Curl T).
+    harmonics is the harmonic_basis of the mesh, built here when not given.
+    One Poisson solve takes every row; the sparse products take one row at
+    a time, since scipy's products with several vectors are slower.
     """
-    if not isinstance(v, Field):
-        raise TypeError("helmholtz_split expects a Field over Edge0")
-    space = v.space
-    coeffs = v.coeffs
-    ops, hf = _split_operators(space, harmonics)
-    (u,), _, (grad,), (harm,) = _curl_free_split(ops, hf, (ops.mass @ coeffs)[None])
-    coex = coeffs - grad - harm
-    return HelmholtzSplit(Field(space, grad), Field(space, harm), Field(space, coex),
-                          ops.unpinned(u), v, ops.mass)
-
-
-def _split_operators(space, harmonics):
-    """(EdgeOperators of space, harmonic fields as rows in space): the
-    basis's own operators for its own space, fresh ones for another."""
+    if not isinstance(v, (Field, TensorField)):
+        raise TypeError("helmholtz_split expects a Field or a TensorField over Edge0")
+    space, rows = v.space, _rows(v)
     harmonics = harmonics or harmonic_basis(space.mesh)
     hf = harmonics.fields_in(space)  # refuses a space of another mesh
-    return (harmonics.ops if harmonics.space is space else _operators_for(space)), hf
-
-
-def _curl_free_split(ops, hf, MV):
-    """(pinned potentials U, harmonic amplitudes, gradient parts, harmonic
-    parts) of the fields v_m with M v_m = MV[m], one per row of each.
-
-    hf holds the harmonic fields as rows (none: the parts are zero).  One
-    Poisson solve takes every row; the sparse products take one row at a
-    time, since scipy's products with several vectors are slower than as
-    many single ones.
-    """
+    ops = harmonics.ops if harmonics.space is space else _operators_for(space)
+    MV = np.stack([ops.mass @ r for r in rows])
     U = ops.poisson(np.column_stack([ops.grad_t @ mv for mv in MV])).T
     amps = MV @ hf.T
-    return U, amps, np.stack([ops.pinned_grad @ u for u in U]), amps @ hf
-
-
-@dataclass
-class TensorSplit:
-    curl_free: TensorField  # gradient + harmonic rows
-    coexact: TensorField
-    # mass images of the rows of T, formed by the split
-    mass_T: np.ndarray = field(repr=False)
-    # coordinates y of the curl-free part, R = W y with W the curl-free
-    # basis (constants._curlfree_basis): the pinned potentials of the three
-    # rows, then the harmonic amplitudes of the three rows
-    coords: np.ndarray = field(repr=False)
-
-    def parts(self):
-        return self.curl_free, self.coexact
+    grad, harm = np.stack([ops.pinned_grad @ u for u in U]), amps @ hf
+    parts = [Field(space, a[0]) if isinstance(v, Field) else TensorField(space, a)
+             for a in (grad, harm, rows - grad - harm)]
+    return HelmholtzSplit(*parts, MV, np.concatenate([*U, *amps]), v, ops.mass)
 
 
 def helmholtz_split_tensor(T, *, harmonics=None):
-    """Row-wise Helmholtz split; the coexact part carries Curl S = Curl T.
-
-    The three rows share one Poisson solve (see _curl_free_split);
-    harmonics is as in helmholtz_split.
-    """
-    ops, hf = _split_operators(T.space, harmonics)
-    MT = np.stack([ops.mass @ row for row in T.rows])
-    U, amps, grad, harm = _curl_free_split(ops, hf, MT)
-    return TensorSplit(TensorField(T.space, grad + harm),
-                       TensorField(T.space, T.rows - grad - harm), MT,
-                       np.concatenate([*U, *amps]))
+    """helmholtz_split of a TensorField, under the name certification calls."""
+    return helmholtz_split(T, harmonics=harmonics)
 
 
 # --------------------------------------------------------------------------

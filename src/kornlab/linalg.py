@@ -60,6 +60,9 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 DENSE_CROSSOVER = 256  # eigenproblems: dense LAPACK below, shift-invert ARPACK above
+# the default eigensolver tolerance: of eig_smallest, of the harmonic search
+# and of every constant (constants.DEFAULT_EIG_TOL, the CLI's --tol)
+DEFAULT_EIG_TOL = 1e-10
 _SEED = 20260314  # fixed start vectors keep reports reproducible
 _START_MIX = 1e-4  # share of the random vector in a given start vector: no direction is missing
 _RELAX = 1  # SuperLU supernode relaxation: 1 turns it off
@@ -132,7 +135,7 @@ def solve_spd(A, rhs):
     return spd_solver(A)(rhs)
 
 
-def eig_smallest(A, B, k=1, deflation=None, constraints=None, tol=1e-10):
+def eig_smallest(A, B, k=1, deflation=None, constraints=None, tol=DEFAULT_EIG_TOL):
     """k smallest eigenvalues of A x = lambda B x on the admissible subspace.
 
     deflation: vectors removed B-orthogonally, as the columns (or one

@@ -393,6 +393,8 @@ def validate(mesh):
     """Check the mesh invariants; raise on errors, return a list of warnings:
     advisories on a slice that misses the tag-1 part and on the flattest
     cell, when its volume / (longest edge)^3 lies below SHAPE_ADVISORY."""
+    if mesh.num_tets == 0:
+        raise InvalidMesh("a mesh needs at least one tet")
     bad = np.flatnonzero(~np.all(np.isfinite(mesh.vertices), axis=1))
     if len(bad):
         more = " ..." if len(bad) > 8 else ""
@@ -434,7 +436,7 @@ def validate(mesh):
     # advisory: the flattest cell
     lengths = np.linalg.norm(np.diff(mesh.vertices[mesh.edges], axis=1)[:, 0], axis=1)
     shape = vols / lengths[mesh.tet_edges].max(axis=1) ** 3
-    if len(shape) and shape.min() < SHAPE_ADVISORY:
+    if shape.min() < SHAPE_ADVISORY:
         worst = int(np.argmin(shape))
         warnings.append(f"cell {worst} has volume / (longest edge)^3 = {shape[worst]:.2e}, "
                         f"below {SHAPE_ADVISORY:.0e}: so flat a cell may spoil the solves")
@@ -514,8 +516,7 @@ def read_mesh(path):
         raise MalformedHeader("tet rows must have 4 indices and a slice id")
     if braw.size and braw.shape[1] != 4:
         raise MalformedHeader("btri rows must have 3 indices and a tag")
-    traw = traw.reshape(-1, 5)
-    braw = braw.reshape(-1, 4)
+    verts, traw, braw = verts.reshape(-1, 3), traw.reshape(-1, 5), braw.reshape(-1, 4)
     nv = len(verts)
     if traw.size and (traw[:, :4].min() < 0 or traw[:, :4].max() >= nv):
         raise IndexOutOfRange("tet vertex index out of range")

@@ -184,7 +184,8 @@ def test_cached_poisson_solve_matches_fresh_solve(workspaces, label):
     rng = np.random.default_rng(11)
     for _ in range(2):  # the second solve runs against the cached factor
         v = rng.standard_normal(e0.free_count)
-        cached = ws.ops.unpinned(ws.ops.poisson(ws.ops.grad_t @ (ws.ops.mass @ v)))
+        cached = ws.ops.poisson(ws.ops.grad_t @ (ws.ops.mass @ v))
+        cached = np.r_[0.0, cached] if pinned else cached  # the pinned vertex 0 carries 0
         rhs = G.T @ (M @ v)
         fresh = np.zeros(p1.free_count)
         if pinned:

@@ -2,6 +2,7 @@ import csv
 import json
 import re
 import shlex
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -11,6 +12,8 @@ from kornlab import constants, hodge
 from kornlab.cli import EXIT_ERROR, EXIT_INVALID, EXIT_OK, EXIT_USAGE, build_parser, run
 from kornlab.meshes import generate_primitive, read_mesh, write_mesh
 from kornlab.reports import dumps_json, emit_report, format_float
+
+from helpers import sliver
 
 
 def test_gen_writes_kornmesh(tmp_path):
@@ -44,6 +47,42 @@ def test_non_finite_vertex_is_invalid_input(tmp_path, capsys, value):
         == EXIT_INVALID
     err = capsys.readouterr().err
     assert err.count("non-finite coordinates at vertices [1]") == 2
+
+
+@pytest.mark.parametrize("vertices", ["vertices 0", "vertices 1\n0 0 0"],
+                         ids=["no_vertex", "one_vertex"])
+def test_mesh_without_cells_is_invalid(tmp_path, capsys, vertices):
+    # the empty file once failed in numpy, the one-vertex file validated and
+    # failed later in the constraint elimination
+    path = tmp_path / "m.msh"
+    path.write_text(f"kornmesh 1\n{vertices}\ntets 0\nbtris 0\n")
+    assert run(["validate", "--mesh", str(path)]) == EXIT_INVALID
+    assert run(["constants", "--mesh", str(path), "--out", str(tmp_path / "r.json")]) \
+        == EXIT_INVALID
+    assert capsys.readouterr().err.count("a mesh needs at least one tet") == 2
+
+
+def test_mesh_file_advisories_reach_stderr(tmp_path, capsys):
+    # a --mesh source prints validate's advisories; the report leaves them out
+    path, out, ref = tmp_path / "sliver.msh", tmp_path / "r.json", tmp_path / "ref.json"
+    write_mesh(sliver(1.7e-7), path)
+    assert run(["constants", "--mesh", str(path), "--out", str(out)]) == EXIT_OK
+    captured = capsys.readouterr()
+    assert captured.out == f"wrote {out}\n"
+    (line,) = captured.err.splitlines()
+    assert re.fullmatch(r"warning: cell \d+ has volume / \(longest edge\)\^3 = 3\.27e-08, "
+                        r"below 1e-06: .*", line)
+    report = constants.compute_report(read_mesh(path))
+    report["deterministic"] = False
+    emit_report(report, ref, "json")
+    assert out.read_bytes() == ref.read_bytes()
+    # the advisories are the ones of the tags in use, after --gamma-t
+    tunnel = tmp_path / "tunnel.msh"
+    write_mesh(generate_primitive("cube_with_tunnel", 1), tunnel)
+    assert run(["harmonics", "--mesh", str(tunnel)]) == EXIT_OK
+    assert capsys.readouterr().err == ""
+    assert run(["harmonics", "--mesh", str(tunnel), "--gamma-t", "faces y=0"]) == EXIT_OK
+    assert capsys.readouterr().err == "warning: slice 1 does not touch the tag-1 boundary part\n"
 
 
 def test_constants_report_keys(tmp_path):
@@ -150,6 +189,29 @@ def test_study_monotone_columns(tmp_path):
     assert all(v <= np.sqrt(2.0) + 1e-12 for v in cks)
     assert hdim == [0, 0]
     assert any(ln.startswith("summary_c_p,increasing") for ln in lines)
+
+
+def test_study_on_nested_levels(tmp_path, capsys, monkeypatch):
+    # each level a multiple of the one before: the Kuhn grids are nested and
+    # c_p, c_k_s and c_m_grad can only grow; c_m_coexact keeps its label
+    out = tmp_path / "study.csv"
+    args = ["study", "--primitive", "slab_mixed", "--out", str(out)]
+    assert run(args + ["--levels", "1,2,4"]) == EXIT_OK
+    assert any(ln.startswith("summary_c_m_coexact,") for ln in out.read_text().splitlines())
+    real = constants.Workspace.constant
+
+    def falling(self, name):  # c_p, and c_m_grad with it, shrunk by the tet count
+        rec = real(self, name)
+        return replace(rec, value=rec.value / self.mesh.num_tets) if name == "c_p" else rec
+
+    monkeypatch.setattr(constants.Workspace, "constant", falling)
+    capsys.readouterr()
+    assert run(args + ["--levels", "1,2"]) == EXIT_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith("error: GalerkinViolation: c_p fell from ") and "at n=2" in err
+    # levels that are not nested keep the trend labels alone
+    assert run(args + ["--levels", "2,3"]) == EXIT_OK
+    assert "summary_c_p,decreasing" in out.read_text()
 
 
 def test_gamma_t_faces_selector(tmp_path):

@@ -520,7 +520,7 @@ def test_weighted_korn_variable_coefficient():
     harm = hodge.harmonic_basis(mesh)
     sym_F = assemble("tensor_symF", harm.space, coeff=F)
     mass = sp.block_diag([harm.ops.mass] * 3, format="csr")
-    W = cst._curlfree_basis(harm)
+    W = harm.curl_free_basis
     import scipy.linalg as sla
 
     A = (W.T @ (sym_F @ W)).toarray()

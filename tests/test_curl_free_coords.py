@@ -1,7 +1,7 @@
 """Curl-free tensors through their potentials.
 
 The curl-free part of every tensor split is R = W y, W the curl-free basis
-(constants._curlfree_basis): certification reads |R|, |sym R| and |Curl R|
+that the harmonic basis holds (HarmonicBasis.curl_free_basis): certification reads |R|, |sym R| and |Curl R|
 off the reduced forms in the coordinates y that the split hands back, and
 without a tag-1 part it subtracts the constant skews in those coordinates.
 A slice of a sliced mesh is simply connected (b1 = boundary components -
@@ -133,7 +133,7 @@ def test_c_k_irrot_on_gradients_matches_the_edge_pencil(kind, n, tag):
     assert rec.dim == sum(dim for _, dim in refs)
     if ws.case != "sliced":
         # the pair lifted to Edge0^3, W y, is admissible with the curl-free quotient
-        v = cst._curlfree_basis(ws.harmonics) @ rec.vector
+        v = ws.harmonics.curl_free_basis @ rec.vector
         quotient = ws.pencil.strain.norm(v)**2 / mass_sq(ws.ops, v)
         assert quotient == pytest.approx(rec.eigenvalue, rel=1e-12)
         if not mesh.has_gamma_t:
@@ -189,9 +189,9 @@ def test_c_k_irrot_exceeds_c_k_t_around_a_tunnel(n):
 @pytest.mark.parametrize("make", [lambda: generate_primitive("cube_with_tunnel", 2),
                                   lambda: two_plates(2)], ids=["tunnel2", "two_plates2"])
 def test_curl_free_forms_reduce_through_the_strain_half(make, monkeypatch):
-    # neither the full strain form nor a row-blocked Edge0 matrix is built;
-    # the forms equal W^T Sym W and the row-blocked M W, entry by entry
-    # within rounding of the largest entry
+    # neither the full strain form nor a row-blocked Edge0 matrix is built,
+    # for the forms or for C W; the forms equal W^T Sym W and the
+    # row-blocked M W, entry by entry within rounding of the largest entry
     ws = cst.Workspace(make())
     built = []
     full, row_blocked = cst._HalfForm.full, cst._row_blocked
@@ -199,9 +199,12 @@ def test_curl_free_forms_reduce_through_the_strain_half(make, monkeypatch):
                         lambda self: built.append("full") or full(self))
     monkeypatch.setattr(cst, "_row_blocked",
                         lambda form: built.append("_row_blocked") or row_blocked(form))
-    cf = ws.curl_free
+    cf, CW = ws.curl_free, ws.curl_free_curl
     assert built == []
     W = cf.basis
+    # C W, formed row block by row block, is the row-blocked product bit for bit
+    assert CW.nnz == (row_blocked(ws.ops.curl) @ W).nnz
+    assert (CW != row_blocked(ws.ops.curl) @ W).nnz == 0
     MW = row_blocked(ws.ops.mass) @ W
     refs = {"sym": W.T @ (full(ws.pencil.strain) @ W), "mass": W.T @ MW, "mass_image": MW}
     for name, ref in refs.items():
@@ -237,8 +240,8 @@ def test_reduced_forms_match_edge_products(workspaces, label):
     for seed in range(3):
         T = ws.random_tensor(np.random.default_rng(seed))
         split = hodge.helmholtz_split_tensor(T, harmonics=ws.harmonics)
-        R, S = split.parts()
-        r, s, y = R.stacked(), S.stacked(), split.coords
+        G, H, S = split.parts()
+        r, s, y = G.stacked() + H.stacked(), S.stacked(), split.coords
         scale = float(T.stacked() @ (M @ T.stacked()))
         assert np.abs(cf.basis @ y - r).max() <= 1e-14 * np.abs(r).max()
         # the orthogonality link holds |<R, S>| / |T|^2, the coexact one |S|

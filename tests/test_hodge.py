@@ -223,12 +223,14 @@ def test_tensor_split_orthogonality_and_curl():
     rng = np.random.default_rng(1)
     T = TensorField(ops.edge_space, rng.standard_normal((3, ops.edge_space.free_count)))
     split = hodge.helmholtz_split_tensor(T, harmonics=basis)
-    R, S = split.parts()
+    G, H, S = split.parts()
+    assert all(isinstance(p, TensorField) for p in split.parts())
     M = ops.mass
     nT = sum(float(r @ (M @ r)) for r in T.rows)
-    nR = sum(float(r @ (M @ r)) for r in R.rows)
+    nR = sum(float(r @ (M @ r)) for r in G.rows + H.rows)
     nS = sum(float(r @ (M @ r)) for r in S.rows)
     assert nT == pytest.approx(nR + nS, rel=1e-12)
+    assert max(split.residuals.values()) <= 1e-12
     f0 = build_space(mesh, "Face0")
     C = assemble("curl_map", ops.edge_space, f0)
     for m in range(3):
@@ -244,8 +246,36 @@ def test_tensor_split_gradient_rows():
                      for _ in range(3)])
     T = TensorField(ops.edge_space, rows)
     split = hodge.helmholtz_split_tensor(T, harmonics=basis)
-    _, S = split.parts()
+    _, _, S = split.parts()
     assert np.abs(S.rows).max() <= 1e-10 * np.abs(rows).max()
+
+
+@pytest.mark.parametrize("kind", ["cube_with_tunnel", "slab_mixed"])
+def test_tensor_split_is_the_split_of_each_row(kind):
+    # one split for both kinds: a tensor's parts, mass images and
+    # coordinates are those of its rows split as Edge0 fields, and the
+    # curl-free part is W y, W the basis's curl_free_basis
+    basis = hodge.harmonic_basis(generate_primitive(kind, 2))
+    space = basis.space
+    T = TensorField(space, np.random.default_rng(4).standard_normal((3, space.free_count)))
+    split = hodge.helmholtz_split(T, harmonics=basis)
+    rows = [hodge.helmholtz_split(Field(space, r), harmonics=basis) for r in T.rows]
+    scale = np.abs(T.rows).max()
+    for part, row_parts in zip(split.parts(), zip(*(r.parts() for r in rows))):
+        assert np.abs(part.rows - [p.coeffs for p in row_parts]).max() <= 1e-13 * scale
+    assert np.array_equal(split.mass_images, np.concatenate([r.mass_images for r in rows]))
+    npot = basis.ops.pinned_grad.shape[1]
+    coords = [np.concatenate([r.coords[:npot] for r in rows]),
+              np.concatenate([r.coords[npot:] for r in rows])]
+    assert np.abs(split.coords - np.concatenate(coords)).max() <= 1e-12 * scale
+    curl_free = split.grad_part.stacked() + split.harmonic_part.stacked()
+    assert np.abs(basis.curl_free_basis @ split.coords - curl_free).max() <= 1e-13 * scale
+    assert basis.curl_free_basis is basis.curl_free_basis  # built once
+
+
+def test_split_refuses_other_fields():
+    with pytest.raises(TypeError, match="a Field or a TensorField"):
+        hodge.helmholtz_split(np.zeros(3))
 
 
 def test_project_so3_cases():

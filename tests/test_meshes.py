@@ -290,8 +290,9 @@ def test_ladder_meshes_get_no_shape_advisory(kind, n):
         assert validate(m) == []
 
 
-def test_tetless_mesh_gets_no_shape_advisory(tmp_path):
-    # no cell, so no flattest cell to advise on
+def test_tetless_mesh_is_invalid(tmp_path):
+    # no cell, no space to compute on: refused before any advisory
     p = tmp_path / "tetless.msh"
     p.write_text("kornmesh 1\nvertices 4\n0 0 0\n1 0 0\n0 1 0\n0 0 1\ntets 0\nbtris 0\n")
-    assert validate(read_mesh(p)) == []
+    with pytest.raises(InvalidMesh, match="a mesh needs at least one tet"):
+        read_mesh(p)

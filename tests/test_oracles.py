@@ -162,7 +162,8 @@ def _check_links_against_norm_oracle(ws):
         T = ws.random_tensor(rng)
         cert = cst.certify_main_inequality(T, ws)
         split = hodge.helmholtz_split_tensor(T, harmonics=ws.harmonics)
-        R, S = split.parts()
+        G, H, S = split.parts()
+        R = TensorField(T.space, G.rows + H.rows)
         nS = np.sqrt(evaluate_norms(S, ["L2"])["L2"])
         sym_T = np.sqrt(evaluate_norms(T, ["sym"])["sym"])
         curl_T = np.sqrt(evaluate_norms(T, ["curl"])["curl"])

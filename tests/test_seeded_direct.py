@@ -83,7 +83,7 @@ def test_seeded_direct_is_one_factorization_and_one_pass(kind, n, tag, ref, monk
     if ws.case == "sliced":
         assert v0 is None and c_k.vector is None
     else:
-        assert v0.tobytes() == (cst._curlfree_basis(ws.harmonics) @ c_k.vector).tobytes()
+        assert v0.tobytes() == (ws.harmonics.curl_free_basis @ c_k.vector).tobytes()
         # W y is admissible with the curl-free Rayleigh quotient 1/c_k_irrot^2
         A, B, _ = direct_pencil(ws.mesh, ws.pencil)
         quotient = v0 @ (A @ v0) / (v0 @ (B @ v0))
@@ -108,7 +108,9 @@ def test_direct_seed_lifts_the_c_k_irrot_pair(make):
     else:  # each row the gradient of one component
         lifted = (ws.ops.pinned_grad @ c_k.vector.reshape(3, -1).T).T.reshape(-1)
     assert v0.tobytes() == lifted.tobytes()
-    assert v0.tobytes() == (cst._curlfree_basis(ws.harmonics) @ c_k.vector).tobytes()
+    assert v0.tobytes() == (ws.harmonics.curl_free_basis @ c_k.vector).tobytes()
+    # one W per Workspace: the lift and the curl-free forms share the basis's
+    assert ws.curl_free.basis is ws.harmonics.curl_free_basis
 
 
 def test_seeded_direct_unit_cube_n8_needs_one_factorization(monkeypatch):
