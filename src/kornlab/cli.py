@@ -190,7 +190,7 @@ def _load_mesh(args):
     else:
         raise ValueError("one mesh source required (--mesh or --primitive)")
     mesh = _apply_selector(mesh, getattr(args, "gamma_t", None))
-    if getattr(args, "mesh", None):  # the advisories read_mesh leaves out, on the tags used
+    if getattr(args, "mesh", None):  # read_mesh's advisories, or a retagged mesh's own
         for w in meshes.validate(mesh):
             print(f"warning: {w}", file=sys.stderr)
     return mesh

@@ -57,13 +57,14 @@ class ConstantRecord:
                 if f.name not in ("name", "vector")}
 
 
-def _record(name, eig, B, dim, tol, note=None):
-    """1/sqrt(lambda) of the smallest pair of a pencil with mass form B.
+def _record(name, mesh, eig, B, dim, tol, note=None):
+    """1/sqrt(lambda) of the smallest pair of a pencil on mesh with mass form B.
 
     The reported residual is the B-scaled |A x - lambda B x| of the pair.
     A pair that does not solve its pencil, its residual relative to
     lambda |B x| above RESIDUAL_FACTOR * max(tol, 1e-12), raises
-    linalg.SolverError.
+    linalg.SolverError, which ends with the mesh's meshes.shape_advisory
+    when it has one.
     """
     lam = float(eig.values[0])
     if lam <= 0:
@@ -73,9 +74,10 @@ def _record(name, eig, B, dim, tol, note=None):
     Bx = B @ x
     rel = res * np.sqrt(abs(x @ Bx)) / max(lam * np.linalg.norm(Bx), 1e-300)
     if rel > RESIDUAL_FACTOR * max(tol, 1e-12):
+        flat = meshes.shape_advisory(mesh)
         raise linalg.SolverError(
             f"{name}: relative eigenpair residual {rel:.3e} at lambda = {lam:.6e} "
-            f"exceeds {RESIDUAL_FACTOR:.0e} * max(tol, 1e-12)"
+            f"exceeds {RESIDUAL_FACTOR:.0e} * max(tol, 1e-12)" + (f"; {flat}" if flat else "")
         )
     return ConstantRecord(name, 1.0 / np.sqrt(lam), lam, res, dim, note, x)
 
@@ -103,7 +105,7 @@ def poincare_constant(mesh, tol=DEFAULT_EIG_TOL, *, ops=None):
     if not mesh.has_gamma_t:
         deflation = np.ones((p1.free_count, 1))  # pure Neumann: mean-zero
     eig = linalg.eig_smallest(A, B, k=1, deflation=deflation, tol=tol)
-    return _record("c_p", eig, B, p1.free_count, tol)
+    return _record("c_p", mesh, eig, B, p1.free_count, tol)
 
 
 def _pin_vertex0(space, *forms):
@@ -157,7 +159,7 @@ def _p1_korn(name, mesh, tol, component_constant=False):
     if lam <= KERNEL_REL_TOL * A.diagonal().sum() / B.diagonal().sum():
         raise KernelError(f"{name}: the strain form has a kernel beyond the rigid motions "
                           f"(lambda_min = {lam:.3e})")
-    return _record(name, eig, B, pv.free_count, tol, note)
+    return _record(name, mesh, eig, B, pv.free_count, tol, note)
 
 
 def korn_constant_standard(mesh, tol=DEFAULT_EIG_TOL):
@@ -250,26 +252,16 @@ def curl_free_forms(harmonics, pencil):
     return CurlFreeForms(W, sym, (W.T @ MW).tocsr(), MW)
 
 
-def _slice_betti1(sub):
-    """First Betti number of a slice submesh (its boundary all tag 0).
-
-    For a compact 3-manifold with boundary, chi = V - E + F - T equals
-    (boundary components) - b1.
-    """
-    chi = sub.num_vertices - sub.num_edges + sub.num_faces - sub.num_tets
-    return meshes.boundary_components(sub, meshes.GAMMA_N)[1] - chi
-
-
-def curl_free_constant(name, forms, tol=DEFAULT_EIG_TOL):
+def curl_free_constant(name, mesh, forms, tol=DEFAULT_EIG_TOL):
     """The Edge0^3 curl-free pencil (W^T Sym W, W^T M W) of forms, a
-    CurlFreeForms with a tag-1 part (no kernel to quotient); the record
-    carries the pair in the coordinates y of R = W y.
+    CurlFreeForms of mesh with a tag-1 part (no kernel to quotient); the
+    record carries the pair in the coordinates y of R = W y.
     """
     dim = forms.basis.shape[1]
     if dim == 0:
         return _empty(name)
     eig = linalg.eig_smallest(forms.sym, forms.mass, k=1, tol=tol)
-    return _record(name, eig, forms.mass, dim, tol)
+    return _record(name, mesh, eig, forms.mass, dim, tol)
 
 
 def korn_constant_irrotational(mesh, tol=DEFAULT_EIG_TOL, *, harmonics=None, forms=None):
@@ -292,14 +284,14 @@ def korn_constant_irrotational(mesh, tol=DEFAULT_EIG_TOL, *, harmonics=None, for
         harmonics = harmonics or hodge.harmonic_basis(mesh, tol=tol)
         if harmonics.dim:
             forms = forms or curl_free_forms(harmonics, tensor_pencil(harmonics.ops))
-            return curl_free_constant("c_k_irrot", forms, tol)
+            return curl_free_constant("c_k_irrot", mesh, forms, tol)
         rec = korn_constant_standard(mesh, tol)  # nothing deflated, no note
     else:
         labels = mesh.slice_labels
         subs = [mesh] if len(labels) == 1 else [mesh.submesh(mesh.slice_ids == s) for s in labels]
         recs = []
         for s, sub in zip(labels, subs):
-            b1 = _slice_betti1(sub)
+            b1 = meshes.betti1(sub)
             if b1:
                 raise ValueError(f"slice {s} is not simply connected (b1 = {b1}): a domain "
                                  "with harmonic fields needs at least two slices when the "
@@ -334,8 +326,8 @@ def maxwell_constant(mesh, tol=DEFAULT_EIG_TOL, *, harmonics=None, grad_rec=None
     if e0.free_count == 0:
         coex_rec = _empty("c_m_coexact")
     else:
-        coex_rec = _record("c_m_coexact", harmonics.coexact, ops.mass, e0.free_count, tol,
-                           "gradients deflated")
+        coex_rec = _record("c_m_coexact", mesh, harmonics.coexact, ops.mass, e0.free_count,
+                           tol, "gradients deflated")
     cm = max(grad_rec.value, coex_rec.value)
     which = "gradient" if grad_rec.value >= coex_rec.value else "coexact"
     cm_rec = ConstantRecord("c_m", cm, None, None, None, f"max attained by {which} block")
@@ -446,7 +438,7 @@ def direct_main_constant(mesh, tol=DEFAULT_EIG_TOL, *, pencil=None, bracket=None
                     f"c_direct: lambda = {lam:.12e} lies above the curl-free bound "
                     f"{upper:.12e}; the solve missed the smallest pair"
                 )
-        return _record("c_direct", eig, B, 3 * space.free_count, tol, note)
+        return _record("c_direct", mesh, eig, B, 3 * space.free_count, tol, note)
     except linalg.SolverError as exc:  # the diameter: its hull's farthest vertex pair
         from scipy.spatial import ConvexHull
         from scipy.spatial.distance import pdist
@@ -624,7 +616,7 @@ class Workspace:
         cf = self.curl_free
         sym = assemble("tensor_symF", self.ops.edge_space, coeff=weight)
         sym = (cf.basis.T @ (sym @ cf.basis)).tocsr()
-        rec = curl_free_constant("c_k_F", cf._replace(sym=sym), self.tol)
+        rec = curl_free_constant("c_k_F", self.mesh, cf._replace(sym=sym), self.tol)
         return WeightedWork(c_F, mu, rec)
 
     @cached_property

@@ -3,19 +3,18 @@
 The harmonic space is the kernel of the curl-curl form C^T M_f C inside the
 mass-orthogonal complement of the discrete gradients (its exact kernel); its
 dimension is a topological quantity (a Betti number in the pure-tag cases).
-harmonic_basis counts it, the one kernel count of kornlab: it asks the
-eigensolver, with the gradients deflated, for twice as many pairs until
-one lies above the threshold.  The last solve gives the basis and the
-coexact Maxwell pair, as the eigensolver returns them (the pair's
-eigenvalue re-read as its vector's quotient through the curl pair): no
-Poisson solve and no re-orthonormalization follow.  helmholtz_split is
-the one Helmholtz split, row by row: a Field is one row, a TensorField
-three.  The gradient parts come from the Poisson matrix G^T M G on the
-pinned potentials, which each EdgeOperators assembles and factors once, at
-its first split; every later split costs triangular solves.  The split
-also hands back the coordinates y of its curl-free part (the pinned
-potentials and the harmonic amplitudes of every row): for a tensor R = W y,
-W the HarmonicBasis's curl_free_basis, so its norms read off reduced forms.
+harmonic_basis counts it, the one kernel count of kornlab: one eigensolve,
+the gradients deflated, for one pair more than the mesh's Betti bound on
+the dimension.  It gives the basis and the coexact Maxwell pair, as the
+eigensolver returns them (the pair's eigenvalue re-read as its vector's
+quotient through the curl pair).  helmholtz_split is the one Helmholtz
+split, row by row: a Field is one row, a TensorField three, of any Edge0
+space of the mesh.  Every split runs through the basis's operators, whose
+Poisson matrix G^T M G on the pinned potentials is factored once, at the
+first split; every later split costs triangular solves.  The split also
+hands back the coordinates y of its curl-free part (the pinned potentials
+and the harmonic amplitudes of every row): for a tensor R = W y, W the
+HarmonicBasis's curl_free_basis, so its norms read off reduced forms.
 
 Averages have one path.  The slice averages of a tensor field over Edge0
 (slice_means), their skews (piecewise_skew) and the projection onto the
@@ -32,7 +31,7 @@ from functools import cached_property
 import numpy as np
 import scipy.sparse as sp
 
-from . import linalg
+from . import linalg, meshes
 from .assemble import assemble, geometry
 from .spaces import DofSpace, Field, TensorField, build_space
 
@@ -40,7 +39,6 @@ from .spaces import DofSpace, Field, TensorField, build_space
 # on the built-in meshes the kernel lies below 1e-15 and the rest of the
 # spectrum above 1e-2 of that ratio
 HARMONIC_REL_TOL = 1e-8
-KERNEL_CAP = 32  # the harmonic search stops doubling its batch here
 
 SO3_BASIS = np.array(
     [
@@ -55,11 +53,12 @@ SO3_BASIS = np.array(
 class EdgeOperators:
     """Shared matrices for one Edge0 space with its scalar potential space.
 
-    The edge space may be unconstrained (splits apply to any square
-    integrable field); the potentials always carry the tag-1 constraint.
-    pinned_grad is the one place where the constant potentials are
-    removed: the Poisson factor, the harmonic search (which also yields the
-    coexact Maxwell pair) and the curl-free tensor basis all read it.
+    The harmonic basis holds those of the constrained edge space, and every
+    split, of a field in any Edge0 space of the mesh, runs through them; the
+    potentials always carry the tag-1 constraint.  pinned_grad is the one
+    place where the constant potentials are removed: the Poisson factor,
+    the harmonic search (which also yields the coexact Maxwell pair) and
+    the curl-free tensor basis all read it.
     The curl has one mechanism, the curl pair: the integer incidence C onto
     the unconstrained Face0 space and its mass M_f.  C grad = 0, so the
     gradients are the exact kernel of curlcurl = C^T M_f C at every cell
@@ -112,12 +111,9 @@ class EdgeOperators:
 
 
 def edge_operators(mesh):
-    return _operators_for(build_space(mesh, "Edge0", "gamma_t"))
-
-
-def _operators_for(edge_space):
-    p1 = build_space(edge_space.mesh, "P1_scalar", "gamma_t")
-    faces = build_space(edge_space.mesh, "Face0")
+    edge_space = build_space(mesh, "Edge0", "gamma_t")
+    p1 = build_space(mesh, "P1_scalar", "gamma_t")
+    faces = build_space(mesh, "Face0")
     return EdgeOperators(
         edge_space,
         p1,
@@ -146,20 +142,6 @@ class HarmonicBasis:
     def dim(self):
         return len(self.fields)
 
-    def fields_in(self, space):
-        """Coefficients zero-extended into another Edge0 space of the same mesh."""
-        if space.mesh is not self.space.mesh or space.family != "Edge0":
-            raise ValueError("HarmonicBasis.fields_in extends only into an Edge0 space "
-                             "of its own mesh")
-        if space is self.space or self.dim == 0:
-            return self.fields if self.dim else np.zeros((0, space.free_count))
-        return np.stack(
-            [
-                space.free_from_full(self.space.full_from_free(f))
-                for f in self.fields
-            ]
-        )
-
     @cached_property
     def curl_free_basis(self):
         """W, the sparse map R = W y from a tensor split's coords y to Edge0^3.
@@ -179,12 +161,13 @@ def harmonic_basis(mesh, *, tol=linalg.DEFAULT_EIG_TOL):
     mass-orthogonal complement of the pinned gradients.  Those span a
     kernel of curl-curl and are deflated: above the crossover the
     eigensolver factors curl-curl alone and projects them out after each
-    solve (see linalg._eig_sparse).  The count asks linalg.eig_smallest for
-    k = 2, 4, ... pairs until one lies above HARMONIC_REL_TOL relative to
-    tr(curlcurl) / tr(mass), so harmonic dimensions 0 and 1 take one
-    eigensolve, 2 and 3 a second one at k = 4; a kernel that fills
-    KERNEL_CAP pairs raises linalg.SolverError instead of returning a count
-    that may be short.  The vectors are mass-orthonormal and
+    solve (see linalg._eig_sparse).  The count is one linalg.eig_smallest
+    call for k = beta + 1 pairs, beta the mesh's bound on the dimension
+    (meshes.harmonic_bound): the pairs at or below HARMONIC_REL_TOL relative
+    to tr(curlcurl) / tr(mass) are the kernel.  If all k are, which the
+    bound rules out on a mesh that meshes.validate accepts,
+    linalg.SolverError names beta and its terms instead of returning a
+    count that may be short.  The vectors are mass-orthonormal and
     mass-orthogonal to the gradients: the first dim are the fields, and
     pair dim is the coexact Maxwell pair (.coexact).  The basis keeps the
     edge_operators of mesh as .ops; tol is the eigensolver tolerance.
@@ -193,17 +176,14 @@ def harmonic_basis(mesh, *, tol=linalg.DEFAULT_EIG_TOL):
     A, M = ops.curlcurl, ops.mass
     ratio = A.diagonal().sum() / max(M.diagonal().sum(), 1e-300)
     threshold = HARMONIC_REL_TOL * max(ratio, 1e-300)
-    k = 2
-    while True:
-        eig = linalg.eig_smallest(A, M, k=k, deflation=ops.pinned_grad, tol=tol)
-        dim = int(np.sum(eig.values <= threshold))
-        if dim < len(eig.values):
-            break
-        if k >= KERNEL_CAP:
-            raise linalg.SolverError(
-                f"all {k} computed eigenvalues are below the kernel threshold "
-                f"{threshold:.3e}; the count stops at KERNEL_CAP = {KERNEL_CAP}")
-        k *= 2
+    beta, b1, c_t, linked = meshes.harmonic_bound(mesh)
+    eig = linalg.eig_smallest(A, M, k=beta + 1, deflation=ops.pinned_grad, tol=tol)
+    dim = int(np.sum(eig.values <= threshold))
+    if dim == len(eig.values):
+        raise linalg.SolverError(
+            f"all {dim} computed eigenvalues lie below the kernel threshold {threshold:.3e}: "
+            f"the harmonic dimension exceeds its bound beta = {beta} (b1 = {b1}, {c_t} "
+            f"tag-1 components, {linked} domain components touching them)")
     # coexact eigenvalue: |C x|^2_f / |x|^2_M, free of the formed CC's rounding
     x = eig.vectors[:, dim:dim + 1]
     lam = np.array([ops.curl_sq(x.T)[1] / float(x[:, 0] @ (M @ x[:, 0]))])
@@ -264,26 +244,34 @@ def helmholtz_split(v, *, harmonics=None):
     """Orthogonal split of each row of an Edge0 Field or TensorField into
     gradient + harmonic + coexact.
 
-    The input may live in the constrained or the unconstrained edge space;
+    The input may live in any Edge0 space of the mesh, constrained or not;
     the gradient and harmonic summands always carry the tag-1 condition,
     the coexact remainder absorbs everything else (Curl S = Curl T).
     harmonics is the harmonic_basis of the mesh, built here when not given.
-    One Poisson solve takes every row; the sparse products take one row at
-    a time, since scipy's products with several vectors are slower.
+    In another space than the basis's, the mass images are restricted to
+    the basis space's free edges and the parts zero-extended back: the
+    pinned gradients vanish on eliminated edges.  One Poisson solve takes
+    every row; the sparse products take one row at a time, since scipy's
+    products with several vectors are slower.
     """
     if not isinstance(v, (Field, TensorField)):
         raise TypeError("helmholtz_split expects a Field or a TensorField over Edge0")
     space, rows = v.space, _rows(v)
     harmonics = harmonics or harmonic_basis(space.mesh)
-    hf = harmonics.fields_in(space)  # refuses a space of another mesh
-    ops = harmonics.ops if harmonics.space is space else _operators_for(space)
-    MV = np.stack([ops.mass @ r for r in rows])
-    U = ops.poisson(np.column_stack([ops.grad_t @ mv for mv in MV])).T
-    amps = MV @ hf.T
-    grad, harm = np.stack([ops.pinned_grad @ u for u in U]), amps @ hf
+    ops, hf = harmonics.ops, harmonics.fields
+    if space.mesh is not ops.edge_space.mesh or space.family != "Edge0":
+        raise ValueError("a harmonic basis splits fields of an Edge0 space of its own mesh")
+    mass, own = ops.mass, slice(None)
+    if space is not ops.edge_space:  # where the basis space's free edges sit in space
+        mass, own = assemble("mass", space), space.dof_map[0][ops.edge_space.dof_map[0] >= 0]
+    MV = np.stack([mass @ r for r in rows])
+    U = ops.poisson(np.column_stack([ops.grad_t @ mv[own] for mv in MV])).T
+    amps = MV[:, own] @ hf.T
+    grad, harm = np.zeros_like(rows), np.zeros_like(rows)
+    grad[:, own], harm[:, own] = np.stack([ops.pinned_grad @ u for u in U]), amps @ hf
     parts = [Field(space, a[0]) if isinstance(v, Field) else TensorField(space, a)
              for a in (grad, harm, rows - grad - harm)]
-    return HelmholtzSplit(*parts, MV, np.concatenate([*U, *amps]), v, ops.mass)
+    return HelmholtzSplit(*parts, MV, np.concatenate([*U, *amps]), v, mass)
 
 
 def helmholtz_split_tensor(T, *, harmonics=None):

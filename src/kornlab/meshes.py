@@ -392,7 +392,10 @@ def refine_uniform(mesh):
 def validate(mesh):
     """Check the mesh invariants; raise on errors, return a list of warnings:
     advisories on a slice that misses the tag-1 part and on the flattest
-    cell, when its volume / (longest edge)^3 lies below SHAPE_ADVISORY."""
+    cell (shape_advisory).  The mesh is immutable, so it keeps the
+    advisories, as it keeps its geometry: a second call only reads them."""
+    if "_advisories" in mesh.__dict__:
+        return list(mesh.__dict__["_advisories"])
     if mesh.num_tets == 0:
         raise InvalidMesh("a mesh needs at least one tet")
     bad = np.flatnonzero(~np.all(np.isfinite(mesh.vertices), axis=1))
@@ -414,6 +417,11 @@ def validate(mesh):
         raise NonManifoldBoundary("an interior face is listed as a boundary triangle")
     if not np.all(listed[shared == 1]):
         raise InvalidMesh("a boundary face of the complex is missing from btris")
+    tris = mesh.faces[mesh.btri_face]
+    around = np.bincount(locate_rows(mesh.edges, tris[:, [0, 1, 0, 2, 1, 2]].reshape(-1, 2)))
+    e = int(np.argmax(around))
+    if around[e] > 2:  # parts of the domain meet along edge e
+        raise NonManifoldBoundary(f"edge {e} lies in {around[e]} boundary triangles")
     if np.any((mesh.btri_tags != 0) & (mesh.btri_tags != 1)):
         raise InvalidMesh("boundary tags must be 0 or 1")
     if np.any(mesh.slice_ids < 0):
@@ -427,33 +435,60 @@ def validate(mesh):
         pieces = np.bincount(slice_of[np.unique(comp, return_index=True)[1]])
         raise InvalidMesh(f"slice {labels[np.argmax(pieces > 1)]} is not edge-connected")
 
-    # advisory: with tag-1 boundary present, every slice should touch it
+    # advisories: with tag-1 boundary present, every slice should touch it
     warnings = []
     if mesh.has_gamma_t:
         touching = np.any(np.isin(mesh.tets, mesh.tagged_vertices(GAMMA_T)), axis=1)
         warnings = [f"slice {s} does not touch the tag-1 boundary part"
                     for s in labels if not np.any(touching[mesh.slice_ids == s])]
-    # advisory: the flattest cell
+    mesh.__dict__["_advisories"] = warnings + [a for a in [shape_advisory(mesh)] if a]
+    return list(mesh.__dict__["_advisories"])
+
+
+def shape_advisory(mesh):
+    """The advisory on the flattest cell, its volume / (longest edge)^3 below
+    SHAPE_ADVISORY, or None: validate's and the residual gate's."""
     lengths = np.linalg.norm(np.diff(mesh.vertices[mesh.edges], axis=1)[:, 0], axis=1)
-    shape = vols / lengths[mesh.tet_edges].max(axis=1) ** 3
-    if shape.min() < SHAPE_ADVISORY:
-        worst = int(np.argmin(shape))
-        warnings.append(f"cell {worst} has volume / (longest edge)^3 = {shape[worst]:.2e}, "
-                        f"below {SHAPE_ADVISORY:.0e}: so flat a cell may spoil the solves")
-    return warnings
+    shape = mesh.tet_volumes() / lengths[mesh.tet_edges].max(axis=1) ** 3
+    worst = int(np.argmin(shape))
+    if shape[worst] < SHAPE_ADVISORY:
+        return (f"cell {worst} has volume / (longest edge)^3 = {shape[worst]:.2e}, "
+                f"below {SHAPE_ADVISORY:.0e}: so flat a cell may spoil the solves")
 
 
-def boundary_components(mesh, tag):
-    """Connected components of the tagged boundary-triangle graph.
+def boundary_components(mesh, tag=None):
+    """Connected components of the tagged (tag None: every) boundary-triangle graph.
 
     Two triangles are adjacent when they share an edge.  Returns
     (component index per tagged triangle, numbered by first triangle,
     component count).
     """
-    tris = mesh.faces[mesh.btri_face[mesh.btri_tags == tag]]
+    tris = mesh.faces[mesh.btri_face if tag is None else mesh.tagged_faces(tag)]
     edges = locate_rows(mesh.edges, tris[:, [0, 1, 0, 2, 1, 2]].reshape(-1, 2))
     count, comp = row_components(edges.reshape(-1, 3))
     return comp, count
+
+
+def betti1(mesh):
+    """First Betti number of the meshed domain: b1 = b0 + b2 - chi, chi =
+    V - E + F - T, with b0 + b2 counted as boundary_components (one per
+    boundary surface).  Exact on a 3-manifold; where no boundary edge lies
+    in more than two boundary triangles (validate's check) a count split at
+    a pinched vertex can only raise it, so it stays an upper bound."""
+    chi = mesh.num_vertices - mesh.num_edges + mesh.num_faces - mesh.num_tets
+    return boundary_components(mesh)[1] - chi
+
+
+def harmonic_bound(mesh):
+    """(beta, b1, c_t, c_linked): beta = max(b1 + c_t - c_linked, 0) bounds
+    dim H^1(Omega, Gamma_t) by the exact sequence H^0(Omega) -> H^0(Gamma_t)
+    -> H^1(Omega, Gamma_t) -> H^1(Omega).  b1 is betti1's bound; c_t counts
+    the components of the tag-1 part and c_linked the domain components that
+    hold a tag-1 vertex, both joined through vertices and so both exact."""
+    b1, c_t = betti1(mesh), row_components(mesh.faces[mesh.tagged_faces(GAMMA_T)])[0]
+    touching = np.isin(mesh.tets, mesh.tagged_vertices(GAMMA_T)).any(axis=1)
+    linked = len(np.unique(row_components(mesh.tets)[1][touching]))
+    return max(b1 + c_t - linked, 0), b1, c_t, linked
 
 
 # --------------------------------------------------------------------------

@@ -27,6 +27,16 @@ def cube2():
     return generate_primitive("unit_cube", 2)
 
 
+def _operators_for(edge_space):
+    """hodge.EdgeOperators of any Edge0 space, the unconstrained one too;
+    hodge.edge_operators builds them for the constrained space only."""
+    p1 = build_space(edge_space.mesh, "P1_scalar", "gamma_t")
+    faces = build_space(edge_space.mesh, "Face0")
+    return hodge.EdgeOperators(edge_space, p1, assemble("mass", edge_space),
+                               assemble("mixed_grad", p1, edge_space),
+                               assemble("curl_map", edge_space, faces), assemble("mass", faces))
+
+
 def test_complex_identities(cube2):
     p1 = build_space(cube2, "P1_scalar")
     e0 = build_space(cube2, "Edge0")
@@ -69,7 +79,7 @@ def test_dirichlet_matrix_identity(cube2):
 
 def test_forms_symmetric_to_the_bit(cube2):
     e0 = build_space(cube2, "Edge0")
-    for A in (assemble("mass", e0), hodge._operators_for(e0).curlcurl):
+    for A in (assemble("mass", e0), _operators_for(e0).curlcurl):
         assert (A - A.T).nnz == 0
     pv = build_space(cube2, "P1_vector")
     for form in ("mass", "grad", "symgrad"):
@@ -145,7 +155,7 @@ def test_discrete_norms_match_matrices(cube2):
     rng = np.random.default_rng(2)
     v = Field(e0, rng.standard_normal(e0.free_count))
     M = assemble("mass", e0)
-    K = hodge._operators_for(e0).curlcurl  # C^T M_f C against the per-cell curls
+    K = _operators_for(e0).curlcurl  # C^T M_f C against the per-cell curls
     norms = evaluate_norms(v, ["L2", "curl"])
     assert norms["L2"] == pytest.approx(float(v.coeffs @ (M @ v.coeffs)), rel=1e-12)
     assert norms["curl"] == pytest.approx(float(v.coeffs @ (K @ v.coeffs)), rel=1e-12)
@@ -155,7 +165,7 @@ def test_tensor_forms_match_rowwise(cube2):
     e0 = build_space(cube2, "Edge0")
     rng = np.random.default_rng(3)
     T = TensorField(e0, rng.standard_normal((3, e0.free_count)))
-    pencil = tensor_pencil(hodge._operators_for(e0))
+    pencil = tensor_pencil(_operators_for(e0))
     A, Mt, _ = direct_pencil(cube2, pencil)  # c_direct's Sym + CC and mass
     M = assemble("mass", e0)
     K = pencil.ops.curlcurl
@@ -451,7 +461,7 @@ def test_pattern_assembly_matches_coo_scatter(mesh_name):
     # the curl-curl form of the edge operators, C^T M_f C, against the
     # per-cell curls
     for e0 in (build_space(mesh, "Edge0", "gamma_t"), build_space(mesh, "Edge0")):
-        A, ref = hodge._operators_for(e0).curlcurl, _ref_assemble("curlcurl", e0)
+        A, ref = _operators_for(e0).curlcurl, _ref_assemble("curlcurl", e0)
         assert A.format == "csr" and A.has_canonical_format and A.shape == ref.shape
         assert abs(A - ref).max() <= 1e-14 * abs(ref).max(), e0.constrain
         assert (A != A.T).nnz == 0, e0.constrain
@@ -555,7 +565,7 @@ def test_tensor_pencil_forms_built_on_demand_match(mesh_name):
     # and the block diagonals of the edge matrices, entry for entry
     mesh = _PARITY_MESHES[mesh_name]()
     ws = Workspace(mesh)
-    for pencil in (ws.pencil, tensor_pencil(hodge._operators_for(build_space(mesh, "Edge0")))):
+    for pencil in (ws.pencil, tensor_pencil(_operators_for(build_space(mesh, "Edge0")))):
         ops = pencil.ops
         sym = assemble("tensor_sym", ops.edge_space)
         A, B, _ = direct_pencil(mesh, pencil)

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from kornlab import constants, hodge
+from kornlab import constants, hodge, meshes
 from kornlab.cli import EXIT_ERROR, EXIT_INVALID, EXIT_OK, EXIT_USAGE, build_parser, run
 from kornlab.meshes import generate_primitive, read_mesh, write_mesh
 from kornlab.reports import dumps_json, emit_report, format_float
@@ -84,6 +84,21 @@ def test_mesh_file_advisories_reach_stderr(tmp_path, capsys):
     assert run(["harmonics", "--mesh", str(tunnel), "--gamma-t", "faces y=0"]) == EXIT_OK
     assert capsys.readouterr().err == "warning: slice 1 does not touch the tag-1 boundary part\n"
 
+
+def test_mesh_file_is_validated_once(tmp_path, monkeypatch):
+    # the mesh keeps validate's advisories: one shape computation per mesh
+    # source, and one more for the new mesh a --gamma-t selector builds
+    path, out = tmp_path / "cube.msh", tmp_path / "r.json"
+    write_mesh(generate_primitive("unit_cube", 2), path)
+    shapes, real = [], meshes.shape_advisory
+    monkeypatch.setattr(meshes, "shape_advisory", lambda mesh: shapes.append(mesh) or real(mesh))
+    assert run(["constants", "--mesh", str(path), "--out", str(out)]) == EXIT_OK
+    assert len(shapes) == 1
+    assert run(["validate", "--mesh", str(path)]) == EXIT_OK
+    assert len(shapes) == 2
+    assert run(["constants", "--mesh", str(path), "--gamma-t", "none", "--out", str(out)]) \
+        == EXIT_OK
+    assert len(shapes) == 4 and shapes[3] is not shapes[2]
 
 def test_constants_report_keys(tmp_path):
     out = tmp_path / "rep.json"

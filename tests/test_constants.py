@@ -6,7 +6,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from kornlab import constants as cst
-from kornlab import hodge, linalg
+from kornlab import hodge, linalg, meshes
 from kornlab.assemble import MatrixCoefficient, assemble, identity_coefficient
 from kornlab.meshes import Mesh, generate_primitive, validate
 from kornlab.spaces import TensorField, build_space
@@ -392,7 +392,7 @@ def test_slice_strain_kernel_beyond_rigid_motions_raises():
     ids[[0, 3]] = 0
     m = Mesh(m.vertices, m.tets, ids, m.btris, m.btri_tags)
     assert validate(m) == []
-    assert [cst._slice_betti1(m.submesh(m.slice_ids == s)) for s in (0, 1)] == [0, 0]
+    assert [meshes.betti1(m.submesh(m.slice_ids == s)) for s in (0, 1)] == [0, 0]
     with pytest.raises(cst.KernelError, match="slice 0: c_k_s: the strain form has a kernel"):
         cst.korn_constant_irrotational(m)
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from kornlab import hodge, linalg
+from kornlab import hodge, linalg, meshes
 from kornlab.assemble import assemble
 from kornlab.hodge import SO3_BASIS
 from kornlab.meshes import Mesh, generate_primitive, refine_uniform, validate
@@ -199,11 +199,7 @@ def test_poisson_solve_on_two_component_mesh():
     # pinning vertex 0 leaves the constants of the copy in the kernel, so the
     # pinned Poisson matrix is singular, but the gradient part is unique
     a = generate_primitive("unit_cube", 3).retag(0)
-    b = a.transformed(shift=(5.0, 0.0, 0.0))
-    nv = a.num_vertices
-    mesh = Mesh(np.vstack([a.vertices, b.vertices]), np.vstack([a.tets, b.tets + nv]),
-                np.r_[a.slice_ids, b.slice_ids + 1], np.vstack([a.btris, b.btris + nv]),
-                np.r_[a.btri_tags, b.btri_tags])
+    mesh = _union(a, a.transformed(shift=(5.0, 0.0, 0.0)))
     assert validate(mesh) == [] and not mesh.has_gamma_t
     ops = hodge.edge_operators(mesh)
     G = ops.grad.toarray()
@@ -413,16 +409,15 @@ def test_piecewise_skew_per_slice_values():
 
 
 def test_harmonic_sparse_search_raises_at_cap(monkeypatch):
-    # a kernel filling every requested eigenvalue must not come back truncated
-    mesh = generate_primitive("unit_cube", 2)
-    n = hodge.edge_operators(mesh).edge_space.free_count
-
-    def all_below(A, B, k=1, **kwargs):
-        return linalg.EigenResult(np.zeros(k), np.zeros((n, k)))
-
-    monkeypatch.setattr(linalg, "eig_smallest", all_below)
-    with pytest.raises(linalg.SolverError, match="KERNEL_CAP = 32"):
+    # a kernel filling every requested eigenvalue must not come back truncated:
+    # on the tunnel (dimension 1) a bound patched to 0 leaves no pair above it
+    mesh = generate_primitive("cube_with_tunnel", 2)
+    monkeypatch.setattr(meshes, "harmonic_bound", lambda mesh: (0, 0, 0, 0))
+    requested = _spy_requests(monkeypatch)
+    with pytest.raises(linalg.SolverError, match=r"all 1 computed eigenvalues lie below .* "
+                       r"bound beta = 0 \(b1 = 0, 0 tag-1 components, 0 domain"):
         hodge.harmonic_basis(mesh)
+    assert requested == [1]
 
 
 @pytest.mark.parametrize("kind, n, dim", [("cube_with_tunnel", 2, 1), ("unit_cube", 4, 0)])
@@ -453,10 +448,10 @@ def _spy_requests(monkeypatch):
 @pytest.mark.parametrize("kind, n, dim", [("cube_with_tunnel", 2, 1), ("cube_with_tunnel", 4, 1),
                                           ("slab_mixed", 6, 0), ("unit_cube", 6, 0)])
 def test_harmonic_search_asks_for_two_pairs(kind, n, dim, monkeypatch):
-    # the search reads dim + 1 pairs: dimensions 0 and 1 take one solve
+    # one solve for beta + 1 pairs, and beta = dim on the benchmark meshes
     requested = _spy_requests(monkeypatch)
     basis = hodge.harmonic_basis(generate_primitive(kind, n))
-    assert requested == [2]
+    assert requested == [dim + 1]
     assert basis.dim == dim
     assert basis.coexact.values[0] > 0
 
@@ -466,4 +461,96 @@ def test_harmonic_dimension_two_takes_one_more_solve(monkeypatch):
     mesh = three_patches(4)
     requested = _spy_requests(monkeypatch)
     assert hodge.harmonic_basis(mesh).dim == 2
-    assert requested == [2, 4]
+    assert requested == [3]
+
+
+def _union(a, b):
+    """Two meshes side by side as one, the cells of b as slice 1."""
+    nv = a.num_vertices
+    return Mesh(np.vstack([a.vertices, b.vertices]), np.vstack([a.tets, b.tets + nv]),
+                np.r_[a.slice_ids, b.slice_ids + 1], np.vstack([a.btris, b.btris + nv]),
+                np.r_[a.btri_tags, b.btri_tags])
+
+
+def _checkerboard(n):
+    """unit_cube n with tag 1 on the squares (i + j even) of the face z = 0
+    only: their triangles touch across vertices, one component of Gamma_t."""
+    m = generate_primitive("unit_cube", n)
+    c = m.vertices[m.btris].mean(axis=1)
+    black = (np.floor(n * c[:, 0]) + np.floor(n * c[:, 1])) % 2 == 0
+    return m.retag((np.isclose(c[:, 2], 0) & black).astype(np.int64))
+
+
+def _harmonic_pivots(mesh):
+    """dim H^1(Omega, Gamma_t) by Sylvester's law of inertia: the negative
+    pivots of the LDL^T factor of CC - sigma M at the harmonic threshold,
+    less the rank of the gradients (the tag-1 potentials, less one constant
+    per cell component that holds no tag-1 vertex)."""
+    ops = hodge.edge_operators(mesh)
+    A, M = ops.curlcurl, ops.mass
+    sigma = hodge.HARMONIC_REL_TOL * A.diagonal().sum() / M.diagonal().sum()
+    lu = linalg._factor((A - sigma * M).tocsc(), "harmonic pencil")
+    free = meshes.row_components(mesh.tets)[0] - meshes.harmonic_bound(mesh)[3]
+    return int(np.sum(lu.U.diagonal() < 0)) - (ops.p1_space.free_count - free)
+
+
+@pytest.mark.parametrize(
+    "make, beta, dim",
+    [(lambda: generate_primitive("unit_cube", 4), 0, 0),
+     (lambda: generate_primitive("unit_cube", 6), 0, 0),
+     (lambda: generate_primitive("unit_cube", 4).retag(0), 0, 0),
+     (lambda: generate_primitive("slab_mixed", 4), 0, 0),
+     (lambda: generate_primitive("slab_mixed", 6), 0, 0),
+     (lambda: generate_primitive("cube_with_tunnel", 2), 1, 1),
+     (lambda: generate_primitive("cube_with_tunnel", 4), 1, 1),
+     (lambda: generate_primitive("cube_with_tunnel", 2).retag(1), 1, 0),
+     (lambda: three_patches(4), 2, 2),
+     (lambda: _union(generate_primitive("slab_mixed", 2),
+                     generate_primitive("cube_with_tunnel", 1).transformed(shift=(5, 0, 0))),
+      1, 1),
+     (lambda: _checkerboard(4), 0, 0)],
+    ids=["unit_cube4", "unit_cube6", "unit_cube4_untagged", "slab_mixed4", "slab_mixed6",
+         "tunnel2", "tunnel4", "tunnel2_tagged", "three_patches4", "slab_and_tunnel",
+         "checkerboard4"],
+)
+def test_betti_bound_holds_the_harmonic_dimension(make, beta, dim):
+    # beta = b1 + c_t - c_linked >= dim H^1(Omega, Gamma_t), equal on the
+    # benchmark meshes; a solid torus clamped all round has no harmonic field.
+    # The pivot count checks the dimension apart from the eigensolve
+    mesh = make()
+    validate(mesh)  # raises on what it refuses
+    assert meshes.harmonic_bound(mesh)[0] == beta
+    assert hodge.harmonic_basis(mesh).dim == dim == _harmonic_pivots(mesh)
+
+
+@pytest.mark.parametrize("make", [lambda: generate_primitive("slab_mixed", 2),
+                                  lambda: two_plates(2),
+                                  lambda: generate_primitive("cube_with_tunnel", 2)],
+                         ids=["slab_mixed2", "two_plates2", "tunnel2"])
+def test_split_in_another_edge_space_runs_through_the_basis(make, monkeypatch):
+    # a field of the unconstrained space (on the tunnel: the same edges in
+    # another DofSpace): its gradient and harmonic parts are those of the
+    # own-space split with the mass images restricted to the basis space's
+    # free edges, zero-extended; no operators of its own, and one Poisson
+    # factorization for it and an own-space split
+    basis = hodge.harmonic_basis(make())
+    ops, space = basis.ops, build_space(basis.space.mesh, "Edge0")
+    monkeypatch.setattr(hodge, "edge_operators", None)  # a call would raise
+    factors, real = [], linalg.spd_solver
+    monkeypatch.setattr(linalg, "spd_solver", lambda A: factors.append(A) or real(A))
+    v = Field(space, np.random.default_rng(5).standard_normal(space.free_count))
+    split = hodge.helmholtz_split(v, harmonics=basis)
+    own = space.dof_map[0][basis.space.dof_map[0] >= 0]
+    mv = assemble("mass", space) @ v.coeffs
+    u = np.linalg.solve((ops.pinned_grad.T @ ops.mass @ ops.pinned_grad).toarray(),
+                        ops.pinned_grad.T @ mv[own])
+    grad, harm = np.zeros(space.free_count), np.zeros(space.free_count)
+    grad[own], harm[own] = ops.pinned_grad @ u, (basis.fields @ mv[own]) @ basis.fields
+    scale = np.abs(v.coeffs).max()
+    assert np.abs(split.grad_part.coeffs - grad).max() <= 1e-12 * scale
+    assert np.abs(split.harmonic_part.coeffs - harm).max() <= 1e-12 * scale
+    assert np.abs(split.grad_part.coeffs + split.harmonic_part.coeffs
+                  + split.coexact_part.coeffs - v.coeffs).max() <= 1e-14 * scale
+    assert max(split.residuals.values()) <= 1e-12
+    hodge.helmholtz_split(Field(basis.space, v.coeffs[own]), harmonics=basis)
+    assert len(factors) == 1

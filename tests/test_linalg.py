@@ -7,7 +7,7 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from kornlab import hodge, linalg
+from kornlab import hodge, linalg, meshes
 from kornlab.assemble import assemble
 from kornlab.linalg import (
     SolverError,
@@ -329,11 +329,13 @@ def test_sparse_deflation_outside_the_kernel_raises():
         eig_smallest(A, B, k=1, deflation=D)
 
 
-def _harmonic_search(A, monkeypatch, crossover=linalg.DENSE_CROSSOVER):
+def _harmonic_search(A, beta, monkeypatch, crossover=linalg.DENSE_CROSSOVER):
     """hodge.harmonic_basis run on the pencil (A, I) with nothing deflated,
-    A diagonal: (basis, the batch sizes it asked eig_smallest for).  The
-    curl pair is C = sqrt(A) with the identity for the face mass."""
+    A diagonal, and the harmonic bound beta: (basis, the batch sizes it
+    asked eig_smallest for).  The curl pair is C = sqrt(A) with the
+    identity for the face mass."""
     monkeypatch.setattr(linalg, "DENSE_CROSSOVER", crossover)
+    monkeypatch.setattr(meshes, "harmonic_bound", lambda mesh: (beta, beta, 0, 0))
     requested = []
     real = linalg.eig_smallest
 
@@ -352,13 +354,13 @@ def _harmonic_search(A, monkeypatch, crossover=linalg.DENSE_CROSSOVER):
 
 @pytest.mark.parametrize("crossover", [linalg.DENSE_CROSSOVER, 16], ids=["dense", "sparse"])
 def test_count_kernel_from_two_pairs(crossover, monkeypatch):
-    # the harmonic search, the one kernel count: k = 2, then 4, and the
-    # fourth value is the first above the threshold
+    # the harmonic search, the one kernel count: one solve for beta + 1
+    # pairs, and the fourth value is the first above the threshold
     n = 40
     A = sp.diags(np.concatenate([[0.0, 0.0, 0.0], 1.0 + np.arange(n - 3)]))
-    basis, requested = _harmonic_search(A, monkeypatch, crossover)
+    basis, requested = _harmonic_search(A, 3, monkeypatch, crossover)
     assert basis.dim == 3
-    assert requested == [2, 4]
+    assert requested == [4]
     assert np.abs(basis.fields @ (A @ basis.fields.T)).max() <= 1e-12
     assert basis.coexact.values[0] == pytest.approx(1.0, rel=1e-10)
 
@@ -406,10 +408,10 @@ def test_dense_path_computes_only_the_pairs_it_returns(case, monkeypatch):
 
 
 def test_count_kernel_raises_at_cap(monkeypatch):
-    # an all-kernel pencil must not come back as a short count: the
-    # harmonic search doubles its batch up to KERNEL_CAP and raises there
-    with pytest.raises(SolverError, match="KERNEL_CAP = 32"):
-        _harmonic_search(np.zeros((20, 20)), monkeypatch)
+    # a kernel larger than the harmonic bound must not come back as a short
+    # count: all beta + 1 pairs below the threshold raise, naming beta
+    with pytest.raises(SolverError, match=r"exceeds its bound beta = 3 \(b1 = 3, 0 tag-1"):
+        _harmonic_search(np.zeros((20, 20)), 3, monkeypatch)
 
 
 def test_null_space_dims():

@@ -155,6 +155,24 @@ def test_validate_rejects_interior_face():
         validate(meshes.Mesh(m.vertices, m.tets, m.slice_ids, btris, tags))
 
 
+def test_validate_rejects_a_domain_pinched_along_an_edge():
+    # the 3x3x3 block of unit cubes without cube (1, 1, 1), a cavity, and
+    # cube (2, 2, 1), a notch open to the outside: the two meet along the
+    # edge x = y = 2, 1 <= z <= 2, which four boundary triangles share.
+    # Joined through that edge, the cavity's boundary and the outer one
+    # would count as one, and harmonic_bound's b1 come out one short
+    mask = np.ones((3, 3, 3), dtype=bool)
+    mask[1, 1, 1] = mask[2, 2, 1] = False
+    vertices, tets, _ = meshes._grid_tets(mask, 1.0)
+    btris = meshes._boundary_faces_of(tets)
+    m = meshes.Mesh(vertices, tets, np.zeros(len(tets), dtype=np.int64), btris,
+                    np.zeros(len(btris), dtype=np.int64))
+    ends = [int(np.flatnonzero(np.all(vertices == p, axis=1))[0]) for p in ((2, 2, 1), (2, 2, 2))]
+    e = int(meshes.locate_rows(m.edges, np.array([sorted(ends)]))[0])
+    with pytest.raises(NonManifoldBoundary, match=f"edge {e} lies in 4 boundary triangles"):
+        validate(m)
+
+
 def test_boundary_components():
     m = generate_primitive("unit_cube", 2)
     _, n = boundary_components(m, 1)

@@ -104,3 +104,14 @@ def test_validate_advises_on_a_sliver(slivers, tmp_path, capsys):
     write_mesh(slivers[1.7e-7], path)
     assert run(["validate", "--mesh", str(path)]) == EXIT_OK
     assert f"warning: {warnings[0]}" in capsys.readouterr().out.splitlines()
+
+
+def test_residual_gate_names_the_flat_cell(slivers):
+    # the sparse coexact pair fails its residual gate on the 1.7e-9 sliver;
+    # the error names the cell validate advises on
+    advisory = validate(slivers[1.7e-9])[0]
+    with pytest.raises(linalg.SolverError, match="c_m_coexact: relative eigenpair residual") \
+            as err:
+        cst.Workspace(slivers[1.7e-9]).constant("c_m")
+    assert str(err.value).endswith(f"; {advisory}")
+    assert "cell 345 " in advisory and "3.27e-10" in advisory
