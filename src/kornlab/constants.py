@@ -11,6 +11,7 @@ constrained away and asks for one pair.  The one kernel count, the
 harmonic dimension, is hodge.harmonic_basis's.
 """
 
+import contextlib
 import hashlib
 from collections import namedtuple
 from dataclasses import dataclass, field, fields, replace
@@ -31,9 +32,13 @@ KERNEL_REL_TOL = 1e-10
 # constant accepts, in units of max(tol, 1e-12); it reads the same at every
 # length scale, and correct pairs stay below 1e-11
 RESIDUAL_FACTOR = 1e4
-# relative margin of the c_direct bracket: absorbs the eigensolver error of
-# c_k_irrot and c_m, from which the bracket is derived
+# relative margin of a proven lower bound that places a seeded shift just below
+# it: absorbs the eigensolver error of c_k_irrot and c_m_coexact, from which
+# c_direct's bound is derived, and the rounding of the clamped Korn pencil
 BRACKET_MARGIN = 1e-8
+# the shift of the P1 Korn pencil on a fully tagged boundary, just below the
+# lower bound 1/2 of Korn's identity (_p1_korn)
+KORN_SHIFT = 0.5 * (1.0 - BRACKET_MARGIN)
 
 
 class KernelError(RuntimeError):
@@ -94,8 +99,17 @@ def _empty(name):
 def poincare_constant(mesh, tol=DEFAULT_EIG_TOL, *, ops=None):
     """Optimal constant of |u| <= c |grad u| over the constrained scalars.
 
-    ops, when given, supplies the scalar space (its p1_space).
+    ops, when given, supplies the scalar space (its p1_space).  The tag-1
+    part pins the constants of every cell component it touches, and without
+    one the mean-zero deflation removes a single constant; a cell component
+    left with its constant unpinned raises KernelError before any solve.
     """
+    count, linked = meshes.cell_components(mesh)
+    unpinned = count - linked - (not mesh.has_gamma_t)
+    if unpinned > 0:
+        raise KernelError(f"c_p: {unpinned} cell component(s) without a tag-1 vertex keep "
+                          "their constants in the kernel (the mean-zero deflation removes "
+                          "only one, and only without a tag-1 part)")
     p1 = ops.p1_space if ops is not None else build_space(mesh, "P1_scalar", "gamma_t")
     if p1.free_count == 0:
         return _empty("c_p")
@@ -142,6 +156,14 @@ def _p1_korn(name, mesh, tol, component_constant=False):
     the strain form annihilates beyond those makes the constant infinite and
     raises KernelError.  The pair is in the kept dofs, one component after
     the other; dim counts every free dof.
+
+    Where every boundary triangle is tag 1, Korn's identity 2|sym grad v|^2
+    = |grad v|^2 + |div v|^2 holds for every field of the space (the
+    boundary terms cancel on fields constant per boundary component), so
+    lambda_1 >= 1/2, and the solve runs inside linalg.seeded at KORN_SHIFT
+    just below it, where the sparse pass converges in a few solves; a
+    lambda_1 below KORN_SHIFT contradicts the identity and raises
+    linalg.SolverError.  Every other pencil takes the unseeded shift.
     """
     pv = build_space(mesh, "P1_vector", "gamma_t", component_constant=component_constant)
     rigid = not mesh.has_gamma_t
@@ -154,11 +176,18 @@ def _p1_korn(name, mesh, tol, component_constant=False):
     if pinned:
         A, B = _pin_vertex0(pv, A, B)
     deflation = _vertex0_rotations(mesh).T if rigid else None
-    eig = linalg.eig_smallest(A, B, k=1, deflation=deflation, tol=tol)
+    clamped = bool(np.all(mesh.btri_tags == meshes.GAMMA_T))
+    with linalg.seeded(KORN_SHIFT) if clamped else contextlib.nullcontext():
+        eig = linalg.eig_smallest(A, B, k=1, deflation=deflation, tol=tol)
     lam = float(eig.values[0])
     if lam <= KERNEL_REL_TOL * A.diagonal().sum() / B.diagonal().sum():
         raise KernelError(f"{name}: the strain form has a kernel beyond the rigid motions "
                           f"(lambda_min = {lam:.3e})")
+    if clamped and lam < KORN_SHIFT:
+        raise linalg.SolverError(
+            f"{name}: lambda = {lam:.12e} lies below {KORN_SHIFT:.12e} on a fully tagged "
+            "boundary, where Korn's identity 2|sym grad v|^2 = |grad v|^2 + |div v|^2 "
+            "bounds it by 1/2")
     return _record(name, mesh, eig, B, pv.free_count, tol, note)
 
 
@@ -348,6 +377,31 @@ def derived_bounds(c_k, c_m):
     return c_hat, c_tilde
 
 
+def direct_lower_bound(korn, coexact, kappa=1):
+    """L* <= lambda_1 of the c_direct pencil, from the chain's two links solved
+    exactly.
+
+    korn is U = 1/c_k_irrot^2 (None for an empty curl-free space), coexact
+    mu = 1/c_m_coexact^2.  An admissible T splits as R + S, curl-free plus
+    coexact, |T|^2 = |R|^2 + |S|^2.  The coexact link gives |Curl T|^2 >=
+    mu |S|^2, and the Korn link |sym T| >= sqrt(U) |R~| - |S|, as |sym S|
+    <= |S|.  R~ = R with a tag-1 part or on one slice (kappa = 1); on
+    several slices (kappa = 2) R~ is R minus its per-slice skew averages,
+    which T lacks, so they are S's and |R~|^2 >= |R|^2 - |S|^2.  Where
+    sqrt(U) |R~| >= |S| the quotient is at least the smaller eigenvalue l
+    of [[U, -sqrt(U/kappa)], [-sqrt(U/kappa), (1 + mu)/kappa]], else at
+    least mu U / (1 + kappa U): L* = min(l, mu U / (1 + kappa U)), and L* =
+    mu without curl-free fields.  l is the determinant U mu / kappa over
+    the larger eigenvalue, a sum of positive terms: the textbook difference
+    cancels once mu dwarfs U (on a mesh scaled by 1e-4 it came out above U).
+    """
+    if korn is None:
+        return coexact
+    d = (1.0 + coexact) / kappa
+    top = 0.5 * (korn + d + np.hypot(korn - d, 2.0 * np.sqrt(korn / kappa)))
+    return min(korn * coexact / kappa / top, coexact * korn / (1.0 + kappa * korn))
+
+
 def _slice_skew_constraints(space):
     """Rows c with c @ T_stacked = <T, S^l restricted to slice j>_M.
 
@@ -386,18 +440,17 @@ def direct_main_constant(mesh, tol=DEFAULT_EIG_TOL, *, pencil=None, bracket=None
     on a mesh scaled by s, where CC grows as s^-2.
 
     bracket, when given, is (lower, upper) for the smallest eigenvalue,
-    from the chain of estimates (Workspace.direct_seed): lower = 1/c_bound^2
-    by the main estimate, upper = 1/c_k_irrot^2 on one slice (None
+    from the chain of estimates (Workspace.direct_seed): lower = L*, the
+    bound of direct_lower_bound, upper = 1/c_k_irrot^2 on one slice (None
     otherwise), since curl-free fields are admissible.  The solve then
-    takes one shift-invert pass (linalg.seeded) at sigma = (1 -
-    BRACKET_MARGIN) lower / 2, started from v0 (the c_k_irrot pair lifted
-    to Edge0^3, W y, or None for a random vector).  It returns the
-    eigenvalue lambda nearest sigma.  When lambda >= 2 sigma, every
-    eigenvalue mu in [0, lambda) would lie nearer (sigma - mu <= sigma <=
-    lambda - sigma), so lambda is the smallest one and the estimate
-    holds: the result certifies itself and assumes nothing.  lambda <
-    2 sigma violates
-    the main estimate (lambda_1 <= lambda), and lambda above (1 +
+    takes one shift-invert pass (linalg.seeded, with its small basis) at
+    sigma = (1 - BRACKET_MARGIN) lower, started from v0 (the c_k_irrot pair
+    lifted to Edge0^3, W y, or None for a random vector).  It returns the
+    eigenvalue lambda nearest sigma.  As sigma < L* <= lambda_1, every
+    eigenvalue lies above sigma, so the nearest one is the smallest: the
+    certificate rests on c_k_irrot and c_m_coexact, each solved at a shift
+    below its own spectrum, and BRACKET_MARGIN absorbs their error.
+    lambda < sigma contradicts that bound, and lambda above (1 +
     BRACKET_MARGIN) upper means the solve missed the smallest pair; both
     raise linalg.SolverError.  So does _record's residual gate, and each of
     the three names the mesh diameter: CC grows as s^-2 on a mesh scaled by
@@ -416,7 +469,7 @@ def direct_main_constant(mesh, tol=DEFAULT_EIG_TOL, *, pencil=None, bracket=None
     if bracket is None:
         eig = linalg.eig_smallest(A, B, k=1, constraints=constraints, tol=tol)
     else:
-        with linalg.seeded(0.5 * (1.0 - BRACKET_MARGIN) * bracket[0], v0):
+        with linalg.seeded((1.0 - BRACKET_MARGIN) * bracket[0], v0):
             eig = linalg.eig_smallest(A, B, k=1, constraints=constraints, tol=tol)
     # lambda is x's quotient, not off the formed A: C x is exact to rounding in x
     x = eig.vectors[:, 0]
@@ -429,8 +482,8 @@ def direct_main_constant(mesh, tol=DEFAULT_EIG_TOL, *, pencil=None, bracket=None
             if lam < lower:
                 raise linalg.SolverError(
                     f"c_direct: lambda = {lam:.12e} lies below the lower bound "
-                    f"{lower:.12e} of the main estimate; c_direct exceeds the "
-                    "derived bound, or c_k_irrot or c_m is wrong"
+                    f"{lower:.12e} of the chain of estimates; c_k_irrot or "
+                    "c_m_coexact is wrong"
                 )
             upper = bracket[1]
             if upper is not None and lam > (1.0 + BRACKET_MARGIN) * upper:
@@ -559,7 +612,8 @@ class Workspace:
     pair (each record keeps its own space's dim): one Korn eigensolve per
     report.
     c_direct is solved from the bracket and start vector that c_k_irrot and
-    c_m give it (direct_seed, which lifts the c_k_irrot pair to Edge0^3).
+    c_m_coexact give it (direct_seed, which lifts the c_k_irrot pair to
+    Edge0^3).
     """
 
     def __init__(self, mesh, tol=DEFAULT_EIG_TOL):
@@ -656,19 +710,23 @@ class Workspace:
     def direct_seed(self):
         """The bracket and start vector of the c_direct solve, from the chain.
 
-        The main estimate gives c_direct <= c_bound (derived_bound), so
-        lambda_1 >= 1/c_bound^2.  On one slice the c_k_irrot pair y (the kept
-        P1 dofs of a Korn pair, where the curl-free tensors are gradients) is
-        lifted here to Edge0^3, W y: an admissible curl-free field of Rayleigh
+        The Korn and coexact links, solved exactly, bound lambda_1 from below
+        by L* (direct_lower_bound, kappa = 2 on several slices), 0.92-0.98
+        lambda_1 on the ladder meshes where 1/c_bound^2 reads 0.29-0.53, and
+        never below it.  On one slice the c_k_irrot pair y (the kept P1 dofs
+        of a Korn pair, where the curl-free tensors are gradients) is lifted
+        here to Edge0^3, W y: an admissible curl-free field of Rayleigh
         quotient 1/c_k_irrot^2, so lambda_1 is at most that, and W y starts
         the solve.  Sliced, or with an empty curl-free space, there is no
         such pair: no upper bound, and a random start vector.
         """
         c_k = self.constant("c_k_irrot")
+        lower = direct_lower_bound(c_k.eigenvalue, self.constant("c_m_coexact").eigenvalue,
+                                   2 if self.case == "sliced" else 1)
         upper = v0 = None
         if c_k.vector is not None:
             upper, v0 = c_k.eigenvalue, self.harmonics.curl_free_basis @ c_k.vector
-        return dict(bracket=(1.0 / self.derived_bound[1]**2, upper), v0=v0)
+        return dict(bracket=(lower, upper), v0=v0)
 
     @property
     def derived_bound(self):

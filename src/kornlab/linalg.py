@@ -39,11 +39,17 @@ B-orthogonal projection off D is the bordered solve (see _eig_sparse).
 A sparse pencil takes constraints or a deflation, not both.  Every
 sparse eigensolve has one shape: one factorization at sigma and one
 full-accuracy ARPACK pass for the k pairs nearest it.  sigma lies just
-below the spectrum, unless the caller knows where the smallest
-eigenvalue lies (the c_direct pencil, bracketed by the chain of
-estimates) and runs its solve inside seeded(shift, v0): then sigma is
-that shift and the pass starts from v0 with a small share of the seeded
-random vector mixed in.  The seed is a context, not a keyword of
+below the spectrum, unless the caller has proven a lower bound near the
+smallest eigenvalue (the c_direct pencil, bounded by the chain of
+estimates; the clamped P1 Korn pencil, bounded by 1/2 through Korn's
+identity) and runs its solve inside seeded(shift, v0): then sigma is
+that shift, just below the smallest pair, the pass keeps a small Lanczos
+basis of SEEDED_NCV vectors, and it starts from v0 with a small share of
+the seeded random vector mixed in.  Near its pair a shift-invert pass
+converges at a rate set by that distance (Ericsson & Ruhe, Math. Comp.,
+1980), and a small basis takes fewer solves; far below a cluster it
+takes more, so an unseeded pass keeps eigsh's default basis of 20.  The
+seed is a context, not a keyword of
 eig_smallest, so any solver that stands in for eig_smallest keeps its
 signature.  Both paths return B-orthonormal vectors, B-orthogonal to
 the deflated ones, so a kernel basis (the harmonic fields of hodge) is
@@ -65,6 +71,10 @@ DENSE_CROSSOVER = 256  # eigenproblems: dense LAPACK below, shift-invert ARPACK 
 DEFAULT_EIG_TOL = 1e-10
 _SEED = 20260314  # fixed start vectors keep reports reproducible
 _START_MIX = 1e-4  # share of the random vector in a given start vector: no direction is missing
+# Lanczos basis of a seeded pass, whose caller proves its shift lies just
+# below the pair; far below a cluster a small basis takes more solves, so
+# an unseeded pass keeps eigsh's default (20)
+SEEDED_NCV = 8
 _RELAX = 1  # SuperLU supernode relaxation: 1 turns it off
 # a bordered factor whose solve has a larger normwise backward error is not
 # trusted; the c_direct factors of the ladder meshes read below 1e-14
@@ -161,9 +171,11 @@ def seeded(shift, v0=None):
     """Sparse eigensolves in the block: one factorization at shift, one pass.
 
     The pass converges the eigenvalues nearest shift, started from v0 (or
-    the seeded random vector).  They are the smallest ones only where the
-    caller knows the spectrum: it must check the result.  The dense path
-    ignores the seed.
+    the seeded random vector), with a Lanczos basis of SEEDED_NCV vectors.
+    The caller proves that shift lies just below the smallest eigenvalue:
+    only then are the nearest ones the smallest, and the small basis
+    converges fast.  It must check the result.  The dense path ignores the
+    seed.
     """
     token = _seed.set((shift, v0))
     try:
@@ -312,11 +324,12 @@ def _projected_inverse(A, B, sigma, deflation):
     return op
 
 
-def _arpack(A, B, k, sigma, op, v0, tol):
-    """k eigenpairs nearest sigma, ascending, from ARPACK mode 3 with OPinv = op."""
+def _arpack(A, B, k, sigma, op, v0, tol, ncv=None):
+    """k eigenpairs nearest sigma, ascending, from ARPACK mode 3 with OPinv = op
+    and a Lanczos basis of ncv vectors (None: eigsh's default)."""
     opinv = spla.LinearOperator(A.shape, matvec=op, dtype=float)
     try:
-        vals, vecs = spla.eigsh(A, k=k, M=B, sigma=sigma, OPinv=opinv, v0=v0, tol=tol)
+        vals, vecs = spla.eigsh(A, k=k, M=B, sigma=sigma, OPinv=opinv, v0=v0, ncv=ncv, tol=tol)
     except spla.ArpackError as exc:
         raise SolverError(f"ARPACK failed: {exc}")
     order = np.argsort(vals)
@@ -327,9 +340,10 @@ def _eig_sparse(A, B, k, deflation, constraints, tol):
     """Shift-invert ARPACK: one factorization, one pass.
 
     The matrix is factored once at sigma: the seed's shift inside
-    seeded(shift, v0), else sigma_0 = -1e-3 tr A / tr B, just below the
-    spectrum.  One full-accuracy pass then converges the k pairs nearest
-    sigma, started from op(B v).  v is the seeded random vector r, or
+    seeded(shift, v0), with a basis of SEEDED_NCV vectors, else sigma_0 =
+    -1e-3 tr A / tr B, just below the spectrum, with eigsh's default basis.
+    One full-accuracy pass then converges the k pairs nearest sigma,
+    started from op(B v).  v is the seeded random vector r, or
     v0 plus _START_MIX |v0| of r: v0 may miss the wanted eigenvector (a
     symmetry class that excludes it), the random share puts every
     direction in the Krylov space.
@@ -352,9 +366,9 @@ def _eig_sparse(A, B, k, deflation, constraints, tol):
         raise SolverError("sparse path needs positive definite B")
     seed = _seed.get()
     if seed is None:
-        sigma, v0 = -1e-3 * max(abs(A.diagonal().sum()) / tr_b, 1e-30), None
+        sigma, v0, ncv = -1e-3 * max(abs(A.diagonal().sum()) / tr_b, 1e-30), None, None
     else:
-        sigma, v0 = seed
+        (sigma, v0), ncv = seed, SEEDED_NCV
     if deflation is None:
         op = _saddle_inverse(A, B, sigma, _saddle_rows(B, None, constraints, n))
     else:
@@ -362,7 +376,7 @@ def _eig_sparse(A, B, k, deflation, constraints, tol):
     v = np.random.default_rng(_SEED).standard_normal(n)
     if v0 is not None:
         v = v0 + _START_MIX * (np.linalg.norm(v0) / np.linalg.norm(v)) * v
-    vals, vecs = _arpack(A, B, k, sigma, op, op(B @ v), tol)
+    vals, vecs = _arpack(A, B, k, sigma, op, op(B @ v), tol, ncv)
     return EigenResult(vals, vecs, _residuals(A, B, vals, vecs, constraints))
 
 

@@ -479,15 +479,23 @@ def betti1(mesh):
     return boundary_components(mesh)[1] - chi
 
 
+def cell_components(mesh):
+    """(count, linked): the cell components of the mesh, joined through
+    vertices, and how many of them hold a tag-1 vertex."""
+    count, comp = row_components(mesh.tets)
+    touching = np.isin(mesh.tets, mesh.tagged_vertices(GAMMA_T)).any(axis=1)
+    return count, len(np.unique(comp[touching]))
+
+
 def harmonic_bound(mesh):
     """(beta, b1, c_t, c_linked): beta = max(b1 + c_t - c_linked, 0) bounds
     dim H^1(Omega, Gamma_t) by the exact sequence H^0(Omega) -> H^0(Gamma_t)
     -> H^1(Omega, Gamma_t) -> H^1(Omega).  b1 is betti1's bound; c_t counts
     the components of the tag-1 part and c_linked the domain components that
-    hold a tag-1 vertex, both joined through vertices and so both exact."""
+    hold a tag-1 vertex (cell_components), both joined through vertices and
+    so both exact."""
     b1, c_t = betti1(mesh), row_components(mesh.faces[mesh.tagged_faces(GAMMA_T)])[0]
-    touching = np.isin(mesh.tets, mesh.tagged_vertices(GAMMA_T)).any(axis=1)
-    linked = len(np.unique(row_components(mesh.tets)[1][touching]))
+    linked = cell_components(mesh)[1]
     return max(b1 + c_t - linked, 0), b1, c_t, linked
 
 

@@ -52,6 +52,33 @@ def test_poincare_empty_space():
     assert rec.value == 0.0 and rec.note == "EmptySpace"
 
 
+def _beside(a, b):
+    """The disjoint union of the meshes a and b, b moved two units along x."""
+    nv = a.num_vertices
+    return Mesh(np.vstack([a.vertices, b.vertices + [2.0, 0.0, 0.0]]),
+                np.vstack([a.tets, b.tets + nv]), np.concatenate([a.slice_ids, b.slice_ids]),
+                np.vstack([a.btris, b.btris + nv]), np.concatenate([a.btri_tags, b.btri_tags]))
+
+
+@pytest.mark.parametrize("tags", [(1, 0), (0, 0)], ids=["tagged_beside_untagged", "two_untagged"])
+@pytest.mark.parametrize("name", ["c_p", "c_m_grad"])
+def test_poincare_names_cell_components_without_a_tag_1_vertex(tags, name, monkeypatch):
+    # the untagged cube keeps its constant in the kernel (the mean-zero
+    # deflation removes one, only without a tag-1 part): a KernelError
+    # before any solve, where a residual-gate SolverError at lambda ~ 5e-14
+    # used to name the wrong cause
+    cube = generate_primitive("unit_cube", 4)
+    mesh = _beside(cube.retag(tags[0]), cube.retag(tags[1]))
+    ws = cst.Workspace(mesh)
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("c_p solved an eigenproblem")
+
+    monkeypatch.setattr(linalg, "eig_smallest", no_solve)
+    with pytest.raises(cst.KernelError, match="c_p: 1 cell component"):
+        ws.constant(name)
+
+
 def test_korn_standard_bound(cube3_ws):
     rec = cube3_ws.constant("c_k_s")
     assert rec.value <= SQRT2 * (1 + 1e-12)

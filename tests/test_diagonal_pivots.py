@@ -58,14 +58,15 @@ def test_every_report_factor_keeps_diagonal_pivots(label, monkeypatch):
 @pytest.mark.parametrize("kind, n", [("unit_cube", 4), ("cube_with_tunnel", 2)])
 def test_bordered_fill_does_not_depend_on_the_shift(kind, n, monkeypatch):
     # the untagged c_direct matrix, bordered by its skew-moment rows, at
-    # the solve's shift L/2 (L = 1/c_bound^2) and inside the spectrum
+    # the solve's shift just below the chain's lower bound L* and inside
+    # the spectrum
     mesh = _mesh(kind, n, True)
     ws = constants.Workspace(mesh)
     lam = ws.constant("c_direct").eigenvalue
-    half = 0.5 * ws.direct_seed()["bracket"][0]
+    shift = (1.0 - constants.BRACKET_MARGIN) * ws.direct_seed()["bracket"][0]
     A, B, C = direct_pencil(mesh, ws.pencil)
     factored = _spy_factors(monkeypatch)
-    for sigma in (half, 0.999 * lam, 1.3 * lam):
+    for sigma in (shift, 0.999 * lam, 1.3 * lam):
         linalg._saddle_inverse(A, B, sigma, sp.csr_matrix(C))
     assert len(factored) == 3
     fill = [lu.nnz for _, lu in factored]

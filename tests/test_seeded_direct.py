@@ -1,13 +1,16 @@
-"""The c_direct eigensolve seeded from the chain of estimates.
+"""Eigensolves seeded just below a proven lower bound.
 
-A Workspace solves c_direct from the bracket its own c_k_irrot and c_m
-give: the main estimate bounds lambda_1 from below by 1/c_bound^2 (c_hat,
-or c_tilde on several slices), and on one slice the lifted curl-free pair
-W y bounds it from above by 1/c_k_irrot^2 and starts the solve.  Above the
-crossover that is one factorization and one ARPACK pass at the shift
-(1 - BRACKET_MARGIN)/(2 c_bound^2), and a result outside the bracket raises.
-The seed reaches linalg as a context (linalg.seeded), so eig_smallest keeps
-the signature that stand-in solvers copy.
+A Workspace solves c_direct from the bracket its own c_k_irrot and
+c_m_coexact give: the Korn and coexact links, solved exactly, bound
+lambda_1 from below by L* (constants.direct_lower_bound), never below
+1/c_bound^2, and on one slice the lifted curl-free pair W y bounds it from
+above by 1/c_k_irrot^2 and starts the solve.  Above the crossover that is
+one factorization and one ARPACK pass, with linalg's small seeded basis,
+at the shift (1 - BRACKET_MARGIN) L*, and a result outside the bracket
+raises.  On a fully tagged boundary Korn's identity bounds the P1 Korn
+pencil by 1/2, and it is seeded just below that.  The seed reaches linalg
+as a context (linalg.seeded), so eig_smallest keeps the signature that
+stand-in solvers copy.
 """
 
 import numpy as np
@@ -18,6 +21,9 @@ from kornlab import linalg
 from kornlab.meshes import generate_primitive
 
 from helpers import direct_pencil, three_patches
+
+FORCED_DENSE = 10**9  # every pencil dense, as in test_sparse_parity
+PATCHED_CROSSOVER = 16  # every pencil above 16 dofs sparse
 
 # references: dense LAPACK on the QR-constrained pencil, and for n=8 ARPACK
 # shift-invert on the saddle-point operator, both from an implementation
@@ -43,14 +49,20 @@ def _chain_workspace(mesh):
 
 
 def _spy_solver(monkeypatch):
-    """Record the shift of every ARPACK pass, every factorization and the
-    seed (shift, v0) in force at each eig_smallest call."""
-    calls = {"sigma": [], "factor": 0, "seed": []}
+    """Record the shift of every ARPACK pass, its operator applications,
+    every factorization and the seed (shift, v0) in force at each
+    eig_smallest call."""
+    calls = {"sigma": [], "applications": 0, "factor": 0, "seed": []}
     arpack, factor, eig_smallest = linalg._arpack, linalg._factor, linalg.eig_smallest
 
-    def spy_arpack(A, B, k, sigma, *args):
+    def spy_arpack(A, B, k, sigma, op, *args):
         calls["sigma"].append(sigma)
-        return arpack(A, B, k, sigma, *args)
+
+        def counted(x):
+            calls["applications"] += 1
+            return op(x)
+
+        return arpack(A, B, k, sigma, counted, *args)
 
     def spy_factor(*args):
         calls["factor"] += 1
@@ -76,7 +88,8 @@ def test_seeded_direct_is_one_factorization_and_one_pass(kind, n, tag, ref, monk
     assert calls["factor"] == 1 and len(calls["sigma"]) == 1
     (sigma,) = calls["sigma"]
     lower = ws.direct_seed()["bracket"][0]
-    assert sigma == pytest.approx(0.5 * lower, rel=1e-7) and 2 * sigma <= rec.eigenvalue
+    assert sigma == pytest.approx((1 - cst.BRACKET_MARGIN) * lower, rel=1e-15)
+    assert sigma <= rec.eigenvalue
     assert rec.value == pytest.approx(ref, rel=1e-10)
     ((seed_sigma, v0),) = calls["seed"]
     assert seed_sigma == sigma
@@ -114,18 +127,34 @@ def test_direct_seed_lifts_the_c_k_irrot_pair(make):
 
 
 def test_seeded_direct_unit_cube_n8_needs_one_factorization(monkeypatch):
-    # lambda_2 / lambda_1 ~ 1.001: the seeded solve still factors once
+    # lambda_2 / lambda_1 ~ 1.001: the seeded solve still factors once, and
+    # at 0.95 lambda_1 its pass takes 41 operator applications (111 at half
+    # of 1/c_bound^2 with eigsh's default basis)
     ws = _chain_workspace(generate_primitive("unit_cube", 8))
     calls = _spy_solver(monkeypatch)
     rec = ws.constant("c_direct")
     assert calls["factor"] == 1
+    assert calls["applications"] <= 45
     assert rec.value == pytest.approx(1.410272155021159, rel=1e-10)
+
+
+@pytest.mark.parametrize("kind, ceiling", [("unit_cube", 30), ("slab_mixed", 12)])
+def test_seeded_direct_pass_takes_few_applications(kind, ceiling, monkeypatch):
+    # the shift just below L* (0.95 and 0.97 lambda_1) and the small basis:
+    # 25 and 9 operator applications (61 and 21 at half of 1/c_bound^2 with
+    # the default basis)
+    ws = _chain_workspace(generate_primitive(kind, 6))
+    calls = _spy_solver(monkeypatch)
+    rec = ws.constant("c_direct")
+    assert len(calls["sigma"]) == 1
+    assert calls["applications"] <= ceiling
+    assert ws.direct_seed()["bracket"][0] >= 0.9 * rec.eigenvalue
 
 
 @pytest.mark.parametrize("kind, n, tag", [("unit_cube", 2, None)]
                          + [case[:3] for case in SEEDED.values()], ids=["unit_cube2", *SEEDED])
 def test_seeded_direct_needs_no_kernel_count(kind, n, tag, monkeypatch):
-    # lambda >= 2 sigma > 0 already rules out a kernel: the seeded solve is
+    # L* > 0 already rules out a kernel: the seeded solve is
     # one eig_smallest call for one pair.  So is the unseeded one, since a
     # tag-1 part or the skew-moment rows leave the pencil no kernel to count
     mesh = _mesh(kind, n, tag)
@@ -179,10 +208,10 @@ def _stubbed_direct(monkeypatch, pick):
 
 @pytest.mark.parametrize("share", [0.25, 0.75])
 def test_pair_below_the_main_estimate_raises(monkeypatch, share):
-    # lambda_1 at share * lower: below the shift (lower / 2) and between the
-    # shift and the bound.  c_direct reads the quotient of the returned
-    # vector, so the bound is made too high, as a wrong c_k_irrot or c_m
-    # would make it, and the true pair is returned (78 dofs, dense)
+    # lambda_1 at share * lower, far below the shift (1 - BRACKET_MARGIN)
+    # lower and just below it.  c_direct reads the quotient of the returned
+    # vector, so the bound is made too high, as a wrong c_k_irrot or
+    # c_m_coexact would make it, and the true pair is returned (78 dofs, dense)
     ws = _chain_workspace(generate_primitive("unit_cube", 2))
     lam = cst.direct_main_constant(ws.mesh, pencil=ws.pencil).eigenvalue
     monkeypatch.setattr(ws, "direct_seed", lambda: dict(bracket=(lam / share, None), v0=None))
@@ -204,13 +233,13 @@ def test_a_real_solve_shifted_above_lambda_1_is_refused(monkeypatch):
     # the gate of a shift near lambda_1 on a real seeded solve: on slab_mixed
     # n=6 the shift (1 - 2e-3) U, U = 1/c_k_irrot^2, lies above lambda_1, and
     # shift-invert returns the pair nearest it.  The lower bound that puts the
-    # shift there (sigma = (1 - BRACKET_MARGIN) lower / 2) refuses that pair
+    # shift there (sigma = (1 - BRACKET_MARGIN) lower) refuses that pair
     ws = _chain_workspace(generate_primitive("slab_mixed", 6))
     lam_1 = ws.constant("c_direct").eigenvalue
     seed = ws.direct_seed()
     upper = seed["bracket"][1]
     sigma = (1.0 - 2e-3) * upper
-    lower = 2.0 * sigma / (1.0 - cst.BRACKET_MARGIN)
+    lower = sigma / (1.0 - cst.BRACKET_MARGIN)
     calls = _spy_solver(monkeypatch)
     returned = []
     arpack = linalg._arpack
@@ -227,3 +256,107 @@ def test_a_real_solve_shifted_above_lambda_1_is_refused(monkeypatch):
     assert calls["sigma"] == [pytest.approx(sigma, rel=1e-15)]
     assert lam_1 == pytest.approx(0.0775650, rel=1e-6) and lam_1 < sigma
     assert returned == [pytest.approx(0.0809088, rel=1e-6)]
+
+
+def _scaled_cube(s):
+    return generate_primitive("unit_cube", 2).transformed(matrix=s * np.eye(3))
+
+
+# tunnel n=3 (5904 dofs) is solved by the unseeded sparse pass, every other
+# pencil dense
+BOUND_MESHES = {
+    "unit_cube2": lambda: _mesh("unit_cube", 2, None),
+    "unit_cube2_untagged": lambda: _mesh("unit_cube", 2, 0),
+    "unit_cube3": lambda: _mesh("unit_cube", 3, None),
+    "unit_cube3_untagged": lambda: _mesh("unit_cube", 3, 0),
+    "slab_mixed2": lambda: _mesh("slab_mixed", 2, None),
+    "tunnel2": lambda: _mesh("cube_with_tunnel", 2, None),
+    "tunnel3": lambda: _mesh("cube_with_tunnel", 3, None),
+    "three_patches4": lambda: three_patches(4),
+    **{f"unit_cube2_scaled{s:g}": (lambda s=s: _scaled_cube(s)) for s in (1e-4, 1e-2, 1e2, 1e4)},
+}
+
+
+@pytest.mark.parametrize("make", list(BOUND_MESHES.values()), ids=list(BOUND_MESHES))
+def test_chain_lower_bound_lies_below_lambda_1(make, monkeypatch, request):
+    # L* <= lambda_1 <= the factored quotient of the computed vector, and
+    # L* >= 1/c_bound^2, so the bracket never loosens.  The unseeded pass
+    # of tunnel n=3 does not read L*.  On the mesh scaled by 1e-4 mu dwarfs
+    # U: a bound computed by the textbook difference came out above U
+    mesh = make()
+    if request.node.callspec.id != "tunnel3":
+        monkeypatch.setattr(linalg, "DENSE_CROSSOVER", FORCED_DENSE)
+    ws = _chain_workspace(mesh)
+    lower = ws.direct_seed()["bracket"][0]
+    A, B, C = direct_pencil(mesh, ws.pencil)
+    x = linalg.eig_smallest(A, B, k=1, constraints=C, tol=1e-12).vectors[:, 0]
+    quotient = (ws.pencil.strain.norm(x)**2 + ws.ops.curl_sq(x.reshape(3, -1))[1]) / (x @ (B @ x))
+    assert 0 < lower <= quotient
+    assert lower >= 1.0 / ws.derived_bound[1]**2
+    korn = ws.constant("c_k_irrot").eigenvalue
+    assert korn is None or lower <= korn
+
+
+def test_chain_lower_bound_without_cancellation():
+    # mu / U = 1e12, where the textbook difference ((a + d) - hypot(a - d,
+    # 2 b)) / 2 loses nine digits: l = U mu / (kappa lambda_max) keeps them,
+    # l = U (1 - 1/mu) to first order; no curl-free space leaves L* = mu
+    U, mu = 0.5555555555555556, 0.5555555555555556e12
+    for kappa in (1, 2):
+        lower = cst.direct_lower_bound(U, mu, kappa)
+        assert lower < U and lower == pytest.approx(U * (1 - 1 / mu), rel=1e-12)
+    assert cst.direct_lower_bound(None, 3.0) == 3.0
+
+
+# kind, n and whether the pencil has PATCHED_CROSSOVER dofs (the n=2 unit
+# cube keeps 3)
+CLAMPED = {"unit_cube2": ("unit_cube", 2, False), "unit_cube3": ("unit_cube", 3, True),
+           "tunnel2_tagged": ("cube_with_tunnel", 2, True)}
+
+
+@pytest.mark.parametrize("kind, n, sparse_path", list(CLAMPED.values()), ids=list(CLAMPED))
+@pytest.mark.parametrize("korn", [cst.korn_constant_standard, cst.korn_constant_tangential],
+                         ids=["c_k_s", "c_k_t"])
+def test_clamped_korn_pencil_lies_above_one_half(kind, n, sparse_path, korn, monkeypatch):
+    # Korn's identity: lambda_1 >= 1/2 on a fully tagged boundary, on the
+    # dense path and on the sparse one seeded just below it
+    mesh = generate_primitive(kind, n).retag(1)
+    monkeypatch.setattr(linalg, "DENSE_CROSSOVER", FORCED_DENSE)
+    dense = korn(mesh)
+    monkeypatch.setattr(linalg, "DENSE_CROSSOVER", PATCHED_CROSSOVER)
+    calls = _spy_solver(monkeypatch)
+    sparse = korn(mesh)
+    assert calls["sigma"] == ([cst.KORN_SHIFT] if sparse_path else [])
+    assert dense.eigenvalue >= 0.5
+    assert sparse.value == pytest.approx(dense.value, rel=1e-10)
+
+
+@pytest.mark.parametrize("kind, shifted", [("unit_cube", True), ("slab_mixed", False)])
+def test_korn_shift_only_on_a_fully_tagged_boundary(kind, shifted, monkeypatch):
+    # tagged unit_cube n=6 (375 dofs) is clamped all round: the pass is
+    # seeded at 1/2 (1 - BRACKET_MARGIN), with no start vector; slab_mixed
+    # n=6 has a free part and keeps sigma_0 < 0
+    mesh = generate_primitive(kind, 6)
+    calls = _spy_solver(monkeypatch)
+    rec = cst.korn_constant_standard(mesh)
+    assert rec.dim >= linalg.DENSE_CROSSOVER
+    if shifted:
+        assert calls["seed"] == [(cst.KORN_SHIFT, None)]
+        assert calls["sigma"] == [cst.KORN_SHIFT] and rec.eigenvalue >= 0.5
+    else:
+        assert calls["seed"] == [None]
+        (sigma,) = calls["sigma"]
+        assert sigma < 0
+
+
+def test_clamped_korn_pair_below_one_half_raises(monkeypatch):
+    # a returned pair below the shift contradicts Korn's identity
+    real = linalg.eig_smallest
+
+    def low(A, B, k=1, deflation=None, constraints=None, tol=1e-10):
+        eig = real(A, B, k, deflation, constraints, tol)
+        return linalg.EigenResult(0.9 * eig.values, eig.vectors, eig.residuals)
+
+    monkeypatch.setattr(linalg, "eig_smallest", low)
+    with pytest.raises(linalg.SolverError, match="Korn's identity"):
+        cst.korn_constant_standard(generate_primitive("unit_cube", 3))
